@@ -64,9 +64,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(op={self.op}, shape={self.shape}, id={self._id})"
 

@@ -150,12 +150,15 @@ def train(config_path, profile, seed, data_dir, out_dir, stages, allow_pretrain_
 def generate(config_path, profile, seed, ckpt_dir, count, steps, out_path):
     """Sample the unconditional flow prior and decode the latents."""
     _load_config(config_path, profile, seed)
+    if count < 1:
+        raise ConfigError("--count must be >= 1")
     models = harness.Pipeline.load(ckpt_dir)
     rng = Rng(seed).split("generate")
+    state = flowmatch.sample_prior(models.flow, [rng.split(i) for i in range(count)],
+                                   steps=steps)
     lines = []
-    for i in range(count):
-        state = flowmatch.sample_prior(models.flow, rng.split(i), steps=steps)
-        s = toyset.decode(models.vae.decode_greedy(state))
+    for tokens in models.vae.decode_greedy_batch(state.z):
+        s = toyset.decode(tokens)
         props = toyset.oracle_properties(s)
         lines.append(f"{' '.join(s.canonical_tokens)}\t{props.p1!r}\t{props.p2!r}")
     text = "\n".join(lines) + "\n"
@@ -188,11 +191,12 @@ def optimize(config_path, profile, seed, ckpt_dir, tokens, data_dir):
         test = _load_dataset(data_dir).subset("test")
         start = test[int(rng.integers(0, len(test)))][0]
     g = cfg.guidance
-    z0 = guidance.prepare_optimization(models.vae, start, g.sigma, g.t_start,
-                                       rng.split("noise"))
-    traj, final = guidance.guided_integrate(models.flow, models.surrogate,
-                                            cfg.objective, g, z0)
-    result = toyset.decode(models.vae.decode_greedy(final))
+    z0 = guidance.prepare_optimization(models.vae, [start], g.sigma, g.t_start,
+                                       [rng.split("noise")])
+    (traj,), final = guidance.guided_integrate(models.flow, models.surrogate,
+                                               cfg.objective, g, z0)
+    (tokens,) = models.vae.decode_greedy_batch(final.z)
+    result = toyset.decode(tokens)
     start_props = toyset.oracle_properties(toyset.decode(start))
     end_props = toyset.oracle_properties(result)
     click.echo("step\tt\tJ\t|g|\t|v|")

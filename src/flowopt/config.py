@@ -35,7 +35,6 @@ class DataConfig:
 class BudgetConfig:
     budget: int = 100
     init_size: int = 10
-    batch_size: int = 1
     free_init: bool = False  # when True, the initial pool does not consume budget
 
 
@@ -60,7 +59,6 @@ class EvalConfig:
     fallback_reference: tuple = (0.0, 10.0)
     bootstrap_resamples: int = 1000
     ci_level: float = 0.95
-    curve_ci_level: float = 0.90
     bins: int = 50
     projection_seed: int = 1234
 

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
 from .nn import AdamState, Mlp, clip_grad_norm, optimizer_step, time_embed
-from .rng import Rng
+from .rng import Rng, normal_rows
 from .seqvae import LatentState
 
 
@@ -44,7 +44,7 @@ class FlowField:
         self.config = config
         dim = config.K * config.d
         sizes = [dim + config.time_embed_dim] + [config.hidden] * (config.layers - 1) + [dim]
-        self.net = Mlp.create(sizes, rng.split("flow"), activation="tanh", head="identity")
+        self.net = Mlp.create(sizes, rng.split("flow"), activation="tanh")
 
     def params(self) -> list:
         return self.net.params()
@@ -57,12 +57,6 @@ class FlowField:
         if te.shape[0] == 1 and B > 1:
             te = np.repeat(te, B, axis=0)
         return self.net(ad.concat([z, Tensor(te)], axis=1))
-
-    def velocity(self, z: np.ndarray, t: float) -> np.ndarray:
-        """Velocity for one latent state (K, d) at scalar time t."""
-        c = self.config
-        out = self.velocity_graph(Tensor(z.reshape(1, c.K * c.d)), np.array([t]))
-        return out.data.reshape(c.K, c.d)
 
     def arrays(self, prefix="flow") -> dict:
         from .nn import mlp_arrays
@@ -80,7 +74,7 @@ class FlowField:
         dim = cfg.K * cfg.d
         sizes = [dim + cfg.time_embed_dim] + [cfg.hidden] * (cfg.layers - 1) + [dim]
         model.net = mlp_from_arrays(prefix, arrays,
-                                    {"sizes": sizes, "activation": "tanh", "head": "identity"})
+                                    {"sizes": sizes, "activation": "tanh"})
         return model
 
 
@@ -155,13 +149,12 @@ def train_flow(field: FlowField, z1_sampler, rng: Rng) -> list:
     return history
 
 
-def sample_prior(field: FlowField, rng: Rng, steps: int = None, t_start: float = 0.0,
-                 z_init: np.ndarray = None, trajectory: list = None) -> LatentState:
-    """Integrate the flow ODE with explicit Euler from t_start to 1.
+def sample_prior(field: FlowField, rngs, steps: int = None, t_start: float = 0.0,
+                 z_init: np.ndarray = None) -> LatentState:
+    """Integrate the flow ODE over a (B, K, d) batch with explicit Euler from t_start to 1.
 
-    With no ``z_init`` the initial state is N(0, I) noise at t_start=0
-    (unconditional sampling). ``trajectory``, if given, collects (step, t,
-    per-token norms) records.
+    With no ``z_init``, row i starts from N(0, I) noise drawn from ``rngs[i]``
+    (unconditional sampling from t_start=0); a given ``z_init`` is used as is.
     """
     c = field.config
     steps = c.sample_steps if steps is None else steps
@@ -169,15 +162,14 @@ def sample_prior(field: FlowField, rng: Rng, steps: int = None, t_start: float =
         raise ContractViolation("steps must be >= 1")
     if not (0.0 <= t_start < 1.0):
         raise ContractViolation("t_start must lie in [0, 1)")
-    z = rng.normal((c.K, c.d)) if z_init is None else np.array(z_init, dtype=np.float64)
+    z = normal_rows(rngs, (c.K, c.d)) if z_init is None else np.array(z_init, dtype=np.float64)
+    B = len(z)
     dt = (1.0 - t_start) / steps
     t = t_start
     for step in range(steps):
-        v = field.velocity(z, t)
-        z = z + dt * v
+        v = field.velocity_graph(Tensor(z.reshape(B, c.K * c.d)), t).data
+        z = z + dt * v.reshape(B, c.K, c.d)
         t = t_start + (step + 1) * dt
         if not np.isfinite(z).all():
             raise NumericFailure("non-finite state during integration", where=f"step={step}")
-        if trajectory is not None:
-            trajectory.append((step, t, np.linalg.norm(z, axis=1).tolist()))
     return LatentState(z=z, t=1.0)

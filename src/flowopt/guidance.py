@@ -13,7 +13,7 @@ noise is injected once at preparation time, never per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
 from .seqvae import LatentState, mean_pool
-from .rng import Rng
+from .rng import normal_rows
 
 
 @dataclass
@@ -69,26 +69,27 @@ def _objective_graph(spec: ObjectiveSpec, pred: Tensor) -> Tensor:
 
 def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
                        normalize: bool = False, clip_norm: float = None) -> np.ndarray:
-    """Exact reverse-mode gradient of J with respect to the K×d latent.
+    """Exact reverse-mode gradient of J for each row of a (B, K, d) latent batch.
 
-    Post-processing: unit-norm rescaling first (zero gradient stays zero),
-    then norm clipping. Scaling by gamma is the integrator's job.
+    The graph sums J over rows; rows never mix, so row b of the result is the
+    gradient of row b's own J. Post-processing acts on each row: unit-norm
+    rescaling first (a zero row stays zero), then norm clipping. Scaling by
+    gamma is the integrator's job.
     """
     zt = Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
-    pooled = mean_pool(zt).reshape(1, z.shape[-1])
-    pred = surrogate.predict_graph(pooled)
-    j = _objective_graph(spec, pred.reshape(2))
-    (g,) = ad.gradients(j, [zt])
+    pred = surrogate.predict_graph(mean_pool(zt))
+    (g,) = ad.gradients(_objective_graph(spec, pred), [zt])
     if not np.isfinite(g).all():
         raise NumericFailure("non-finite objective gradient")
-    if normalize:
-        norm = np.linalg.norm(g)
-        if norm > 0:
-            g = g / norm
-    if clip_norm is not None:
-        norm = np.linalg.norm(g)
-        if norm > clip_norm:
-            g = g * (clip_norm / norm)
+    for b in range(len(g)):
+        if normalize:
+            norm = np.linalg.norm(g[b])
+            if norm > 0:
+                g[b] = g[b] / norm
+        if clip_norm is not None:
+            norm = np.linalg.norm(g[b])
+            if norm > clip_norm:
+                g[b] = g[b] * (clip_norm / norm)
     return g
 
 
@@ -125,15 +126,17 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
                      z_init: LatentState) -> tuple:
     """Euler integration of the guided dynamics from cfg.t_start to 1.
 
-    Returns (trajectory records, final LatentState). With gamma == 0 the
-    update degenerates bit-exactly to unconditional flow integration.
+    ``z_init.z`` is a (B, K, d) batch. Returns (one list of trajectory
+    records per row, final LatentState). With gamma == 0 the update
+    degenerates bit-exactly to unconditional flow integration.
     """
     z = np.array(z_init.z, dtype=np.float64)
+    B, K, d = z.shape
     dt = (1.0 - cfg.t_start) / cfg.steps
     t = cfg.t_start
-    trajectory = []
+    trajectories = [[] for _ in range(B)]
     for step in range(cfg.steps):
-        v = field.velocity(z, t)
+        v = field.velocity_graph(Tensor(z.reshape(B, K * d)), t).data.reshape(B, K, d)
         if cfg.gamma == 0.0:
             g = np.zeros_like(z)
             z = z + dt * v
@@ -147,33 +150,38 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
             raise NumericFailure("non-finite state during guided integration",
                                  where=f"step={step}")
         pred = surrogate.predict(mean_pool(z))
-        trajectory.append(TrajectoryRecord(
-            step=step, t=t, objective=objective_value(spec, pred),
-            grad_norm=float(np.linalg.norm(g)),
-            velocity_norm=float(np.linalg.norm(v))))
-    return trajectory, LatentState(z=z, t=1.0)
+        for b, records in enumerate(trajectories):
+            records.append(TrajectoryRecord(
+                step=step, t=t, objective=objective_value(spec, pred[b]),
+                grad_norm=float(np.linalg.norm(g[b])),
+                velocity_norm=float(np.linalg.norm(v[b]))))
+    return trajectories, LatentState(z=z, t=1.0)
 
 
-def prepare_generation(rng: Rng, K: int, d: int) -> LatentState:
-    """Base-distribution draw at t=0 for conditioned generation."""
-    return LatentState(z=rng.normal((K, d)), t=0.0)
+def prepare_optimization(vae, xs, sigma: float, t_start: float, rngs) -> LatentState:
+    """Posterior-mean encodings of existing structures plus one noise draw each.
 
-
-def prepare_optimization(vae, x, sigma: float, t_start: float, rng: Rng) -> LatentState:
-    """Posterior-mean encoding of an existing structure plus one noise draw."""
+    Row i encodes ``xs[i]`` and draws its noise from ``rngs[i]``.
+    """
     if sigma < 0:
         raise ContractViolation("sigma must be >= 0")
-    post = vae.encode(x)
-    z = post.mu + sigma * rng.normal(post.mu.shape)
-    return LatentState(z=z, t=t_start)
+    if len(xs) != len(rngs):
+        raise ContractViolation("need one rng per structure")
+    mu = vae.encode_batch(xs).mu
+    return LatentState(z=mu + sigma * normal_rows(rngs, mu.shape[1:]), t=t_start)
 
 
 def gradient_ascent_baseline(surrogate, spec: ObjectiveSpec, z_init: LatentState,
-                             eta: float, steps: int, sigma: float, rng: Rng) -> LatentState:
-    """No-flow ablation: noise injection, then plain descent on J."""
+                             eta: float, steps: int, sigma: float, rngs) -> LatentState:
+    """No-flow ablation on a (B, K, d) batch: noise injection, then plain descent on J.
+
+    Row i draws its noise from ``rngs[i]``.
+    """
     if eta <= 0:
         raise ContractViolation("eta must be > 0")
-    z = z_init.z + sigma * rng.normal(z_init.z.shape)
+    if len(z_init.z) != len(rngs):
+        raise ContractViolation("need one rng per latent row")
+    z = z_init.z + sigma * normal_rows(rngs, z_init.z.shape[1:])
     for step in range(steps):
         g = objective_gradient(spec, surrogate, z)
         z = z - eta * g

@@ -20,7 +20,7 @@ from . import flowmatch, guidance, moeval, seqvae, surrogate as surrogate_mod, t
 from .config import RunConfig
 from .errors import ArtifactIOError, ConfigError, ContractViolation
 from .nn import load_checkpoint, save_checkpoint
-from .rng import Rng
+from .rng import Rng, normal_rows
 
 VAE_CKPT = "vae_pretrain.ckpt"
 FINETUNE_CKPT = "vae_finetune.ckpt"
@@ -221,20 +221,20 @@ def _propose(proposer: str, models: Pipeline, cfg: RunConfig,
     spec = cfg.objective
     if proposer == "guided-flow":
         g = cfg.guidance
-        z0 = guidance.prepare_optimization(vae, seed_entry.structure.canonical_tokens,
-                                           g.sigma, g.t_start, rng.split("noise"))
+        z0 = guidance.prepare_optimization(vae, [seed_entry.structure.canonical_tokens],
+                                           g.sigma, g.t_start, [rng.split("noise")])
         _, final = guidance.guided_integrate(flow, sur, spec, g, z0)
     elif proposer == "gradient-ascent":
-        post = vae.encode(seed_entry.structure.canonical_tokens)
+        post = vae.encode_batch([seed_entry.structure.canonical_tokens])
         z0 = seqvae.LatentState(z=post.mu, t=1.0)
         final = guidance.gradient_ascent_baseline(
-            sur, spec, z0, cfg.ga.eta, cfg.ga.steps, cfg.ga.sigma, rng.split("noise"))
+            sur, spec, z0, cfg.ga.eta, cfg.ga.steps, cfg.ga.sigma, [rng.split("noise")])
     elif proposer == "random":
         final = seqvae.LatentState(
-            z=rng.split("noise").normal((cfg.vae.K, cfg.vae.d)), t=1.0)
+            z=rng.split("noise").normal((1, cfg.vae.K, cfg.vae.d)), t=1.0)
     else:
         raise ConfigError(f"unknown proposer {proposer!r}")
-    tokens = vae.decode_greedy(final)
+    (tokens,) = vae.decode_greedy_batch(final.z)
     return toyset.decode(tokens)
 
 
@@ -302,10 +302,11 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
 
     final_hvi = trace[-1][1] if trace else 0.0
     proposed_structures = [e.structure for e in state.pool if not e.from_init]
+    train_structs = [toyset.decode(t) for t, _ in train]
+    if train_keys is None:
+        train_keys = {s.canonical_key for s in train_structs}
     report = _evaluate(models, cfg, proposed_structures, baseline, ref, seed,
-                       train_keys if train_keys is not None
-                       else {toyset.decode(t).canonical_key for t, _ in train},
-                       reference_structures=[toyset.decode(t) for t, _ in train])
+                       train_keys, reference_structures=train_structs)
     return BudgetedResult(
         proposer=proposer, seed=seed, calls=oracle.calls,
         complete=complete and oracle.calls == cfg.budget.budget,
@@ -353,8 +354,7 @@ def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
     report.descriptor_kl = moeval.descriptor_kl(structures, reference_structures,
                                                 bins=ev.bins)
     pooled = _pooled_means(models.vae, [s.canonical_tokens for s in structures])
-    pred = models.surrogate.predict(pooled)
-    mse, r2 = surrogate_mod.fidelity(np.atleast_2d(pred), points)
+    mse, r2 = surrogate_mod.fidelity(models.surrogate.predict(pooled), points)
     report.surrogate_mse = mse
     report.surrogate_r2 = r2
     return report
@@ -400,6 +400,9 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     train_structs = [toyset.decode(t) for t, _ in train]
     train_keys = {s.canonical_key for s in train_structs}
     candidates = _sweep_candidates(models, dataset, cfg)
+    # Encoded once per sweep; each cell adds the noise prepare_optimization
+    # would draw, from the same per-candidate streams.
+    mu = models.vae.encode_batch(candidates).mu
     # HVI measures the gain over the starting pool: the baseline front is the
     # candidates' own oracle points, not the full test split.
     baseline = np.stack([
@@ -417,14 +420,12 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
                 gamma=gamma, sigma=cfg.guidance.sigma, steps=cfg.guidance.steps,
                 t_start=cfg.guidance.t_start, clip_norm=cfg.guidance.clip_norm,
                 normalize_gradient=cfg.guidance.normalize_gradient)
-            structures = []
-            for i, tokens in enumerate(candidates):
-                crng = rng.split(("cand", i))
-                z0 = guidance.prepare_optimization(models.vae, tokens, gcfg.sigma,
-                                                   gcfg.t_start, crng)
-                _, final = guidance.guided_integrate(models.flow, models.surrogate,
-                                                     cfg.objective, gcfg, z0)
-                structures.append(toyset.decode(models.vae.decode_greedy(final)))
+            noise = normal_rows([rng.split(("cand", i)) for i in range(len(candidates))],
+                                mu.shape[1:])
+            z0 = seqvae.LatentState(z=mu + gcfg.sigma * noise, t=gcfg.t_start)
+            _, final = guidance.guided_integrate(models.flow, models.surrogate,
+                                                 cfg.objective, gcfg, z0)
+            structures = [toyset.decode(t) for t in models.vae.decode_greedy_batch(final.z)]
             report = _evaluate(models, cfg, structures, baseline, ref, seed,
                                train_keys, train_structs)
             rows.append(SweepRow(gamma=gamma, seed=seed, hvi=report.hvi,

@@ -48,31 +48,21 @@ def time_embed(t: float, dim: int) -> np.ndarray:
 
 @dataclass
 class Mlp:
-    """Fully connected stack with a configurable output bounding head.
-
-    ``head`` is one of ``"identity"``, ``"sigmoid"``, or ``("bounded", lo, hi)``
-    which maps outputs into the open interval (lo, hi) via an affine-scaled
-    sigmoid.
-    """
+    """Fully connected stack with a linear output layer."""
 
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
     activation: str = "tanh"
-    head: object = "identity"
 
     @classmethod
-    def create(cls, sizes, rng: Rng, activation="tanh", head="identity") -> "Mlp":
+    def create(cls, sizes, rng: Rng, activation="tanh") -> "Mlp":
         """Xavier-initialized MLP with layer ``sizes`` = [in, h1, ..., out]."""
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             scale = math.sqrt(2.0 / (fan_in + fan_out))
             weights.append(Tensor(rng.normal((fan_in, fan_out)) * scale, requires_grad=True))
             biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-        return cls(weights=weights, biases=biases, activation=activation, head=head)
-
-    @property
-    def sizes(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        return cls(weights=weights, biases=biases, activation=activation)
 
     def params(self) -> list:
         out = []
@@ -90,13 +80,7 @@ class Mlp:
             x = x @ w + b
             if i < len(self.weights) - 1:
                 x = act(x)
-        if self.head == "identity":
-            return x
-        if self.head == "sigmoid":
-            return x.sigmoid()
-        kind, lo, hi = self.head
-        assert kind == "bounded"
-        return x.sigmoid() * (hi - lo) + lo
+        return x
 
 
 @dataclass
@@ -167,10 +151,6 @@ def _encode(arr: np.ndarray) -> str:
     return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
 
 
-def _decode(s: str, shape) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype="<f8").reshape(shape).copy()
-
-
 def save_checkpoint(path, arrays: dict, meta: dict) -> None:
     """Write named float64 arrays plus metadata as a self-describing file."""
     header = {
@@ -190,17 +170,30 @@ def save_checkpoint(path, arrays: dict, meta: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns ``(arrays, meta)``."""
+    """Read a checkpoint; returns ``(arrays, meta)``.
+
+    A truncated file, a missing array or an array whose bytes do not fit its
+    header shape raises ArtifactIOError.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as e:
         raise ArtifactIOError(f"cannot read checkpoint {path}: {e}") from e
-    if doc.get("header", {}).get("format") != "flowopt-checkpoint-v1":
+    except ValueError as e:
+        raise ArtifactIOError(f"{path} is not valid checkpoint JSON: {e}") from e
+    header = doc.get("header", {}) if isinstance(doc, dict) else {}
+    if header.get("format") != "flowopt-checkpoint-v1":
         raise ArtifactIOError(f"{path} is not a flowopt checkpoint")
-    shapes = doc["header"]["arrays"]
-    arrays = {k: _decode(doc["data"][k], shapes[k]) for k in shapes}
-    return arrays, doc["header"]["meta"]
+    arrays = {}
+    try:
+        for name, shape in header["arrays"].items():
+            flat = np.frombuffer(base64.b64decode(doc["data"][name], validate=True), dtype="<f8")
+            arrays[name] = flat.reshape(shape).copy()
+        meta = header["meta"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ArtifactIOError(f"{path} is inconsistent with its header: {e!r}") from e
+    return arrays, meta
 
 
 def mlp_arrays(prefix: str, mlp: Mlp) -> dict:
@@ -211,19 +204,10 @@ def mlp_arrays(prefix: str, mlp: Mlp) -> dict:
     return out
 
 
-def mlp_meta(mlp: Mlp) -> dict:
-    head = mlp.head if isinstance(mlp.head, str) else list(mlp.head)
-    return {"sizes": mlp.sizes, "activation": mlp.activation, "head": head}
-
-
 def mlp_from_arrays(prefix: str, arrays: dict, meta: dict) -> Mlp:
-    head = meta["head"]
-    if isinstance(head, list):
-        head = (head[0], float(head[1]), float(head[2]))
     n = len(meta["sizes"]) - 1
     return Mlp(
         weights=[Tensor(arrays[f"{prefix}.w{i}"], requires_grad=True) for i in range(n)],
         biases=[Tensor(arrays[f"{prefix}.b{i}"], requires_grad=True) for i in range(n)],
         activation=meta["activation"],
-        head=head,
     )

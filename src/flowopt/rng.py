@@ -47,3 +47,12 @@ class Rng:
 
     def permutation(self, n):
         return self.gen.permutation(n)
+
+
+def normal_rows(rngs, shape) -> np.ndarray:
+    """One N(0, I) draw of ``shape`` from each stream, stacked as rows.
+
+    Row i is exactly ``rngs[i].normal(shape)``, so a batch built from
+    per-row streams draws the same noise as one call per row.
+    """
+    return np.stack([r.normal(shape) for r in rngs])

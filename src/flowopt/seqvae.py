@@ -64,13 +64,13 @@ class VaeConfig:
 
 @dataclass
 class PosteriorParams:
-    mu: np.ndarray        # (K, d) or (B, K, d)
+    mu: np.ndarray        # (B, K, d)
     log_sigma: np.ndarray
 
 
 @dataclass
 class LatentState:
-    """K×d latent tokens plus flow time; pooled vector is always recomputed."""
+    """A (B, K, d) batch of latent tokens plus flow time; pooled vectors are recomputed."""
 
     z: np.ndarray
     t: float
@@ -186,22 +186,14 @@ class SeqVae:
         return h @ self.p["dec_w2"] + self.p["dec_b2"]  # (B*L, V)
 
     # -- public operations ------------------------------------------------
-    def encode(self, x) -> PosteriorParams:
-        """Deterministic posterior parameters for one token string."""
-        enc, _, _, _ = self.prepare_batch([x])
-        mu, ls = self.encode_graph(enc)
-        return PosteriorParams(mu=mu.data[0], log_sigma=ls.data[0])
-
     def encode_batch(self, xs) -> PosteriorParams:
+        """Deterministic posterior parameters (B, K, d) for a list of token strings."""
         enc, _, _, _ = self.prepare_batch(xs)
         mu, ls = self.encode_graph(enc)
         return PosteriorParams(mu=mu.data, log_sigma=ls.data)
 
-    def decode_greedy(self, state: LatentState):
-        return self.decode_greedy_batch(state.z[None])[0]
-
     def decode_greedy_batch(self, Z: np.ndarray):
-        """Greedy autoregressive decoding; deterministic in z."""
+        """Greedy autoregressive decoding of a (B, K, d) batch; deterministic in z."""
         c = self.config
         B = Z.shape[0]
         zf = Z.reshape(B, c.K * c.d)

@@ -40,7 +40,7 @@ class Surrogate:
     def __init__(self, config: SurrogateConfig, rng: Rng):
         self.config = config
         sizes = [config.latent_dim] + [config.hidden] * (config.layers - 1) + [2]
-        self.net = Mlp.create(sizes, rng.split("surrogate"), activation="tanh", head="identity")
+        self.net = Mlp.create(sizes, rng.split("surrogate"), activation="tanh")
 
     def params(self) -> list:
         return self.net.params()
@@ -53,12 +53,11 @@ class Surrogate:
         return raw.sigmoid() * Tensor(hi - lo) + Tensor(lo)
 
     def predict(self, pooled: np.ndarray) -> np.ndarray:
-        """Predictions for pooled latents; accepts (d,) or (B, d)."""
-        x = np.atleast_2d(np.asarray(pooled, dtype=np.float64))
+        """Predictions (B, 2) for pooled latents (B, d)."""
+        x = np.asarray(pooled, dtype=np.float64)
         if not np.isfinite(x).all():
             raise ContractViolation("pooled latent must be finite")
-        out = self.predict_graph(Tensor(x)).data
-        return out[0] if np.asarray(pooled).ndim == 1 else out
+        return self.predict_graph(Tensor(x)).data
 
     def arrays(self, prefix="surrogate") -> dict:
         from .nn import mlp_arrays
@@ -77,7 +76,7 @@ class Surrogate:
         model.config = cfg
         sizes = [cfg.latent_dim] + [cfg.hidden] * (cfg.layers - 1) + [2]
         model.net = mlp_from_arrays(prefix, arrays,
-                                    {"sizes": sizes, "activation": "tanh", "head": "identity"})
+                                    {"sizes": sizes, "activation": "tanh"})
         return model
 
 
@@ -145,7 +144,6 @@ def fit_surrogate(pooled: np.ndarray, y: np.ndarray, config: SurrogateConfig,
             grads, _ = clip_grad_norm(grads, config.clip_norm)
             optimizer_step(opt, params, grads)
     eval_idx = hold if len(hold) else tr
-    pred = model.predict(pooled[eval_idx])
-    mse, r2 = fidelity(np.atleast_2d(pred), y[eval_idx])
+    mse, r2 = fidelity(model.predict(pooled[eval_idx]), y[eval_idx])
     report = FidelityReport(mse=mse, r2=r2, n_train=len(tr), n_holdout=len(hold))
     return model, report

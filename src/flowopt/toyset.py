@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ArtifactIOError, ContractViolation
 from .rng import Rng
 
 PAD, BOS, EOS = "<pad>", "<bos>", "<eos>"
@@ -307,11 +307,18 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
 
 
 def read_split(path) -> list:
-    """Read one split file back as (tokens, Properties) pairs."""
+    """Read one split file back as (tokens, Properties) pairs.
+
+    A line that is not ``tokens<TAB>p1<TAB>p2`` with numeric properties
+    raises ArtifactIOError naming the file and line.
+    """
     out = []
     with open(path) as fh:
-        for line in fh:
-            text, p1, p2 = line.rstrip("\n").split("\t")
-            tokens = tuple(text.split()) if text else ()
-            out.append((tokens, Properties(p1=float(p1), p2=float(p2))))
+        for lineno, line in enumerate(fh, 1):
+            try:
+                text, p1, p2 = line.rstrip("\n").split("\t")
+                props = Properties(p1=float(p1), p2=float(p2))
+            except ValueError as e:
+                raise ArtifactIOError(f"{path}:{lineno}: malformed split line ({e})") from e
+            out.append((tuple(text.split()), props))
     return out

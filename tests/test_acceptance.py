@@ -152,11 +152,11 @@ def test_flow_matching_learns_two_cluster_target():
         train_flow(field, target_sampler, rng.split("train"))
 
         target = target_sampler(rng.split("ref"), n).reshape(n, K * d)
-        flows = np.stack([sample_prior(field, rng.split(("s", i))).z.ravel()
-                          for i in range(n)])
+        flows = sample_prior(field, [rng.split(("s", i)) for i in range(n)]).z
+        flows = flows.reshape(n, K * d)
         base = rng.split("base").normal((n, K * d))
-        raw = np.stack([sample_prior(untrained, rng.split(("u", i))).z.ravel()
-                        for i in range(n)])
+        raw = sample_prior(untrained, [rng.split(("u", i)) for i in range(n)]).z
+        raw = raw.reshape(n, K * d)
         fd_flow = moeval.frechet_distance(flows, target)
         fd_base = moeval.frechet_distance(base, target)
         fd_raw = moeval.frechet_distance(raw, target)
@@ -177,11 +177,11 @@ def test_gamma_zero_is_unconditional_sampling():
                     rng.split("s"))
     spec = guidance.ObjectiveSpec.maximize_p1_minimize_p2()
     gcfg = guidance.GuidanceConfig(gamma=0.0, sigma=0.0, steps=9, t_start=0.25)
-    z0 = rng.split("z").normal((2, 6))
+    z0 = rng.split("z").normal((1, 2, 6))
     from flowopt.seqvae import LatentState
     _, out = guidance.guided_integrate(field, sur, spec, gcfg,
                                        LatentState(z=z0.copy(), t=gcfg.t_start))
-    ref = sample_prior(field, Rng(0), steps=gcfg.steps, t_start=gcfg.t_start,
+    ref = sample_prior(field, [Rng(0)], steps=gcfg.steps, t_start=gcfg.t_start,
                        z_init=z0.copy())
     ok = np.array_equal(out.z, ref.z)
     _report("gamma-zero-bit-identity", ok)
@@ -200,7 +200,7 @@ def test_guidance_gradient_matches_finite_differences():
                                           targets=(0.8, 2.5))
         else:
             spec = guidance.ObjectiveSpec.maximize_p1_minimize_p2()
-        z = rng.normal((K, d))
+        z = rng.normal((1, K, d))
 
         def f(zv):
             return guidance.objective_value(spec, sur.predict(mean_pool(zv)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
 from flowopt.flowmatch import (FlowConfig, FlowField, fm_loss, greedy_ot_pairing,
                                interpolate, sample_prior, train_flow)
@@ -93,9 +94,10 @@ def test_greedy_ot_matches_independent_greedy(rng):
 
 def test_velocity_shapes(field, rng):
     c = field.config
-    v = field.velocity(rng.normal((c.K, c.d)), 0.3)
-    assert v.shape == (c.K, c.d)
-    assert np.isfinite(v).all()
+    for B in (1, 3):
+        v = field.velocity_graph(Tensor(rng.normal((B, c.K * c.d))), 0.3)
+        assert v.shape == (B, c.K * c.d)
+        assert np.isfinite(v.data).all()
 
 
 def test_fm_loss_nonnegative(field, rng):
@@ -125,29 +127,27 @@ def test_train_flow_reduces_loss_on_point_mass(rng):
 
 
 def test_sample_prior_deterministic(field):
-    a = sample_prior(field, Rng(4))
-    b = sample_prior(field, Rng(4))
+    a = sample_prior(field, [Rng(4), Rng(5)])
+    b = sample_prior(field, [Rng(4), Rng(5)])
     assert np.array_equal(a.z, b.z)
+    assert a.z.shape == (2, field.config.K, field.config.d)
     assert a.t == 1.0
 
 
 def test_sample_prior_contracts(field, rng):
     with pytest.raises(ContractViolation):
-        sample_prior(field, rng, steps=0)
+        sample_prior(field, [rng], steps=0)
     with pytest.raises(ContractViolation):
-        sample_prior(field, rng, t_start=1.0)
+        sample_prior(field, [rng], t_start=1.0)
 
 
 def test_sample_prior_z_init_partial_time(field, rng):
     c = field.config
-    z = rng.normal((c.K, c.d))
-    traj = []
-    out = sample_prior(field, rng, steps=5, t_start=0.5, z_init=z, trajectory=traj)
-    assert len(traj) == 5
-    assert traj[-1][1] == pytest.approx(1.0)
-    assert out.z.shape == (c.K, c.d)
+    z = rng.normal((1, c.K, c.d))
+    out = sample_prior(field, [rng], steps=5, t_start=0.5, z_init=z)
+    assert out.z.shape == (1, c.K, c.d)
     # the provided initial state is consumed, not the rng draw
-    out2 = sample_prior(field, Rng(999), steps=5, t_start=0.5, z_init=z)
+    out2 = sample_prior(field, [Rng(999)], steps=5, t_start=0.5, z_init=z)
     assert np.array_equal(out.z, out2.z)
 
 
@@ -169,5 +169,5 @@ def test_checkpoint_round_trip(field, tmp_path, rng):
     arrays, meta = load_checkpoint(path)
     back = FlowField.from_checkpoint(arrays, meta)
     c = field.config
-    z = rng.normal((c.K, c.d))
-    assert np.array_equal(field.velocity(z, 0.7), back.velocity(z, 0.7))
+    z = Tensor(rng.normal((3, c.K * c.d)))
+    assert np.array_equal(field.velocity_graph(z, 0.7).data, back.velocity_graph(z, 0.7).data)

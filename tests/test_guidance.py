@@ -7,8 +7,7 @@ from flowopt.errors import ContractViolation, NumericFailure
 from flowopt.flowmatch import FlowConfig, FlowField, sample_prior
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
                               guided_integrate, objective_gradient, objective_value,
-                              prepare_generation, prepare_optimization,
-                              trajectory_lines)
+                              prepare_optimization, trajectory_lines)
 from flowopt.rng import Rng
 from flowopt.seqvae import LatentState, SeqVae, VaeConfig, mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
@@ -26,7 +25,7 @@ class LinearSurrogate:
         self.b = np.asarray(b, dtype=np.float64)
 
     def predict(self, x):
-        return np.atleast_2d(x) @ self.w + self.b
+        return x @ self.w + self.b
 
     def predict_graph(self, x):
         return x @ Tensor(self.w) + Tensor(self.b)
@@ -79,7 +78,7 @@ def test_gradient_matches_fd_both_modes(rng):
         r = rng.split(case)
         model = Surrogate(SurrogateConfig(latent_dim=D, hidden=12, layers=2),
                           r.split("m"))
-        z = r.normal((K, D))
+        z = r.normal((1, K, D))
         spec = specs[case % 2]
 
         def f(zv):
@@ -93,9 +92,9 @@ def test_gradient_linear_surrogate_exact():
     w = np.array([[0.3, -0.2], [0.1, 0.4], [-0.5, 0.2]])
     model = LinearSurrogate(w)
     spec = ObjectiveSpec.maximize_p1_minimize_p2()
-    z = Rng(3).normal((K, D))
+    z = Rng(3).normal((1, K, D))
     # J = -(pred1 - pred2) => dJ/dpooled = -(w[:,0] - w[:,1]); pooling averages
-    expected = np.tile(-(w[:, 0] - w[:, 1]) / K, (K, 1))
+    expected = np.tile(-(w[:, 0] - w[:, 1]) / K, (1, K, 1))
     g = objective_gradient(spec, model, z)
     assert np.allclose(g, expected, atol=1e-12)
 
@@ -104,7 +103,7 @@ def test_gradient_normalize_then_clip_order():
     w = np.array([[30.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     model = LinearSurrogate(w)
     spec = ObjectiveSpec.maximize_p1_minimize_p2()
-    z = Rng(5).normal((K, D))
+    z = Rng(5).normal((1, K, D))
     raw = objective_gradient(spec, model, z)
     assert np.linalg.norm(raw) > 1.0
     unit = objective_gradient(spec, model, z, normalize=True)
@@ -121,15 +120,15 @@ def test_gradient_normalize_then_clip_order():
 def test_gradient_zero_stays_zero_under_normalize():
     spec = ObjectiveSpec(mode="target", weights=(0.0, 0.0), targets=(0.5, 5.0))
     model = LinearSurrogate(np.ones((D, 2)))
-    g = objective_gradient(spec, model, Rng(1).normal((K, D)), normalize=True)
-    assert np.array_equal(g, np.zeros((K, D)))
+    g = objective_gradient(spec, model, Rng(1).normal((1, K, D)), normalize=True)
+    assert np.array_equal(g, np.zeros((1, K, D)))
 
 
 def test_gradient_nonfinite_raises():
     model = LinearSurrogate(np.full((D, 2), np.inf))
     spec = ObjectiveSpec.maximize_p1_minimize_p2()
     with pytest.raises(NumericFailure):
-        objective_gradient(spec, model, Rng(1).normal((K, D)))
+        objective_gradient(spec, model, Rng(1).normal((1, K, D)))
 
 
 # -- guidance config ------------------------------------------------------
@@ -150,10 +149,10 @@ def test_guidance_config_validation():
 def test_gamma_zero_bit_identical_to_unconditional(field, surrogate):
     spec = ObjectiveSpec.maximize_p1_minimize_p2()
     cfg = GuidanceConfig(gamma=0.0, sigma=0.0, steps=7, t_start=0.3)
-    z0 = Rng(11).normal((K, D))
+    z0 = Rng(11).normal((1, K, D))
     _, out = guided_integrate(field, surrogate, spec, cfg,
                               LatentState(z=z0.copy(), t=cfg.t_start))
-    ref = sample_prior(field, Rng(999), steps=cfg.steps, t_start=cfg.t_start,
+    ref = sample_prior(field, [Rng(999)], steps=cfg.steps, t_start=cfg.t_start,
                        z_init=z0.copy())
     assert np.array_equal(out.z, ref.z)
 
@@ -162,8 +161,8 @@ def test_guided_trajectory_records(field, surrogate):
     spec = ObjectiveSpec.maximize_p1_minimize_p2()
     cfg = GuidanceConfig(gamma=2.0, sigma=0.0, steps=6, t_start=0.4,
                          normalize_gradient=True)
-    traj, out = guided_integrate(field, surrogate, spec, cfg,
-                                 LatentState(z=Rng(2).normal((K, D)), t=cfg.t_start))
+    (traj,), out = guided_integrate(field, surrogate, spec, cfg,
+                                    LatentState(z=Rng(2).normal((1, K, D)), t=cfg.t_start))
     assert len(traj) == cfg.steps
     assert out.t == 1.0
     assert traj[-1].t == pytest.approx(1.0)
@@ -175,7 +174,7 @@ def test_guided_trajectory_records(field, surrogate):
 
 def test_guided_gamma_changes_trajectory(field, surrogate):
     spec = ObjectiveSpec.maximize_p1_minimize_p2()
-    z0 = Rng(4).normal((K, D))
+    z0 = Rng(4).normal((1, K, D))
     outs = []
     for gamma in (0.0, 5.0):
         cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=5, t_start=0.5)
@@ -187,24 +186,21 @@ def test_guided_gamma_changes_trajectory(field, surrogate):
 
 # -- preparation ----------------------------------------------------------
 
-def test_prepare_generation_deterministic():
-    a = prepare_generation(Rng(7), K, D)
-    b = prepare_generation(Rng(7), K, D)
-    assert np.array_equal(a.z, b.z)
-    assert a.t == 0.0 and a.z.shape == (K, D)
-
-
 def test_prepare_optimization_noise_once(rng):
     vae = SeqVae(VaeConfig(K=K, d=D, embed_dim=8, enc_hidden=16, dec_hidden=16),
                  rng.split("vae"))
     x = ("A", "B", "R")
-    clean = prepare_optimization(vae, x, 0.0, 0.6, Rng(1))
+    clean = prepare_optimization(vae, [x], 0.0, 0.6, [Rng(1)])
     assert clean.t == 0.6
-    assert np.array_equal(clean.z, vae.encode(x).mu)
-    noisy = prepare_optimization(vae, x, 0.5, 0.6, Rng(1))
+    assert np.array_equal(clean.z, vae.encode_batch([x]).mu)
+    noisy = prepare_optimization(vae, [x], 0.5, 0.6, [Rng(1)])
     assert not np.array_equal(noisy.z, clean.z)
+    # the one noise draw is exactly the row's own stream
+    assert np.array_equal(noisy.z, clean.z + 0.5 * Rng(1).normal((K, D)))
     with pytest.raises(ContractViolation):
-        prepare_optimization(vae, x, -0.1, 0.6, Rng(1))
+        prepare_optimization(vae, [x], -0.1, 0.6, [Rng(1)])
+    with pytest.raises(ContractViolation):
+        prepare_optimization(vae, [x, x], 0.5, 0.6, [Rng(1)])
 
 
 # -- gradient-ascent baseline --------------------------------------------
@@ -214,10 +210,10 @@ def test_gradient_ascent_descends_convex_objective():
     w = np.array([[0.3, -0.1], [0.2, 0.4], [-0.2, 0.3]])
     model = LinearSurrogate(w, b=(0.4, 4.0))
     spec = ObjectiveSpec(mode="target", weights=(1.0, 1.0), targets=(0.6, 3.0))
-    z0 = LatentState(z=Rng(6).normal((K, D)) * 3.0, t=0.0)
+    z0 = LatentState(z=Rng(6).normal((1, K, D)) * 3.0, t=0.0)
     j0 = objective_value(spec, model.predict(mean_pool(z0.z))[0])
     out = gradient_ascent_baseline(model, spec, z0, eta=0.5, steps=200,
-                                   sigma=0.0, rng=Rng(0))
+                                   sigma=0.0, rngs=[Rng(0)])
     j1 = objective_value(spec, model.predict(mean_pool(out.z))[0])
     assert j1 < j0
     assert j1 < 1e-6  # quadratic minimum is zero along the pooled direction
@@ -225,9 +221,11 @@ def test_gradient_ascent_descends_convex_objective():
 
 def test_gradient_ascent_deterministic_and_contracts(surrogate):
     spec = ObjectiveSpec.maximize_p1_minimize_p2()
-    z0 = LatentState(z=Rng(8).normal((K, D)), t=0.0)
-    a = gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5, 0.2, Rng(3))
-    b = gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5, 0.2, Rng(3))
+    z0 = LatentState(z=Rng(8).normal((1, K, D)), t=0.0)
+    a = gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5, 0.2, [Rng(3)])
+    b = gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5, 0.2, [Rng(3)])
     assert np.array_equal(a.z, b.z)
     with pytest.raises(ContractViolation):
-        gradient_ascent_baseline(surrogate, spec, z0, 0.0, 5, 0.2, Rng(3))
+        gradient_ascent_baseline(surrogate, spec, z0, 0.0, 5, 0.2, [Rng(3)])
+    with pytest.raises(ContractViolation):
+        gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5, 0.2, [Rng(3), Rng(4)])

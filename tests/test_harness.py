@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -232,6 +233,11 @@ def test_run_config_json_round_trip():
     back = RunConfig.from_json(cfg.to_json())
     assert back == cfg
     assert back.to_json() == cfg.to_json()
+    # an older config.json that still carries since-removed fields loads the same
+    old = cfg.to_dict()
+    old["budget"]["batch_size"] = 1
+    old["evaluation"]["curve_ci_level"] = 0.9
+    assert RunConfig.from_json(json.dumps(old)) == cfg
 
 
 def test_run_config_shape_mismatch_rejected():
@@ -286,6 +292,48 @@ def test_cli_missing_data_exit_4(runner, tiny_run):
     assert res.exit_code == 4
 
 
+def test_cli_malformed_split_exit_4(runner, tiny_run, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_run["data_dir"], data)
+    lines = (data / "train.tsv").read_text().splitlines()
+    lines[2] = "A B\t0.5"
+    (data / "train.tsv").write_text("\n".join(lines) + "\n")
+    res = runner.invoke(cli.main, ["train", "--seed", "1", "--config", tiny_run["cfg_path"],
+                                   "--data", str(data), "--out", str(tmp_path / "ckpt")])
+    assert res.exit_code == 4, res.output
+    assert "train.tsv:3" in res.output
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _drop_array(text):
+    doc = json.loads(text)
+    doc["data"].pop(sorted(doc["data"])[0])
+    return json.dumps(doc)
+
+
+def _wrong_shape(text):
+    doc = json.loads(text)
+    shapes = doc["header"]["arrays"]
+    name = sorted(shapes)[0]
+    shapes[name] = [shapes[name][0] + 1] + shapes[name][1:]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _drop_array, _wrong_shape])
+def test_cli_broken_checkpoint_exit_4(runner, tiny_run, tmp_path, corrupt):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(tiny_run["ckpt_dir"], ckpt)
+    flow = ckpt / harness.FLOW_CKPT
+    flow.write_text(corrupt(flow.read_text()))
+    res = runner.invoke(cli.main, ["generate", "--seed", "2", "--config", tiny_run["cfg_path"],
+                                   "--ckpt", str(ckpt), "--count", "2"])
+    assert res.exit_code == 4, res.output
+    assert "flow.ckpt" in res.output
+
+
 def test_cli_generate(runner, tiny_run):
     res = runner.invoke(cli.main, ["generate", "--seed", "2",
                                    "--config", tiny_run["cfg_path"],
@@ -297,6 +345,10 @@ def test_cli_generate(runner, tiny_run):
         tokens, p1, p2 = line.split("\t")
         s = toyset.decode(tuple(tokens.split()))
         assert float(p1) == pytest.approx(toyset.oracle_properties(s).p1)
+    res = runner.invoke(cli.main, ["generate", "--seed", "2",
+                                   "--config", tiny_run["cfg_path"],
+                                   "--ckpt", tiny_run["ckpt_dir"], "--count", "0"])
+    assert res.exit_code == 2
 
 
 def test_cli_optimize(runner, tiny_run):

@@ -34,10 +34,10 @@ def tiny_dataset():
 
 
 def test_posterior_shapes(model):
-    post = model.encode(("A", "B", "R"))
+    post = model.encode_batch([("A", "B", "R"), ("C",)])
     c = model.config
-    assert post.mu.shape == (c.K, c.d)
-    assert post.log_sigma.shape == (c.K, c.d)
+    assert post.mu.shape == (2, c.K, c.d)
+    assert post.log_sigma.shape == (2, c.K, c.d)
 
 
 def test_log_sigma_clamped(model):
@@ -47,13 +47,13 @@ def test_log_sigma_clamped(model):
 
 
 def test_empty_sequence_encodes(model):
-    post = model.encode(())
+    post = model.encode_batch([()])
     assert np.isfinite(post.mu).all()
 
 
 def test_encode_deterministic(model):
-    a = model.encode(("A", "B"))
-    b = model.encode(("A", "B"))
+    a = model.encode_batch([("A", "B")])
+    b = model.encode_batch([("A", "B")])
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.log_sigma, b.log_sigma)
 
@@ -127,11 +127,11 @@ def test_elbo_loss_components(model, rng):
 
 
 def test_decode_greedy_deterministic(model, rng):
-    state = seqvae.LatentState(z=rng.normal((model.config.K, model.config.d)), t=1.0)
-    a = model.decode_greedy(state)
-    b = model.decode_greedy(state)
-    assert a == b
-    assert all(tok not in (toyset.PAD, toyset.BOS, toyset.EOS) for tok in a)
+    z = rng.normal((3, model.config.K, model.config.d))
+    a = model.decode_greedy_batch(z)
+    b = model.decode_greedy_batch(z)
+    assert a == b and len(a) == 3
+    assert all(tok not in (toyset.PAD, toyset.BOS, toyset.EOS) for row in a for tok in row)
 
 
 def test_checkpoint_round_trip_bit_exact(model, tmp_path):
@@ -141,8 +141,8 @@ def test_checkpoint_round_trip_bit_exact(model, tmp_path):
     back = SeqVae.from_checkpoint(arrays, meta)
     for k in model.p:
         assert np.array_equal(model.p[k].data, back.p[k].data)
-    post_a = model.encode(("A", "B"))
-    post_b = back.encode(("A", "B"))
+    post_a = model.encode_batch([("A", "B")])
+    post_b = back.encode_batch([("A", "B")])
     assert np.array_equal(post_a.mu, post_b.mu)
 
 

@@ -36,13 +36,16 @@ def test_predictions_bounded_for_any_input(seed, scale):
 
 
 def test_predict_single_vector_shape(model, rng):
-    out = model.predict(rng.normal(4))
-    assert out.shape == (2,)
+    out = model.predict(rng.normal((1, 4)))
+    assert out.shape == (1, 2)
+    # one pooled vector is a batch of one; a bare (d,) vector is rejected
+    with pytest.raises(ContractViolation):
+        model.predict(rng.normal(4))
 
 
 def test_predict_rejects_nonfinite(model):
     with pytest.raises(ContractViolation):
-        model.predict(np.array([np.nan, 0.0, 0.0, 0.0]))
+        model.predict(np.array([[np.nan, 0.0, 0.0, 0.0]]))
 
 
 def test_prop_loss_symmetric_nonnegative(rng):
