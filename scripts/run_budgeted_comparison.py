@@ -29,7 +29,7 @@ def main(argv=None):
     ds = toyset.generate_dataset(cfg.data.seed, cfg.data.count,
                                  cfg.data.min_len, cfg.data.max_len)
     models = harness.Pipeline.load(args.ckpt)
-    train_keys = {toyset.decode(t).canonical_key for t, _ in ds.subset("train")}
+    reference = harness.reference_set(ds, cfg)  # shared by every proposer and seed
 
     rows = []
     finals = {}
@@ -37,7 +37,7 @@ def main(argv=None):
         vals = []
         for seed in range(args.seeds):
             result = harness.budgeted_run(models, ds, cfg, proposer, seed,
-                                          train_keys=train_keys)
+                                          reference=reference)
             vals.append(result.final_hvi)
             rows.append({"proposer": proposer, "seed": seed,
                          "calls": result.calls, "final_hvi": result.final_hvi,

@@ -302,16 +302,13 @@ def eval_cmd(config_path, profile, seed, ckpt_dir, data_dir, gen_path, out_dir):
     if not structures:
         raise ConfigError(f"{gen_path} contains no structures")
     test = ds.subset("test")
-    train = ds.subset("train")
     baseline = np.stack([p.as_array() for _, p in test])
     try:
         ref = moeval.auto_reference(baseline, margin=cfg.evaluation.ref_margin)
     except moeval.DegenerateRangeError:
         ref = np.asarray(cfg.evaluation.fallback_reference, dtype=np.float64)
-    report = harness._evaluate(
-        models, cfg, structures, baseline, ref, seed,
-        {toyset.decode(t).canonical_key for t, _ in train},
-        [toyset.decode(t) for t, _ in train])
+    report = harness._evaluate(models, cfg, structures, baseline, ref, seed,
+                               harness.reference_set(ds, cfg))
     if out_dir:
         run_dir = _run_dir(out_dir, f"eval-seed{seed}")
         harness.run_report(run_dir, {"report.json": report.to_json(),

@@ -40,13 +40,27 @@ class Pipeline:
 
     @classmethod
     def load(cls, ckpt_dir) -> "Pipeline":
-        arrays, meta = load_checkpoint(os.path.join(ckpt_dir, FINETUNE_CKPT))
-        vae = seqvae.SeqVae.from_checkpoint(arrays, meta)
-        sur = surrogate_mod.Surrogate.from_checkpoint(arrays, meta["surrogate"])
-        f_arrays, f_meta = load_checkpoint(os.path.join(ckpt_dir, FLOW_CKPT))
-        flow = flowmatch.FlowField.from_checkpoint(f_arrays, f_meta)
-        fid = meta.get("fidelity", {})
+        def finetuned(arrays, meta):
+            return (seqvae.SeqVae.from_checkpoint(arrays, meta),
+                    surrogate_mod.Surrogate.from_checkpoint(arrays, meta["surrogate"]),
+                    meta.get("fidelity", {}))
+
+        vae, sur, fid = _load_model(os.path.join(ckpt_dir, FINETUNE_CKPT), finetuned)
+        flow = _load_model(os.path.join(ckpt_dir, FLOW_CKPT), flowmatch.FlowField.from_checkpoint)
         return cls(vae=vae, surrogate=sur, flow=flow, fidelity=fid)
+
+
+def _load_model(path, build):
+    """``build(arrays, meta)`` on the checkpoint at ``path``.
+
+    A checkpoint that lacks an array or a metadata entry the model needs is
+    an I/O error naming the file, like one that does not parse.
+    """
+    arrays, meta = load_checkpoint(path)
+    try:
+        return build(arrays, meta)
+    except KeyError as e:
+        raise ArtifactIOError(f"{path} lacks {e.args[0]!r}") from e
 
 
 def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
@@ -159,6 +173,10 @@ class PoolEntry:
     structure: toyset.Structure
     props: np.ndarray
     from_init: bool = False
+    features: np.ndarray = field(init=False)  # the structure's bitset, computed once
+
+    def __post_init__(self):
+        self.features = self.structure.features
 
 
 @dataclass
@@ -187,7 +205,7 @@ def selection_probabilities(state: BudgetState, diversity_penalty: float,
     flags = state.pareto_flags()
     w = np.where(flags, pareto_weight, 1.0)
     if state.history:
-        feats = np.stack([e.structure.features for e in state.pool])
+        feats = np.stack([e.features for e in state.pool])
         hist = np.stack(state.history)
         inter = (feats[:, None, :] & hist[None, :, :]).sum(axis=-1)
         union = (feats[:, None, :] | hist[None, :, :]).sum(axis=-1)
@@ -252,8 +270,12 @@ class BudgetedResult:
 
 
 def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
-                 proposer: str, seed: int, train_keys=None) -> BudgetedResult:
-    """One sequential optimization run under an exact oracle budget."""
+                 proposer: str, seed: int, reference: ReferenceSet = None) -> BudgetedResult:
+    """One sequential optimization run under an exact oracle budget.
+
+    ``reference`` may carry ``reference_set(dataset, cfg)`` built once for
+    many runs; it is built here otherwise.
+    """
     if proposer not in PROPOSERS:
         raise ConfigError(f"proposer must be one of {PROPOSERS}")
     rng = Rng(seed).split(("budgeted", proposer))
@@ -279,6 +301,7 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     except moeval.DegenerateRangeError:
         ref = np.asarray(cfg.evaluation.fallback_reference, dtype=np.float64)
 
+    hv_base = moeval.hypervolume_2d(baseline, ref)
     trace = []
     step = 0
     while complete and oracle.calls < cfg.budget.budget:
@@ -292,21 +315,20 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
         except BudgetExhausted:
             complete = False
             break
-        state.pool.append(PoolEntry(structure=proposed, props=props))
-        state.history.append(proposed.features)
+        new = PoolEntry(structure=proposed, props=props)
+        state.pool.append(new)
+        state.history.append(new.features)
         if len(state.history) > cfg.selection.history_window:
             state.history.pop(0)
         optimized = np.stack([e.props for e in state.pool if not e.from_init])
-        trace.append((oracle.calls, moeval.hvi(baseline, optimized, ref)))
+        trace.append((oracle.calls, moeval.hvi(baseline, optimized, ref, hv_base=hv_base)))
         step += 1
 
     final_hvi = trace[-1][1] if trace else 0.0
     proposed_structures = [e.structure for e in state.pool if not e.from_init]
-    train_structs = [toyset.decode(t) for t, _ in train]
-    if train_keys is None:
-        train_keys = {s.canonical_key for s in train_structs}
-    report = _evaluate(models, cfg, proposed_structures, baseline, ref, seed,
-                       train_keys, reference_structures=train_structs)
+    if reference is None:
+        reference = reference_set(dataset, cfg)
+    report = _evaluate(models, cfg, proposed_structures, baseline, ref, seed, reference)
     return BudgetedResult(
         proposer=proposer, seed=seed, calls=oracle.calls,
         complete=complete and oracle.calls == cfg.budget.budget,
@@ -317,8 +339,30 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
 
 # -- shared evaluation ----------------------------------------------------
 
+@dataclass
+class ReferenceSet:
+    """What generated sets are compared against: the train split's canonical
+    keys, descriptor values and Fréchet embeddings under ``projection``."""
+
+    keys: set
+    descriptors: dict
+    projection: np.ndarray
+    embeddings: np.ndarray
+
+
+def reference_set(dataset: toyset.Dataset, cfg: RunConfig) -> ReferenceSet:
+    """Decode the train split once and derive everything ``_evaluate`` compares to."""
+    structures = [toyset.decode(t) for t, _ in dataset.subset("train")]
+    features = moeval.feature_matrix(structures)
+    projection = moeval.embedding_projection(cfg.evaluation.projection_seed)
+    return ReferenceSet(keys={s.canonical_key for s in structures},
+                        descriptors=moeval.descriptor_values(structures, features),
+                        projection=projection,
+                        embeddings=moeval.structure_embeddings(features, projection))
+
+
 def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
-              ref, seed, train_keys, reference_structures) -> moeval.EvalReport:
+              ref, seed, reference: ReferenceSet) -> moeval.EvalReport:
     ev = cfg.evaluation
     report = moeval.EvalReport(seed=seed, projection_seed=ev.projection_seed,
                                reference_point=tuple(float(x) for x in ref),
@@ -327,32 +371,36 @@ def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
     if not structures:
         return report
     points = np.stack([toyset.oracle_properties(s).as_array() for s in structures])
+    all_points = np.vstack([baseline_points, points])
     hv_base, _ = moeval.hypervolume_2d_with_warnings(baseline_points, ref)
-    hv_all, excluded = moeval.hypervolume_2d_with_warnings(
-        np.vstack([baseline_points, points]), ref)
+    hv_all, excluded = moeval.hypervolume_2d_with_warnings(all_points, ref)
     report.hv = hv_all
     report.hvi = max(0.0, hv_all - hv_base)
     report.hvi_pct = 100.0 * report.hvi / hv_base if hv_base > 0 else 0.0
     report.excluded_points = excluded
 
-    def hv_metric(sample_points):
-        return moeval.hypervolume_2d(np.vstack([baseline_points] + [np.atleast_2d(p) for p in sample_points]), ref)
+    def hv_metric(idx):
+        # Hypervolume depends only on the set of points, so a resample is
+        # the baseline plus a presence mask of the generated points it drew.
+        present = np.zeros((len(idx), len(all_points)), dtype=bool)
+        present[:, :len(baseline_points)] = True
+        present[np.arange(len(idx))[:, None], len(baseline_points) + idx] = True
+        return moeval.hypervolume_2d_rows(all_points, present, ref)
 
-    report.hv_ci = moeval.bootstrap_ci(hv_metric, list(points), ev.bootstrap_resamples,
+    report.hv_ci = moeval.bootstrap_ci(hv_metric, len(points), ev.bootstrap_resamples,
                                        ev.ci_level, Rng(seed).split("hv-ci"))
-    sm = moeval.set_metrics(structures, train_keys)
+    sm = moeval.set_metrics(structures, reference.keys)
     report.validity = sm["validity"]
     report.uniqueness = sm["uniqueness"]
     report.novelty = sm["novelty"]
     report.skeleton_diversity = sm["skeleton_diversity"]
 
-    proj = moeval.embedding_projection(ev.projection_seed)
-    if len(structures) >= 2 and len(reference_structures) >= 2:
+    features = moeval.feature_matrix(structures)
+    if len(structures) >= 2 and len(reference.embeddings) >= 2:
         report.frechet = moeval.frechet_distance(
-            moeval.structure_embeddings(structures, proj),
-            moeval.structure_embeddings(reference_structures, proj))
-    report.descriptor_kl = moeval.descriptor_kl(structures, reference_structures,
-                                                bins=ev.bins)
+            moeval.structure_embeddings(features, reference.projection), reference.embeddings)
+    report.descriptor_kl = moeval.descriptor_kl(
+        moeval.descriptor_values(structures, features), reference.descriptors, bins=ev.bins)
     pooled = _pooled_means(models.vae, [s.canonical_tokens for s in structures])
     mse, r2 = surrogate_mod.fidelity(models.surrogate.predict(pooled), points)
     report.surrogate_mse = mse
@@ -396,9 +444,7 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     seeds = list(cfg.sweep.seeds if seeds is None else seeds)
     if not grid:
         raise ConfigError("gamma grid must be nonempty")
-    train = dataset.subset("train")
-    train_structs = [toyset.decode(t) for t, _ in train]
-    train_keys = {s.canonical_key for s in train_structs}
+    reference = reference_set(dataset, cfg)
     candidates = _sweep_candidates(models, dataset, cfg)
     # Encoded once per sweep; each cell adds the noise prepare_optimization
     # would draw, from the same per-candidate streams.
@@ -426,8 +472,7 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
             _, final = guidance.guided_integrate(models.flow, models.surrogate,
                                                  cfg.objective, gcfg, z0)
             structures = [toyset.decode(t) for t in models.vae.decode_greedy_batch(final.z)]
-            report = _evaluate(models, cfg, structures, baseline, ref, seed,
-                               train_keys, train_structs)
+            report = _evaluate(models, cfg, structures, baseline, ref, seed, reference)
             rows.append(SweepRow(gamma=gamma, seed=seed, hvi=report.hvi,
                                  hvi_pct=report.hvi_pct, report=report))
     return rows

@@ -53,8 +53,26 @@ class ParetoFront:
     directions: tuple = DEFAULT_DIRECTIONS
 
 
+def _sweep_2d(t: np.ndarray, present: np.ndarray) -> tuple:
+    """Front flags of each row of ``present`` (R, n) over maximized points ``t`` (n, 2).
+
+    Points are sorted once, x descending and then y descending (stable). In
+    that order a point is on its row's front iff it is present and its y
+    beats the running max of the present points before it; the first of equal
+    points wins. The running max skips NaN, as the comparison does. Returns
+    the sort ``order``, the flags (R, n) and that running max (R, n; -inf
+    before the first present point), both in sorted order.
+    """
+    order = np.lexsort((-t[:, 1], -t[:, 0]))
+    y = t[order, 1]
+    present = present[:, order]
+    best = np.fmax.accumulate(np.where(present, y, -np.inf), axis=1)
+    before = np.concatenate([np.full((len(present), 1), -np.inf), best[:, :-1]], axis=1)
+    return order, present & (y > before), before
+
+
 def pareto_front(points, directions=DEFAULT_DIRECTIONS) -> ParetoFront:
-    """Exact non-dominated subset via a 2-pass lexicographic sweep.
+    """Exact non-dominated subset via a lexicographic sweep.
 
     Equal points are deduplicated; output order is canonical (first
     objective best-first after transform, stable on ties).
@@ -73,15 +91,8 @@ def pareto_front(points, directions=DEFAULT_DIRECTIONS) -> ParetoFront:
                 keep.append(i)
         idx = np.array(keep, dtype=np.int64)
         return ParetoFront(points=pts[idx], indices=idx, directions=tuple(directions))
-    order = np.lexsort((-t[:, 1], -t[:, 0]))  # x desc, then y desc
-    keep, best_y, last = [], -np.inf, None
-    for i in order:
-        x, y = t[i]
-        if y > best_y and (last is None or (x, y) != last):
-            keep.append(i)
-            best_y = y
-            last = (x, y)
-    idx = np.array(keep, dtype=np.int64)
+    order, front, _ = _sweep_2d(t, np.ones((1, len(t)), dtype=bool))
+    idx = order[front[0]]
     return ParetoFront(points=pts[idx], indices=idx, directions=tuple(directions))
 
 
@@ -98,29 +109,45 @@ def hypervolume_2d(points, ref, directions=DEFAULT_DIRECTIONS):
 
 def hypervolume_2d_with_warnings(points, ref, directions=DEFAULT_DIRECTIONS):
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    (hv,) = hypervolume_2d_rows(pts, np.ones((1, len(pts)), dtype=bool), ref, directions)
+    r = _to_max(np.atleast_2d(ref), directions)[0]
+    inside = np.all(_to_max(pts, directions) > r, axis=1)
+    return float(hv), int(len(pts) - inside.sum())
+
+
+def hypervolume_2d_rows(points, present, ref, directions=DEFAULT_DIRECTIONS) -> np.ndarray:
+    """Exact hypervolume of each row's subset: row r holds the points where ``present[r]``.
+
+    ``points`` is (n, 2) and ``present`` an (R, n) mask. Each front point
+    adds ``(x - r0) * (y - prev)``, prev being the y of the front point
+    before it (r1 for the first). The terms are summed left to right along
+    the row with an exact zero for every other point, so each value is
+    bit-identical to the sequential sum over that row's front alone.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != 2:
         raise UnsupportedDimensionError("hypervolume is implemented for exactly 2 objectives")
+    present = np.atleast_2d(np.asarray(present, dtype=bool))
+    if len(pts) == 0:
+        return np.zeros(len(present))
     t = _to_max(pts, directions)
     r = _to_max(np.atleast_2d(ref), directions)[0]
-    inside = np.all(t > r, axis=1)
-    warnings = int(len(t) - inside.sum())
-    t = t[inside]
-    if len(t) == 0:
-        return 0.0, warnings
-    front = pareto_front(t, (MAXIMIZE, MAXIMIZE)).points
-    order = np.argsort(-front[:, 0])
-    hv, prev_y = 0.0, r[1]
-    for x, y in front[order]:
-        hv += (x - r[0]) * (y - prev_y)
-        prev_y = y
-    return float(hv), warnings
+    order, front, before = _sweep_2d(t, present & np.all(t > r, axis=1))
+    x, y = t[order, 0], t[order, 1]
+    terms = np.where(front, (x - r[0]) * (y - np.maximum(before, r[1])), 0.0)
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def hvi(baseline, optimized, ref, directions=DEFAULT_DIRECTIONS) -> float:
-    """Hypervolume gained by adding optimized points to the baseline front."""
+def hvi(baseline, optimized, ref, directions=DEFAULT_DIRECTIONS, hv_base=None) -> float:
+    """Hypervolume gained by adding optimized points to the baseline front.
+
+    ``hv_base`` may carry the baseline's own hypervolume when a caller
+    scores many point sets against one baseline.
+    """
     base = np.atleast_2d(np.asarray(baseline, dtype=np.float64))
     opt = np.atleast_2d(np.asarray(optimized, dtype=np.float64))
-    hv_base = hypervolume_2d(base, ref, directions)
+    if hv_base is None:
+        hv_base = hypervolume_2d(base, ref, directions)
     hv_union = hypervolume_2d(np.vstack([base, opt]), ref, directions)
     return max(0.0, hv_union - hv_base)
 
@@ -142,19 +169,19 @@ def auto_reference(points, directions=DEFAULT_DIRECTIONS, margin: float = 0.1) -
     return ref
 
 
-def bootstrap_ci(metric_fn, samples, resamples: int, level: float, rng: Rng) -> tuple:
-    """Percentile bootstrap interval for ``metric_fn`` over ``samples``."""
-    samples = list(samples)
-    if len(samples) == 0:
+def bootstrap_ci(metric_fn, n: int, resamples: int, level: float, rng: Rng) -> tuple:
+    """Percentile bootstrap interval of a statistic over ``n`` samples.
+
+    ``metric_fn`` maps an (R, n) matrix of resample indices, one resample per
+    row, to the R statistics. The matrix is one draw of the ``bootstrap``
+    stream, the same indices as R successive ``integers(0, n, n)`` draws.
+    """
+    if n == 0:
         raise ContractViolation("bootstrap over an empty sample")
     if resamples < 1 or not (0.0 < level < 1.0):
         raise ContractViolation("resamples >= 1 and level in (0, 1) required")
-    stats = np.empty(resamples)
-    gen = rng.split("bootstrap").gen
-    n = len(samples)
-    for r in range(resamples):
-        idx = gen.integers(0, n, n)
-        stats[r] = metric_fn([samples[i] for i in idx])
+    idx = rng.split("bootstrap").gen.integers(0, n, (resamples, n))
+    stats = np.asarray(metric_fn(idx), dtype=np.float64)
     alpha = (1.0 - level) / 2.0
     return (float(np.quantile(stats, alpha)), float(np.quantile(stats, 1.0 - alpha)))
 
@@ -221,13 +248,22 @@ def embedding_projection(seed: int, in_dim: int = toyset.FEATURE_BITS,
     return Rng(seed).split("projection").normal((in_dim, out_dim)) / np.sqrt(out_dim)
 
 
-def structure_embeddings(structures, projection: np.ndarray) -> np.ndarray:
-    feats = np.stack([s.features.astype(np.float64) for s in structures])
-    return feats @ projection
+def feature_matrix(structures) -> np.ndarray:
+    """The (n, FEATURE_BITS) feature bitsets of ``structures``, one row each."""
+    return np.stack([s.features for s in structures])
 
 
-def descriptor_values(structures) -> dict:
-    """Seven toy descriptors per structure, mirroring the report schema."""
+def structure_embeddings(features: np.ndarray, projection: np.ndarray) -> np.ndarray:
+    """Project feature bitsets (n, FEATURE_BITS) to (n, EMBED_DIM) embeddings."""
+    return features.astype(np.float64) @ projection
+
+
+def descriptor_values(structures, features: np.ndarray) -> dict:
+    """Seven toy descriptors per structure, mirroring the report schema.
+
+    ``features`` holds the structures' bitsets (``feature_matrix``); their
+    popcounts are one descriptor.
+    """
     cols = {name: [] for name in DESCRIPTOR_NAMES}
     for s in structures:
         st = toyset.structure_stats(s)
@@ -236,9 +272,9 @@ def descriptor_values(structures) -> dict:
         cols["branch_depth"].append(st["branch_depth"])
         cols["side_groups"].append(st["side_groups"])
         cols["skeleton_length"].append(st["skeleton_length"])
-        cols["popcount"].append(int(s.features.sum()))
         cols["p1"].append(props.p1)
         cols["p2"].append(props.p2)
+    cols["popcount"] = features.sum(axis=1)
     return {k: np.asarray(v, dtype=np.float64) for k, v in cols.items()}
 
 
@@ -260,13 +296,14 @@ def histogram_kl(gen_vals: np.ndarray, ref_vals: np.ndarray, bins: int = 50,
     return float(np.sum(p * np.log(p / q)))
 
 
-def descriptor_kl(generated, reference, bins: int = 50) -> dict:
-    """Per-descriptor KL divergences plus their average."""
-    if len(generated) == 0 or len(reference) == 0:
+def descriptor_kl(generated: dict, reference: dict, bins: int = 50) -> dict:
+    """Per-descriptor KL divergences plus their average.
+
+    Both arguments are ``descriptor_values`` dicts.
+    """
+    if len(generated["length"]) == 0 or len(reference["length"]) == 0:
         raise ContractViolation("descriptor_kl requires nonempty sets")
-    gen_d = descriptor_values(generated)
-    ref_d = descriptor_values(reference)
-    out = {name: histogram_kl(gen_d[name], ref_d[name], bins=bins)
+    out = {name: histogram_kl(generated[name], reference[name], bins=bins)
            for name in DESCRIPTOR_NAMES}
     out["average"] = float(np.mean([out[n] for n in DESCRIPTOR_NAMES]))
     return out
@@ -305,10 +342,3 @@ class EvalReport:
         doc["reference_point"] = tuple(doc["reference_point"])
         return cls(**doc)
 
-
-def front_csv(front: ParetoFront, keys) -> str:
-    """CSV export of a 2-objective front: ``p1,p2,canonical_key``."""
-    lines = ["p1,p2,canonical_key"]
-    for (p1, p2), i in zip(front.points, front.indices):
-        lines.append(f"{float(p1)!r},{float(p2)!r},{keys[int(i)]}")
-    return "\n".join(lines) + "\n"

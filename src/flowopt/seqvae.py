@@ -70,14 +70,10 @@ class PosteriorParams:
 
 @dataclass
 class LatentState:
-    """A (B, K, d) batch of latent tokens plus flow time; pooled vectors are recomputed."""
+    """A (B, K, d) batch of latent tokens plus flow time."""
 
     z: np.ndarray
     t: float
-
-    @property
-    def pooled(self) -> np.ndarray:
-        return self.z.mean(axis=-2)
 
 
 def mean_pool(z):

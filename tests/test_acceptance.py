@@ -66,9 +66,8 @@ def shipped(tmp_path_factory):
     harness.pipeline_train(cfg, ds, out, ("vae", "finetune", "flow"))
     train_time = time.time() - t0
     models = harness.Pipeline.load(out)
-    train_keys = {toyset.decode(t).canonical_key for t, _ in ds.subset("train")}
     return dict(cfg=cfg, ds=ds, models=models, ckpt_dir=str(out),
-                train_time=train_time, train_keys=train_keys)
+                train_time=train_time, reference=harness.reference_set(ds, cfg))
 
 
 @pytest.fixture(scope="session")
@@ -360,7 +359,7 @@ def test_baseline_ordering(shipped):
     for proposer in harness.PROPOSERS:
         finals[proposer] = np.array([
             harness.budgeted_run(models, ds, cfg, proposer, s,
-                                 train_keys=shipped["train_keys"]).final_hvi
+                                 reference=shipped["reference"]).final_hvi
             for s in seeds])
     guided = finals["guided-flow"]
     ga = finals["gradient-ascent"]

@@ -334,6 +334,32 @@ def test_cli_broken_checkpoint_exit_4(runner, tiny_run, tmp_path, corrupt):
     assert "flow.ckpt" in res.output
 
 
+def _drop_flow_w1(ckpt):
+    path = ckpt / harness.FLOW_CKPT
+    doc = json.loads(path.read_text())
+    del doc["header"]["arrays"]["flow.w1"]
+    del doc["data"]["flow.w1"]
+    path.write_text(json.dumps(doc))
+    return harness.FLOW_CKPT
+
+
+def _pretrain_as_finetune(ckpt):
+    shutil.copy(ckpt / harness.VAE_CKPT, ckpt / harness.FINETUNE_CKPT)
+    return harness.FINETUNE_CKPT
+
+
+@pytest.mark.parametrize("corrupt", [_drop_flow_w1, _pretrain_as_finetune])
+def test_cli_checkpoint_missing_entry_exit_4(runner, tiny_run, tmp_path, corrupt):
+    """A checkpoint consistent with its own header but lacking what the model needs."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(tiny_run["ckpt_dir"], ckpt)
+    name = corrupt(ckpt)
+    res = runner.invoke(cli.main, ["generate", "--seed", "2", "--config", tiny_run["cfg_path"],
+                                   "--ckpt", str(ckpt), "--count", "2"])
+    assert res.exit_code == 4, res.output
+    assert name in res.output
+
+
 def test_cli_generate(runner, tiny_run):
     res = runner.invoke(cli.main, ["generate", "--seed", "2",
                                    "--config", tiny_run["cfg_path"],

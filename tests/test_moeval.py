@@ -8,7 +8,7 @@ from flowopt.errors import (ContractViolation, DegenerateRangeError,
 from flowopt.moeval import (DESCRIPTOR_NAMES, EvalReport, MAXIMIZE, MINIMIZE,
                             auto_reference, bootstrap_ci, descriptor_kl,
                             descriptor_values, dominates, embedding_projection,
-                            frechet_distance, front_csv, histogram_kl,
+                            feature_matrix, frechet_distance, histogram_kl,
                             hypervolume_2d, hypervolume_2d_with_warnings, hvi,
                             pareto_front, set_metrics, structure_embeddings)
 from flowopt.rng import Rng
@@ -133,9 +133,12 @@ def test_hvi_properties(rng):
     assert hvi(base, [[0.3, 5.0]], ref) == 0.0
     # a strictly better point gains area
     assert hvi(base, [[0.8, 2.0]], ref) > 0.0
-    # hvi is never negative
+    # hvi is never negative, and a precomputed baseline volume changes nothing
+    hv_base = hypervolume_2d(base, ref)
     for _ in range(20):
-        assert hvi(base, rng.normal((3, 2)), ref) >= 0.0
+        opt = rng.normal((3, 2))
+        assert hvi(base, opt, ref) >= 0.0
+        assert hvi(base, opt, ref, hv_base=hv_base) == hvi(base, opt, ref)
 
 
 # -- reference points -----------------------------------------------------
@@ -156,21 +159,29 @@ def test_auto_reference_degenerate_range():
 
 # -- bootstrap ------------------------------------------------------------
 
+def row_means(xs):
+    """Batched metric: the mean of each resample row of ``xs``."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return lambda idx: xs[idx].mean(axis=1)
+
+
 def test_bootstrap_ci_constant_samples():
-    lo, hi = bootstrap_ci(np.mean, [2.0] * 10, 200, 0.9, Rng(0))
+    lo, hi = bootstrap_ci(row_means([2.0] * 10), 10, 200, 0.9, Rng(0))
     assert lo == hi == 2.0
 
 
 def test_bootstrap_ci_deterministic_and_ordered(rng):
-    xs = list(rng.normal(40))
-    a = bootstrap_ci(np.mean, xs, 500, 0.95, Rng(5))
-    b = bootstrap_ci(np.mean, xs, 500, 0.95, Rng(5))
+    xs = rng.normal(40)
+    a = bootstrap_ci(row_means(xs), len(xs), 500, 0.95, Rng(5))
+    b = bootstrap_ci(row_means(xs), len(xs), 500, 0.95, Rng(5))
     assert a == b
     assert a[0] <= np.mean(xs) <= a[1]
     with pytest.raises(ContractViolation):
-        bootstrap_ci(np.mean, [], 100, 0.9, Rng(0))
+        bootstrap_ci(row_means([]), 0, 100, 0.9, Rng(0))
     with pytest.raises(ContractViolation):
-        bootstrap_ci(np.mean, xs, 0, 0.9, Rng(0))
+        bootstrap_ci(row_means(xs), len(xs), 0, 0.9, Rng(0))
+    with pytest.raises(ContractViolation):
+        bootstrap_ci(row_means(xs), len(xs), 100, 1.0, Rng(0))
 
 
 # -- set metrics ----------------------------------------------------------
@@ -224,17 +235,20 @@ def test_histogram_kl_identity_and_positivity(rng):
 def test_descriptor_kl_self_and_names(rng):
     structures = [toyset.decode(tuple("AB" * int(rng.split(i).integers(1, 5))))
                   for i in range(30)]
-    kl = descriptor_kl(structures, structures)
+    values = descriptor_values(structures, feature_matrix(structures))
+    kl = descriptor_kl(values, values)
     assert set(kl) == set(DESCRIPTOR_NAMES) | {"average"}
     assert all(v <= 1e-6 for v in kl.values())
     with pytest.raises(ContractViolation):
-        descriptor_kl([], structures)
+        descriptor_kl({name: np.zeros(0) for name in DESCRIPTOR_NAMES}, values)
 
 
 def test_descriptor_values_schema():
-    vals = descriptor_values([toyset.decode(("A", "R", "i", "B"))])
+    s = toyset.decode(("A", "R", "i", "B"))
+    vals = descriptor_values([s], feature_matrix([s]))
     assert set(vals) == set(DESCRIPTOR_NAMES)
     assert vals["length"][0] == 4.0
+    assert vals["popcount"][0] == s.features.sum()
     assert vals["p1"][0] == pytest.approx(
         toyset.oracle_properties(toyset.decode(("A", "R", "i", "B"))).p1)
 
@@ -251,7 +265,7 @@ def test_embedding_projection_deterministic():
 def test_structure_embeddings_shape():
     proj = embedding_projection(7)
     structures = [toyset.decode(("A", "B")), toyset.decode(("C",))]
-    emb = structure_embeddings(structures, proj)
+    emb = structure_embeddings(feature_matrix(structures), proj)
     assert emb.shape == (2, proj.shape[1])
 
 
@@ -270,16 +284,3 @@ def test_eval_report_json_round_trip():
     # serialization is stable (byte-identical on re-serialize)
     assert back.to_json() == report.to_json()
 
-
-def test_front_csv_round_trip():
-    pts = np.array([[0.9, 2.0], [0.4, 1.5]])
-    front = pareto_front(pts)
-    keys = ["A B", "C"]
-    text = front_csv(front, keys)
-    lines = text.strip().split("\n")
-    assert lines[0] == "p1,p2,canonical_key"
-    parsed = [l.split(",") for l in lines[1:]]
-    assert len(parsed) == len(front.points)
-    for row, (p1, p2), i in zip(parsed, front.points, front.indices):
-        assert float(row[0]) == p1 and float(row[1]) == p2
-        assert row[2] == keys[int(i)]

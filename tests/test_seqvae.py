@@ -68,12 +68,6 @@ def test_mean_pool_matches_numpy(rng):
     assert np.allclose(pt.data, z.mean(axis=-2))
 
 
-def test_latent_state_pooled_property(rng):
-    z = rng.normal((4, 16))
-    state = seqvae.LatentState(z=z, t=1.0)
-    assert np.allclose(state.pooled, z.mean(axis=0))
-
-
 def test_reparameterize_statistics(rng):
     mu = np.zeros((1, 2, 3))
     ls = np.zeros((1, 2, 3))
