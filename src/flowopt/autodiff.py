@@ -207,10 +207,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def tensor(data, requires_grad=False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def concat(tensors, axis=0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import config as config_mod
-from . import flowmatch, guidance, harness, moeval, toyset
+from . import flowmatch, guidance, harness, toyset
 from .errors import (ArtifactIOError, ConfigError, ContractViolation,
                      NumericFailure)
 from .rng import Rng
@@ -303,10 +303,7 @@ def eval_cmd(config_path, profile, seed, ckpt_dir, data_dir, gen_path, out_dir):
         raise ConfigError(f"{gen_path} contains no structures")
     test = ds.subset("test")
     baseline = np.stack([p.as_array() for _, p in test])
-    try:
-        ref = moeval.auto_reference(baseline, margin=cfg.evaluation.ref_margin)
-    except moeval.DegenerateRangeError:
-        ref = np.asarray(cfg.evaluation.fallback_reference, dtype=np.float64)
+    ref = harness.reference_point(baseline, cfg)
     report = harness._evaluate(models, cfg, structures, baseline, ref, seed,
                                harness.reference_set(ds, cfg))
     if out_dir:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, asdict
 from .errors import ConfigError
 from .flowmatch import FlowConfig
 from .guidance import GuidanceConfig, ObjectiveSpec
+from .nn import config_from_dict
 from .seqvae import VaeConfig
 from .surrogate import SurrogateConfig
 
@@ -99,17 +100,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name not in doc:
-                continue
-            val = doc[f.name]
-            if f.name in _SECTION_TYPES:
-                section = _SECTION_TYPES[f.name]
-                val = section(**_tuplify(section, val))
-            kwargs[f.name] = val
+        """Decode each section and the run by ``nn.config_from_dict``."""
         try:
-            return cls(**kwargs)
+            sections = {name: config_from_dict(section, doc[name])
+                        for name, section in _SECTION_TYPES.items() if name in doc}
+            return config_from_dict(cls, {**doc, **sections})
         except (TypeError, ValueError) as e:
             raise ConfigError(f"invalid run config: {e}") from e
 
@@ -135,18 +130,6 @@ _SECTION_TYPES = {
     "evaluation": EvalConfig,
     "sweep": SweepConfig,
 }
-
-
-def _tuplify(section, doc: dict) -> dict:
-    out = {}
-    for f in dataclasses.fields(section):
-        if f.name not in doc:
-            continue
-        v = doc[f.name]
-        if isinstance(v, list):
-            v = tuple(v)
-        out[f.name] = v
-    return out
 
 
 def toy_default(seed: int = 0) -> RunConfig:

@@ -2,10 +2,8 @@
 
 Training regresses a time-conditioned vector field onto the derivative of
 the linear interpolation path between base noise and posterior samples;
-sampling integrates the learned ODE with explicit Euler steps. Optimal
-transport minibatch coupling is available as an optional training
-refinement (greedy assignment minimizing total squared distance);
-independent coupling is the default.
+sampling integrates the learned ODE with explicit Euler steps. Base noise
+and posterior samples are coupled independently.
 """
 
 from __future__ import annotations
@@ -17,7 +15,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
-from .nn import AdamState, Mlp, clip_grad_norm, optimizer_step, time_embed
+from .nn import (AdamState, Mlp, clip_grad_norm, config_from_dict, mlp_arrays, mlp_from_arrays,
+                 optimizer_step, time_embed)
 from .rng import Rng, normal_rows
 from .seqvae import LatentState
 
@@ -34,7 +33,6 @@ class FlowConfig:
     steps: int = 2000
     clip_norm: float = 5.0
     sample_steps: int = 50  # default Euler steps for unconditional sampling
-    ot_coupling: bool = False
 
 
 class FlowField:
@@ -59,7 +57,6 @@ class FlowField:
         return self.net(ad.concat([z, Tensor(te)], axis=1))
 
     def arrays(self, prefix="flow") -> dict:
-        from .nn import mlp_arrays
         return mlp_arrays(prefix, self.net)
 
     def meta(self) -> dict:
@@ -67,8 +64,7 @@ class FlowField:
 
     @classmethod
     def from_checkpoint(cls, arrays: dict, meta: dict, prefix="flow") -> "FlowField":
-        from .nn import mlp_from_arrays
-        cfg = FlowConfig(**meta["config"])
+        cfg = config_from_dict(FlowConfig, meta["config"])
         model = cls.__new__(cls)
         model.config = cfg
         dim = cfg.K * cfg.d
@@ -96,22 +92,6 @@ def interpolate(z0: np.ndarray, z1: np.ndarray, t) -> tuple:
     return (1.0 - tt) * z0 + tt * z1, z1 - z0
 
 
-def greedy_ot_pairing(z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
-    """Greedy batch assignment minimizing total squared distance.
-
-    Returns an index array ``perm`` such that z0[i] pairs with z1[perm[i]].
-    """
-    n = len(z0)
-    d2 = ((z0[:, None, :] - z1[None, :, :]) ** 2).sum(axis=2)
-    perm = np.full(n, -1)
-    used = np.zeros(n, dtype=bool)
-    for _, i, j in sorted((d2[i, j], i, j) for i in range(n) for j in range(n)):
-        if perm[i] == -1 and not used[j]:
-            perm[i] = j
-            used[j] = True
-    return perm
-
-
 def fm_loss(field: FlowField, z0: np.ndarray, z1: np.ndarray, t: np.ndarray) -> Tensor:
     """Mean squared regression of the field onto the path derivative."""
     if len(z0) == 0:
@@ -136,8 +116,6 @@ def train_flow(field: FlowField, z1_sampler, rng: Rng) -> list:
         srng = rng.split(("fm", step))
         z1 = z1_sampler(srng.split("z1"), c.batch_size).reshape(c.batch_size, c.K * c.d)
         z0 = srng.split("z0").normal(z1.shape)
-        if c.ot_coupling:
-            z0 = z0[greedy_ot_pairing(z1, z0)]
         t = srng.split("t").uniform(0.0, 1.0, (c.batch_size,))
         loss = fm_loss(field, z0, z1, t)
         grads = ad.gradients(loss, params)

@@ -36,31 +36,32 @@ class Pipeline:
     vae: seqvae.SeqVae
     surrogate: surrogate_mod.Surrogate
     flow: flowmatch.FlowField
-    fidelity: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, ckpt_dir) -> "Pipeline":
         def finetuned(arrays, meta):
             return (seqvae.SeqVae.from_checkpoint(arrays, meta),
-                    surrogate_mod.Surrogate.from_checkpoint(arrays, meta["surrogate"]),
-                    meta.get("fidelity", {}))
+                    surrogate_mod.Surrogate.from_checkpoint(arrays, meta["surrogate"]))
 
-        vae, sur, fid = _load_model(os.path.join(ckpt_dir, FINETUNE_CKPT), finetuned)
+        vae, sur = _load_model(os.path.join(ckpt_dir, FINETUNE_CKPT), finetuned)
         flow = _load_model(os.path.join(ckpt_dir, FLOW_CKPT), flowmatch.FlowField.from_checkpoint)
-        return cls(vae=vae, surrogate=sur, flow=flow, fidelity=fid)
+        return cls(vae=vae, surrogate=sur, flow=flow)
 
 
 def _load_model(path, build):
     """``build(arrays, meta)`` on the checkpoint at ``path``.
 
-    A checkpoint that lacks an array or a metadata entry the model needs is
-    an I/O error naming the file, like one that does not parse.
+    A checkpoint that lacks an array or a metadata entry the model needs, or
+    whose stored config is malformed, is an I/O error naming the file, like
+    one that does not parse.
     """
     arrays, meta = load_checkpoint(path)
     try:
         return build(arrays, meta)
     except KeyError as e:
         raise ArtifactIOError(f"{path} lacks {e.args[0]!r}") from e
+    except TypeError as e:
+        raise ArtifactIOError(f"{path} has a malformed config: {e}") from e
 
 
 def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
@@ -88,8 +89,7 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
         src = os.path.join(out_dir, VAE_CKPT)
         if not os.path.exists(src):
             raise ConfigError("finetune stage requires the pretrained VAE checkpoint")
-        arrays, meta = load_checkpoint(src)
-        vae = seqvae.SeqVae.from_checkpoint(arrays, meta)
+        vae = _load_model(src, seqvae.SeqVae.from_checkpoint)
         sur = surrogate_mod.Surrogate(config.surrogate, rng.split("surrogate"))
         seqvae.finetune(vae, sur, dataset, rng.split("finetune"))
         # Refit report: fidelity of the jointly trained surrogate on held-out
@@ -105,15 +105,14 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
 
     if "flow" in stages:
         src = os.path.join(out_dir, FINETUNE_CKPT)
-        if os.path.exists(src):
-            arrays, meta = load_checkpoint(src)
-        elif allow_pretrain_latents and os.path.exists(os.path.join(out_dir, VAE_CKPT)):
-            arrays, meta = load_checkpoint(os.path.join(out_dir, VAE_CKPT))
-        else:
-            raise ConfigError(
-                "flow stage requires the fine-tuned encoder checkpoint "
-                "(pass allow_pretrain_latents to train on pretrain latents)")
-        vae = seqvae.SeqVae.from_checkpoint(arrays, meta)
+        if not os.path.exists(src):
+            src = os.path.join(out_dir, VAE_CKPT)
+            if not (allow_pretrain_latents and os.path.exists(src)):
+                raise ConfigError(
+                    "flow stage requires the fine-tuned encoder checkpoint "
+                    "(pass allow_pretrain_latents to train on pretrain latents)")
+        vae, latent_source = _load_model(src, lambda arrays, meta: (
+            seqvae.SeqVae.from_checkpoint(arrays, meta), meta.get("stage", "unknown")))
         field_model = flowmatch.FlowField(config.flow, rng.split("flow"))
         train_entries = dataset.subset("train")
 
@@ -124,7 +123,7 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
 
         flowmatch.train_flow(field_model, z1_sampler, rng.split("flow-train"))
         meta_f = field_model.meta()
-        meta_f["latent_source"] = meta.get("stage", "unknown")
+        meta_f["latent_source"] = latent_source
         save_checkpoint(os.path.join(out_dir, FLOW_CKPT), field_model.arrays(), meta_f)
         paths["flow"] = os.path.join(out_dir, FLOW_CKPT)
 
@@ -296,10 +295,7 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
         complete = False
 
     baseline = state.points()
-    try:
-        ref = moeval.auto_reference(baseline, margin=cfg.evaluation.ref_margin)
-    except moeval.DegenerateRangeError:
-        ref = np.asarray(cfg.evaluation.fallback_reference, dtype=np.float64)
+    ref = reference_point(baseline, cfg)
 
     hv_base = moeval.hypervolume_2d(baseline, ref)
     trace = []
@@ -338,6 +334,16 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
 
 
 # -- shared evaluation ----------------------------------------------------
+
+def reference_point(baseline, cfg: RunConfig) -> np.ndarray:
+    """The hypervolume reference for a baseline point set: ``auto_reference``
+    with the configured margin, or ``fallback_reference`` when an objective
+    has zero range over the baseline."""
+    try:
+        return moeval.auto_reference(baseline, margin=cfg.evaluation.ref_margin)
+    except moeval.DegenerateRangeError:
+        return np.asarray(cfg.evaluation.fallback_reference, dtype=np.float64)
+
 
 @dataclass
 class ReferenceSet:
@@ -453,10 +459,7 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     # candidates' own oracle points, not the full test split.
     baseline = np.stack([
         toyset.oracle_properties(toyset.decode(t)).as_array() for t in candidates])
-    try:
-        ref = moeval.auto_reference(baseline, margin=cfg.evaluation.ref_margin)
-    except moeval.DegenerateRangeError:
-        ref = np.asarray(cfg.evaluation.fallback_reference, dtype=np.float64)
+    ref = reference_point(baseline, cfg)
 
     rows = []
     for gamma in grid:

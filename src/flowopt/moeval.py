@@ -72,7 +72,7 @@ def _sweep_2d(t: np.ndarray, present: np.ndarray) -> tuple:
 
 
 def pareto_front(points, directions=DEFAULT_DIRECTIONS) -> ParetoFront:
-    """Exact non-dominated subset via a lexicographic sweep.
+    """Exact non-dominated subset of 2-objective points via a lexicographic sweep.
 
     Equal points are deduplicated; output order is canonical (first
     objective best-first after transform, stable on ties).
@@ -80,18 +80,9 @@ def pareto_front(points, directions=DEFAULT_DIRECTIONS) -> ParetoFront:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if len(pts) == 0:
         raise ContractViolation("pareto_front requires at least one point")
-    t = _to_max(pts, directions)
-    if t.shape[1] != 2:
-        # General fallback: O(n^2) dominance filter.
-        keep = []
-        for i in range(len(t)):
-            dominated = any(np.all(t[j] >= t[i]) and np.any(t[j] > t[i]) for j in range(len(t)))
-            duplicate = any(np.array_equal(t[j], t[i]) for j in keep)
-            if not dominated and not duplicate:
-                keep.append(i)
-        idx = np.array(keep, dtype=np.int64)
-        return ParetoFront(points=pts[idx], indices=idx, directions=tuple(directions))
-    order, front, _ = _sweep_2d(t, np.ones((1, len(t)), dtype=bool))
+    if pts.shape[1] != 2:
+        raise UnsupportedDimensionError("pareto_front is implemented for exactly 2 objectives")
+    order, front, _ = _sweep_2d(_to_max(pts, directions), np.ones((1, len(pts)), dtype=bool))
     idx = order[front[0]]
     return ParetoFront(points=pts[idx], indices=idx, directions=tuple(directions))
 

@@ -2,13 +2,15 @@
 
 Includes the sinusoidal time embedding (geometric frequencies over
 [1, 1e4] — recorded in every checkpoint header), an adaptive-moment
-optimizer with decoupled weight decay, global-norm gradient clipping, and a
-self-describing JSON checkpoint container with bit-exact round-trips.
+optimizer with decoupled weight decay, global-norm gradient clipping, a
+self-describing JSON checkpoint container with bit-exact round-trips, and the
+one rule by which stored configs are decoded.
 """
 
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -182,8 +184,8 @@ def load_checkpoint(path):
         raise ArtifactIOError(f"cannot read checkpoint {path}: {e}") from e
     except ValueError as e:
         raise ArtifactIOError(f"{path} is not valid checkpoint JSON: {e}") from e
-    header = doc.get("header", {}) if isinstance(doc, dict) else {}
-    if header.get("format") != "flowopt-checkpoint-v1":
+    header = doc.get("header") if isinstance(doc, dict) else None
+    if not isinstance(header, dict) or header.get("format") != "flowopt-checkpoint-v1":
         raise ArtifactIOError(f"{path} is not a flowopt checkpoint")
     arrays = {}
     try:
@@ -191,9 +193,38 @@ def load_checkpoint(path):
             flat = np.frombuffer(base64.b64decode(doc["data"][name], validate=True), dtype="<f8")
             arrays[name] = flat.reshape(shape).copy()
         meta = header["meta"]
+        if not isinstance(meta, dict):
+            raise TypeError("meta is not a mapping")
     except (KeyError, TypeError, ValueError) as e:
         raise ArtifactIOError(f"{path} is inconsistent with its header: {e!r}") from e
     return arrays, meta
+
+
+def config_from_dict(cls, doc):
+    """A config dataclass from its stored JSON object, as run configs and
+    checkpoint headers both store it.
+
+    Keys ``cls`` no longer has are ignored and lists become tuples. A ``doc``
+    that is not a mapping, or a value whose type is not that of its field's
+    default (an int may stand for a float, and None for anything), raises
+    TypeError.
+    """
+    if not isinstance(doc, dict):
+        raise TypeError(f"{cls.__name__} config is not a mapping: {doc!r}")
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in doc:
+            continue
+        v = doc[f.name]
+        if isinstance(v, list):
+            v = tuple(v)
+        typed = f.default is not dataclasses.MISSING and f.default is not None
+        want = type(f.default)
+        if typed and v is not None and not (
+                isinstance(v, want) or want is float and isinstance(v, int)):
+            raise TypeError(f"{cls.__name__}.{f.name} must be {want.__name__}, not {v!r}")
+        kwargs[f.name] = v
+    return cls(**kwargs)
 
 
 def mlp_arrays(prefix: str, mlp: Mlp) -> dict:

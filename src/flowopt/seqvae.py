@@ -2,8 +2,7 @@
 
 Encoder: token+position embeddings, a per-position feature layer, and
 attention pooling with K learned queries producing K latent tokens, each
-parameterizing a diagonal Gaussian posterior. Mean pooling to a single
-vector (projected to K tokens) is available as a config fallback.
+parameterizing a diagonal Gaussian posterior.
 
 Decoder: teacher-forced, autoregressive in the previous token, conditioned
 on the latent by concatenating the flattened K×d code to every position
@@ -25,7 +24,7 @@ from . import autodiff as ad
 from . import toyset
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
-from .nn import AdamState, optimizer_step, clip_grad_norm
+from .nn import AdamState, clip_grad_norm, config_from_dict, optimizer_step
 from .rng import Rng
 
 LOG_SIGMA_CLAMP = (-8.0, 4.0)
@@ -38,7 +37,6 @@ class VaeConfig:
     embed_dim: int = 24
     enc_hidden: int = 64
     dec_hidden: int = 64
-    pooling: str = "attention"  # or "mean"
     beta_max: float = 0.1
     kl_warmup_frac: float = 0.35
     lambda_prop: float = 1.0
@@ -49,7 +47,6 @@ class VaeConfig:
     finetune_epochs: int = 6
     clip_norm: float = 5.0
     max_len: int = toyset.MAX_LEN
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.K, self.d, self.embed_dim, self.enc_hidden, self.dec_hidden) < 1:
@@ -58,8 +55,6 @@ class VaeConfig:
             raise ContractViolation("beta_max >= 0 and warmup fraction in [0,1] required")
         if self.lambda_prop < 0:
             raise ContractViolation("lambda_prop must be >= 0")
-        if self.pooling not in ("attention", "mean"):
-            raise ContractViolation(f"unknown pooling {self.pooling!r}")
 
 
 @dataclass
@@ -83,6 +78,10 @@ def mean_pool(z):
     return np.asarray(z).mean(axis=-2)
 
 
+PARAM_NAMES = ("tok_emb", "pos_emb", "enc_w", "enc_b", "mu_w", "mu_b", "ls_w", "ls_b",
+               "dec_w1", "dec_b1", "dec_w2", "dec_b2", "queries")
+
+
 class SeqVae:
     """Parameter container plus differentiable encode/decode graphs."""
 
@@ -92,7 +91,6 @@ class SeqVae:
         V = len(toyset.VOCAB)
         r = rng.split("vae-init")
         def init(shape, key, scale=None):
-            fan_in = shape[0] if len(shape) > 1 else shape[0]
             s = scale if scale is not None else (2.0 / (shape[0] + shape[-1])) ** 0.5
             return Tensor(r.split(key).normal(shape) * s, requires_grad=True)
 
@@ -109,11 +107,8 @@ class SeqVae:
             "dec_b1": Tensor(np.zeros(c.dec_hidden), requires_grad=True),
             "dec_w2": init((c.dec_hidden, V), "dw2"),
             "dec_b2": Tensor(np.zeros(V), requires_grad=True),
+            "queries": init((c.K, c.enc_hidden), "attq", 0.5),
         }
-        if c.pooling == "attention":
-            self.p["queries"] = init((c.K, c.enc_hidden), "attq", 0.5)
-        else:
-            self.p["pool_w"] = init((c.enc_hidden, c.K * c.enc_hidden), "poolw")
 
     def params(self) -> list:
         return [self.p[k] for k in sorted(self.p)]
@@ -154,18 +149,13 @@ class SeqVae:
         pad_mask = (enc_ids != toyset.TOKEN_ID[toyset.PAD]).astype(np.float64)
         # Fully padded rows (empty structures) still need one attended slot.
         pad_mask[:, 0] = 1.0
-        if c.pooling == "attention":
-            neg = Tensor((1.0 - pad_mask.reshape(-1, 1)) * -1e9)
-            h3 = h.reshape(B, L, c.enc_hidden)
-            scores = (h @ self.p["queries"].transpose() + neg).reshape(B, L, c.K)
-            attn = ad.softmax(scores, axis=1)  # over positions
-            # (B, L, K) x (B, L, H) -> (B, K, H)
-            pooled = (attn.reshape(B, L, c.K, 1) * h3.reshape(B, L, 1, c.enc_hidden)).sum(axis=1)
-            pooled = pooled.reshape(B * c.K, c.enc_hidden)
-        else:
-            m = pad_mask / pad_mask.sum(axis=1, keepdims=True)
-            mean = (h.reshape(B, L, c.enc_hidden) * Tensor(m.reshape(B, L, 1))).sum(axis=1)
-            pooled = (mean @ self.p["pool_w"]).tanh().reshape(B * c.K, c.enc_hidden)
+        neg = Tensor((1.0 - pad_mask.reshape(-1, 1)) * -1e9)
+        h3 = h.reshape(B, L, c.enc_hidden)
+        scores = (h @ self.p["queries"].transpose() + neg).reshape(B, L, c.K)
+        attn = ad.softmax(scores, axis=1)  # over positions
+        # (B, L, K) x (B, L, H) -> (B, K, H)
+        pooled = (attn.reshape(B, L, c.K, 1) * h3.reshape(B, L, 1, c.enc_hidden)).sum(axis=1)
+        pooled = pooled.reshape(B * c.K, c.enc_hidden)
         mu = (pooled @ self.p["mu_w"] + self.p["mu_b"]).reshape(B, c.K, c.d)
         ls = (pooled @ self.p["ls_w"] + self.p["ls_b"]).clamp(*LOG_SIGMA_CLAMP)
         return mu, ls.reshape(B, c.K, c.d)
@@ -233,13 +223,12 @@ class SeqVae:
 
     @classmethod
     def from_checkpoint(cls, arrays: dict, meta: dict) -> "SeqVae":
+        """The model a checkpoint holds; a missing parameter raises KeyError."""
         if meta.get("vocab_hash") != toyset.vocab_hash():
             raise ContractViolation("checkpoint vocabulary does not match this build")
-        cfg = VaeConfig(**meta["config"])
         model = cls.__new__(cls)
-        model.config = cfg
-        model.p = {k[len("vae."):]: Tensor(v, requires_grad=True)
-                   for k, v in arrays.items() if k.startswith("vae.")}
+        model.config = config_from_dict(VaeConfig, meta["config"])
+        model.p = {k: Tensor(arrays[f"vae.{k}"], requires_grad=True) for k in PARAM_NAMES}
         return model
 
 
@@ -308,27 +297,60 @@ def evaluate_elbo(model: SeqVae, entries, beta: float, rng: Rng, batch_size=128)
 def train_vae(model: SeqVae, dataset, rng: Rng) -> TrainHistory:
     """Stage-one ELBO training; keeps the epoch with best validation loss."""
     c = model.config
+    return _train_epochs(model, None, dataset, rng, lr=c.lr, epochs=c.pretrain_epochs,
+                         warmup_frac=c.kl_warmup_frac, prefix="", stage="vae")
+
+
+def finetune(model: SeqVae, surrogate, dataset, rng: Rng) -> TrainHistory:
+    """Stage-two joint fine-tuning (encoder+decoder+surrogate, lam weighting).
+
+    With ``lambda_prop == 0`` the surrogate branch is skipped and the updates
+    are the pure-VAE ones at full KL weight.
+    """
+    c = model.config
+    return _train_epochs(model, surrogate, dataset, rng, lr=c.finetune_lr,
+                         epochs=c.finetune_epochs, warmup_frac=0.0, prefix="ft-",
+                         stage="finetune")
+
+
+def _train_epochs(model: SeqVae, surrogate, dataset, rng: Rng, lr, epochs, warmup_frac,
+                  prefix, stage) -> TrainHistory:
+    """The epoch loop of both stages; restores the epoch with best validation loss.
+
+    Epoch ``e`` shuffles and draws its batches from ``rng.split((prefix +
+    "epoch", e))`` and validates on ``rng.split((prefix + "val", e))``. With a
+    surrogate, the property MSE of the mean-pooled latents, weighted by
+    ``lambda_prop``, is added to each batch's negative ELBO.
+    """
+    c = model.config
     train = dataset.subset("train")
     val = dataset.subset("val")
-    params = model.params()
-    opt = AdamState.create(params, lr=c.lr, weight_decay=1e-5)
+    params = model.params() + (surrogate.params() if surrogate is not None else [])
+    opt = AdamState.create(params, lr=lr, weight_decay=1e-5)
     hist = TrainHistory()
-    total_steps = max(1, c.pretrain_epochs * ((len(train) + c.batch_size - 1) // c.batch_size))
+    total_steps = max(1, epochs * ((len(train) + c.batch_size - 1) // c.batch_size))
     best = (np.inf, None)
     step = 0
-    for epoch in range(c.pretrain_epochs):
-        erng = rng.split(("epoch", epoch))
+    for epoch in range(epochs):
+        erng = rng.split((prefix + "epoch", epoch))
         losses = []
         for b, idx in enumerate(_epoch_batches(len(train), c.batch_size, erng.split("order"))):
-            beta = beta_schedule(step / total_steps, c.beta_max, c.kl_warmup_frac)
-            loss, _, _ = elbo_loss(model, [train[i][0] for i in idx], erng.split(("b", b)), beta)
+            beta = beta_schedule(step / total_steps, c.beta_max, warmup_frac)
+            loss, z, _ = elbo_loss(model, [train[i][0] for i in idx], erng.split(("b", b)), beta)
+            if surrogate is not None and c.lambda_prop > 0:
+                y = Tensor(np.stack([train[i][1].as_array() for i in idx]))
+                loss = loss + c.lambda_prop * (
+                    (surrogate.predict_graph(mean_pool(z)) - y) ** 2).mean()
             grads = ad.gradients(loss, params)
             grads, _ = clip_grad_norm(grads, c.clip_norm)
             optimizer_step(opt, params, grads)
             losses.append(loss.item())
             step += 1
+            # Drop this batch's tape before the next is built, so peak memory
+            # holds one batch graph, not two; no other local refers back into it.
+            del loss, z, grads
         hist.train_loss.append(float(np.mean(losses)))
-        v = evaluate_elbo(model, val, c.beta_max, rng.split(("val", epoch)))
+        v = evaluate_elbo(model, val, c.beta_max, rng.split((prefix + "val", epoch)))
         hist.val_loss.append(v)
         if v < best[0]:
             best = (v, copy.deepcopy([p.data for p in params]))
@@ -337,58 +359,5 @@ def train_vae(model: SeqVae, dataset, rng: Rng) -> TrainHistory:
         for p, data in zip(params, best[1]):
             p.data = data
     if not np.isfinite(hist.train_loss[-1]):
-        raise NumericFailure("divergent VAE training loss", where="stage=vae")
-    return hist
-
-
-def joint_finetune_step(model: SeqVae, surrogate, batch, rng: Rng, lam: float,
-                        beta: float, opt: AdamState, params) -> dict:
-    """One combined VAE + property-supervision update.
-
-    ``batch`` is a list of (tokens, Properties). With lam == 0 the surrogate
-    branch is skipped entirely and gradients equal the pure-VAE gradients.
-    """
-    seqs = [e[0] for e in batch]
-    loss, z, comps = elbo_loss(model, seqs, rng, beta)
-    if lam > 0:
-        y = np.stack([e[1].as_array() for e in batch])
-        pred = surrogate.predict_graph(mean_pool(z))
-        ploss = ((pred - Tensor(y)) ** 2).mean()
-        loss = loss + lam * ploss
-        comps["prop"] = ploss.item()
-    grads = ad.gradients(loss, params)
-    grads, _ = clip_grad_norm(grads, model.config.clip_norm)
-    optimizer_step(opt, params, grads)
-    comps["total"] = loss.item()
-    return comps
-
-
-def finetune(model: SeqVae, surrogate, dataset, rng: Rng) -> TrainHistory:
-    """Stage-two joint fine-tuning (encoder+decoder+surrogate, lam weighting)."""
-    c = model.config
-    train = dataset.subset("train")
-    val = dataset.subset("val")
-    params = model.params() + surrogate.params()
-    opt = AdamState.create(params, lr=c.finetune_lr, weight_decay=1e-5)
-    hist = TrainHistory()
-    best = (np.inf, None)
-    for epoch in range(c.finetune_epochs):
-        erng = rng.split(("ft-epoch", epoch))
-        losses = []
-        for b, idx in enumerate(_epoch_batches(len(train), c.batch_size, erng.split("order"))):
-            comps = joint_finetune_step(
-                model, surrogate, [train[i] for i in idx], erng.split(("b", b)),
-                c.lambda_prop, c.beta_max, opt, params)
-            losses.append(comps["total"])
-        hist.train_loss.append(float(np.mean(losses)))
-        v = evaluate_elbo(model, val, c.beta_max, rng.split(("ft-val", epoch)))
-        hist.val_loss.append(v)
-        if v < best[0]:
-            best = (v, copy.deepcopy([p.data for p in params]))
-            hist.best_epoch = epoch
-    if best[1] is not None:
-        for p, data in zip(params, best[1]):
-            p.data = data
-    if not np.isfinite(hist.train_loss[-1]):
-        raise NumericFailure("divergent fine-tune loss", where="stage=finetune")
+        raise NumericFailure(f"divergent {stage} training loss", where=f"stage={stage}")
     return hist

@@ -15,7 +15,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolation
-from .nn import AdamState, Mlp, clip_grad_norm, optimizer_step
+from .nn import (AdamState, Mlp, clip_grad_norm, config_from_dict, mlp_arrays, mlp_from_arrays,
+                 optimizer_step)
 from .rng import Rng
 
 P1_BOUNDS = (0.0, 1.0)
@@ -60,7 +61,6 @@ class Surrogate:
         return self.predict_graph(Tensor(x)).data
 
     def arrays(self, prefix="surrogate") -> dict:
-        from .nn import mlp_arrays
         return mlp_arrays(prefix, self.net)
 
     def meta(self) -> dict:
@@ -70,8 +70,7 @@ class Surrogate:
 
     @classmethod
     def from_checkpoint(cls, arrays: dict, meta: dict, prefix="surrogate") -> "Surrogate":
-        from .nn import mlp_from_arrays
-        cfg = SurrogateConfig(**meta["config"])
+        cfg = config_from_dict(SurrogateConfig, meta["config"])
         model = cls.__new__(cls)
         model.config = cfg
         sizes = [cfg.latent_dim] + [cfg.hidden] * (cfg.layers - 1) + [2]

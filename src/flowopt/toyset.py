@@ -153,11 +153,6 @@ def decode(tokens) -> Structure:
     )
 
 
-def encode(structure: Structure) -> tuple:
-    """Canonical token sequence; ``decode(encode(s))`` reproduces ``s``."""
-    return structure.canonical_tokens
-
-
 def _stats(chain, depth=0):
     nb = rings = sides = 0
     max_depth = depth

@@ -1,13 +1,11 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
-from flowopt.flowmatch import (FlowConfig, FlowField, fm_loss, greedy_ot_pairing,
-                               interpolate, sample_prior, train_flow)
+from flowopt.flowmatch import (FlowConfig, FlowField, fm_loss, interpolate, sample_prior,
+                               train_flow)
 from flowopt.nn import load_checkpoint, save_checkpoint
 from flowopt.rng import Rng
 
@@ -55,41 +53,6 @@ def test_interpolate_per_sample_times(rng):
     assert np.array_equal(zt[0], z0[0])
     assert np.array_equal(zt[2], z1[2])
     assert np.allclose(zt[1], 0.5 * (z0[1] + z1[1]))
-
-
-def test_greedy_ot_is_permutation(rng):
-    z0, z1 = rng.normal((8, 4)), rng.normal((8, 4))
-    perm = greedy_ot_pairing(z0, z1)
-    assert sorted(perm) == list(range(8))
-
-
-def test_greedy_ot_identity_on_identical_sets(rng):
-    z = rng.normal((6, 3))
-    perm = greedy_ot_pairing(z, z.copy())
-    assert np.array_equal(perm, np.arange(6))
-
-
-def test_greedy_ot_matches_independent_greedy(rng):
-    """Smallest remaining pair is matched first; oracle reimplementation."""
-    for case in range(20):
-        r = rng.split(case)
-        n = int(r.integers(2, 9))
-        z0, z1 = r.normal((n, 3)), r.normal((n, 3))
-        perm = greedy_ot_pairing(z0, z1)
-        d2 = ((z0[:, None, :] - z1[None, :, :]) ** 2).sum(axis=2)
-        expected = np.full(n, -1)
-        rows, cols = set(range(n)), set(range(n))
-        while rows:
-            i, j = min(((i, j) for i in sorted(rows) for j in sorted(cols)),
-                       key=lambda ij: (d2[ij], ij))
-            expected[i] = j
-            rows.discard(i)
-            cols.discard(j)
-        assert np.array_equal(perm, expected)
-        cost = ((z0 - z1[perm]) ** 2).sum()
-        best = min(((z0 - z1[list(p)]) ** 2).sum()
-                   for p in itertools.permutations(range(n)))
-        assert cost >= best - 1e-9
 
 
 def test_velocity_shapes(field, rng):

@@ -12,6 +12,7 @@ from flowopt.config import RunConfig, DataConfig, BudgetConfig, EvalConfig, Swee
 from flowopt.errors import ConfigError, ContractViolation
 from flowopt.flowmatch import FlowConfig
 from flowopt.guidance import GuidanceConfig, ObjectiveSpec
+from flowopt.nn import load_checkpoint
 from flowopt.rng import Rng
 from flowopt.seqvae import VaeConfig
 from flowopt.surrogate import SurrogateConfig
@@ -203,6 +204,19 @@ def test_pipeline_stage_order_enforced(tiny_run, tmp_path):
         harness.pipeline_train(cfg, tiny_run["ds"], tmp_path / "y", ("flow",))
 
 
+# -- reference point ------------------------------------------------------
+
+def test_reference_point_falls_back_on_zero_range():
+    cfg = tiny_config()
+    spread = np.array([[0.2, 3.0], [0.6, 5.0]])
+    assert np.array_equal(harness.reference_point(spread, cfg),
+                          moeval.auto_reference(spread, margin=cfg.evaluation.ref_margin))
+    flat = np.array([[0.2, 3.0], [0.6, 3.0]])
+    ref = harness.reference_point(flat, cfg)
+    assert ref.dtype == np.float64
+    assert tuple(ref) == cfg.evaluation.fallback_reference
+
+
 # -- report bundles -------------------------------------------------------
 
 def test_run_report_manifest_round_trip(tmp_path):
@@ -237,6 +251,8 @@ def test_run_config_json_round_trip():
     old = cfg.to_dict()
     old["budget"]["batch_size"] = 1
     old["evaluation"]["curve_ci_level"] = 0.9
+    old["vae"].update(pooling="attention", seed=0)
+    old["flow"]["ot_coupling"] = False
     assert RunConfig.from_json(json.dumps(old)) == cfg
 
 
@@ -247,6 +263,9 @@ def test_run_config_shape_mismatch_rejected():
                   surrogate=SurrogateConfig(latent_dim=8))
     with pytest.raises(ConfigError):
         RunConfig.from_json("not json")
+    for bad in ('{"vae": {"K": "two"}}', '{"flow": [1, 2]}', '[1, 2]'):
+        with pytest.raises(ConfigError):
+            RunConfig.from_json(bad)
 
 
 def test_profiles_constructible():
@@ -322,7 +341,13 @@ def _wrong_shape(text):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _drop_array, _wrong_shape])
+def _header_not_a_mapping(text):
+    doc = json.loads(text)
+    doc["header"] = sorted(doc["header"].items())
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _drop_array, _wrong_shape, _header_not_a_mapping])
 def test_cli_broken_checkpoint_exit_4(runner, tiny_run, tmp_path, corrupt):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(tiny_run["ckpt_dir"], ckpt)
@@ -348,16 +373,97 @@ def _pretrain_as_finetune(ckpt):
     return harness.FINETUNE_CKPT
 
 
-@pytest.mark.parametrize("corrupt", [_drop_flow_w1, _pretrain_as_finetune])
-def test_cli_checkpoint_missing_entry_exit_4(runner, tiny_run, tmp_path, corrupt):
+def _edit(name, change):
+    """A corruption applying ``change`` to the parsed document of checkpoint ``name``."""
+    def corrupt(ckpt):
+        path = ckpt / name
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+        return name
+    return corrupt
+
+
+def _drop_queries(doc):
+    # What a mean-pooled encoder's checkpoint lacks.
+    del doc["header"]["arrays"]["vae.queries"]
+    del doc["data"]["vae.queries"]
+
+
+def _cli_args(command, tiny_run, ckpt):
+    common = ["--config", tiny_run["cfg_path"]]
+    if command == "train-finetune":
+        return ["train", "--seed", "1", *common, "--data", tiny_run["data_dir"],
+                "--out", str(ckpt), "--stage", "finetune"]
+    if command == "optimize":
+        return ["optimize", "--seed", "3", *common, "--ckpt", str(ckpt), "--tokens", "A B R i"]
+    return ["generate", "--seed", "2", *common, "--ckpt", str(ckpt), "--count", "2"]
+
+
+@pytest.mark.parametrize("corrupt, command", [
+    pytest.param(_drop_flow_w1, "generate", id="_drop_flow_w1"),
+    pytest.param(_pretrain_as_finetune, "generate", id="_pretrain_as_finetune"),
+    pytest.param(_edit(harness.VAE_CKPT, _drop_queries), "train-finetune",
+                 id="_pretrain_without_queries"),
+    pytest.param(_edit(harness.FINETUNE_CKPT, _drop_queries), "optimize",
+                 id="_finetune_without_queries"),
+])
+def test_cli_checkpoint_missing_entry_exit_4(runner, tiny_run, tmp_path, corrupt, command):
     """A checkpoint consistent with its own header but lacking what the model needs."""
     ckpt = tmp_path / "ckpt"
     shutil.copytree(tiny_run["ckpt_dir"], ckpt)
     name = corrupt(ckpt)
-    res = runner.invoke(cli.main, ["generate", "--seed", "2", "--config", tiny_run["cfg_path"],
-                                   "--ckpt", str(ckpt), "--count", "2"])
+    res = runner.invoke(cli.main, _cli_args(command, tiny_run, ckpt))
     assert res.exit_code == 4, res.output
     assert name in res.output
+
+
+def _flow_config(value):
+    def change(doc):
+        doc["header"]["meta"]["config"] = value(doc["header"]["meta"]["config"])
+    return _edit(harness.FLOW_CKPT, change)
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(_flow_config(lambda c: {**c, "K": "two"}), id="wrong_type"),
+    pytest.param(_flow_config(lambda c: sorted(c.items())), id="not_a_mapping"),
+    pytest.param(_edit(harness.FLOW_CKPT, lambda doc: doc["header"].update(meta=[])),
+                 id="meta_not_a_mapping"),
+])
+def test_cli_checkpoint_malformed_config_exit_4(runner, tiny_run, tmp_path, corrupt):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(tiny_run["ckpt_dir"], ckpt)
+    name = corrupt(ckpt)
+    res = runner.invoke(cli.main, _cli_args("generate", tiny_run, ckpt))
+    assert res.exit_code == 4, res.output
+    assert name in res.output
+
+
+def test_checkpoint_config_ignores_retired_keys(runner, tiny_run, tmp_path):
+    """A stored config decodes like a run config: keys the dataclass lacks are ignored."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(tiny_run["ckpt_dir"], ckpt)
+    _flow_config(lambda c: {**c, "ot_coupling": False, "retired_knob": 1})(ckpt)
+    edited = runner.invoke(cli.main, _cli_args("generate", tiny_run, ckpt))
+    plain = runner.invoke(cli.main, _cli_args("generate", tiny_run, tiny_run["ckpt_dir"]))
+    assert edited.exit_code == 0, edited.output
+    assert edited.output == plain.output
+
+
+BENCH_CKPT = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "ckpt")
+
+
+def test_committed_bench_checkpoint_loads():
+    """The benchmark's fixed checkpoint predates the retired VAE and flow config
+    keys its headers still carry; it must keep loading and running."""
+    _, meta = load_checkpoint(os.path.join(BENCH_CKPT, harness.FINETUNE_CKPT))
+    assert {"pooling", "seed"} <= set(meta["config"])
+    models = harness.Pipeline.load(BENCH_CKPT)
+    c = models.vae.config
+    post = models.vae.encode_batch([("A", "B", "R", "i"), ("C",)])
+    assert post.mu.shape == (2, c.K, c.d) == (2, models.flow.config.K, models.flow.config.d)
+    decoded = models.vae.decode_greedy_batch(post.mu)
+    assert len(decoded) == 2 and all(t in toyset.VOCAB for row in decoded for t in row)
 
 
 def test_cli_generate(runner, tiny_run):

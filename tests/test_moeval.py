@@ -77,11 +77,9 @@ def test_pareto_single_point_and_empty():
         pareto_front(np.zeros((0, 2)))
 
 
-def test_pareto_three_objectives_fallback(rng):
-    pts = rng.normal((40, 3))
-    front = pareto_front(pts, (MAXIMIZE, MAXIMIZE, MAXIMIZE))
-    assert {tuple(p) for p in front.points} == brute_force_front(
-        pts, (MAXIMIZE, MAXIMIZE, MAXIMIZE))
+def test_pareto_three_objectives_rejected(rng):
+    with pytest.raises(UnsupportedDimensionError):
+        pareto_front(rng.normal((40, 3)), (MAXIMIZE, MAXIMIZE, MAXIMIZE))
 
 
 # -- hypervolume ----------------------------------------------------------
