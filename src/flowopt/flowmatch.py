@@ -48,10 +48,9 @@ class FlowField:
         return self.net.params()
 
     def velocity_graph(self, z: Tensor, t) -> Tensor:
-        """Velocity for a batch of flattened latents (B, K*d) at times t (B,)."""
+        """Velocity for a batch of flattened latents (B, K*d) at times t (B,) or one time."""
         B = z.shape[0]
-        te = np.stack([time_embed(float(ti), self.config.time_embed_dim)
-                       for ti in np.atleast_1d(t)])
+        te = time_embed(np.atleast_1d(t), self.config.time_embed_dim)
         if te.shape[0] == 1 and B > 1:
             te = np.repeat(te, B, axis=0)
         return self.net(ad.concat([z, Tensor(te)], axis=1))
@@ -106,6 +105,9 @@ def fm_loss(field: FlowField, z0: np.ndarray, z1: np.ndarray, t: np.ndarray) -> 
 def train_flow(field: FlowField, z1_sampler, rng: Rng) -> list:
     """Fit the field; ``z1_sampler(rng, n)`` yields (n, K, d) target latents.
 
+    Step ``s`` calls the sampler once with ``rng.split(("fm", s)).split("z1")``.
+    It may be a lookup into latents a frozen encoder computed once, so that
+    the step loop does no encoder work.
     Returns the per-step loss history.
     """
     c = field.config

@@ -114,12 +114,14 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
         vae, latent_source = _load_model(src, lambda arrays, meta: (
             seqvae.SeqVae.from_checkpoint(arrays, meta), meta.get("stage", "unknown")))
         field_model = flowmatch.FlowField(config.flow, rng.split("flow"))
-        train_entries = dataset.subset("train")
+        # The encoder is frozen here, and a row's encoding does not depend on
+        # its batch or padding: encode the train split once, gather per step.
+        post = vae.encode_batch([tokens for tokens, _ in dataset.subset("train")])
 
         def z1_sampler(r: Rng, n: int) -> np.ndarray:
-            idx = r.split("idx").gen.integers(0, len(train_entries), n)
-            post = vae.encode_batch([train_entries[i][0] for i in idx])
-            return seqvae.reparameterize(post, r.split("eps")).z
+            idx = r.split("idx").gen.integers(0, len(post.mu), n)
+            rows = seqvae.PosteriorParams(mu=post.mu[idx], log_sigma=post.log_sigma[idx])
+            return seqvae.reparameterize(rows, r.split("eps")).z
 
         flowmatch.train_flow(field_model, z1_sampler, rng.split("flow-train"))
         meta_f = field_model.meta()
@@ -131,18 +133,10 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
 
 
 def _surrogate_fidelity(vae, sur, entries) -> dict:
-    pooled = _pooled_means(vae, [e[0] for e in entries])
+    pooled = seqvae.mean_pool(vae.encode_batch([e[0] for e in entries]).mu)
     y = np.stack([e[1].as_array() for e in entries])
     mse, r2 = surrogate_mod.fidelity(sur.predict(pooled), y)
     return {"mse": mse, "r2": r2}
-
-
-def _pooled_means(vae, sequences, batch=256) -> np.ndarray:
-    out = []
-    for i in range(0, len(sequences), batch):
-        post = vae.encode_batch(sequences[i:i + batch])
-        out.append(post.mu.mean(axis=1))
-    return np.concatenate(out)
 
 
 # -- budgeted optimization ------------------------------------------------
@@ -407,8 +401,8 @@ def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
             moeval.structure_embeddings(features, reference.projection), reference.embeddings)
     report.descriptor_kl = moeval.descriptor_kl(
         moeval.descriptor_values(structures, features), reference.descriptors, bins=ev.bins)
-    pooled = _pooled_means(models.vae, [s.canonical_tokens for s in structures])
-    mse, r2 = surrogate_mod.fidelity(models.surrogate.predict(pooled), points)
+    post = models.vae.encode_batch([s.canonical_tokens for s in structures])
+    mse, r2 = surrogate_mod.fidelity(models.surrogate.predict(seqvae.mean_pool(post.mu)), points)
     report.surrogate_mse = mse
     report.surrogate_r2 = r2
     return report
@@ -430,8 +424,7 @@ def _sweep_candidates(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig)
     padded with the best remaining predicted-objective entries."""
     test = dataset.subset("test")
     seqs = [t for t, _ in test]
-    pooled = _pooled_means(models.vae, seqs)
-    pred = models.surrogate.predict(pooled)
+    pred = models.surrogate.predict(seqvae.mean_pool(models.vae.encode_batch(seqs).mu))
     front = moeval.pareto_front(pred)
     chosen = list(front.indices)
     j_vals = np.array([guidance.objective_value(cfg.objective, p) for p in pred])

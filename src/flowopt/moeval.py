@@ -253,12 +253,13 @@ def descriptor_values(structures, features: np.ndarray) -> dict:
     """Seven toy descriptors per structure, mirroring the report schema.
 
     ``features`` holds the structures' bitsets (``feature_matrix``); their
-    popcounts are one descriptor.
+    popcounts are one descriptor. Each structure is parsed once: p1 and p2
+    come from its stats through the oracle's own formula.
     """
     cols = {name: [] for name in DESCRIPTOR_NAMES}
     for s in structures:
         st = toyset.structure_stats(s)
-        props = toyset.oracle_properties(s)
+        props = toyset.properties_from_stats(st)
         cols["length"].append(st["length"])
         cols["branch_depth"].append(st["branch_depth"])
         cols["side_groups"].append(st["side_groups"])

@@ -24,27 +24,31 @@ from .rng import Rng
 TIME_EMBED_FREQ_RANGE = (1.0, 1.0e4)
 
 
-def time_embed(t: float, dim: int) -> np.ndarray:
-    """Interleaved sin/cos embedding of a scalar time in [0, 1].
+def time_embed(t, dim: int) -> np.ndarray:
+    """Interleaved sin/cos embeddings (B, dim) of a vector of B times in [0, 1].
 
     Frequencies are geometrically spaced over ``TIME_EMBED_FREQ_RANGE``.
-    Deterministic and pure; at t=0 all sin components are 0 and all cos
-    components are 1.
+    Deterministic and pure; row b depends on ``t[b]`` alone, and at t=0 all
+    sin components are 0 and all cos components are 1.
     """
     if dim <= 0 or dim % 2 != 0:
         raise ContractViolation("time embedding dim must be a positive even integer")
-    if not (0.0 <= t <= 1.0):
-        raise ContractViolation(f"time {t} outside [0, 1]")
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 1:
+        raise ContractViolation(f"times must be a vector, not shape {t.shape}")
+    inside = (t >= 0.0) & (t <= 1.0)  # NaN is outside
+    if not inside.all():
+        raise ContractViolation(f"time {t[~inside][0]} outside [0, 1]")
     half = dim // 2
     lo, hi = TIME_EMBED_FREQ_RANGE
     if half == 1:
         freqs = np.array([lo])
     else:
         freqs = lo * (hi / lo) ** (np.arange(half) / (half - 1))
-    ang = t * freqs
-    out = np.empty(dim)
-    out[0::2] = np.sin(ang)
-    out[1::2] = np.cos(ang)
+    ang = t[:, None] * freqs
+    out = np.empty((len(t), dim))
+    out[:, 0::2] = np.sin(ang)
+    out[:, 1::2] = np.cos(ang)
     return out
 
 

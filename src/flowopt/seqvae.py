@@ -28,6 +28,7 @@ from .nn import AdamState, clip_grad_norm, config_from_dict, optimizer_step
 from .rng import Rng
 
 LOG_SIGMA_CLAMP = (-8.0, 4.0)
+ENCODE_CHUNK = 256  # rows per encoder tape in encode_batch
 
 
 @dataclass
@@ -173,10 +174,21 @@ class SeqVae:
 
     # -- public operations ------------------------------------------------
     def encode_batch(self, xs) -> PosteriorParams:
-        """Deterministic posterior parameters (B, K, d) for a list of token strings."""
+        """Deterministic posterior parameters (B, K, d) for a list of token strings.
+
+        Encodes ``ENCODE_CHUNK`` rows at a time, each chunk padded to its own
+        longest sequence: the pooling tape is (rows, L, K, H), so one call over
+        a whole split would hold it for every row at once.
+        """
+        parts = [self._encode_chunk(xs[i:i + ENCODE_CHUNK])
+                 for i in range(0, len(xs), ENCODE_CHUNK)]
+        return PosteriorParams(mu=np.concatenate([mu for mu, _ in parts]),
+                               log_sigma=np.concatenate([ls for _, ls in parts]))
+
+    def _encode_chunk(self, xs):
         enc, _, _, _ = self.prepare_batch(xs)
         mu, ls = self.encode_graph(enc)
-        return PosteriorParams(mu=mu.data, log_sigma=ls.data)
+        return mu.data, ls.data
 
     def decode_greedy_batch(self, Z: np.ndarray):
         """Greedy autoregressive decoding of a (B, K, d) batch; deterministic in z."""

@@ -185,7 +185,11 @@ def structure_stats(s: Structure) -> dict:
 
 def oracle_properties(s: Structure) -> Properties:
     """Exact analytic property oracle; a pure function of the canonical key."""
-    st = structure_stats(s)
+    return properties_from_stats(structure_stats(s))
+
+
+def properties_from_stats(st: dict) -> Properties:
+    """The oracle's analytic formula on a structure's ``structure_stats``."""
     nb, rings, sides = st["backbone"], st["rings"], st["side_groups"]
     side_frac = sides / (sides + nb) if (sides + nb) > 0 else 0.0
     p1 = (0.5 * np.exp(-(((nb - 8) / 3.0) ** 2))

@@ -1,25 +1,30 @@
 """Property tests: each batched routine matches its one-at-a-time reference.
 
 Rows of a (B, K, d) batch never interact, so row b of a batched latent call
-must equal the same routine run on row b alone, within 1e-12. The batched
-evaluation layer (one front/hypervolume sweep over an (R, n) presence mask,
-one bootstrap over an (R, n) index matrix) must equal the per-point loops
-written out below exactly, compared with ``==``.
+must equal the same routine run on row b alone, within 1e-12; that holds
+across the chunks ``encode_batch`` splits a long batch into. The vector time
+embedding and the batched evaluation layer (one front/hypervolume sweep over
+an (R, n) presence mask, one bootstrap over an (R, n) index matrix) must
+equal the per-scalar and per-point loops written out below exactly, compared
+with ``==``.
 """
 
 import dataclasses
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowopt import harness, moeval, toyset
+from flowopt.errors import ContractViolation
 from flowopt.flowmatch import FlowConfig, FlowField, sample_prior
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
                               guided_integrate, objective_gradient)
 from flowopt.moeval import MAXIMIZE, MINIMIZE
+from flowopt.nn import TIME_EMBED_FREQ_RANGE, time_embed
 from flowopt.rng import Rng
-from flowopt.seqvae import LatentState, SeqVae, VaeConfig
+from flowopt.seqvae import ENCODE_CHUNK, LatentState, SeqVae, VaeConfig
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
 from test_harness import tiny_config
@@ -123,6 +128,65 @@ def test_encode_and_decode_rows_match_single(seqs, K, d, seed):
     z = Rng(seed).split("z").normal((len(seqs), K, d)) * 3.0
     decoded = vae.decode_greedy_batch(z)
     assert decoded == [vae.decode_greedy_batch(z[b:b + 1])[0] for b in range(len(seqs))]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([ENCODE_CHUNK - 1, ENCODE_CHUNK, ENCODE_CHUNK + 1, 600]), seeds)
+def test_chunked_encode_rows_match_single(B, seed):
+    """Across chunk edges, with chunks padded to different lengths: one
+    sequence longer than the rest (truncated at ``max_len``) lands in one chunk."""
+    r = Rng(seed)
+    vae = SeqVae(VaeConfig(K=2, d=3, embed_dim=6, enc_hidden=8, dec_hidden=8, max_len=16),
+                 r.split("vae"))
+    lengths = r.split("len").integers(0, 10, B)
+    lengths[int(r.split("long").integers(0, B))] = 20
+    seqs = [tuple(plain_tokens[i] for i in r.split(("seq", b)).integers(0, len(plain_tokens), n))
+            for b, n in enumerate(lengths)]
+    post = vae.encode_batch(seqs)
+    assert post.mu.shape == post.log_sigma.shape == (B, 2, 3)
+    for b, seq in enumerate(seqs):
+        one = vae.encode_batch([seq])
+        close(post.mu[b], one.mu[0])
+        close(post.log_sigma[b], one.log_sigma[0])
+
+
+# -- time embedding -------------------------------------------------------
+
+def time_embed_one(t, dim):
+    """The per-scalar embedding, written out: one (dim,) row for one time."""
+    half = dim // 2
+    lo, hi = TIME_EMBED_FREQ_RANGE
+    freqs = np.array([lo]) if half == 1 else lo * (hi / lo) ** (np.arange(half) / (half - 1))
+    out = np.empty(dim)
+    out[0::2] = np.sin(t * freqs)
+    out[1::2] = np.cos(t * freqs)
+    return out
+
+
+times = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
+embed_dims = st.sampled_from([2, 4, 8, 16, 128])
+
+
+@settings(max_examples=60, deadline=None)
+@given(times, st.sampled_from([[], [0.0], [1.0], [1.0, 0.0]]), embed_dims)
+def test_time_embed_matches_per_scalar_stack(ts, ends, dim):
+    t = np.array(ts + ends)
+    want = np.stack([time_embed_one(float(x), dim) for x in t])
+    assert (time_embed(t, dim) == want).all()
+    for b in range(len(t)):
+        assert (time_embed(t[b:b + 1], dim) == want[b:b + 1]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(times, st.sampled_from([-1e-300, -0.5, 1.0 + 1e-15, 3.0, np.inf, np.nan]),
+       st.integers(0, 39), embed_dims)
+def test_time_embed_rejects_bad_time_or_dim(ts, bad, at, dim):
+    t = np.array(ts)
+    with pytest.raises(ContractViolation):
+        time_embed(t, dim + 1)
+    t[at % len(t)] = bad
+    with pytest.raises(ContractViolation):
+        time_embed(t, dim)
 
 
 # -- evaluation layer -----------------------------------------------------

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import flowopt.autodiff as ad
 from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation, NumericFailure
 from flowopt.flowmatch import FlowConfig, FlowField, sample_prior

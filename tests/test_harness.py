@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 from scipy import stats as sps
 
-from flowopt import cli, harness, moeval, toyset
+from flowopt import cli, flowmatch, harness, moeval, seqvae, toyset
 from flowopt.config import RunConfig, DataConfig, BudgetConfig, EvalConfig, SweepConfig
 from flowopt.errors import ConfigError, ContractViolation
 from flowopt.flowmatch import FlowConfig
@@ -202,6 +202,40 @@ def test_pipeline_stage_order_enforced(tiny_run, tmp_path):
         harness.pipeline_train(cfg, tiny_run["ds"], tmp_path / "x", ("finetune",))
     with pytest.raises(ConfigError):
         harness.pipeline_train(cfg, tiny_run["ds"], tmp_path / "y", ("flow",))
+
+
+def test_flow_stage_matches_per_step_encoding(tiny_run, tmp_path, monkeypatch):
+    """The flow stage samples its targets from the train split encoded once;
+    it trains the same field, bit for bit, as encoding each step's draw."""
+    cfg, ds = tiny_run["cfg"], tiny_run["ds"]
+    shutil.copy(os.path.join(tiny_run["ckpt_dir"], harness.FINETUNE_CKPT), tmp_path)
+    histories = []
+    train_flow = flowmatch.train_flow
+
+    def keep_history(*args):
+        histories.append(train_flow(*args))
+        return histories[-1]
+
+    monkeypatch.setattr(flowmatch, "train_flow", keep_history)
+    harness.pipeline_train(cfg, ds, tmp_path, ("flow",))
+    monkeypatch.undo()
+
+    vae = seqvae.SeqVae.from_checkpoint(*load_checkpoint(tmp_path / harness.FINETUNE_CKPT))
+    train = ds.subset("train")
+
+    def per_step_sampler(r, n):
+        idx = r.split("idx").gen.integers(0, len(train), n)
+        post = vae.encode_batch([train[i][0] for i in idx])
+        return seqvae.reparameterize(post, r.split("eps")).z
+
+    rng = Rng(cfg.seed)
+    field = flowmatch.FlowField(cfg.flow, rng.split("flow"))
+    history = flowmatch.train_flow(field, per_step_sampler, rng.split("flow-train"))
+    assert histories == [history]
+    arrays, _ = load_checkpoint(tmp_path / harness.FLOW_CKPT)
+    want = field.arrays()
+    assert sorted(arrays) == sorted(want)
+    assert all((arrays[name] == want[name]).all() for name in want)
 
 
 # -- reference point ------------------------------------------------------

@@ -1,10 +1,7 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import flowopt.autodiff as ad
 from flowopt import seqvae, toyset
 from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
@@ -12,8 +9,6 @@ from flowopt.nn import load_checkpoint, save_checkpoint
 from flowopt.rng import Rng
 from flowopt.seqvae import (LOG_SIGMA_CLAMP, SeqVae, VaeConfig, beta_schedule,
                             kl_standard_normal, mean_pool, reparameterize)
-
-from conftest import rel_err
 
 
 def small_config(**kw):
