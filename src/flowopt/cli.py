@@ -73,6 +73,17 @@ def _load_dataset(data_dir) -> toyset.Dataset:
                           val_idx=idx["val"], test_idx=idx["test"])
 
 
+def _parse_list(text, convert, flag) -> list:
+    """Comma-separated option values; one that ``convert`` rejects is a ConfigError."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(convert(item))
+        except ValueError:
+            raise ConfigError(f"{flag}: cannot parse {item!r} in {text!r}") from None
+    return values
+
+
 def _run_dir(base, name) -> str:
     stamp = time.strftime("%Y%m%dT%H%M%S")
     path = os.path.join(base, f"{stamp}-{name}")
@@ -193,15 +204,16 @@ def optimize(config_path, profile, seed, ckpt_dir, tokens, data_dir):
     g = cfg.guidance
     z0 = guidance.prepare_optimization(models.vae, [start], g.sigma, g.t_start,
                                        [rng.split("noise")])
-    (traj,), final = guidance.guided_integrate(models.flow, models.surrogate,
-                                               cfg.objective, g, z0)
+    traj, final = guidance.guided_integrate(models.flow, models.surrogate,
+                                            cfg.objective, g, z0)
     (tokens,) = models.vae.decode_greedy_batch(final.z)
     result = toyset.decode(tokens)
     start_props = toyset.oracle_properties(toyset.decode(start))
     end_props = toyset.oracle_properties(result)
     click.echo("step\tt\tJ\t|g|\t|v|")
-    for line in guidance.trajectory_lines(traj):
-        click.echo(line)
+    for step, t in enumerate(traj.t):
+        click.echo(f"{step}\t{t:.6f}\t{traj.objective[step, 0]:.8f}"
+                   f"\t{traj.grad_norm[step, 0]:.8f}\t{traj.velocity_norm[step, 0]:.8f}")
     click.echo(f"start: {' '.join(start)}  p1={start_props.p1!r} p2={start_props.p2!r}")
     click.echo(f"final: {result.canonical_key}  p1={end_props.p1!r} p2={end_props.p2!r}")
 
@@ -257,8 +269,8 @@ def gamma_sweep(config_path, profile, seed, ckpt_dir, data_dir, grid, sweep_seed
     cfg = _load_config(config_path, profile, seed)
     models = harness.Pipeline.load(ckpt_dir)
     ds = _load_dataset(data_dir)
-    grid_vals = [float(x) for x in grid.split(",")] if grid else None
-    seed_vals = [int(x) for x in sweep_seeds.split(",")] if sweep_seeds else None
+    grid_vals = _parse_list(grid, float, "--grid") if grid else None
+    seed_vals = _parse_list(sweep_seeds, int, "--sweep-seeds") if sweep_seeds else None
     rows = harness.gamma_sweep(models, ds, cfg, grid=grid_vals, seeds=seed_vals)
     summary = harness.sweep_summary(rows)
     run_dir = _run_dir(out_dir, f"gamma-sweep-seed{seed}")
@@ -328,7 +340,12 @@ def report(run_dir):
     report_path = os.path.join(run_dir, "report.json")
     if os.path.exists(report_path):
         with open(report_path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as e:
+                raise ArtifactIOError(f"malformed {report_path}: {e}") from e
+        if not isinstance(doc, dict):
+            raise ArtifactIOError(f"malformed {report_path}: not a JSON object")
         for key in ("hv", "hvi", "hvi_pct", "validity", "uniqueness", "novelty",
                     "skeleton_diversity", "frechet"):
             if key in doc:

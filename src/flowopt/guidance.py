@@ -50,14 +50,18 @@ class ObjectiveSpec:
         return cls(mode="directional", signs=(1, -1))
 
 
-def objective_value(spec: ObjectiveSpec, pred) -> float:
-    """Scalar J for a prediction vector; minimized by the guided dynamics."""
+def objective_value(spec: ObjectiveSpec, pred):
+    """J, minimized by the guided dynamics, of each row of a (B, P) prediction
+    matrix: a (B,) array, or a float when there is one row (a (P,) vector or
+    B == 1), so a finite-difference check can treat it as a scalar function."""
     pred = np.asarray(pred, dtype=np.float64)
     if spec.mode == "target":
         w = np.asarray(spec.weights)
         c = np.asarray(spec.targets)
-        return float((w * (pred - c) ** 2).sum())
-    return float(-(np.asarray(spec.signs) * pred).sum())
+        j = (w * (pred - c) ** 2).sum(axis=-1)
+    else:
+        j = -(np.asarray(spec.signs) * pred).sum(axis=-1)
+    return j.item() if j.size == 1 else j
 
 
 def _objective_graph(spec: ObjectiveSpec, pred: Tensor) -> Tensor:
@@ -65,6 +69,15 @@ def _objective_graph(spec: ObjectiveSpec, pred: Tensor) -> Tensor:
         diff = pred - Tensor(np.asarray(spec.targets))
         return (Tensor(np.asarray(spec.weights)) * diff * diff).sum()
     return -(Tensor(np.asarray(spec.signs, dtype=np.float64)) * pred).sum()
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (B, ...) array, bit-identical to
+    ``np.linalg.norm(x[b])``: a (1, n) @ (n, 1) matmul is the same BLAS dot
+    that ``norm`` takes, where ``norm(axis=...)`` and ``einsum`` sum in
+    another order."""
+    f = np.ascontiguousarray(x).reshape(len(x), -1)
+    return np.sqrt((f[:, None, :] @ f[:, :, None])[:, 0, 0])
 
 
 def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
@@ -81,15 +94,14 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
     (g,) = ad.gradients(_objective_graph(spec, pred), [zt])
     if not np.isfinite(g).all():
         raise NumericFailure("non-finite objective gradient")
-    for b in range(len(g)):
-        if normalize:
-            norm = np.linalg.norm(g[b])
-            if norm > 0:
-                g[b] = g[b] / norm
-        if clip_norm is not None:
-            norm = np.linalg.norm(g[b])
-            if norm > clip_norm:
-                g[b] = g[b] * (clip_norm / norm)
+    # Rows left alone are divided or multiplied by exactly 1.0, which keeps their bits.
+    if normalize:
+        norm = _row_norms(g)
+        g /= np.where(norm > 0, norm, 1.0)[:, None, None]
+    if clip_norm is not None:
+        norm = _row_norms(g)
+        scale = np.divide(clip_norm, norm, out=np.ones_like(norm), where=norm > clip_norm)
+        g *= scale[:, None, None]
     return g
 
 
@@ -114,48 +126,52 @@ class GuidanceConfig:
 
 
 @dataclass
-class TrajectoryRecord:
-    step: int
-    t: float
-    objective: float
-    grad_norm: float
-    velocity_norm: float
+class Trajectory:
+    """Per-step statistics of a guided integration over a batch of B rows.
+
+    ``t`` (steps,) is the time after each step; ``objective`` (J at the new
+    state), ``grad_norm`` and ``velocity_norm`` are (steps, B).
+    """
+
+    t: np.ndarray
+    objective: np.ndarray
+    grad_norm: np.ndarray
+    velocity_norm: np.ndarray
 
 
 def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
                      z_init: LatentState) -> tuple:
     """Euler integration of the guided dynamics from cfg.t_start to 1.
 
-    ``z_init.z`` is a (B, K, d) batch. Returns (one list of trajectory
-    records per row, final LatentState). With gamma == 0 the update
-    degenerates bit-exactly to unconditional flow integration.
+    ``z_init.z`` is a (B, K, d) batch. Returns (Trajectory, final
+    LatentState). With gamma == 0 the update degenerates bit-exactly to
+    unconditional flow integration.
     """
     z = np.array(z_init.z, dtype=np.float64)
     B, K, d = z.shape
     dt = (1.0 - cfg.t_start) / cfg.steps
     t = cfg.t_start
-    trajectories = [[] for _ in range(B)]
+    traj = Trajectory(t=np.empty(cfg.steps), objective=np.empty((cfg.steps, B)),
+                      grad_norm=np.zeros((cfg.steps, B)),
+                      velocity_norm=np.empty((cfg.steps, B)))
     for step in range(cfg.steps):
         v = field.velocity_graph(Tensor(z.reshape(B, K * d)), t).data.reshape(B, K, d)
         if cfg.gamma == 0.0:
-            g = np.zeros_like(z)
             z = z + dt * v
         else:
             g = objective_gradient(spec, surrogate, z,
                                    normalize=cfg.normalize_gradient,
                                    clip_norm=cfg.clip_norm)
             z = z + dt * (v - cfg.gamma * g)
+            traj.grad_norm[step] = _row_norms(g)
         t = cfg.t_start + (step + 1) * dt
         if not np.isfinite(z).all():
             raise NumericFailure("non-finite state during guided integration",
                                  where=f"step={step}")
-        pred = surrogate.predict(mean_pool(z))
-        for b, records in enumerate(trajectories):
-            records.append(TrajectoryRecord(
-                step=step, t=t, objective=objective_value(spec, pred[b]),
-                grad_norm=float(np.linalg.norm(g[b])),
-                velocity_norm=float(np.linalg.norm(v[b]))))
-    return trajectories, LatentState(z=z, t=1.0)
+        traj.t[step] = t
+        traj.objective[step] = objective_value(spec, surrogate.predict(mean_pool(z)))
+        traj.velocity_norm[step] = _row_norms(v)
+    return traj, LatentState(z=z, t=1.0)
 
 
 def prepare_optimization(vae, xs, sigma: float, t_start: float, rngs) -> LatentState:
@@ -189,8 +205,3 @@ def gradient_ascent_baseline(surrogate, spec: ObjectiveSpec, z_init: LatentState
             raise NumericFailure("non-finite state in gradient ascent", where=f"step={step}")
     return LatentState(z=z, t=1.0)
 
-
-def trajectory_lines(trajectory) -> list:
-    """Line-delimited dump records: step, t, J, |g|, |v|."""
-    return [f"{r.step}\t{r.t:.6f}\t{r.objective:.8f}\t{r.grad_norm:.8f}\t{r.velocity_norm:.8f}"
-            for r in trajectory]

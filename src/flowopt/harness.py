@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -427,8 +427,7 @@ def _sweep_candidates(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig)
     pred = models.surrogate.predict(seqvae.mean_pool(models.vae.encode_batch(seqs).mu))
     front = moeval.pareto_front(pred)
     chosen = list(front.indices)
-    j_vals = np.array([guidance.objective_value(cfg.objective, p) for p in pred])
-    for i in np.argsort(j_vals):
+    for i in np.argsort(guidance.objective_value(cfg.objective, pred)):
         if len(chosen) >= cfg.sweep.candidates:
             break
         if int(i) not in chosen:
@@ -458,10 +457,7 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     for gamma in grid:
         for seed in seeds:
             rng = Rng(seed).split(("sweep", repr(gamma)))
-            gcfg = guidance.GuidanceConfig(
-                gamma=gamma, sigma=cfg.guidance.sigma, steps=cfg.guidance.steps,
-                t_start=cfg.guidance.t_start, clip_norm=cfg.guidance.clip_norm,
-                normalize_gradient=cfg.guidance.normalize_gradient)
+            gcfg = replace(cfg.guidance, gamma=gamma)
             noise = normal_rows([rng.split(("cand", i)) for i in range(len(candidates))],
                                 mu.shape[1:])
             z0 = seqvae.LatentState(z=mu + gcfg.sigma * noise, t=gcfg.t_start)
@@ -524,16 +520,23 @@ def run_report(out_dir, files: dict) -> str:
 
 
 def verify_manifest(out_dir) -> bool:
-    """Re-hash bundle files against the manifest."""
+    """Re-hash bundle files against the manifest.
+
+    A manifest that cannot be read, is not JSON or has no ``files`` map
+    raises ArtifactIOError.
+    """
     try:
         with open(os.path.join(out_dir, "manifest.json")) as fh:
-            manifest = json.load(fh)["files"]
-        for name, digest in manifest.items():
+            manifest = json.load(fh)
+        files = manifest.get("files") if isinstance(manifest, dict) else None
+        if not isinstance(files, dict):
+            raise ValueError("no 'files' map")
+        for name, digest in files.items():
             with open(os.path.join(out_dir, name)) as fh:
                 if hashlib.sha256(fh.read().encode()).hexdigest() != digest:
                     return False
         return True
-    except OSError as e:
+    except (OSError, ValueError) as e:
         raise ArtifactIOError(f"cannot verify manifest under {out_dir}: {e}") from e
 
 

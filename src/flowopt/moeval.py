@@ -37,13 +37,6 @@ def _to_max(points: np.ndarray, directions) -> np.ndarray:
     return pts
 
 
-def dominates(a, b, directions=DEFAULT_DIRECTIONS) -> bool:
-    """Direction-aware Pareto dominance: a >= b everywhere, > somewhere."""
-    a = _to_max(np.atleast_2d(a), directions)[0]
-    b = _to_max(np.atleast_2d(b), directions)[0]
-    return bool(np.all(a >= b) and np.any(a > b))
-
-
 @dataclass
 class ParetoFront:
     """Non-dominated points with back-references into the source array."""

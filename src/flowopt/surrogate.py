@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolation
-from .nn import (AdamState, Mlp, clip_grad_norm, config_from_dict, mlp_arrays, mlp_from_arrays,
-                 optimizer_step)
+from .nn import Mlp, config_from_dict, mlp_arrays, mlp_from_arrays
 from .rng import Rng
 
 P1_BOUNDS = (0.0, 1.0)
@@ -28,11 +26,7 @@ class SurrogateConfig:
     latent_dim: int = 16
     hidden: int = 128
     layers: int = 3
-    lr: float = 1e-3
-    batch_size: int = 128
-    epochs: int = 40
-    holdout_frac: float = 0.15
-    clip_norm: float = 5.0
+    epochs: int = 40  # unread; kept while bench/test_smoke.py sets it
 
 
 class Surrogate:
@@ -79,29 +73,6 @@ class Surrogate:
         return model
 
 
-def prop_loss(pred, y) -> Tensor:
-    """Mean squared error over properties; symmetric and nonnegative."""
-    pred = pred if isinstance(pred, Tensor) else Tensor(pred)
-    y = y if isinstance(y, Tensor) else Tensor(y)
-    if pred.shape != y.shape:
-        raise ContractViolation("prediction/target shape mismatch")
-    return ((pred - y) ** 2).mean()
-
-
-@dataclass
-class FidelityReport:
-    """Held-out fit quality; R^2 = 1 - SS_res / SS_tot per property."""
-
-    mse: list
-    r2: list
-    n_train: int
-    n_holdout: int
-
-    def as_dict(self) -> dict:
-        return {"mse": self.mse, "r2": self.r2,
-                "n_train": self.n_train, "n_holdout": self.n_holdout}
-
-
 def fidelity(pred: np.ndarray, y: np.ndarray) -> tuple:
     """Per-property (mse, r2) lists for prediction/target matrices."""
     err = (pred - y) ** 2
@@ -111,38 +82,3 @@ def fidelity(pred: np.ndarray, y: np.ndarray) -> tuple:
     r2 = np.where(ss_tot > 0, 1.0 - ss_res / np.where(ss_tot > 0, ss_tot, 1.0), 0.0)
     return [float(m) for m in mse], [float(r) for r in r2]
 
-
-def fit_surrogate(pooled: np.ndarray, y: np.ndarray, config: SurrogateConfig,
-                  rng: Rng) -> tuple:
-    """Train a fresh surrogate on (pooled latent, property) pairs.
-
-    Returns (Surrogate, FidelityReport); the report is computed on a held-out
-    split carved deterministically from the data.
-    """
-    if len(pooled) == 0:
-        raise ContractViolation("empty surrogate training set")
-    pooled = np.asarray(pooled, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(pooled)
-    order = rng.split("holdout").permutation(n)
-    n_hold = max(1, int(round(config.holdout_frac * n))) if n > 1 else 0
-    hold, tr = order[:n_hold], order[n_hold:]
-    if len(tr) == 0:
-        tr = order
-    model = Surrogate(config, rng.split("init"))
-    params = model.params()
-    opt = AdamState.create(params, lr=config.lr, weight_decay=1e-5)
-    for epoch in range(config.epochs):
-        erng = rng.split(("epoch", epoch))
-        order_e = erng.permutation(len(tr))
-        for i in range(0, len(tr), config.batch_size):
-            idx = tr[order_e[i:i + config.batch_size]]
-            pred = model.predict_graph(Tensor(pooled[idx]))
-            loss = prop_loss(pred, Tensor(y[idx]))
-            grads = ad.gradients(loss, params)
-            grads, _ = clip_grad_norm(grads, config.clip_norm)
-            optimizer_step(opt, params, grads)
-    eval_idx = hold if len(hold) else tr
-    mse, r2 = fidelity(model.predict(pooled[eval_idx]), y[eval_idx])
-    report = FidelityReport(mse=mse, r2=r2, n_train=len(tr), n_holdout=len(hold))
-    return model, report

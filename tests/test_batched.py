@@ -4,8 +4,9 @@ Rows of a (B, K, d) batch never interact, so row b of a batched latent call
 must equal the same routine run on row b alone, within 1e-12; that holds
 across the chunks ``encode_batch`` splits a long batch into. The vector time
 embedding and the batched evaluation layer (one front/hypervolume sweep over
-an (R, n) presence mask, one bootstrap over an (R, n) index matrix) must
-equal the per-scalar and per-point loops written out below exactly, compared
+an (R, n) presence mask, one bootstrap over an (R, n) index matrix), the
+row-wise gradient normalize/clip and the row-wise objective must equal the
+per-scalar, per-point and per-row loops written out below exactly, compared
 with ``==``.
 """
 
@@ -17,10 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowopt import harness, moeval, toyset
+from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
 from flowopt.flowmatch import FlowConfig, FlowField, sample_prior
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
-                              guided_integrate, objective_gradient)
+                              guided_integrate, objective_gradient, objective_value)
 from flowopt.moeval import MAXIMIZE, MINIMIZE
 from flowopt.nn import TIME_EMBED_FREQ_RANGE, time_embed
 from flowopt.rng import Rng
@@ -65,16 +67,16 @@ def test_guided_integrate_rows_match_single(B, K, d, seed, gamma, normalize, cli
     cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=3, t_start=0.4, clip_norm=clip,
                          normalize_gradient=normalize)
     z0 = Rng(seed).split("z").normal((B, K, d)) * 2.0
-    trajectories, out = guided_integrate(field, sur, spec, cfg, LatentState(z=z0, t=0.4))
-    assert out.z.shape == (B, K, d) and len(trajectories) == B
+    traj, out = guided_integrate(field, sur, spec, cfg, LatentState(z=z0, t=0.4))
+    assert out.z.shape == (B, K, d) and traj.t.shape == (cfg.steps,)
     for b in range(B):
-        (single,), one = guided_integrate(field, sur, spec, cfg,
-                                          LatentState(z=z0[b:b + 1], t=0.4))
+        one_traj, one = guided_integrate(field, sur, spec, cfg,
+                                         LatentState(z=z0[b:b + 1], t=0.4))
         close(out.z[b], one.z[0])
-        assert [(r.step, r.t) for r in trajectories[b]] == [(r.step, r.t) for r in single]
-        for field_name in ("objective", "grad_norm", "velocity_norm"):
-            close([getattr(r, field_name) for r in trajectories[b]],
-                  [getattr(r, field_name) for r in single])
+        assert np.array_equal(traj.t, one_traj.t)
+        for name in ("objective", "grad_norm", "velocity_norm"):
+            assert getattr(traj, name).shape == (cfg.steps, B)
+            close(getattr(traj, name)[:, b], getattr(one_traj, name)[:, 0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,6 +89,63 @@ def test_objective_gradient_rows_match_single(B, K, d, seed, normalize, clip, sp
     for b in range(B):
         close(g[b], objective_gradient(spec, sur, z[b:b + 1], normalize=normalize,
                                        clip_norm=clip)[0])
+
+
+class RowScaledSurrogate:
+    """pred[b] = (pooled[b] * scale[b]) @ W, so a zero row of ``scale`` gives a zero
+    gradient row and the others spread over many norms."""
+
+    def __init__(self, scale, w):
+        self.scale, self.w = scale, w
+
+    def predict_graph(self, pooled):
+        return (pooled * Tensor(self.scale)) @ Tensor(self.w)
+
+
+def loop_postprocess(g, normalize, clip_norm):
+    """The per-row normalize-then-clip loop the row-wise post-processing replaced."""
+    g = g.copy()
+    for b in range(len(g)):
+        if normalize:
+            norm = np.linalg.norm(g[b])
+            if norm > 0:
+                g[b] = g[b] / norm
+        if clip_norm is not None:
+            norm = np.linalg.norm(g[b])
+            if norm > clip_norm:
+                g[b] = g[b] * (clip_norm / norm)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), tokens_k, dims, seeds, st.booleans(),
+       st.sampled_from(["none", "drawn", "at-row"]), st.floats(1e-3, 1e3), specs)
+def test_gradient_postprocessing_equals_row_loop(B, K, d, seed, normalize, clip, clip_value,
+                                                 spec):
+    r = Rng(seed)
+    scale = r.split("scale").normal((B, d)) * 10.0 ** r.split("mag").integers(-3, 4, (B, 1))
+    scale[r.split("zero").uniform(0.0, 1.0, B) < 0.25] = 0.0
+    sur = RowScaledSurrogate(scale, r.split("w").normal((d, 2)))
+    z = r.split("z").normal((B, K, d))
+    raw = objective_gradient(spec, sur, z)
+    clip_norm = {"none": None, "drawn": clip_value}.get(clip)
+    if clip == "at-row":
+        # the median row's norm: rows above it are clipped, a row exactly at
+        # clip_norm sits on the boundary and is kept as is
+        norms = sorted(n for n in map(np.linalg.norm, loop_postprocess(raw, normalize, None))
+                       if n > 0)
+        clip_norm = norms[len(norms) // 2] if norms else None
+    got = objective_gradient(spec, sur, z, normalize=normalize, clip_norm=clip_norm)
+    assert np.array_equal(got, loop_postprocess(raw, normalize, clip_norm))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), seeds, specs)
+def test_objective_value_rows_equal_scalar_calls(B, seed, spec):
+    pred = Rng(seed).normal((B, 2)) * 5.0
+    rows = objective_value(spec, pred)
+    assert isinstance(rows, float) if B == 1 else rows.shape == (B,)
+    assert np.array_equal(np.reshape(rows, B), [objective_value(spec, p) for p in pred])
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,7 +6,7 @@ from flowopt.errors import ContractViolation, NumericFailure
 from flowopt.flowmatch import FlowConfig, FlowField, sample_prior
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
                               guided_integrate, objective_gradient, objective_value,
-                              prepare_optimization, trajectory_lines)
+                              prepare_optimization)
 from flowopt.rng import Rng
 from flowopt.seqvae import LatentState, SeqVae, VaeConfig, mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
@@ -160,15 +160,19 @@ def test_guided_trajectory_records(field, surrogate):
     spec = ObjectiveSpec.maximize_p1_minimize_p2()
     cfg = GuidanceConfig(gamma=2.0, sigma=0.0, steps=6, t_start=0.4,
                          normalize_gradient=True)
-    (traj,), out = guided_integrate(field, surrogate, spec, cfg,
-                                    LatentState(z=Rng(2).normal((1, K, D)), t=cfg.t_start))
-    assert len(traj) == cfg.steps
+    z0 = Rng(2).normal((3, K, D))
+    traj, out = guided_integrate(field, surrogate, spec, cfg,
+                                 LatentState(z=z0, t=cfg.t_start))
     assert out.t == 1.0
-    assert traj[-1].t == pytest.approx(1.0)
-    assert all(np.isfinite(r.objective) for r in traj)
-    assert all(r.grad_norm <= cfg.clip_norm + 1e-12 for r in traj)
-    lines = trajectory_lines(traj)
-    assert len(lines) == cfg.steps and all(len(l.split("\t")) == 5 for l in lines)
+    assert traj.t.shape == (cfg.steps,) and traj.t[-1] == pytest.approx(1.0)
+    assert np.all(np.diff(traj.t) > 0)
+    for stat in (traj.objective, traj.grad_norm, traj.velocity_norm):
+        assert stat.shape == (cfg.steps, 3) and np.isfinite(stat).all()
+    # normalized gradients have unit norm, which the clip at 5 leaves alone
+    np.testing.assert_allclose(traj.grad_norm, 1.0, rtol=1e-12)
+    # the last row's J is that of the final state
+    np.testing.assert_array_equal(
+        traj.objective[-1], objective_value(spec, surrogate.predict(mean_pool(out.z))))
 
 
 def test_guided_gamma_changes_trajectory(field, surrogate):

@@ -24,7 +24,7 @@ def tiny_config(seed=0) -> RunConfig:
         data=DataConfig(seed=5, count=120, min_len=3, max_len=8),
         vae=VaeConfig(K=2, d=8, embed_dim=8, enc_hidden=16, dec_hidden=16,
                       pretrain_epochs=2, finetune_epochs=1, batch_size=32),
-        surrogate=SurrogateConfig(latent_dim=8, hidden=16, layers=2, epochs=2),
+        surrogate=SurrogateConfig(latent_dim=8, hidden=16, layers=2),
         flow=FlowConfig(K=2, d=8, hidden=16, layers=2, time_embed_dim=8,
                         steps=40, batch_size=32, sample_steps=6),
         guidance=GuidanceConfig(gamma=5.0, sigma=0.3, steps=4, t_start=0.5,
@@ -287,6 +287,7 @@ def test_run_config_json_round_trip():
     old["evaluation"]["curve_ci_level"] = 0.9
     old["vae"].update(pooling="attention", seed=0)
     old["flow"]["ot_coupling"] = False
+    old["surrogate"].update(lr=1e-3, batch_size=128, holdout_frac=0.15, clip_norm=5.0)
     assert RunConfig.from_json(json.dumps(old)) == cfg
 
 
@@ -488,10 +489,11 @@ BENCH_CKPT = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "ckpt")
 
 
 def test_committed_bench_checkpoint_loads():
-    """The benchmark's fixed checkpoint predates the retired VAE and flow config
-    keys its headers still carry; it must keep loading and running."""
+    """The benchmark's fixed checkpoint predates the retired VAE, surrogate and
+    flow config keys its headers still carry; it must keep loading and running."""
     _, meta = load_checkpoint(os.path.join(BENCH_CKPT, harness.FINETUNE_CKPT))
     assert {"pooling", "seed"} <= set(meta["config"])
+    assert {"lr", "batch_size", "holdout_frac", "clip_norm"} <= set(meta["surrogate"]["config"])
     models = harness.Pipeline.load(BENCH_CKPT)
     c = models.vae.config
     post = models.vae.encode_batch([("A", "B", "R", "i"), ("C",)])
@@ -523,8 +525,15 @@ def test_cli_optimize(runner, tiny_run):
                                    "--ckpt", tiny_run["ckpt_dir"],
                                    "--tokens", "A B R i"])
     assert res.exit_code == 0, res.output
-    assert "start: A B R i" in res.output
-    assert "final:" in res.output
+    lines = res.output.splitlines()
+    steps = tiny_run["cfg"].guidance.steps
+    assert lines[0] == "step\tt\tJ\t|g|\t|v|"
+    rows = [line.split("\t") for line in lines[1:1 + steps]]
+    assert all(len(row) == 5 for row in rows)
+    assert [int(row[0]) for row in rows] == list(range(steps))
+    assert rows[-1][1] == "1.000000"
+    assert lines[1 + steps].startswith("start: A B R i")
+    assert lines[2 + steps].startswith("final:")
 
 
 def test_cli_budgeted_and_report(runner, tiny_run):
@@ -548,6 +557,31 @@ def test_cli_budgeted_and_report(runner, tiny_run):
         fh.write("\n")
     bad = runner.invoke(cli.main, ["report", "--dir", run_dir])
     assert bad.exit_code == 4
+
+
+@pytest.mark.parametrize("case", ["manifest-not-json", "manifest-without-files",
+                                  "report-not-json"])
+def test_cli_report_malformed_bundle_exit_4(runner, tmp_path, case):
+    harness.run_report(tmp_path, {"report.json": '{"hv": ' if case == "report-not-json" else "{}"})
+    if case == "manifest-not-json":
+        (tmp_path / "manifest.json").write_text("{not json")
+    elif case == "manifest-without-files":
+        (tmp_path / "manifest.json").write_text('{"hashes": {}}')
+    res = runner.invoke(cli.main, ["report", "--dir", str(tmp_path)])
+    assert res.exit_code == 4, res.output
+    assert "i/o error" in res.output
+
+
+@pytest.mark.parametrize("flag, value, bad", [("--grid", "1,x", "'x'"),
+                                              ("--sweep-seeds", "0,a", "'a'")])
+def test_cli_gamma_sweep_bad_list_exit_2(runner, tiny_run, flag, value, bad):
+    res = runner.invoke(cli.main, ["gamma-sweep", "--seed", "0",
+                                   "--config", tiny_run["cfg_path"],
+                                   "--ckpt", tiny_run["ckpt_dir"],
+                                   "--data", tiny_run["data_dir"], flag, value,
+                                   "--out", str(tiny_run["base"] / "bad-sweeps")])
+    assert res.exit_code == 2, res.output
+    assert flag in res.output and bad in res.output
 
 
 def test_cli_gamma_sweep(runner, tiny_run):

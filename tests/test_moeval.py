@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from flowopt import toyset
 from flowopt.errors import (ContractViolation, DegenerateRangeError,
                             UnsupportedDimensionError)
 from flowopt.moeval import (DESCRIPTOR_NAMES, EvalReport, MAXIMIZE, MINIMIZE,
                             auto_reference, bootstrap_ci, descriptor_kl,
-                            descriptor_values, dominates, embedding_projection,
+                            descriptor_values, embedding_projection,
                             feature_matrix, frechet_distance, histogram_kl,
                             hypervolume_2d, hypervolume_2d_with_warnings, hvi,
                             pareto_front, set_metrics, structure_embeddings)
@@ -31,25 +30,6 @@ def brute_force_front(points, directions):
             seen.add(key)
             keep.append(i)
     return {tuple(pts[i]) for i in keep}
-
-
-# -- dominance ------------------------------------------------------------
-
-def test_dominates_basics():
-    # directions: maximize p1, minimize p2
-    assert dominates([0.9, 2.0], [0.5, 3.0])
-    assert dominates([0.9, 2.0], [0.9, 3.0])
-    assert not dominates([0.9, 2.0], [0.9, 2.0])  # irreflexive
-    assert not dominates([0.5, 3.0], [0.9, 2.0])
-    assert not dominates([0.9, 5.0], [0.5, 2.0])  # incomparable
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1))
-def test_dominates_antisymmetric(seed):
-    r = Rng(seed)
-    a, b = r.normal(2), r.normal(2)
-    assert not (dominates(a, b) and dominates(b, a))
 
 
 # -- pareto front ---------------------------------------------------------

@@ -7,16 +7,13 @@ from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
 from flowopt.nn import load_checkpoint, save_checkpoint
 from flowopt.rng import Rng
-from flowopt.surrogate import (P1_BOUNDS, P2_BOUNDS, Surrogate, SurrogateConfig,
-                               FidelityReport, fidelity, fit_surrogate, prop_loss)
+from flowopt.surrogate import P1_BOUNDS, P2_BOUNDS, Surrogate, SurrogateConfig, fidelity
 
 from conftest import finite_difference, rel_err
 
 
-def small_config(**kw):
-    base = dict(latent_dim=4, hidden=16, layers=2, epochs=5, batch_size=16)
-    base.update(kw)
-    return SurrogateConfig(**base)
+def small_config():
+    return SurrogateConfig(latent_dim=4, hidden=16, layers=2)
 
 
 @pytest.fixture
@@ -46,19 +43,6 @@ def test_predict_single_vector_shape(model, rng):
 def test_predict_rejects_nonfinite(model):
     with pytest.raises(ContractViolation):
         model.predict(np.array([[np.nan, 0.0, 0.0, 0.0]]))
-
-
-def test_prop_loss_symmetric_nonnegative(rng):
-    a, b = rng.normal((5, 2)), rng.normal((5, 2))
-    la = prop_loss(a, b).item()
-    lb = prop_loss(b, a).item()
-    assert la == lb >= 0.0
-    assert prop_loss(a, a).item() == 0.0
-
-
-def test_prop_loss_shape_mismatch(rng):
-    with pytest.raises(ContractViolation):
-        prop_loss(rng.normal((3, 2)), rng.normal((4, 2)))
 
 
 def test_predict_graph_gradient_matches_fd(model, rng):
@@ -91,35 +75,6 @@ def test_fidelity_degenerate_targets():
     y = np.full((4, 2), 0.5)
     _, r2 = fidelity(y + 0.1, y)
     assert r2 == [0.0, 0.0]
-
-
-def test_fit_surrogate_learns_linear_map(rng):
-    # targets within the head bounds, linear in the latent
-    x = rng.normal((400, 4))
-    w = np.array([0.2, -0.1, 0.15, 0.05])
-    y = np.stack([0.5 + x @ w * 0.3, 5.0 + x @ w], axis=1)
-    y[:, 0] = np.clip(y[:, 0], 0.05, 0.95)
-    y[:, 1] = np.clip(y[:, 1], 1.2, 9.8)
-    model, report = fit_surrogate(x, y, small_config(epochs=30), rng.split("fit"))
-    assert isinstance(report, FidelityReport)
-    assert report.n_train + report.n_holdout == 400
-    assert min(report.r2) > 0.5
-
-
-def test_fit_surrogate_deterministic(rng):
-    x = Rng(3).normal((50, 4))
-    y = np.stack([np.clip(x[:, 0] * 0.1 + 0.5, 0, 1),
-                  np.clip(x[:, 1] + 5, 1, 10)], axis=1)
-    m1, r1 = fit_surrogate(x, y, small_config(), Rng(9))
-    m2, r2 = fit_surrogate(x, y, small_config(), Rng(9))
-    for p1, p2 in zip(m1.params(), m2.params()):
-        assert np.array_equal(p1.data, p2.data)
-    assert r1.mse == r2.mse
-
-
-def test_fit_surrogate_empty_rejected(rng):
-    with pytest.raises(ContractViolation):
-        fit_surrogate(np.zeros((0, 4)), np.zeros((0, 2)), small_config(), rng)
 
 
 def test_checkpoint_round_trip(model, tmp_path, rng):
