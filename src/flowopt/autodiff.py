@@ -43,12 +43,12 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id", "op")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None, op="leaf"):
+    def __init__(self, data, requires_grad=False, _parents=(), op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self.grad = None
         self._parents = _parents
-        self._backward = _backward
+        self._backward = None
         self._id = next(_ids)
         self.op = op
 
@@ -194,13 +194,13 @@ class Tensor:
         out._backward = back
         return out
 
-    def mean(self, axis=None, keepdims=False):
+    def mean(self, axis=None):
         if axis is None:
             n = self.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
             n = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        return self.sum(axis=axis) * (1.0 / n)
 
 
 def _as_tensor(x) -> Tensor:

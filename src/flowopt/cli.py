@@ -33,8 +33,7 @@ def _exit_codes(fn):
             click.echo(f"config error: {e}", err=True)
             sys.exit(2)
         except NumericFailure as e:
-            where = f" [{e.where}]" if getattr(e, "where", None) else ""
-            click.echo(f"numeric failure: {e}{where}", err=True)
+            click.echo(f"numeric failure: {e}", err=True)  # the message names the site
             sys.exit(3)
         except (ArtifactIOError, OSError) as e:
             click.echo(f"i/o error: {e}", err=True)

@@ -13,6 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, asdict
 
+from . import toyset
 from .errors import ConfigError
 from .flowmatch import FlowConfig
 from .guidance import GuidanceConfig, ObjectiveSpec
@@ -57,7 +58,6 @@ class GradientAscentConfig:
 @dataclass
 class EvalConfig:
     ref_margin: float = 0.1
-    fallback_reference: tuple = (0.0, 10.0)
     bootstrap_resamples: int = 1000
     ci_level: float = 0.95
     bins: int = 50
@@ -149,7 +149,7 @@ def toy_default(seed: int = 0) -> RunConfig:
         guidance=GuidanceConfig(gamma=10.0, sigma=0.5, steps=15, t_start=0.7,
                                 normalize_gradient=False),
         objective=ObjectiveSpec(mode="target", weights=(1.0, 0.5),
-                                targets=(0.8, 2.5), signs=(1, -1)),
+                                targets=(0.8, 2.5), signs=toyset.PROPERTY_SIGNS),
     )
 
 

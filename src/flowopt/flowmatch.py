@@ -40,9 +40,12 @@ class FlowField:
 
     def __init__(self, config: FlowConfig, rng: Rng):
         self.config = config
-        dim = config.K * config.d
-        sizes = [dim + config.time_embed_dim] + [config.hidden] * (config.layers - 1) + [dim]
-        self.net = Mlp.create(sizes, rng.split("flow"), activation="tanh")
+        self.net = Mlp.create(self._sizes(config), rng.split("flow"), activation="tanh")
+
+    @staticmethod
+    def _sizes(c: FlowConfig) -> list:
+        dim = c.K * c.d
+        return [dim + c.time_embed_dim] + [c.hidden] * (c.layers - 1) + [dim]
 
     def params(self) -> list:
         return self.net.params()
@@ -55,21 +58,19 @@ class FlowField:
             te = np.repeat(te, B, axis=0)
         return self.net(ad.concat([z, Tensor(te)], axis=1))
 
-    def arrays(self, prefix="flow") -> dict:
-        return mlp_arrays(prefix, self.net)
+    def arrays(self) -> dict:
+        return mlp_arrays("flow", self.net)
 
     def meta(self) -> dict:
         return {"model_kind": "flowfield", "config": asdict(self.config)}
 
     @classmethod
-    def from_checkpoint(cls, arrays: dict, meta: dict, prefix="flow") -> "FlowField":
+    def from_checkpoint(cls, arrays: dict, meta: dict) -> "FlowField":
         cfg = config_from_dict(FlowConfig, meta["config"])
         model = cls.__new__(cls)
         model.config = cfg
-        dim = cfg.K * cfg.d
-        sizes = [dim + cfg.time_embed_dim] + [cfg.hidden] * (cfg.layers - 1) + [dim]
-        model.net = mlp_from_arrays(prefix, arrays,
-                                    {"sizes": sizes, "activation": "tanh"})
+        model.net = mlp_from_arrays("flow", arrays,
+                                    {"sizes": cls._sizes(cfg), "activation": "tanh"})
         return model
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import toyset
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
 from .seqvae import LatentState, mean_pool
@@ -40,6 +41,8 @@ class ObjectiveSpec:
             raise ContractViolation("weights must be finite and nonnegative")
         if self.mode == "target" and self.targets is None:
             raise ContractViolation("target mode requires targets")
+        if self.targets is not None and not np.isfinite(self.targets).all():
+            raise ContractViolation(f"targets must be finite, not {self.targets!r}")
         if self.mode == "directional":
             if self.signs is None or any(s not in (-1, 1) for s in self.signs):
                 raise ContractViolation("directional mode requires signs in {+1, -1}")
@@ -47,7 +50,7 @@ class ObjectiveSpec:
     @classmethod
     def maximize_p1_minimize_p2(cls) -> "ObjectiveSpec":
         """The default two-property setting: raise p1, lower p2."""
-        return cls(mode="directional", signs=(1, -1))
+        return cls(mode="directional", signs=toyset.PROPERTY_SIGNS)
 
 
 def objective_value(spec: ObjectiveSpec, pred):
@@ -115,14 +118,17 @@ class GuidanceConfig:
     normalize_gradient: bool = True
 
     def __post_init__(self):
-        if self.gamma < 0 or self.sigma < 0:
-            raise ContractViolation("gamma and sigma must be >= 0")
+        for name in ("gamma", "sigma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ContractViolation(f"{name} must be finite and >= 0, not {value!r}")
         if self.steps < 1:
             raise ContractViolation("steps must be >= 1")
         if not (0.0 <= self.t_start < 1.0):
             raise ContractViolation("t_start must lie in [0, 1)")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ContractViolation("clip_norm must be positive when set")
+        if self.clip_norm is not None and not (np.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ContractViolation(f"clip_norm must be finite and positive when set, "
+                                    f"not {self.clip_norm!r}")
 
 
 @dataclass

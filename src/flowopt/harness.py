@@ -300,18 +300,14 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
                           cfg.selection.pareto_weight, srng.split("select"))
         entry = state.pool[idx]
         proposed = _propose(proposer, models, cfg, entry, srng.split("propose"))
-        try:
-            props = oracle(proposed)
-        except BudgetExhausted:
-            complete = False
-            break
-        new = PoolEntry(structure=proposed, props=props)
+        new = PoolEntry(structure=proposed, props=oracle(proposed))
         state.pool.append(new)
         state.history.append(new.features)
         if len(state.history) > cfg.selection.history_window:
             state.history.pop(0)
-        optimized = np.stack([e.props for e in state.pool if not e.from_init])
-        trace.append((oracle.calls, moeval.hvi(baseline, optimized, ref, hv_base=hv_base)))
+        # The pool is the baseline followed by the optimized points.
+        hvi = max(0.0, moeval.hypervolume_2d(state.points(), ref) - hv_base)
+        trace.append((oracle.calls, hvi))
         step += 1
 
     final_hvi = trace[-1][1] if trace else 0.0
@@ -320,8 +316,7 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
         reference = reference_set(dataset, cfg)
     report = _evaluate(models, cfg, proposed_structures, baseline, ref, seed, reference)
     return BudgetedResult(
-        proposer=proposer, seed=seed, calls=oracle.calls,
-        complete=complete and oracle.calls == cfg.budget.budget,
+        proposer=proposer, seed=seed, calls=oracle.calls, complete=complete,
         reference=tuple(float(x) for x in ref),
         hvi_trace=trace, final_hvi=final_hvi, report=report,
         pool_keys=[e.structure.canonical_key for e in state.pool])
@@ -331,12 +326,13 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
 
 def reference_point(baseline, cfg: RunConfig) -> np.ndarray:
     """The hypervolume reference for a baseline point set: ``auto_reference``
-    with the configured margin, or ``fallback_reference`` when an objective
-    has zero range over the baseline."""
+    with the configured margin, or the worst corner of the property ranges
+    when a property has zero range over the baseline."""
     try:
         return moeval.auto_reference(baseline, margin=cfg.evaluation.ref_margin)
     except moeval.DegenerateRangeError:
-        return np.asarray(cfg.evaluation.fallback_reference, dtype=np.float64)
+        lo, hi = np.array([toyset.P1_BOUNDS, toyset.P2_BOUNDS]).T
+        return np.where(np.asarray(toyset.PROPERTY_SIGNS) > 0, lo, hi)
 
 
 @dataclass
@@ -370,7 +366,9 @@ def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
                                             "objective": asdict(cfg.objective)})
     if not structures:
         return report
-    points = np.stack([toyset.oracle_properties(s).as_array() for s in structures])
+    features = moeval.feature_matrix(structures)
+    descriptors = moeval.descriptor_values(structures, features)
+    points = np.stack([descriptors["p1"], descriptors["p2"]], axis=1)
     all_points = np.vstack([baseline_points, points])
     hv_base, _ = moeval.hypervolume_2d_with_warnings(baseline_points, ref)
     hv_all, excluded = moeval.hypervolume_2d_with_warnings(all_points, ref)
@@ -395,12 +393,10 @@ def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
     report.novelty = sm["novelty"]
     report.skeleton_diversity = sm["skeleton_diversity"]
 
-    features = moeval.feature_matrix(structures)
     if len(structures) >= 2 and len(reference.embeddings) >= 2:
         report.frechet = moeval.frechet_distance(
             moeval.structure_embeddings(features, reference.projection), reference.embeddings)
-    report.descriptor_kl = moeval.descriptor_kl(
-        moeval.descriptor_values(structures, features), reference.descriptors, bins=ev.bins)
+    report.descriptor_kl = moeval.descriptor_kl(descriptors, reference.descriptors, bins=ev.bins)
     post = models.vae.encode_batch([s.canonical_tokens for s in structures])
     mse, r2 = surrogate_mod.fidelity(models.surrogate.predict(seqvae.mean_pool(post.mu)), points)
     report.surrogate_mse = mse
@@ -442,6 +438,7 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     seeds = list(cfg.sweep.seeds if seeds is None else seeds)
     if not grid:
         raise ConfigError("gamma grid must be nonempty")
+    cells = [replace(cfg.guidance, gamma=gamma) for gamma in grid]  # validated before any work
     reference = reference_set(dataset, cfg)
     candidates = _sweep_candidates(models, dataset, cfg)
     # Encoded once per sweep; each cell adds the noise prepare_optimization
@@ -454,10 +451,10 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     ref = reference_point(baseline, cfg)
 
     rows = []
-    for gamma in grid:
+    for gcfg in cells:
+        gamma = gcfg.gamma
         for seed in seeds:
             rng = Rng(seed).split(("sweep", repr(gamma)))
-            gcfg = replace(cfg.guidance, gamma=gamma)
             noise = normal_rows([rng.split(("cand", i)) for i in range(len(candidates))],
                                 mu.shape[1:])
             z0 = seqvae.LatentState(z=mu + gcfg.sigma * noise, t=gcfg.t_start)

@@ -18,32 +18,22 @@ from .errors import (ContractViolation, DegenerateRangeError, NumericFailure,
                      UnsupportedDimensionError)
 from .rng import Rng
 
-MAXIMIZE, MINIMIZE = "max", "min"
-DEFAULT_DIRECTIONS = (MAXIMIZE, MINIMIZE)  # (p1, p2)
-
 EMBED_DIM = 32
 DESCRIPTOR_NAMES = ("length", "branch_depth", "side_groups", "skeleton_length",
                     "popcount", "p1", "p2")
 
 
-def _to_max(points: np.ndarray, directions) -> np.ndarray:
-    """Flip minimized objectives so everything is maximization."""
-    pts = np.array(points, dtype=np.float64)
-    for j, d in enumerate(directions):
-        if d == MINIMIZE:
-            pts[:, j] = -pts[:, j]
-        elif d != MAXIMIZE:
-            raise ContractViolation(f"unknown direction {d!r}")
-    return pts
+def _to_max(points) -> np.ndarray:
+    """(p1, p2) points with both properties maximized; applied twice, the identity."""
+    return np.asarray(points, dtype=np.float64) * toyset.PROPERTY_SIGNS
 
 
 @dataclass
 class ParetoFront:
     """Non-dominated points with back-references into the source array."""
 
-    points: np.ndarray       # (m, n_obj), original direction convention
+    points: np.ndarray       # (m, 2), as given
     indices: np.ndarray      # (m,) indices into the input point set
-    directions: tuple = DEFAULT_DIRECTIONS
 
 
 def _sweep_2d(t: np.ndarray, present: np.ndarray) -> tuple:
@@ -64,42 +54,41 @@ def _sweep_2d(t: np.ndarray, present: np.ndarray) -> tuple:
     return order, present & (y > before), before
 
 
-def pareto_front(points, directions=DEFAULT_DIRECTIONS) -> ParetoFront:
-    """Exact non-dominated subset of 2-objective points via a lexicographic sweep.
+def pareto_front(points) -> ParetoFront:
+    """Exact non-dominated subset of (p1, p2) points via a lexicographic sweep.
 
-    Equal points are deduplicated; output order is canonical (first
-    objective best-first after transform, stable on ties).
+    Equal points are deduplicated; output order is canonical (p1 best-first,
+    stable on ties).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if len(pts) == 0:
         raise ContractViolation("pareto_front requires at least one point")
     if pts.shape[1] != 2:
         raise UnsupportedDimensionError("pareto_front is implemented for exactly 2 objectives")
-    order, front, _ = _sweep_2d(_to_max(pts, directions), np.ones((1, len(pts)), dtype=bool))
+    order, front, _ = _sweep_2d(_to_max(pts), np.ones((1, len(pts)), dtype=bool))
     idx = order[front[0]]
-    return ParetoFront(points=pts[idx], indices=idx, directions=tuple(directions))
+    return ParetoFront(points=pts[idx], indices=idx)
 
 
-def hypervolume_2d(points, ref, directions=DEFAULT_DIRECTIONS):
+def hypervolume_2d(points, ref):
     """Exact dominated area for 2 objectives, bounded by ``ref``.
 
     Accepts any point set (the non-dominated subset is taken internally).
     Points that do not dominate the reference are excluded; the number
     excluded is returned alongside in ``hypervolume_2d_with_warnings``.
     """
-    hv, _ = hypervolume_2d_with_warnings(points, ref, directions)
+    hv, _ = hypervolume_2d_with_warnings(points, ref)
     return hv
 
 
-def hypervolume_2d_with_warnings(points, ref, directions=DEFAULT_DIRECTIONS):
+def hypervolume_2d_with_warnings(points, ref):
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    (hv,) = hypervolume_2d_rows(pts, np.ones((1, len(pts)), dtype=bool), ref, directions)
-    r = _to_max(np.atleast_2d(ref), directions)[0]
-    inside = np.all(_to_max(pts, directions) > r, axis=1)
+    (hv,) = hypervolume_2d_rows(pts, np.ones((1, len(pts)), dtype=bool), ref)
+    inside = np.all(_to_max(pts) > _to_max(ref), axis=1)
     return float(hv), int(len(pts) - inside.sum())
 
 
-def hypervolume_2d_rows(points, present, ref, directions=DEFAULT_DIRECTIONS) -> np.ndarray:
+def hypervolume_2d_rows(points, present, ref) -> np.ndarray:
     """Exact hypervolume of each row's subset: row r holds the points where ``present[r]``.
 
     ``points`` is (n, 2) and ``present`` an (R, n) mask. Each front point
@@ -114,43 +103,28 @@ def hypervolume_2d_rows(points, present, ref, directions=DEFAULT_DIRECTIONS) -> 
     present = np.atleast_2d(np.asarray(present, dtype=bool))
     if len(pts) == 0:
         return np.zeros(len(present))
-    t = _to_max(pts, directions)
-    r = _to_max(np.atleast_2d(ref), directions)[0]
+    t, r = _to_max(pts), _to_max(ref)
     order, front, before = _sweep_2d(t, present & np.all(t > r, axis=1))
     x, y = t[order, 0], t[order, 1]
     terms = np.where(front, (x - r[0]) * (y - np.maximum(before, r[1])), 0.0)
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def hvi(baseline, optimized, ref, directions=DEFAULT_DIRECTIONS, hv_base=None) -> float:
-    """Hypervolume gained by adding optimized points to the baseline front.
-
-    ``hv_base`` may carry the baseline's own hypervolume when a caller
-    scores many point sets against one baseline.
-    """
-    base = np.atleast_2d(np.asarray(baseline, dtype=np.float64))
-    opt = np.atleast_2d(np.asarray(optimized, dtype=np.float64))
-    if hv_base is None:
-        hv_base = hypervolume_2d(base, ref, directions)
-    hv_union = hypervolume_2d(np.vstack([base, opt]), ref, directions)
-    return max(0.0, hv_union - hv_base)
-
-
-def auto_reference(points, directions=DEFAULT_DIRECTIONS, margin: float = 0.1) -> np.ndarray:
-    """Worst observed value per objective pushed ``margin``*range further."""
+def auto_reference(points, margin: float = 0.1) -> np.ndarray:
+    """Worst observed value per property pushed ``margin``*range further."""
     if margin < 0:
         raise ContractViolation("margin must be >= 0")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if len(pts) == 0:
         raise ContractViolation("auto_reference requires points")
-    ref = np.empty(pts.shape[1])
-    for j, d in enumerate(directions):
-        lo, hi = pts[:, j].min(), pts[:, j].max()
-        rng_j = hi - lo
-        if rng_j == 0:
-            raise DegenerateRangeError(f"objective {j} has zero range; supply an explicit reference")
-        ref[j] = lo - margin * rng_j if d == MAXIMIZE else hi + margin * rng_j
-    return ref
+    t = _to_max(pts)
+    worst = t.min(axis=0)
+    span = t.max(axis=0) - worst
+    flat = np.flatnonzero(span == 0)
+    if len(flat):
+        raise DegenerateRangeError(
+            f"objective {flat[0]} has zero range; supply an explicit reference")
+    return _to_max(worst - margin * span)
 
 
 def bootstrap_ci(metric_fn, n: int, resamples: int, level: float, rng: Rng) -> tuple:
@@ -226,10 +200,10 @@ def frechet_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(0.0, fd)
 
 
-def embedding_projection(seed: int, in_dim: int = toyset.FEATURE_BITS,
-                         out_dim: int = EMBED_DIM) -> np.ndarray:
-    """Seeded random Gaussian projection matrix for fingerprint embeddings."""
-    return Rng(seed).split("projection").normal((in_dim, out_dim)) / np.sqrt(out_dim)
+def embedding_projection(seed: int) -> np.ndarray:
+    """Seeded random Gaussian (FEATURE_BITS, EMBED_DIM) projection for fingerprint embeddings."""
+    return (Rng(seed).split("projection").normal((toyset.FEATURE_BITS, EMBED_DIM))
+            / np.sqrt(EMBED_DIM))
 
 
 def feature_matrix(structures) -> np.ndarray:
@@ -263,13 +237,13 @@ def descriptor_values(structures, features: np.ndarray) -> dict:
     return {k: np.asarray(v, dtype=np.float64) for k, v in cols.items()}
 
 
-def histogram_kl(gen_vals: np.ndarray, ref_vals: np.ndarray, bins: int = 50,
-                 eps: float = 1e-10) -> float:
+def histogram_kl(gen_vals: np.ndarray, ref_vals: np.ndarray, bins: int = 50) -> float:
     """KL(gen || ref) over shared bins from the reference range.
 
     Generated values outside the reference range are clamped into the edge
-    bins. Both histograms get additive smoothing ``eps``.
+    bins. Both histograms get additive smoothing of 1e-10.
     """
+    eps = 1e-10
     lo, hi = float(ref_vals.min()), float(ref_vals.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5

@@ -296,7 +296,8 @@ def _epoch_batches(n, batch_size, rng: Rng):
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def evaluate_elbo(model: SeqVae, entries, beta: float, rng: Rng, batch_size=128) -> float:
+def evaluate_elbo(model: SeqVae, entries, beta: float, rng: Rng) -> float:
+    batch_size = 128
     total, count = 0.0, 0
     for i in range(0, len(entries), batch_size):
         batch = [e[0] for e in entries[i:i + batch_size]]

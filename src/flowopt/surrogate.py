@@ -1,9 +1,9 @@
 """Differentiable property predictor over pooled latents.
 
-Two bounded heads: p1 in [0, 1] via sigmoid, p2 in [1, 10] via affine-scaled
-sigmoid; bounds hold for arbitrarily large inputs by construction. The
-training loss is unweighted MSE; objective weights only enter at guidance
-time.
+Two bounded heads, sigmoids scaled to ``toyset.P1_BOUNDS`` and
+``toyset.P2_BOUNDS``; bounds hold for arbitrarily large inputs by
+construction. The training loss is unweighted MSE; objective weights only
+enter at guidance time.
 """
 
 from __future__ import annotations
@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import toyset
 from .autodiff import Tensor
 from .errors import ContractViolation
 from .nn import Mlp, config_from_dict, mlp_arrays, mlp_from_arrays
 from .rng import Rng
-
-P1_BOUNDS = (0.0, 1.0)
-P2_BOUNDS = (1.0, 10.0)
 
 
 @dataclass
@@ -34,8 +32,11 @@ class Surrogate:
 
     def __init__(self, config: SurrogateConfig, rng: Rng):
         self.config = config
-        sizes = [config.latent_dim] + [config.hidden] * (config.layers - 1) + [2]
-        self.net = Mlp.create(sizes, rng.split("surrogate"), activation="tanh")
+        self.net = Mlp.create(self._sizes(config), rng.split("surrogate"), activation="tanh")
+
+    @staticmethod
+    def _sizes(c: SurrogateConfig) -> list:
+        return [c.latent_dim] + [c.hidden] * (c.layers - 1) + [2]
 
     def params(self) -> list:
         return self.net.params()
@@ -43,8 +44,7 @@ class Surrogate:
     def predict_graph(self, pooled: Tensor) -> Tensor:
         """Bounded predictions (B, 2) as a differentiable graph node."""
         raw = self.net(pooled if isinstance(pooled, Tensor) else Tensor(pooled))
-        lo = np.array([P1_BOUNDS[0], P2_BOUNDS[0]])
-        hi = np.array([P1_BOUNDS[1], P2_BOUNDS[1]])
+        lo, hi = np.array([toyset.P1_BOUNDS, toyset.P2_BOUNDS]).T
         return raw.sigmoid() * Tensor(hi - lo) + Tensor(lo)
 
     def predict(self, pooled: np.ndarray) -> np.ndarray:
@@ -54,22 +54,21 @@ class Surrogate:
             raise ContractViolation("pooled latent must be finite")
         return self.predict_graph(Tensor(x)).data
 
-    def arrays(self, prefix="surrogate") -> dict:
-        return mlp_arrays(prefix, self.net)
+    def arrays(self) -> dict:
+        return mlp_arrays("surrogate", self.net)
 
     def meta(self) -> dict:
         from dataclasses import asdict
         return {"model_kind": "surrogate", "config": asdict(self.config),
-                "bounds": [list(P1_BOUNDS), list(P2_BOUNDS)]}
+                "bounds": [list(toyset.P1_BOUNDS), list(toyset.P2_BOUNDS)]}
 
     @classmethod
-    def from_checkpoint(cls, arrays: dict, meta: dict, prefix="surrogate") -> "Surrogate":
+    def from_checkpoint(cls, arrays: dict, meta: dict) -> "Surrogate":
         cfg = config_from_dict(SurrogateConfig, meta["config"])
         model = cls.__new__(cls)
         model.config = cfg
-        sizes = [cfg.latent_dim] + [cfg.hidden] * (cfg.layers - 1) + [2]
-        model.net = mlp_from_arrays(prefix, arrays,
-                                    {"sizes": sizes, "activation": "tanh"})
+        model.net = mlp_from_arrays("surrogate", arrays,
+                                    {"sizes": cls._sizes(cfg), "activation": "tanh"})
         return model
 
 

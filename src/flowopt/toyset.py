@@ -42,6 +42,13 @@ TOKEN_ID = {t: i for i, t in enumerate(VOCAB)}
 MAX_LEN = 64
 FEATURE_BITS = 512
 
+# The property orientation and ranges, which every other module reads from
+# here: p1 is maximized over P1_BOUNDS and p2 minimized over P2_BOUNDS. A
+# (p1, p2) point times PROPERTY_SIGNS has both properties maximized.
+PROPERTY_SIGNS = (1, -1)
+P1_BOUNDS = (0.0, 1.0)
+P2_BOUNDS = (1.0, 10.0)
+
 EMPTY_KEY = "∅"
 
 

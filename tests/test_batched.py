@@ -23,7 +23,6 @@ from flowopt.errors import ContractViolation
 from flowopt.flowmatch import FlowConfig, FlowField, sample_prior
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
                               guided_integrate, objective_gradient, objective_value)
-from flowopt.moeval import MAXIMIZE, MINIMIZE
 from flowopt.nn import TIME_EMBED_FREQ_RANGE, time_embed
 from flowopt.rng import Rng
 from flowopt.seqvae import ENCODE_CHUNK, LatentState, SeqVae, VaeConfig
@@ -250,12 +249,9 @@ def test_time_embed_rejects_bad_time_or_dim(ts, bad, at, dim):
 
 # -- evaluation layer -----------------------------------------------------
 
-DIRECTIONS = ((MAXIMIZE, MINIMIZE), (MAXIMIZE, MAXIMIZE), (MINIMIZE, MINIMIZE))
-
-
-def to_max(points, directions):
-    return np.asarray(points, dtype=np.float64) * [1.0 if d == MAXIMIZE else -1.0
-                                                   for d in directions]
+def to_max(points):
+    """(p1, p2) points with p2 negated: both maximized. Its own inverse."""
+    return np.asarray(points, dtype=np.float64) * [1.0, -1.0]
 
 
 def brute_front(t):
@@ -268,12 +264,12 @@ def brute_front(t):
     return keep
 
 
-def loop_hypervolume(points, ref, directions):
+def loop_hypervolume(points, ref):
     """Per-point reference: brute-force front of the points inside ``ref``,
     then one term per front point, summed in a Python loop. Returns the
     volume and the number of points outside."""
-    t = to_max(np.reshape(points, (-1, 2)), directions)
-    r = to_max(ref, directions)
+    t = to_max(np.reshape(points, (-1, 2)))
+    r = to_max(ref)
     inside = t[[bool(p[0] > r[0] and p[1] > r[1]) for p in t]]
     front = sorted((tuple(inside[i]) for i in brute_front(inside)), key=lambda p: -p[0])
     hv, prev = 0.0, r[1]
@@ -291,8 +287,7 @@ coords = st.one_of(st.integers(-4, 4).map(lambda k: k / 2.0),
 
 @st.composite
 def point_sets(draw, max_n=24):
-    """(points, ref, directions); some sets are one long staircase front."""
-    directions = draw(st.sampled_from(DIRECTIONS))
+    """(points, ref); some sets are one long staircase front."""
     n = draw(st.integers(0, max_n))
     xs = draw(st.lists(coords, min_size=n, max_size=n))
     ys = draw(st.lists(coords, min_size=n, max_size=n))
@@ -300,23 +295,23 @@ def point_sets(draw, max_n=24):
         xs, ys = sorted(xs), sorted(ys, reverse=True)
     t = np.array([xs, ys], dtype=np.float64).T.reshape(n, 2)
     ref = np.array([draw(coords), draw(coords)]) - draw(st.sampled_from([0.0, 6.0]))
-    return to_max(t, directions), to_max(ref, directions), directions
+    return to_max(t), to_max(ref)
 
 
 @settings(max_examples=300, deadline=None)
 @given(point_sets(), st.data())
 def test_hypervolume_rows_match_loop(case, data):
-    points, ref, directions = case
+    points, ref = case
     n = len(points)
     rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=5))
     present = np.array([[False] * n, [True] * n] + rows, dtype=bool).reshape(2 + len(rows), n)
-    got = moeval.hypervolume_2d_rows(points, present, ref, directions)
+    got = moeval.hypervolume_2d_rows(points, present, ref)
     assert got.shape == (len(present),)
     for row, hv in zip(present, got):
-        want, outside = loop_hypervolume(points[row], ref, directions)
+        want, outside = loop_hypervolume(points[row], ref)
         assert hv == want
-        assert moeval.hypervolume_2d(points[row], ref, directions) == want
-        assert moeval.hypervolume_2d_with_warnings(points[row], ref, directions) == (want, outside)
+        assert moeval.hypervolume_2d(points[row], ref) == want
+        assert moeval.hypervolume_2d_with_warnings(points[row], ref) == (want, outside)
 
 
 def test_hypervolume_long_front_sums_in_order():
@@ -328,7 +323,7 @@ def test_hypervolume_long_front_sums_in_order():
         points, ref = np.stack([xs, ys], axis=1), np.array([-0.1, 10.5])
         present = np.stack([np.ones(200, dtype=bool), r.uniform(0, 1, (200,)) < 0.7])
         for row, hv in zip(present, moeval.hypervolume_2d_rows(points, present, ref)):
-            want = loop_hypervolume(points[row], ref, moeval.DEFAULT_DIRECTIONS)[0]
+            want = loop_hypervolume(points[row], ref)[0]
             assert hv == want
             assert moeval.hypervolume_2d(points[row], ref) == want
 
@@ -336,14 +331,14 @@ def test_hypervolume_long_front_sums_in_order():
 @settings(max_examples=300, deadline=None)
 @given(point_sets())
 def test_pareto_front_matches_brute_force(case):
-    points, _, directions = case
+    points, _ = case
     if len(points) == 0:
         return
-    front = moeval.pareto_front(points, directions)
-    keep = brute_front(to_max(points, directions))
+    front = moeval.pareto_front(points)
+    keep = brute_front(to_max(points))
     assert sorted(front.indices.tolist()) == keep
     assert np.array_equal(front.points, points[front.indices])
-    xs = to_max(front.points, directions)[:, 0]
+    xs = to_max(front.points)[:, 0]
     assert np.all(xs[:-1] > xs[1:])  # canonical order: first objective best-first
 
 
@@ -351,7 +346,7 @@ def test_pareto_front_matches_brute_force(case):
 @given(point_sets(max_n=12), st.lists(st.tuples(coords, coords), min_size=1, max_size=12),
        st.integers(1, 40), st.sampled_from([0.5, 0.9, 0.95]), st.integers(0, 2 ** 16))
 def test_bootstrap_ci_matches_resample_loop(base_case, drawn, resamples, level, seed):
-    baseline, ref, directions = base_case
+    baseline, ref = base_case
     generated = np.array(drawn, dtype=np.float64)
     n = len(generated)
     all_points = np.vstack([baseline, generated])
@@ -360,12 +355,12 @@ def test_bootstrap_ci_matches_resample_loop(base_case, drawn, resamples, level, 
         present = np.zeros((len(idx), len(all_points)), dtype=bool)
         present[:, :len(baseline)] = True
         present[np.arange(len(idx))[:, None], len(baseline) + idx] = True
-        return moeval.hypervolume_2d_rows(all_points, present, ref, directions)
+        return moeval.hypervolume_2d_rows(all_points, present, ref)
 
     got = moeval.bootstrap_ci(metric, n, resamples, level, Rng(seed))
     gen = Rng(seed).split("bootstrap").gen
-    stats = [loop_hypervolume(np.vstack([baseline, generated[gen.integers(0, n, n)]]),
-                              ref, directions)[0] for _ in range(resamples)]
+    stats = [loop_hypervolume(np.vstack([baseline, generated[gen.integers(0, n, n)]]), ref)[0]
+             for _ in range(resamples)]
     alpha = (1.0 - level) / 2.0
     assert got == (float(np.quantile(stats, alpha)), float(np.quantile(stats, 1.0 - alpha)))
 
@@ -409,8 +404,7 @@ def test_evaluate_hv_ci_matches_resample_loop(picks, seed):
     points = np.stack([toyset.oracle_properties(s).as_array() for s in structures])
     ev, n = TINY.evaluation, len(points)
     gen = Rng(seed).split("hv-ci").split("bootstrap").gen
-    stats = [loop_hypervolume(np.vstack([baseline, points[gen.integers(0, n, n)]]), ref,
-                              moeval.DEFAULT_DIRECTIONS)[0]
+    stats = [loop_hypervolume(np.vstack([baseline, points[gen.integers(0, n, n)]]), ref)[0]
              for _ in range(ev.bootstrap_resamples)]
     alpha = (1.0 - ev.ci_level) / 2.0
     assert report.hv_ci == (float(np.quantile(stats, alpha)),

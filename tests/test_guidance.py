@@ -143,6 +143,18 @@ def test_guidance_config_validation():
         GuidanceConfig(clip_norm=0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda bad: GuidanceConfig(gamma=bad),
+    lambda bad: GuidanceConfig(sigma=bad),
+    lambda bad: GuidanceConfig(clip_norm=bad),
+    lambda bad: ObjectiveSpec(mode="target", targets=(0.5, bad)),
+], ids=["gamma", "sigma", "clip_norm", "targets"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_guidance_values_rejected(build, bad):
+    with pytest.raises(ContractViolation, match=str(bad)):
+        build(bad)
+
+
 # -- guided integration ---------------------------------------------------
 
 def test_gamma_zero_bit_identical_to_unconditional(field, surrogate):

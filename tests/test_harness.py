@@ -9,7 +9,7 @@ from scipy import stats as sps
 
 from flowopt import cli, flowmatch, harness, moeval, seqvae, toyset
 from flowopt.config import RunConfig, DataConfig, BudgetConfig, EvalConfig, SweepConfig
-from flowopt.errors import ConfigError, ContractViolation
+from flowopt.errors import ConfigError, ContractViolation, NumericFailure
 from flowopt.flowmatch import FlowConfig
 from flowopt.guidance import GuidanceConfig, ObjectiveSpec
 from flowopt.nn import load_checkpoint
@@ -171,6 +171,19 @@ def test_budgeted_run_deterministic(tiny_run):
     assert a.hvi_trace == b.hvi_trace
 
 
+@pytest.mark.parametrize("budget, complete", [(3, False), (5, True)])
+def test_budgeted_run_initial_pool_at_or_over_budget(tiny_run, budget, complete):
+    """A paid initial pool of 5 that meets the budget leaves no step to take;
+    one that exceeds it stops at the budget, incomplete."""
+    import dataclasses
+    cfg = tiny_config()
+    cfg.budget = dataclasses.replace(cfg.budget, budget=budget, init_size=5)
+    result = harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg, "random", seed=3)
+    assert result.complete is complete
+    assert result.calls == len(result.pool_keys) == budget
+    assert result.hvi_trace == [] and result.final_hvi == 0.0
+
+
 def test_budgeted_run_unknown_proposer(tiny_run):
     with pytest.raises(ConfigError):
         harness.budgeted_run(tiny_run["models"], tiny_run["ds"],
@@ -248,7 +261,7 @@ def test_reference_point_falls_back_on_zero_range():
     flat = np.array([[0.2, 3.0], [0.6, 3.0]])
     ref = harness.reference_point(flat, cfg)
     assert ref.dtype == np.float64
-    assert tuple(ref) == cfg.evaluation.fallback_reference
+    assert tuple(ref) == (toyset.P1_BOUNDS[0], toyset.P2_BOUNDS[1])  # the worst corner
 
 
 # -- report bundles -------------------------------------------------------
@@ -284,7 +297,7 @@ def test_run_config_json_round_trip():
     # an older config.json that still carries since-removed fields loads the same
     old = cfg.to_dict()
     old["budget"]["batch_size"] = 1
-    old["evaluation"]["curve_ci_level"] = 0.9
+    old["evaluation"].update(curve_ci_level=0.9, fallback_reference=[0.0, 10.0])
     old["vae"].update(pooling="attention", seed=0)
     old["flow"]["ot_coupling"] = False
     old["surrogate"].update(lr=1e-3, batch_size=128, holdout_frac=0.15, clip_norm=5.0)
@@ -582,6 +595,29 @@ def test_cli_gamma_sweep_bad_list_exit_2(runner, tiny_run, flag, value, bad):
                                    "--out", str(tiny_run["base"] / "bad-sweeps")])
     assert res.exit_code == 2, res.output
     assert flag in res.output and bad in res.output
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1,nan"])
+def test_cli_gamma_sweep_non_finite_gamma_exit_2(runner, tiny_run, value):
+    res = runner.invoke(cli.main, ["gamma-sweep", "--seed", "0",
+                                   "--config", tiny_run["cfg_path"],
+                                   "--ckpt", tiny_run["ckpt_dir"],
+                                   "--data", tiny_run["data_dir"], "--grid", value,
+                                   "--out", str(tiny_run["base"] / "bad-sweeps")])
+    assert res.exit_code == 2, res.output
+    assert "config error: gamma" in res.output and value.split(",")[-1] in res.output
+
+
+def test_cli_numeric_failure_names_its_site_once(capsys):
+    @cli._exit_codes
+    def diverge():
+        raise NumericFailure("non-finite state during guided integration", where="step=0")
+
+    with pytest.raises(SystemExit) as exit_info:
+        diverge()
+    assert exit_info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and err.count("step=0") == 1
 
 
 def test_cli_gamma_sweep(runner, tiny_run):

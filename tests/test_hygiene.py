@@ -1,6 +1,6 @@
 """Source hygiene: no module under ``src/flowopt`` or ``tests/`` imports a name
-it never uses, and no public top-level function or class in ``src/flowopt``
-is dead.
+it never uses, no public top-level function or class in ``src/flowopt`` is
+dead, and no defaulted parameter there is left at its default by every caller.
 
 A standard-library ``ast`` scan stands in for a linter. A name counts as used
 when it appears anywhere in the module as a bare name (which includes the root
@@ -11,6 +11,10 @@ A public definition is dead when no code in ``src/flowopt``, ``bench/`` or
 ``scripts/`` names it, as a bare name or an attribute, outside its own body;
 tests do not count as callers. Click commands are reached through their
 decorator and are exempt, as is each entry of ``DEAD_CODE_ALLOWLIST``.
+
+A defaulted parameter is dead when no call in those same callers sets it, by
+keyword or by position; a default no caller overrides is a constant posing as
+an option. Each entry of ``DEAD_PARAMETER_ALLOWLIST`` says why it stays.
 """
 
 import ast
@@ -24,6 +28,16 @@ MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
 CALLERS = SRC + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 DEAD_CODE_ALLOWLIST = {
     "toyset.tanimoto": "reference the selection-law test compares selection_probabilities with",
+}
+DEAD_PARAMETER_ALLOWLIST = {
+    "flowmatch.sample_prior.t_start":
+        "the gamma-zero acceptance line integrates the prior from the guided start time",
+    "flowmatch.sample_prior.z_init":
+        "the gamma-zero acceptance line integrates the prior from the guided start state",
+    "harness.select_seed.probs":
+        "the selection-law acceptance line draws many times from one probability vector",
+    "config.paper_tuned.seed": "every PROFILES entry shares the signature of toy_default(seed)",
+    "config.paper_scale.seed": "every PROFILES entry shares the signature of toy_default(seed)",
 }
 
 
@@ -114,3 +128,85 @@ def test_no_dead_public_definitions():
     dead = dead_definitions(defining, {str(p): p.read_text() for p in CALLERS})
     assert sorted(set(dead) - set(DEAD_CODE_ALLOWLIST)) == []
     assert sorted(set(DEAD_CODE_ALLOWLIST) - set(dead)) == []
+
+
+def _defaulted(fn, is_method: bool) -> list:
+    """``(position, name)`` of each defaulted parameter of ``fn``: its index
+    among the positional arguments a call passes, or None if keyword-only."""
+    args = fn.args.posonlyargs + fn.args.args
+    skip = int(is_method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in fn.decorator_list))
+    first = len(args) - len(fn.args.defaults)
+    return ([(i - skip, a.arg) for i, a in enumerate(args) if i >= first]
+            + [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if d is not None])
+
+
+def dead_parameters(defining: dict, callers: dict) -> list:
+    """``module.function.param`` (``module.Class.method.param`` for a method) of
+    each defaulted parameter in ``defining`` (module name -> source) that no call
+    in ``callers`` (path -> source) sets.
+
+    A call matches every definition of the name it calls, bare or as an
+    attribute; a call to a class name is a call to that class's ``__init__``.
+    A method's ``self`` or ``cls`` takes no argument of the call, and a call
+    that unpacks ``*args`` or ``**kwargs`` sets every parameter.
+    """
+    defs = {}  # called name -> [(qualified function name, defaulted parameters)]
+    for module, source in defining.items():
+        tree = ast.parse(source)
+        owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                cls = owner.get(id(fn))
+                qual = f"{module}.{cls.name}.{fn.name}" if cls else f"{module}.{fn.name}"
+                entry = (qual, _defaulted(fn, cls is not None))
+                defs.setdefault(fn.name, []).append(entry)
+                if cls is not None and fn.name == "__init__":
+                    defs.setdefault(cls.name, []).append(entry)
+    unset = {f"{qual}.{param}" for entries in defs.values()
+             for qual, params in entries for _, param in params}
+    for source in callers.values():
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            called = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            unpacks = (any(isinstance(a, ast.Starred) for a in call.args)
+                       or any(k.arg is None for k in call.keywords))
+            keywords = {k.arg for k in call.keywords}
+            for qual, params in defs.get(called, []):
+                for position, param in params:
+                    if (unpacks or param in keywords
+                            or position is not None and position < len(call.args)):
+                        unset.discard(f"{qual}.{param}")
+    return sorted(unset)
+
+
+def test_dead_parameter_scan_flags_defaults_no_caller_sets():
+    defining = {"mod": ("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+                        "def g(x=0): pass\n"
+                        "def h(y=0): return h(y)\n"
+                        "class K:\n"
+                        "    def __init__(self, p=1, q=2): pass\n"
+                        "    def m(self, r=1, s=2): pass\n"
+                        "    @staticmethod\n"
+                        "    def st(u=1, v=2): pass\n"
+                        "    @classmethod\n"
+                        "    def make(cls, w=1): pass\n")}
+    callers = dict(defining, other=("import mod\n"
+                                    "mod.f(0, 5, e=6)\n"
+                                    "g(**{})\n"
+                                    "k = mod.K(7)\n"
+                                    "k.m(8)\n"
+                                    "mod.K.st(9)\n"
+                                    "mod.K.make()\n"))
+    assert dead_parameters(defining, callers) == [
+        "mod.K.__init__.q", "mod.K.m.s", "mod.K.make.w", "mod.K.st.v", "mod.f.c", "mod.f.d"]
+
+
+def test_no_dead_parameters():
+    defining = {p.stem: p.read_text() for p in SRC}
+    dead = dead_parameters(defining, {str(p): p.read_text() for p in CALLERS})
+    assert sorted(set(dead) - set(DEAD_PARAMETER_ALLOWLIST)) == []
+    assert sorted(set(DEAD_PARAMETER_ALLOWLIST) - set(dead)) == []

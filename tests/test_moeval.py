@@ -4,22 +4,19 @@ import pytest
 from flowopt import toyset
 from flowopt.errors import (ContractViolation, DegenerateRangeError,
                             UnsupportedDimensionError)
-from flowopt.moeval import (DESCRIPTOR_NAMES, EvalReport, MAXIMIZE, MINIMIZE,
-                            auto_reference, bootstrap_ci, descriptor_kl,
-                            descriptor_values, embedding_projection,
-                            feature_matrix, frechet_distance, histogram_kl,
-                            hypervolume_2d, hypervolume_2d_with_warnings, hvi,
-                            pareto_front, set_metrics, structure_embeddings)
+from flowopt.moeval import (DESCRIPTOR_NAMES, EvalReport, auto_reference,
+                            bootstrap_ci, descriptor_kl, descriptor_values,
+                            embedding_projection, feature_matrix,
+                            frechet_distance, histogram_kl, hypervolume_2d,
+                            hypervolume_2d_with_warnings, pareto_front,
+                            set_metrics, structure_embeddings)
 from flowopt.rng import Rng
 
 
-def brute_force_front(points, directions):
+def brute_force_front(points):
     """O(n^2) dominance filter with duplicate removal; reference oracle."""
     pts = np.asarray(points, dtype=np.float64)
-    t = pts.copy()
-    for j, d in enumerate(directions):
-        if d == MINIMIZE:
-            t[:, j] = -t[:, j]
+    t = pts * [1.0, -1.0]  # p1 maximized, p2 minimized
     keep = []
     seen = set()
     for i in range(len(t)):
@@ -41,10 +38,8 @@ def test_pareto_matches_brute_force_random_instances(rng):
         pts = r.normal((n, 2))
         if case % 3 == 0:  # force ties and duplicates
             pts = np.round(pts, 1)
-        directions = [(MAXIMIZE, MINIMIZE), (MAXIMIZE, MAXIMIZE),
-                      (MINIMIZE, MINIMIZE)][case % 3]
-        front = pareto_front(pts, directions)
-        assert {tuple(p) for p in front.points} == brute_force_front(pts, directions)
+        front = pareto_front(pts)
+        assert {tuple(p) for p in front.points} == brute_force_front(pts)
         # back-references are consistent
         assert all(np.array_equal(pts[i], p)
                    for i, p in zip(front.indices, front.points))
@@ -59,7 +54,7 @@ def test_pareto_single_point_and_empty():
 
 def test_pareto_three_objectives_rejected(rng):
     with pytest.raises(UnsupportedDimensionError):
-        pareto_front(rng.normal((40, 3)), (MAXIMIZE, MAXIMIZE, MAXIMIZE))
+        pareto_front(rng.normal((40, 3)))
 
 
 # -- hypervolume ----------------------------------------------------------
@@ -104,19 +99,17 @@ def test_hypervolume_matches_monte_carlo(rng):
         assert abs(hv - p_hat * area) <= 3.0 * se + 1e-9
 
 
-def test_hvi_properties(rng):
+def test_hypervolume_never_drops_when_points_are_added(rng):
+    """The budgeted trace's HVI is the volume gained by adding points to the baseline."""
     base = np.array([[0.4, 4.0], [0.6, 6.0]])
     ref = np.array([0.0, 10.0])
-    # dominated addition gains nothing
-    assert hvi(base, [[0.3, 5.0]], ref) == 0.0
-    # a strictly better point gains area
-    assert hvi(base, [[0.8, 2.0]], ref) > 0.0
-    # hvi is never negative, and a precomputed baseline volume changes nothing
     hv_base = hypervolume_2d(base, ref)
+    # a dominated addition gains nothing
+    assert hypervolume_2d(np.vstack([base, [[0.3, 5.0]]]), ref) == hv_base
+    # a strictly better point gains area
+    assert hypervolume_2d(np.vstack([base, [[0.8, 2.0]]]), ref) > hv_base
     for _ in range(20):
-        opt = rng.normal((3, 2))
-        assert hvi(base, opt, ref) >= 0.0
-        assert hvi(base, opt, ref, hv_base=hv_base) == hvi(base, opt, ref)
+        assert hypervolume_2d(np.vstack([base, rng.normal((3, 2))]), ref) >= hv_base
 
 
 # -- reference points -----------------------------------------------------

@@ -7,7 +7,8 @@ from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
 from flowopt.nn import load_checkpoint, save_checkpoint
 from flowopt.rng import Rng
-from flowopt.surrogate import P1_BOUNDS, P2_BOUNDS, Surrogate, SurrogateConfig, fidelity
+from flowopt.surrogate import Surrogate, SurrogateConfig, fidelity
+from flowopt.toyset import P1_BOUNDS, P2_BOUNDS
 
 from conftest import finite_difference, rel_err
 
