@@ -29,7 +29,7 @@ def main(argv=None):
     ds = toyset.generate_dataset(cfg.data.seed, cfg.data.count,
                                  cfg.data.min_len, cfg.data.max_len)
     models = harness.Pipeline.load(args.ckpt)
-    reference = harness.reference_set(ds, cfg)  # shared by every proposer and seed
+    reference = harness.reference_set(ds)  # shared by every proposer and seed
 
     rows = []
     finals = {}

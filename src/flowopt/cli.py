@@ -135,16 +135,13 @@ def gen_data(seed, count, min_len, max_len, out_dir):
 @click.option("--stage", "stages", multiple=True,
               type=click.Choice(["vae", "finetune", "flow"]),
               help="Stages to run; default all three in order.")
-@click.option("--allow-pretrain-latents", is_flag=True,
-              help="Let the flow stage train on pretrain-only encoder latents.")
 @_exit_codes
-def train(config_path, profile, seed, data_dir, out_dir, stages, allow_pretrain_latents):
+def train(config_path, profile, seed, data_dir, out_dir, stages):
     """Run the staged training pipeline, writing one checkpoint per stage."""
     cfg = _load_config(config_path, profile, seed)
     ds = _load_dataset(data_dir)
     stages = stages or ("vae", "finetune", "flow")
-    paths = harness.pipeline_train(cfg, ds, out_dir, stages=stages,
-                                   allow_pretrain_latents=allow_pretrain_latents)
+    paths = harness.pipeline_train(cfg, ds, out_dir, stages=stages)
     for stage, path in paths.items():
         click.echo(f"{stage}: {path}")
 
@@ -314,9 +311,9 @@ def eval_cmd(config_path, profile, seed, ckpt_dir, data_dir, gen_path, out_dir):
         raise ConfigError(f"{gen_path} contains no structures")
     test = ds.subset("test")
     baseline = np.stack([p.as_array() for _, p in test])
-    ref = harness.reference_point(baseline, cfg)
+    ref = harness.reference_point(baseline)
     report = harness._evaluate(models, cfg, structures, baseline, ref, seed,
-                               harness.reference_set(ds, cfg))
+                               harness.reference_set(ds))
     if out_dir:
         run_dir = _run_dir(out_dir, f"eval-seed{seed}")
         harness.run_report(run_dir, {"report.json": report.to_json(),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field, asdict
 
 from . import toyset
@@ -41,27 +42,8 @@ class BudgetConfig:
 
 
 @dataclass
-class SelectionConfig:
-    diversity_penalty: float = 2.0
-    pareto_weight: float = 2.0
-    history_window: int = 10
-
-
-@dataclass
-class GradientAscentConfig:
-    # Fixed ablation parameters; deliberately not tuned.
-    eta: float = 0.3
-    steps: int = 10
-    sigma: float = 0.2
-
-
-@dataclass
 class EvalConfig:
-    ref_margin: float = 0.1
     bootstrap_resamples: int = 1000
-    ci_level: float = 0.95
-    bins: int = 50
-    projection_seed: int = 1234
 
 
 @dataclass
@@ -81,8 +63,6 @@ class RunConfig:
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
     objective: ObjectiveSpec = field(default_factory=ObjectiveSpec.maximize_p1_minimize_p2)
     budget: BudgetConfig = field(default_factory=BudgetConfig)
-    selection: SelectionConfig = field(default_factory=SelectionConfig)
-    ga: GradientAscentConfig = field(default_factory=GradientAscentConfig)
     evaluation: EvalConfig = field(default_factory=EvalConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
@@ -117,19 +97,8 @@ class RunConfig:
         return cls.from_dict(doc)
 
 
-_SECTION_TYPES = {
-    "data": DataConfig,
-    "vae": VaeConfig,
-    "surrogate": SurrogateConfig,
-    "flow": FlowConfig,
-    "guidance": GuidanceConfig,
-    "objective": ObjectiveSpec,
-    "budget": BudgetConfig,
-    "selection": SelectionConfig,
-    "ga": GradientAscentConfig,
-    "evaluation": EvalConfig,
-    "sweep": SweepConfig,
-}
+_SECTION_TYPES = {name: t for name, t in typing.get_type_hints(RunConfig).items()
+                  if dataclasses.is_dataclass(t)}
 
 
 def toy_default(seed: int = 0) -> RunConfig:
@@ -168,12 +137,11 @@ def paper_scale(seed: int = 0) -> RunConfig:
     cfg = RunConfig(
         seed=seed,
         vae=VaeConfig(K=8, d=128, embed_dim=128, enc_hidden=128, dec_hidden=128,
-                      beta_max=0.1, kl_warmup_frac=0.35, lambda_prop=1.0,
-                      lr=1e-4, finetune_lr=1e-3, batch_size=256,
-                      pretrain_epochs=150, finetune_epochs=20, max_len=64),
+                      beta_max=0.1, lambda_prop=1.0, lr=1e-4, batch_size=256,
+                      pretrain_epochs=150, finetune_epochs=20),
         surrogate=SurrogateConfig(latent_dim=128, hidden=1024, layers=3),
         flow=FlowConfig(K=8, d=128, hidden=256, layers=10, time_embed_dim=128,
-                        lr=2e-4, batch_size=1024, steps=100),
+                        batch_size=1024, steps=100),
     )
     return cfg
 

@@ -15,10 +15,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
-from .nn import (AdamState, Mlp, clip_grad_norm, config_from_dict, mlp_arrays, mlp_from_arrays,
-                 optimizer_step, time_embed)
+from .nn import (GRAD_CLIP_NORM, AdamState, Mlp, clip_grad_norm, config_from_dict, mlp_arrays,
+                 mlp_from_arrays, optimizer_step, time_embed)
 from .rng import Rng, normal_rows
 from .seqvae import LatentState
+
+LR = 2e-4
 
 
 @dataclass
@@ -28,10 +30,8 @@ class FlowConfig:
     hidden: int = 128
     layers: int = 3
     time_embed_dim: int = 16
-    lr: float = 2e-4
     batch_size: int = 256
     steps: int = 2000
-    clip_norm: float = 5.0
     sample_steps: int = 50  # default Euler steps for unconditional sampling
 
 
@@ -113,7 +113,7 @@ def train_flow(field: FlowField, z1_sampler, rng: Rng) -> list:
     """
     c = field.config
     params = field.params()
-    opt = AdamState.create(params, lr=c.lr, weight_decay=0.0)
+    opt = AdamState.create(params, lr=LR, weight_decay=0.0)
     history = []
     for step in range(c.steps):
         srng = rng.split(("fm", step))
@@ -122,7 +122,7 @@ def train_flow(field: FlowField, z1_sampler, rng: Rng) -> list:
         t = srng.split("t").uniform(0.0, 1.0, (c.batch_size,))
         loss = fm_loss(field, z0, z1, t)
         grads = ad.gradients(loss, params)
-        grads, _ = clip_grad_norm(grads, c.clip_norm)
+        grads, _ = clip_grad_norm(grads, GRAD_CLIP_NORM)
         optimizer_step(opt, params, grads)
         history.append(loss.item())
     if history and not np.isfinite(history[-1]):

@@ -26,6 +26,19 @@ VAE_CKPT = "vae_pretrain.ckpt"
 FINETUNE_CKPT = "vae_finetune.ckpt"
 FLOW_CKPT = "flow.ckpt"
 
+# Seed selection: p_i is proportional to PARETO_WEIGHT (on the front, else 1)
+# times exp(-DIVERSITY_PENALTY * max similarity to the last HISTORY_WINDOW
+# optimized structures).
+DIVERSITY_PENALTY = 2.0
+PARETO_WEIGHT = 2.0
+HISTORY_WINDOW = 10
+# The gradient-ascent ablation's step size, steps and start noise; fixed, not tuned.
+GA_ETA = 0.3
+GA_STEPS = 10
+GA_SIGMA = 0.2
+CI_LEVEL = 0.95  # of the hypervolume bootstrap interval
+PROJECTION_SEED = 1234  # of the Fréchet embedding projection
+
 
 # -- staged training ------------------------------------------------------
 
@@ -65,13 +78,11 @@ def _load_model(path, build):
 
 
 def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
-                   stages=("vae", "finetune", "flow"),
-                   allow_pretrain_latents: bool = False) -> dict:
+                   stages=("vae", "finetune", "flow")) -> dict:
     """Run the staged protocol; each stage writes one checkpoint.
 
     Stage order is enforced: fine-tuning needs the pretrained VAE and flow
-    training refuses a non-fine-tuned encoder unless
-    ``allow_pretrain_latents`` is set.
+    training the fine-tuned encoder.
     """
     os.makedirs(out_dir, exist_ok=True)
     rng = Rng(config.seed)
@@ -106,13 +117,8 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
     if "flow" in stages:
         src = os.path.join(out_dir, FINETUNE_CKPT)
         if not os.path.exists(src):
-            src = os.path.join(out_dir, VAE_CKPT)
-            if not (allow_pretrain_latents and os.path.exists(src)):
-                raise ConfigError(
-                    "flow stage requires the fine-tuned encoder checkpoint "
-                    "(pass allow_pretrain_latents to train on pretrain latents)")
-        vae, latent_source = _load_model(src, lambda arrays, meta: (
-            seqvae.SeqVae.from_checkpoint(arrays, meta), meta.get("stage", "unknown")))
+            raise ConfigError("flow stage requires the fine-tuned encoder checkpoint")
+        vae = _load_model(src, seqvae.SeqVae.from_checkpoint)
         field_model = flowmatch.FlowField(config.flow, rng.split("flow"))
         # The encoder is frozen here, and a row's encoding does not depend on
         # its batch or padding: encode the train split once, gather per step.
@@ -124,9 +130,7 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
             return seqvae.reparameterize(rows, r.split("eps")).z
 
         flowmatch.train_flow(field_model, z1_sampler, rng.split("flow-train"))
-        meta_f = field_model.meta()
-        meta_f["latent_source"] = latent_source
-        save_checkpoint(os.path.join(out_dir, FLOW_CKPT), field_model.arrays(), meta_f)
+        save_checkpoint(os.path.join(out_dir, FLOW_CKPT), field_model.arrays(), field_model.meta())
         paths["flow"] = os.path.join(out_dir, FLOW_CKPT)
 
     return paths
@@ -239,7 +243,7 @@ def _propose(proposer: str, models: Pipeline, cfg: RunConfig,
         post = vae.encode_batch([seed_entry.structure.canonical_tokens])
         z0 = seqvae.LatentState(z=post.mu, t=1.0)
         final = guidance.gradient_ascent_baseline(
-            sur, spec, z0, cfg.ga.eta, cfg.ga.steps, cfg.ga.sigma, [rng.split("noise")])
+            sur, spec, z0, GA_ETA, GA_STEPS, GA_SIGMA, [rng.split("noise")])
     elif proposer == "random":
         final = seqvae.LatentState(
             z=rng.split("noise").normal((1, cfg.vae.K, cfg.vae.d)), t=1.0)
@@ -266,7 +270,7 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
                  proposer: str, seed: int, reference: ReferenceSet = None) -> BudgetedResult:
     """One sequential optimization run under an exact oracle budget.
 
-    ``reference`` may carry ``reference_set(dataset, cfg)`` built once for
+    ``reference`` may carry ``reference_set(dataset)`` built once for
     many runs; it is built here otherwise.
     """
     if proposer not in PROPOSERS:
@@ -289,21 +293,20 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
         complete = False
 
     baseline = state.points()
-    ref = reference_point(baseline, cfg)
+    ref = reference_point(baseline)
 
     hv_base = moeval.hypervolume_2d(baseline, ref)
     trace = []
     step = 0
     while complete and oracle.calls < cfg.budget.budget:
         srng = rng.split(("step", step))
-        idx = select_seed(state, cfg.selection.diversity_penalty,
-                          cfg.selection.pareto_weight, srng.split("select"))
+        idx = select_seed(state, DIVERSITY_PENALTY, PARETO_WEIGHT, srng.split("select"))
         entry = state.pool[idx]
         proposed = _propose(proposer, models, cfg, entry, srng.split("propose"))
         new = PoolEntry(structure=proposed, props=oracle(proposed))
         state.pool.append(new)
         state.history.append(new.features)
-        if len(state.history) > cfg.selection.history_window:
+        if len(state.history) > HISTORY_WINDOW:
             state.history.pop(0)
         # The pool is the baseline followed by the optimized points.
         hvi = max(0.0, moeval.hypervolume_2d(state.points(), ref) - hv_base)
@@ -313,7 +316,7 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     final_hvi = trace[-1][1] if trace else 0.0
     proposed_structures = [e.structure for e in state.pool if not e.from_init]
     if reference is None:
-        reference = reference_set(dataset, cfg)
+        reference = reference_set(dataset)
     report = _evaluate(models, cfg, proposed_structures, baseline, ref, seed, reference)
     return BudgetedResult(
         proposer=proposer, seed=seed, calls=oracle.calls, complete=complete,
@@ -324,12 +327,12 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
 
 # -- shared evaluation ----------------------------------------------------
 
-def reference_point(baseline, cfg: RunConfig) -> np.ndarray:
-    """The hypervolume reference for a baseline point set: ``auto_reference``
-    with the configured margin, or the worst corner of the property ranges
-    when a property has zero range over the baseline."""
+def reference_point(baseline) -> np.ndarray:
+    """The hypervolume reference for a baseline point set: ``auto_reference``,
+    or the worst corner of the property ranges when a property has zero range
+    over the baseline."""
     try:
-        return moeval.auto_reference(baseline, margin=cfg.evaluation.ref_margin)
+        return moeval.auto_reference(baseline)
     except moeval.DegenerateRangeError:
         lo, hi = np.array([toyset.P1_BOUNDS, toyset.P2_BOUNDS]).T
         return np.where(np.asarray(toyset.PROPERTY_SIGNS) > 0, lo, hi)
@@ -346,11 +349,11 @@ class ReferenceSet:
     embeddings: np.ndarray
 
 
-def reference_set(dataset: toyset.Dataset, cfg: RunConfig) -> ReferenceSet:
+def reference_set(dataset: toyset.Dataset) -> ReferenceSet:
     """Decode the train split once and derive everything ``_evaluate`` compares to."""
     structures = [toyset.decode(t) for t, _ in dataset.subset("train")]
     features = moeval.feature_matrix(structures)
-    projection = moeval.embedding_projection(cfg.evaluation.projection_seed)
+    projection = moeval.embedding_projection(PROJECTION_SEED)
     return ReferenceSet(keys={s.canonical_key for s in structures},
                         descriptors=moeval.descriptor_values(structures, features),
                         projection=projection,
@@ -359,8 +362,7 @@ def reference_set(dataset: toyset.Dataset, cfg: RunConfig) -> ReferenceSet:
 
 def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
               ref, seed, reference: ReferenceSet) -> moeval.EvalReport:
-    ev = cfg.evaluation
-    report = moeval.EvalReport(seed=seed, projection_seed=ev.projection_seed,
+    report = moeval.EvalReport(seed=seed, projection_seed=PROJECTION_SEED,
                                reference_point=tuple(float(x) for x in ref),
                                config_echo={"guidance": asdict(cfg.guidance),
                                             "objective": asdict(cfg.objective)})
@@ -385,8 +387,9 @@ def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
         present[np.arange(len(idx))[:, None], len(baseline_points) + idx] = True
         return moeval.hypervolume_2d_rows(all_points, present, ref)
 
-    report.hv_ci = moeval.bootstrap_ci(hv_metric, len(points), ev.bootstrap_resamples,
-                                       ev.ci_level, Rng(seed).split("hv-ci"))
+    report.hv_ci = moeval.bootstrap_ci(hv_metric, len(points),
+                                       cfg.evaluation.bootstrap_resamples, CI_LEVEL,
+                                       Rng(seed).split("hv-ci"))
     sm = moeval.set_metrics(structures, reference.keys)
     report.validity = sm["validity"]
     report.uniqueness = sm["uniqueness"]
@@ -396,7 +399,7 @@ def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
     if len(structures) >= 2 and len(reference.embeddings) >= 2:
         report.frechet = moeval.frechet_distance(
             moeval.structure_embeddings(features, reference.projection), reference.embeddings)
-    report.descriptor_kl = moeval.descriptor_kl(descriptors, reference.descriptors, bins=ev.bins)
+    report.descriptor_kl = moeval.descriptor_kl(descriptors, reference.descriptors)
     post = models.vae.encode_batch([s.canonical_tokens for s in structures])
     mse, r2 = surrogate_mod.fidelity(models.surrogate.predict(seqvae.mean_pool(post.mu)), points)
     report.surrogate_mse = mse
@@ -438,8 +441,10 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     seeds = list(cfg.sweep.seeds if seeds is None else seeds)
     if not grid:
         raise ConfigError("gamma grid must be nonempty")
-    cells = [replace(cfg.guidance, gamma=gamma) for gamma in grid]  # validated before any work
-    reference = reference_set(dataset, cfg)
+    # Every gamma and seed is validated before any work.
+    cells = [replace(cfg.guidance, gamma=gamma) for gamma in grid]
+    streams = [(seed, Rng(seed)) for seed in seeds]
+    reference = reference_set(dataset)
     candidates = _sweep_candidates(models, dataset, cfg)
     # Encoded once per sweep; each cell adds the noise prepare_optimization
     # would draw, from the same per-candidate streams.
@@ -448,13 +453,13 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     # candidates' own oracle points, not the full test split.
     baseline = np.stack([
         toyset.oracle_properties(toyset.decode(t)).as_array() for t in candidates])
-    ref = reference_point(baseline, cfg)
+    ref = reference_point(baseline)
 
     rows = []
     for gcfg in cells:
         gamma = gcfg.gamma
-        for seed in seeds:
-            rng = Rng(seed).split(("sweep", repr(gamma)))
+        for seed, seed_rng in streams:
+            rng = seed_rng.split(("sweep", repr(gamma)))
             noise = normal_rows([rng.split(("cand", i)) for i in range(len(candidates))],
                                 mu.shape[1:])
             z0 = seqvae.LatentState(z=mu + gcfg.sigma * noise, t=gcfg.t_start)

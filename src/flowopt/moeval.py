@@ -19,6 +19,8 @@ from .errors import (ContractViolation, DegenerateRangeError, NumericFailure,
 from .rng import Rng
 
 EMBED_DIM = 32
+REFERENCE_MARGIN = 0.1  # auto_reference pushes the worst point this share of the range out
+KL_BINS = 50
 DESCRIPTOR_NAMES = ("length", "branch_depth", "side_groups", "skeleton_length",
                     "popcount", "p1", "p2")
 
@@ -110,10 +112,8 @@ def hypervolume_2d_rows(points, present, ref) -> np.ndarray:
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def auto_reference(points, margin: float = 0.1) -> np.ndarray:
-    """Worst observed value per property pushed ``margin``*range further."""
-    if margin < 0:
-        raise ContractViolation("margin must be >= 0")
+def auto_reference(points) -> np.ndarray:
+    """Worst observed value per property pushed ``REFERENCE_MARGIN``*range further."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if len(pts) == 0:
         raise ContractViolation("auto_reference requires points")
@@ -124,7 +124,7 @@ def auto_reference(points, margin: float = 0.1) -> np.ndarray:
     if len(flat):
         raise DegenerateRangeError(
             f"objective {flat[0]} has zero range; supply an explicit reference")
-    return _to_max(worst - margin * span)
+    return _to_max(worst - REFERENCE_MARGIN * span)
 
 
 def bootstrap_ci(metric_fn, n: int, resamples: int, level: float, rng: Rng) -> tuple:
@@ -237,8 +237,8 @@ def descriptor_values(structures, features: np.ndarray) -> dict:
     return {k: np.asarray(v, dtype=np.float64) for k, v in cols.items()}
 
 
-def histogram_kl(gen_vals: np.ndarray, ref_vals: np.ndarray, bins: int = 50) -> float:
-    """KL(gen || ref) over shared bins from the reference range.
+def histogram_kl(gen_vals: np.ndarray, ref_vals: np.ndarray) -> float:
+    """KL(gen || ref) over ``KL_BINS`` shared bins from the reference range.
 
     Generated values outside the reference range are clamped into the edge
     bins. Both histograms get additive smoothing of 1e-10.
@@ -247,7 +247,7 @@ def histogram_kl(gen_vals: np.ndarray, ref_vals: np.ndarray, bins: int = 50) -> 
     lo, hi = float(ref_vals.min()), float(ref_vals.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, KL_BINS + 1)
     g = np.clip(gen_vals, lo, hi)
     r = np.clip(ref_vals, lo, hi)
     p = np.histogram(g, bins=edges)[0] / len(g) + eps
@@ -255,14 +255,14 @@ def histogram_kl(gen_vals: np.ndarray, ref_vals: np.ndarray, bins: int = 50) -> 
     return float(np.sum(p * np.log(p / q)))
 
 
-def descriptor_kl(generated: dict, reference: dict, bins: int = 50) -> dict:
+def descriptor_kl(generated: dict, reference: dict) -> dict:
     """Per-descriptor KL divergences plus their average.
 
     Both arguments are ``descriptor_values`` dicts.
     """
     if len(generated["length"]) == 0 or len(reference["length"]) == 0:
         raise ContractViolation("descriptor_kl requires nonempty sets")
-    out = {name: histogram_kl(generated[name], reference[name], bins=bins)
+    out = {name: histogram_kl(generated[name], reference[name])
            for name in DESCRIPTOR_NAMES}
     out["average"] = float(np.mean([out[n] for n in DESCRIPTOR_NAMES]))
     return out

@@ -22,6 +22,7 @@ from .errors import ArtifactIOError, ContractViolation, NumericFailure
 from .rng import Rng
 
 TIME_EMBED_FREQ_RANGE = (1.0, 1.0e4)
+GRAD_CLIP_NORM = 5.0  # global gradient-norm bound of every training loop
 
 
 def time_embed(t, dim: int) -> np.ndarray:

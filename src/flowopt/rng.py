@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ContractViolation
+
 
 class Rng:
     """Thin wrapper over ``numpy.random.Generator`` with keyed splitting."""
@@ -19,6 +21,8 @@ class Rng:
     def __init__(self, seed):
         if isinstance(seed, np.random.SeedSequence):
             self._seq = seed
+        elif int(seed) < 0:
+            raise ContractViolation(f"seed must be a non-negative integer, not {seed!r}")
         else:
             self._seq = np.random.SeedSequence(int(seed))
         self.gen = np.random.default_rng(self._seq)

@@ -24,11 +24,13 @@ from . import autodiff as ad
 from . import toyset
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
-from .nn import AdamState, clip_grad_norm, config_from_dict, optimizer_step
+from .nn import GRAD_CLIP_NORM, AdamState, clip_grad_norm, config_from_dict, optimizer_step
 from .rng import Rng
 
 LOG_SIGMA_CLAMP = (-8.0, 4.0)
 ENCODE_CHUNK = 256  # rows per encoder tape in encode_batch
+KL_WARMUP_FRAC = 0.35  # share of pretraining over which the KL weight ramps to beta_max
+FINETUNE_LR = 1e-3
 
 
 @dataclass
@@ -39,21 +41,17 @@ class VaeConfig:
     enc_hidden: int = 64
     dec_hidden: int = 64
     beta_max: float = 0.1
-    kl_warmup_frac: float = 0.35
     lambda_prop: float = 1.0
     lr: float = 1e-3
-    finetune_lr: float = 1e-3
     batch_size: int = 64
     pretrain_epochs: int = 10
     finetune_epochs: int = 6
-    clip_norm: float = 5.0
-    max_len: int = toyset.MAX_LEN
 
     def __post_init__(self):
         if min(self.K, self.d, self.embed_dim, self.enc_hidden, self.dec_hidden) < 1:
             raise ContractViolation("all architecture dimensions must be >= 1")
-        if self.beta_max < 0 or not (0.0 <= self.kl_warmup_frac <= 1.0):
-            raise ContractViolation("beta_max >= 0 and warmup fraction in [0,1] required")
+        if self.beta_max < 0:
+            raise ContractViolation("beta_max must be >= 0")
         if self.lambda_prop < 0:
             raise ContractViolation("lambda_prop must be >= 0")
 
@@ -97,7 +95,7 @@ class SeqVae:
 
         self.p = {
             "tok_emb": init((V, c.embed_dim), "tok", 0.1),
-            "pos_emb": init((c.max_len + 1, c.embed_dim), "pos", 0.1),
+            "pos_emb": init((toyset.MAX_LEN + 1, c.embed_dim), "pos", 0.1),
             "enc_w": init((c.embed_dim, c.enc_hidden), "encw"),
             "enc_b": Tensor(np.zeros(c.enc_hidden), requires_grad=True),
             "mu_w": init((c.enc_hidden, c.d), "muw"),
@@ -117,12 +115,11 @@ class SeqVae:
     # -- batching ---------------------------------------------------------
     def prepare_batch(self, sequences):
         """Pad to a common length; returns (enc_ids, dec_in, dec_tgt, mask)."""
-        c = self.config
         for s in sequences:
             for tok in s:
                 if tok not in toyset.TOKEN_ID:
                     raise ContractViolation(f"unknown token {tok!r}")
-        seqs = [list(s)[: c.max_len - 1] for s in sequences]
+        seqs = [list(s)[: toyset.MAX_LEN - 1] for s in sequences]
         L = max(len(s) for s in seqs) + 1  # room for EOS
         pad, bos, eos = (toyset.TOKEN_ID[t] for t in (toyset.PAD, toyset.BOS, toyset.EOS))
         enc = np.full((len(seqs), L), pad, dtype=np.int64)
@@ -202,7 +199,7 @@ class SeqVae:
         tok_emb, pos_emb = self.p["tok_emb"].data, self.p["pos_emb"].data
         w1, b1 = self.p["dec_w1"].data, self.p["dec_b1"].data
         w2, b2 = self.p["dec_w2"].data, self.p["dec_b2"].data
-        for pos in range(c.max_len):
+        for pos in range(toyset.MAX_LEN):
             x = np.concatenate([tok_emb[prev] + pos_emb[pos], zf], axis=1)
             logits = np.tanh(x @ w1 + b1) @ w2 + b2
             logits[:, pad] = -np.inf
@@ -241,6 +238,8 @@ class SeqVae:
         model = cls.__new__(cls)
         model.config = config_from_dict(VaeConfig, meta["config"])
         model.p = {k: Tensor(arrays[f"vae.{k}"], requires_grad=True) for k in PARAM_NAMES}
+        if len(model.p["pos_emb"].data) != toyset.MAX_LEN + 1:
+            raise ContractViolation("checkpoint position table does not match MAX_LEN")
         return model
 
 
@@ -311,7 +310,7 @@ def train_vae(model: SeqVae, dataset, rng: Rng) -> TrainHistory:
     """Stage-one ELBO training; keeps the epoch with best validation loss."""
     c = model.config
     return _train_epochs(model, None, dataset, rng, lr=c.lr, epochs=c.pretrain_epochs,
-                         warmup_frac=c.kl_warmup_frac, prefix="", stage="vae")
+                         warmup_frac=KL_WARMUP_FRAC, prefix="", stage="vae")
 
 
 def finetune(model: SeqVae, surrogate, dataset, rng: Rng) -> TrainHistory:
@@ -320,9 +319,8 @@ def finetune(model: SeqVae, surrogate, dataset, rng: Rng) -> TrainHistory:
     With ``lambda_prop == 0`` the surrogate branch is skipped and the updates
     are the pure-VAE ones at full KL weight.
     """
-    c = model.config
-    return _train_epochs(model, surrogate, dataset, rng, lr=c.finetune_lr,
-                         epochs=c.finetune_epochs, warmup_frac=0.0, prefix="ft-",
+    return _train_epochs(model, surrogate, dataset, rng, lr=FINETUNE_LR,
+                         epochs=model.config.finetune_epochs, warmup_frac=0.0, prefix="ft-",
                          stage="finetune")
 
 
@@ -355,7 +353,7 @@ def _train_epochs(model: SeqVae, surrogate, dataset, rng: Rng, lr, epochs, warmu
                 loss = loss + c.lambda_prop * (
                     (surrogate.predict_graph(mean_pool(z)) - y) ** 2).mean()
             grads = ad.gradients(loss, params)
-            grads, _ = clip_grad_norm(grads, c.clip_norm)
+            grads, _ = clip_grad_norm(grads, GRAD_CLIP_NORM)
             optimizer_step(opt, params, grads)
             losses.append(loss.item())
             step += 1

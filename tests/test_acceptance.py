@@ -67,7 +67,7 @@ def shipped(tmp_path_factory):
     train_time = time.time() - t0
     models = harness.Pipeline.load(out)
     return dict(cfg=cfg, ds=ds, models=models, ckpt_dir=str(out),
-                train_time=train_time, reference=harness.reference_set(ds, cfg))
+                train_time=train_time, reference=harness.reference_set(ds))
 
 
 @pytest.fixture(scope="session")

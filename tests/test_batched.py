@@ -176,8 +176,7 @@ plain_tokens = [t for t in toyset.VOCAB if t not in (toyset.PAD, toyset.BOS, toy
 @given(st.lists(st.lists(st.sampled_from(plain_tokens), max_size=12), min_size=1, max_size=6),
        tokens_k, dims, seeds)
 def test_encode_and_decode_rows_match_single(seqs, K, d, seed):
-    vae = SeqVae(VaeConfig(K=K, d=d, embed_dim=6, enc_hidden=8, dec_hidden=8, max_len=16),
-                 Rng(seed))
+    vae = SeqVae(VaeConfig(K=K, d=d, embed_dim=6, enc_hidden=8, dec_hidden=8), Rng(seed))
     post = vae.encode_batch(seqs)
     for b, seq in enumerate(seqs):
         one = vae.encode_batch([seq])
@@ -192,12 +191,11 @@ def test_encode_and_decode_rows_match_single(seqs, K, d, seed):
 @given(st.sampled_from([ENCODE_CHUNK - 1, ENCODE_CHUNK, ENCODE_CHUNK + 1, 600]), seeds)
 def test_chunked_encode_rows_match_single(B, seed):
     """Across chunk edges, with chunks padded to different lengths: one
-    sequence longer than the rest (truncated at ``max_len``) lands in one chunk."""
+    sequence longer than the rest (truncated at ``toyset.MAX_LEN``) lands in one chunk."""
     r = Rng(seed)
-    vae = SeqVae(VaeConfig(K=2, d=3, embed_dim=6, enc_hidden=8, dec_hidden=8, max_len=16),
-                 r.split("vae"))
+    vae = SeqVae(VaeConfig(K=2, d=3, embed_dim=6, enc_hidden=8, dec_hidden=8), r.split("vae"))
     lengths = r.split("len").integers(0, 10, B)
-    lengths[int(r.split("long").integers(0, B))] = 20
+    lengths[int(r.split("long").integers(0, B))] = toyset.MAX_LEN + 6
     seqs = [tuple(plain_tokens[i] for i in r.split(("seq", b)).integers(0, len(plain_tokens), n))
             for b, n in enumerate(lengths)]
     post = vae.encode_batch(seqs)
@@ -400,13 +398,13 @@ def test_evaluate_hv_ci_matches_resample_loop(picks, seed):
     baseline = np.stack([p.as_array() for _, p in test[12:30]])
     ref = moeval.auto_reference(baseline)
     report = harness._evaluate(TINY_MODELS, TINY, structures, baseline, ref, seed,
-                               harness.reference_set(TINY_DATA, TINY))
+                               harness.reference_set(TINY_DATA))
     points = np.stack([toyset.oracle_properties(s).as_array() for s in structures])
     ev, n = TINY.evaluation, len(points)
     gen = Rng(seed).split("hv-ci").split("bootstrap").gen
     stats = [loop_hypervolume(np.vstack([baseline, points[gen.integers(0, n, n)]]), ref)[0]
              for _ in range(ev.bootstrap_resamples)]
-    alpha = (1.0 - ev.ci_level) / 2.0
+    alpha = (1.0 - harness.CI_LEVEL) / 2.0
     assert report.hv_ci == (float(np.quantile(stats, alpha)),
                             float(np.quantile(stats, 1.0 - alpha)))
 
@@ -420,7 +418,7 @@ def budgeted_files(result):
 @given(st.sampled_from(harness.PROPOSERS), st.integers(0, 2 ** 16))
 def test_budgeted_run_prebuilt_reference_matches_own(proposer, seed):
     cfg = dataclasses.replace(TINY, budget=dataclasses.replace(TINY.budget, budget=12))
-    reference = harness.reference_set(TINY_DATA, cfg)
+    reference = harness.reference_set(TINY_DATA)
     with_ref = harness.budgeted_run(TINY_MODELS, TINY_DATA, cfg, proposer, seed,
                                     reference=reference)
     own = harness.budgeted_run(TINY_MODELS, TINY_DATA, cfg, proposer, seed)

@@ -76,9 +76,10 @@ def test_fm_loss_empty_batch(field):
         fm_loss(field, np.zeros((0, 2, 3)), np.zeros((0, 2, 3)), np.zeros(0))
 
 
-def test_train_flow_reduces_loss_on_point_mass(rng):
+def test_train_flow_reduces_loss_on_point_mass(rng, monkeypatch):
     """A constant target makes the regression exactly solvable."""
-    cfg = small_config(steps=150, lr=5e-3)
+    monkeypatch.setattr("flowopt.flowmatch.LR", 5e-3)  # converge in few steps
+    cfg = small_config(steps=150)
     field = FlowField(cfg, rng.split("f"))
     target = rng.normal((cfg.K, cfg.d)) * 2.0
 

@@ -209,12 +209,23 @@ def test_gamma_sweep_rows_and_summary(tiny_run):
 
 # -- stage ordering -------------------------------------------------------
 
-def test_pipeline_stage_order_enforced(tiny_run, tmp_path):
+def test_pipeline_stage_order_enforced(tiny_run, tmp_path, runner):
     cfg = tiny_config()
     with pytest.raises(ConfigError):
         harness.pipeline_train(cfg, tiny_run["ds"], tmp_path / "x", ("finetune",))
     with pytest.raises(ConfigError):
         harness.pipeline_train(cfg, tiny_run["ds"], tmp_path / "y", ("flow",))
+    # A pretrained encoder alone is not enough for the flow stage.
+    pretrained = tmp_path / "pretrained"
+    pretrained.mkdir()
+    shutil.copy(os.path.join(tiny_run["ckpt_dir"], harness.VAE_CKPT), pretrained)
+    with pytest.raises(ConfigError):
+        harness.pipeline_train(cfg, tiny_run["ds"], pretrained, ("flow",))
+    res = runner.invoke(cli.main, ["train", "--seed", "0", "--config", tiny_run["cfg_path"],
+                                   "--data", tiny_run["data_dir"], "--out", str(pretrained),
+                                   "--stage", "flow"])
+    assert res.exit_code == 2, res.output
+    assert os.listdir(pretrained) == [harness.VAE_CKPT]
 
 
 def test_flow_stage_matches_per_step_encoding(tiny_run, tmp_path, monkeypatch):
@@ -256,10 +267,9 @@ def test_flow_stage_matches_per_step_encoding(tiny_run, tmp_path, monkeypatch):
 def test_reference_point_falls_back_on_zero_range():
     cfg = tiny_config()
     spread = np.array([[0.2, 3.0], [0.6, 5.0]])
-    assert np.array_equal(harness.reference_point(spread, cfg),
-                          moeval.auto_reference(spread, margin=cfg.evaluation.ref_margin))
+    assert np.array_equal(harness.reference_point(spread), moeval.auto_reference(spread))
     flat = np.array([[0.2, 3.0], [0.6, 3.0]])
-    ref = harness.reference_point(flat, cfg)
+    ref = harness.reference_point(flat)
     assert ref.dtype == np.float64
     assert tuple(ref) == (toyset.P1_BOUNDS[0], toyset.P2_BOUNDS[1])  # the worst corner
 
@@ -297,10 +307,14 @@ def test_run_config_json_round_trip():
     # an older config.json that still carries since-removed fields loads the same
     old = cfg.to_dict()
     old["budget"]["batch_size"] = 1
-    old["evaluation"].update(curve_ci_level=0.9, fallback_reference=[0.0, 10.0])
-    old["vae"].update(pooling="attention", seed=0)
-    old["flow"]["ot_coupling"] = False
+    old["evaluation"].update(curve_ci_level=0.9, fallback_reference=[0.0, 10.0],
+                             ref_margin=0.1, ci_level=0.95, bins=50, projection_seed=1234)
+    old["vae"].update(pooling="attention", seed=0, kl_warmup_frac=0.35, finetune_lr=1e-3,
+                      clip_norm=5.0, max_len=64)
+    old["flow"].update(ot_coupling=False, lr=2e-4, clip_norm=5.0)
     old["surrogate"].update(lr=1e-3, batch_size=128, holdout_frac=0.15, clip_norm=5.0)
+    old["selection"] = {"diversity_penalty": 2.0, "pareto_weight": 2.0, "history_window": 10}
+    old["ga"] = {"eta": 0.3, "steps": 10, "sigma": 0.2}
     assert RunConfig.from_json(json.dumps(old)) == cfg
 
 
@@ -505,8 +519,12 @@ def test_committed_bench_checkpoint_loads():
     """The benchmark's fixed checkpoint predates the retired VAE, surrogate and
     flow config keys its headers still carry; it must keep loading and running."""
     _, meta = load_checkpoint(os.path.join(BENCH_CKPT, harness.FINETUNE_CKPT))
-    assert {"pooling", "seed"} <= set(meta["config"])
+    assert {"pooling", "seed", "kl_warmup_frac", "finetune_lr", "clip_norm",
+            "max_len"} <= set(meta["config"])
     assert {"lr", "batch_size", "holdout_frac", "clip_norm"} <= set(meta["surrogate"]["config"])
+    _, meta = load_checkpoint(os.path.join(BENCH_CKPT, harness.FLOW_CKPT))
+    assert {"ot_coupling", "lr", "clip_norm"} <= set(meta["config"])
+    assert "latent_source" in meta
     models = harness.Pipeline.load(BENCH_CKPT)
     c = models.vae.config
     post = models.vae.encode_batch([("A", "B", "R", "i"), ("C",)])
@@ -606,6 +624,30 @@ def test_cli_gamma_sweep_non_finite_gamma_exit_2(runner, tiny_run, value):
                                    "--out", str(tiny_run["base"] / "bad-sweeps")])
     assert res.exit_code == 2, res.output
     assert "config error: gamma" in res.output and value.split(",")[-1] in res.output
+
+
+def test_gamma_sweep_checks_seeds_before_any_work(tiny_run, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the sweep started work before checking its seeds")
+
+    monkeypatch.setattr(harness, "reference_set", no_work)
+    with pytest.raises(ContractViolation, match="-1"):
+        harness.gamma_sweep(tiny_run["models"], tiny_run["ds"], tiny_run["cfg"], seeds=[0, -1])
+
+
+@pytest.mark.parametrize("command", ["generate", "gen-data", "gamma-sweep"])
+def test_cli_negative_seed_exit_2(runner, tiny_run, tmp_path, command):
+    args = {
+        "generate": ["generate", "--seed", "-1", "--config", tiny_run["cfg_path"],
+                     "--ckpt", tiny_run["ckpt_dir"], "--count", "1"],
+        "gen-data": ["gen-data", "--seed", "-1", "--count", "50", "--out", str(tmp_path)],
+        "gamma-sweep": ["gamma-sweep", "--seed", "0", "--config", tiny_run["cfg_path"],
+                        "--ckpt", tiny_run["ckpt_dir"], "--data", tiny_run["data_dir"],
+                        "--sweep-seeds", "-1", "--out", str(tmp_path)],
+    }[command]
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 2, res.output
+    assert "config error: seed" in res.output and "-1" in res.output
 
 
 def test_cli_numeric_failure_names_its_site_once(capsys):

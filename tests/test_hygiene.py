@@ -15,12 +15,19 @@ decorator and are exempt, as is each entry of ``DEAD_CODE_ALLOWLIST``.
 A defaulted parameter is dead when no call in those same callers sets it, by
 keyword or by position; a default no caller overrides is a constant posing as
 an option. Each entry of ``DEAD_PARAMETER_ALLOWLIST`` says why it stays.
+
+A field of ``RunConfig`` or of one of its sections is dead, by the same
+reasoning, when those callers never set it or never read it as an attribute.
+Each entry of ``DEAD_CONFIG_ALLOWLIST`` says why it stays.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from flowopt.config import _SECTION_TYPES, RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "flowopt").glob("*.py"))
@@ -38,6 +45,12 @@ DEAD_PARAMETER_ALLOWLIST = {
         "the selection-law acceptance line draws many times from one probability vector",
     "config.paper_tuned.seed": "every PROFILES entry shares the signature of toy_default(seed)",
     "config.paper_scale.seed": "every PROFILES entry shares the signature of toy_default(seed)",
+}
+DEAD_CONFIG_ALLOWLIST = {
+    "DataConfig.min_len": "read by bench/workloads.py to generate the benchmark dataset",
+    "VaeConfig.lambda_prop": "the joint-supervision ablation in seqvae.finetune (0 skips it)",
+    "GuidanceConfig.clip_norm": "serialized into every report's config_echo",
+    "SurrogateConfig.epochs": "read by nothing, and kept while bench/test_smoke.py sets it",
 }
 
 
@@ -210,3 +223,76 @@ def test_no_dead_parameters():
     dead = dead_parameters(defining, {str(p): p.read_text() for p in CALLERS})
     assert sorted(set(dead) - set(DEAD_PARAMETER_ALLOWLIST)) == []
     assert sorted(set(DEAD_PARAMETER_ALLOWLIST) - set(dead)) == []
+
+
+NO_DEFAULT = object()  # a field with a default factory: any argument sets it
+
+
+def _literal_equals(node, value) -> bool:
+    try:
+        return ast.literal_eval(node) == value
+    except ValueError:
+        return False
+
+
+def dead_config_fields(fields: dict, callers: dict) -> list:
+    """``Class.field`` of each field in ``fields`` (class name -> {field name:
+    default or ``NO_DEFAULT``}, in field order) that no source in ``callers``
+    (path -> source) sets, or that none reads as an attribute.
+
+    A setting is an argument to the class, by keyword or by position, that is
+    not a literal equal to the field's default; a keyword to ``replace``; or
+    an assignment to an attribute. The last two cannot see the class, so they
+    set the field of that name in every class that has one. A call to the
+    class that unpacks ``*args`` or ``**kwargs`` sets all of its fields.
+    """
+    every = {f"{cls}.{name}" for cls, names in fields.items() for name in names}
+    unset, unread = set(every), set(every)
+
+    def mark(found: set, name: str, classes=fields):
+        found.difference_update(f"{cls}.{name}" for cls in classes if name in fields[cls])
+
+    for source in callers.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                mark(unset if isinstance(node.ctx, ast.Store) else unread, node.attr)
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called == "replace":
+                for k in node.keywords:
+                    mark(unset, k.arg)
+            elif called in fields:
+                defaults = fields[called]
+                given = list(zip(defaults, node.args)) + [(k.arg, k.value) for k in node.keywords]
+                if (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(name is None for name, _ in given)):
+                    given = [(name, None) for name in defaults]
+                for name, value in given:
+                    if value is None or not _literal_equals(value, defaults[name]):
+                        mark(unset, name, [called])
+    return sorted(unset | unread)
+
+
+def test_dead_config_scan_flags_fields_nothing_sets_or_reads():
+    fields = {"A": {"x": 1, "y": 2.0, "z": "s", "w": 0, "sub": NO_DEFAULT},
+              "B": {"x": 3, "v": (1, 2), "u": 0, "t": 0}}
+    callers = {"mod": ("a = A(1, 3.0, z='s', sub=B())\n"
+                       "b = B(v=(1, 2), u=n)\n"
+                       "c = replace(a, w=4)\n"
+                       "c.t = 5\n"
+                       "print(a.x, a.y, a.z, a.w, a.sub, b.v, b.u)\n")}
+    # A.x is passed its default and B.x nothing; A.z its default; B.v its
+    # default; B.t is set but never read.
+    assert dead_config_fields(fields, callers) == ["A.x", "A.z", "B.t", "B.v", "B.x"]
+    unpacked = {"mod": "B(**kw)\nprint(b.x, b.v, b.u, b.t)\n"}
+    assert dead_config_fields({"B": fields["B"]}, unpacked) == []
+
+
+def test_no_dead_config_fields():
+    fields = {cls.__name__: {f.name: NO_DEFAULT if f.default is dataclasses.MISSING else f.default
+                             for f in dataclasses.fields(cls)}
+              for cls in (RunConfig, *_SECTION_TYPES.values())}
+    dead = dead_config_fields(fields, {str(p): p.read_text() for p in CALLERS})
+    assert sorted(set(dead) - set(DEAD_CONFIG_ALLOWLIST)) == []
+    assert sorted(set(DEAD_CONFIG_ALLOWLIST) - set(dead)) == []

@@ -4,7 +4,7 @@ import pytest
 from flowopt import toyset
 from flowopt.errors import (ContractViolation, DegenerateRangeError,
                             UnsupportedDimensionError)
-from flowopt.moeval import (DESCRIPTOR_NAMES, EvalReport, auto_reference,
+from flowopt.moeval import (DESCRIPTOR_NAMES, REFERENCE_MARGIN, EvalReport, auto_reference,
                             bootstrap_ci, descriptor_kl, descriptor_values,
                             embedding_projection, feature_matrix,
                             frechet_distance, histogram_kl, hypervolume_2d,
@@ -116,7 +116,8 @@ def test_hypervolume_never_drops_when_points_are_added(rng):
 
 def test_auto_reference_margin_math():
     pts = np.array([[0.2, 2.0], [0.8, 6.0]])
-    ref = auto_reference(pts, margin=0.1)
+    ref = auto_reference(pts)
+    assert REFERENCE_MARGIN == 0.1
     assert ref[0] == pytest.approx(0.2 - 0.1 * 0.6)   # below worst p1 (maximized)
     assert ref[1] == pytest.approx(6.0 + 0.1 * 4.0)   # above worst p2 (minimized)
 
@@ -125,7 +126,7 @@ def test_auto_reference_degenerate_range():
     with pytest.raises(DegenerateRangeError):
         auto_reference(np.array([[0.5, 2.0], [0.5, 6.0]]))
     with pytest.raises(ContractViolation):
-        auto_reference(np.array([[0.5, 2.0]]), margin=-0.1)
+        auto_reference(np.zeros((0, 2)))
 
 
 # -- bootstrap ------------------------------------------------------------

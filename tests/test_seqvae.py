@@ -13,7 +13,7 @@ from flowopt.seqvae import (LOG_SIGMA_CLAMP, SeqVae, VaeConfig, beta_schedule,
 
 def small_config(**kw):
     base = dict(K=2, d=4, embed_dim=8, enc_hidden=16, dec_hidden=16,
-                batch_size=8, pretrain_epochs=1, finetune_epochs=1, max_len=16)
+                batch_size=8, pretrain_epochs=1, finetune_epochs=1)
     base.update(kw)
     return VaeConfig(**base)
 
@@ -140,6 +140,14 @@ def test_checkpoint_vocab_mismatch_rejected(model, tmp_path):
     meta["vocab_hash"] = "0" * 16
     with pytest.raises(ContractViolation):
         SeqVae.from_checkpoint(model.arrays(), meta)
+
+
+def test_checkpoint_position_table_mismatch_rejected(model):
+    """A model trained with another maximum length cannot decode to MAX_LEN."""
+    arrays = model.arrays()
+    arrays["vae.pos_emb"] = arrays["vae.pos_emb"][:33]
+    with pytest.raises(ContractViolation, match="MAX_LEN"):
+        SeqVae.from_checkpoint(arrays, model.meta("pretrain"))
 
 
 def test_training_reduces_loss(tiny_dataset, rng):
