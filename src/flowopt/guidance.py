@@ -24,6 +24,11 @@ from .errors import ContractViolation, NumericFailure
 from .seqvae import LatentState, mean_pool
 from .rng import normal_rows
 
+# The gradient-ascent ablation's step size, steps and start noise; fixed, not tuned.
+GA_ETA = 0.3
+GA_STEPS = 10
+GA_SIGMA = 0.2
+
 
 @dataclass
 class ObjectiveSpec:

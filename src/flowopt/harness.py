@@ -32,12 +32,6 @@ FLOW_CKPT = "flow.ckpt"
 DIVERSITY_PENALTY = 2.0
 PARETO_WEIGHT = 2.0
 HISTORY_WINDOW = 10
-# The gradient-ascent ablation's step size, steps and start noise; fixed, not tuned.
-GA_ETA = 0.3
-GA_STEPS = 10
-GA_SIGMA = 0.2
-CI_LEVEL = 0.95  # of the hypervolume bootstrap interval
-PROJECTION_SEED = 1234  # of the Fréchet embedding projection
 
 
 # -- staged training ------------------------------------------------------
@@ -196,11 +190,10 @@ class BudgetState:
         return flags
 
 
-def selection_probabilities(state: BudgetState, diversity_penalty: float,
-                            pareto_weight: float) -> np.ndarray:
-    """p_i proportional to pareto weight times exp(-lambda * max similarity)."""
+def selection_probabilities(state: BudgetState) -> np.ndarray:
+    """Each pool member's probability under the selection law stated with DIVERSITY_PENALTY."""
     flags = state.pareto_flags()
-    w = np.where(flags, pareto_weight, 1.0)
+    w = np.where(flags, PARETO_WEIGHT, 1.0)
     if state.history:
         feats = np.stack([e.features for e in state.pool])
         hist = np.stack(state.history)
@@ -209,12 +202,11 @@ def selection_probabilities(state: BudgetState, diversity_penalty: float,
         sims = np.where(union > 0, inter / np.maximum(union, 1), 1.0).max(axis=1)
     else:
         sims = np.zeros(len(state.pool))
-    p = w * np.exp(-diversity_penalty * sims)
+    p = w * np.exp(-DIVERSITY_PENALTY * sims)
     return p / p.sum()
 
 
-def select_seed(state: BudgetState, diversity_penalty: float, pareto_weight: float,
-                rng: Rng, probs: np.ndarray = None) -> int:
+def select_seed(state: BudgetState, rng: Rng, probs: np.ndarray = None) -> int:
     """Draw a pool index under the selection law.
 
     ``probs`` may carry precomputed ``selection_probabilities`` output for
@@ -222,8 +214,7 @@ def select_seed(state: BudgetState, diversity_penalty: float, pareto_weight: flo
     """
     if not state.pool:
         raise ContractViolation("cannot select from an empty pool")
-    p = (selection_probabilities(state, diversity_penalty, pareto_weight)
-         if probs is None else probs)
+    p = selection_probabilities(state) if probs is None else probs
     return rng.choice(len(p), p=p)
 
 
@@ -243,7 +234,8 @@ def _propose(proposer: str, models: Pipeline, cfg: RunConfig,
         post = vae.encode_batch([seed_entry.structure.canonical_tokens])
         z0 = seqvae.LatentState(z=post.mu, t=1.0)
         final = guidance.gradient_ascent_baseline(
-            sur, spec, z0, GA_ETA, GA_STEPS, GA_SIGMA, [rng.split("noise")])
+            sur, spec, z0, guidance.GA_ETA, guidance.GA_STEPS, guidance.GA_SIGMA,
+            [rng.split("noise")])
     elif proposer == "random":
         final = seqvae.LatentState(
             z=rng.split("noise").normal((1, cfg.vae.K, cfg.vae.d)), t=1.0)
@@ -300,7 +292,7 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     step = 0
     while complete and oracle.calls < cfg.budget.budget:
         srng = rng.split(("step", step))
-        idx = select_seed(state, DIVERSITY_PENALTY, PARETO_WEIGHT, srng.split("select"))
+        idx = select_seed(state, srng.split("select"))
         entry = state.pool[idx]
         proposed = _propose(proposer, models, cfg, entry, srng.split("propose"))
         new = PoolEntry(structure=proposed, props=oracle(proposed))
@@ -353,7 +345,7 @@ def reference_set(dataset: toyset.Dataset) -> ReferenceSet:
     """Decode the train split once and derive everything ``_evaluate`` compares to."""
     structures = [toyset.decode(t) for t, _ in dataset.subset("train")]
     features = moeval.feature_matrix(structures)
-    projection = moeval.embedding_projection(PROJECTION_SEED)
+    projection = moeval.embedding_projection(moeval.PROJECTION_SEED)
     return ReferenceSet(keys={s.canonical_key for s in structures},
                         descriptors=moeval.descriptor_values(structures, features),
                         projection=projection,
@@ -362,7 +354,7 @@ def reference_set(dataset: toyset.Dataset) -> ReferenceSet:
 
 def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
               ref, seed, reference: ReferenceSet) -> moeval.EvalReport:
-    report = moeval.EvalReport(seed=seed, projection_seed=PROJECTION_SEED,
+    report = moeval.EvalReport(seed=seed, projection_seed=moeval.PROJECTION_SEED,
                                reference_point=tuple(float(x) for x in ref),
                                config_echo={"guidance": asdict(cfg.guidance),
                                             "objective": asdict(cfg.objective)})
@@ -388,7 +380,7 @@ def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
         return moeval.hypervolume_2d_rows(all_points, present, ref)
 
     report.hv_ci = moeval.bootstrap_ci(hv_metric, len(points),
-                                       cfg.evaluation.bootstrap_resamples, CI_LEVEL,
+                                       cfg.evaluation.bootstrap_resamples, moeval.CI_LEVEL,
                                        Rng(seed).split("hv-ci"))
     sm = moeval.set_metrics(structures, reference.keys)
     report.validity = sm["validity"]

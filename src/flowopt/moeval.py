@@ -21,6 +21,8 @@ from .rng import Rng
 EMBED_DIM = 32
 REFERENCE_MARGIN = 0.1  # auto_reference pushes the worst point this share of the range out
 KL_BINS = 50
+CI_LEVEL = 0.95  # of the hypervolume bootstrap interval
+PROJECTION_SEED = 1234  # of the Fréchet embedding projection
 DESCRIPTOR_NAMES = ("length", "branch_depth", "side_groups", "skeleton_length",
                     "popcount", "p1", "p2")
 

@@ -297,11 +297,11 @@ def test_selection_law_chi_square():
         n_hist = int(r.integers(0, 4))
         state.history = [state.pool[int(r.integers(0, n))].structure.features
                          for _ in range(n_hist)]
-        p = harness.selection_probabilities(state, 2.0, 2.0)
+        p = harness.selection_probabilities(state)
         draw_rng = r.split("draws")
         counts = np.zeros(n)
         for _ in range(draws):
-            counts[harness.select_seed(state, 2.0, 2.0, draw_rng, probs=p)] += 1
+            counts[harness.select_seed(state, draw_rng, probs=p)] += 1
         _, pval = sps.chisquare(counts, p * draws)
         worst_p = min(worst_p, pval)
         ok = ok and pval > 0.001

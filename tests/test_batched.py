@@ -404,7 +404,7 @@ def test_evaluate_hv_ci_matches_resample_loop(picks, seed):
     gen = Rng(seed).split("hv-ci").split("bootstrap").gen
     stats = [loop_hypervolume(np.vstack([baseline, points[gen.integers(0, n, n)]]), ref)[0]
              for _ in range(ev.bootstrap_resamples)]
-    alpha = (1.0 - harness.CI_LEVEL) / 2.0
+    alpha = (1.0 - moeval.CI_LEVEL) / 2.0
     assert report.hv_ci == (float(np.quantile(stats, alpha)),
                             float(np.quantile(stats, 1.0 - alpha)))
 

@@ -86,7 +86,7 @@ def _pool_state(rng, n, with_history=False):
 
 def test_selection_probabilities_normalized_and_weighted(rng):
     state = _pool_state(rng.split("a"), 12, with_history=True)
-    p = harness.selection_probabilities(state, 2.0, 2.0)
+    p = harness.selection_probabilities(state)
     assert p.shape == (12,)
     assert p.sum() == pytest.approx(1.0)
     assert (p > 0).all()
@@ -102,19 +102,19 @@ def test_selection_probabilities_normalized_and_weighted(rng):
 def test_select_seed_matches_law_chi_square(rng):
     for case in range(5):
         state = _pool_state(rng.split(("cfg", case)), 8, with_history=(case % 2 == 0))
-        p = harness.selection_probabilities(state, 2.0, 2.0)
+        p = harness.selection_probabilities(state)
         draws = 20_000
         r = rng.split(("draws", case))
         counts = np.zeros(len(p))
         for i in range(draws):
-            counts[harness.select_seed(state, 2.0, 2.0, r.split(i))] += 1
+            counts[harness.select_seed(state, r.split(i))] += 1
         _, pval = sps.chisquare(counts, p * draws)
         assert pval > 0.001
 
 
 def test_select_seed_empty_pool():
     with pytest.raises(ContractViolation):
-        harness.select_seed(harness.BudgetState(budget=5), 2.0, 2.0, Rng(0))
+        harness.select_seed(harness.BudgetState(budget=5), Rng(0))
 
 
 def test_pareto_flags_hand_case():

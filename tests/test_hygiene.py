@@ -245,6 +245,12 @@ def dead_config_fields(fields: dict, callers: dict) -> list:
     an assignment to an attribute. The last two cannot see the class, so they
     set the field of that name in every class that has one. A call to the
     class that unpacks ``*args`` or ``**kwargs`` sets all of its fields.
+
+    Reads are matched by name alone as well: loading any attribute of a
+    field's name (``state.lr``, ``rng.seed``) reads that field in every
+    class, whatever object it is loaded from. The scan can therefore miss a
+    dead field whose name some other object shares; it cannot flag a live
+    one.
     """
     every = {f"{cls}.{name}" for cls, names in fields.items() for name in names}
     unset, unread = set(every), set(every)
