@@ -1,10 +1,15 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The graph is implicit: every ``Tensor`` produced by an operation carries a
-strictly increasing creation id and closures that push gradient into its
-parents. ``backward`` walks the reachable subgraph in decreasing id order,
-which is exactly reverse topological order because parents are always created
-before children. The tape is rebuilt on every forward pass; nothing is reused.
+The graph is implicit: every ``Tensor`` carries a strictly increasing
+creation id, and an operation's output records its parents and a closure that
+pushes gradient into them. Only what a grad-requiring leaf feeds is recorded:
+an output whose inputs all have ``requires_grad`` off keeps no parents and no
+closure, and a closure computes the gradients of its grad-requiring parents
+only. So a tape over frozen parameters holds just the path to its
+grad-requiring inputs. ``backward`` walks the recorded subgraph in decreasing
+id order, which is exactly reverse topological order because parents are
+always created before children. The tape is rebuilt on every forward pass;
+nothing is reused.
 
 All storage is 64-bit; there is no broadcasting surprise: elementwise ops
 follow numpy broadcasting and gradients are un-broadcast by summation.
@@ -38,17 +43,19 @@ class Tensor:
     """A node in the computation tape.
 
     ``requires_grad`` marks leaves that accumulate gradients (parameters and
-    inputs); interior nodes propagate whenever any ancestor requires grad.
+    inputs); interior nodes propagate whenever any ancestor requires grad, and
+    only those keep ``_parents`` and ``_backward``. ``_backward(g)`` returns
+    one gradient per parent, None for a parent that does not require grad.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id", "op")
 
-    def __init__(self, data, requires_grad=False, _parents=(), op="leaf"):
+    def __init__(self, data, requires_grad=False, _parents=(), op="leaf", _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self.grad = None
-        self._parents = _parents
-        self._backward = None
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
         self._id = next(_ids)
         self.op = op
 
@@ -70,129 +77,111 @@ class Tensor:
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data + other.data, _parents=(self, other), op="add")
-        out._backward = lambda g: (
-            _unbroadcast(g, self.shape),
-            _unbroadcast(g, other.shape),
-        )
-        return out
+        return Tensor(self.data + other.data, _parents=(self, other), op="add",
+                      _backward=lambda g: (
+                          _unbroadcast(g, self.shape) if self.requires_grad else None,
+                          _unbroadcast(g, other.shape) if other.requires_grad else None))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data - other.data, _parents=(self, other), op="sub")
-        out._backward = lambda g: (
-            _unbroadcast(g, self.shape),
-            _unbroadcast(-g, other.shape),
-        )
-        return out
+        return Tensor(self.data - other.data, _parents=(self, other), op="sub",
+                      _backward=lambda g: (
+                          _unbroadcast(g, self.shape) if self.requires_grad else None,
+                          _unbroadcast(-g, other.shape) if other.requires_grad else None))
 
     def __rsub__(self, other):
         return _as_tensor(other) - self
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data * other.data, _parents=(self, other), op="mul")
-        out._backward = lambda g: (
-            _unbroadcast(g * other.data, self.shape),
-            _unbroadcast(g * self.data, other.shape),
-        )
-        return out
+        return Tensor(self.data * other.data, _parents=(self, other), op="mul",
+                      _backward=lambda g: (
+                          _unbroadcast(g * other.data, self.shape) if self.requires_grad else None,
+                          _unbroadcast(g * self.data, other.shape)
+                          if other.requires_grad else None))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data / other.data, _parents=(self, other), op="div")
-        out._backward = lambda g: (
-            _unbroadcast(g / other.data, self.shape),
-            _unbroadcast(-g * self.data / other.data**2, other.shape),
-        )
-        return out
+        return Tensor(self.data / other.data, _parents=(self, other), op="div",
+                      _backward=lambda g: (
+                          _unbroadcast(g / other.data, self.shape) if self.requires_grad else None,
+                          _unbroadcast(-g * self.data / other.data**2, other.shape)
+                          if other.requires_grad else None))
 
     def __neg__(self):
-        out = Tensor(-self.data, _parents=(self,), op="neg")
-        out._backward = lambda g: (-g,)
-        return out
+        return Tensor(-self.data, _parents=(self,), op="neg",
+                      _backward=lambda g: (-g,))
 
     def __matmul__(self, other):
         other = _as_tensor(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ContractViolation("matmul is defined for 2-D tensors only")
-        out = Tensor(self.data @ other.data, _parents=(self, other), op="matmul")
-        out._backward = lambda g: (g @ other.data.T, self.data.T @ g)
-        return out
+        return Tensor(self.data @ other.data, _parents=(self, other), op="matmul",
+                      _backward=lambda g: (g @ other.data.T if self.requires_grad else None,
+                                           self.data.T @ g if other.requires_grad else None))
 
     def __pow__(self, p):
         p = float(p)
-        out = Tensor(self.data**p, _parents=(self,), op="pow")
-        out._backward = lambda g: (g * p * self.data ** (p - 1),)
-        return out
+        return Tensor(self.data**p, _parents=(self,), op="pow",
+                      _backward=lambda g: (g * p * self.data ** (p - 1),))
 
     # -- nonlinearities ---------------------------------------------------
     def exp(self):
         y = np.exp(self.data)
-        out = Tensor(y, _parents=(self,), op="exp")
-        out._backward = lambda g: (g * y,)
-        return out
+        return Tensor(y, _parents=(self,), op="exp",
+                      _backward=lambda g: (g * y,))
 
     def log(self):
-        out = Tensor(np.log(self.data), _parents=(self,), op="log")
-        out._backward = lambda g: (g / self.data,)
-        return out
+        return Tensor(np.log(self.data), _parents=(self,), op="log",
+                      _backward=lambda g: (g / self.data,))
 
     def tanh(self):
         y = np.tanh(self.data)
-        out = Tensor(y, _parents=(self,), op="tanh")
-        out._backward = lambda g: (g * (1.0 - y * y),)
-        return out
+        return Tensor(y, _parents=(self,), op="tanh",
+                      _backward=lambda g: (g * (1.0 - y * y),))
 
     def sigmoid(self):
         y = 0.5 * (np.tanh(0.5 * self.data) + 1.0)
-        out = Tensor(y, _parents=(self,), op="sigmoid")
-        out._backward = lambda g: (g * y * (1.0 - y),)
-        return out
+        return Tensor(y, _parents=(self,), op="sigmoid",
+                      _backward=lambda g: (g * y * (1.0 - y),))
 
     def relu(self):
         mask = self.data > 0
-        out = Tensor(np.where(mask, self.data, 0.0), _parents=(self,), op="relu")
-        out._backward = lambda g: (g * mask,)
-        return out
+        return Tensor(np.where(mask, self.data, 0.0), _parents=(self,), op="relu",
+                      _backward=lambda g: (g * mask,))
 
     def clamp(self, lo, hi):
         """Value clamp; gradient is zero outside [lo, hi] (saturating)."""
         mask = (self.data >= lo) & (self.data <= hi)
-        out = Tensor(np.clip(self.data, lo, hi), _parents=(self,), op="clamp")
-        out._backward = lambda g: (g * mask,)
-        return out
+        return Tensor(np.clip(self.data, lo, hi), _parents=(self,), op="clamp",
+                      _backward=lambda g: (g * mask,))
 
     # -- shape ------------------------------------------------------------
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), _parents=(self,), op="reshape")
-        out._backward = lambda g: (g.reshape(self.shape),)
-        return out
+        return Tensor(self.data.reshape(shape), _parents=(self,), op="reshape",
+                      _backward=lambda g: (g.reshape(self.shape),))
 
     def transpose(self):
         if self.data.ndim != 2:
             raise ContractViolation("transpose is defined for 2-D tensors only")
-        out = Tensor(self.data.T, _parents=(self,), op="transpose")
-        out._backward = lambda g: (g.T,)
-        return out
+        return Tensor(self.data.T, _parents=(self,), op="transpose",
+                      _backward=lambda g: (g.T,))
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), op="sum")
-
         def back(g):
             if axis is None:
                 return (np.broadcast_to(g, self.shape).copy(),)
             gg = g if keepdims else np.expand_dims(g, axis)
             return (np.broadcast_to(gg, self.shape).copy(),)
 
-        out._backward = back
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), op="sum",
+                      _backward=back)
 
     def mean(self, axis=None):
         if axis is None:
@@ -209,26 +198,23 @@ def _as_tensor(x) -> Tensor:
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 _parents=tuple(tensors), op="concat")
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-    out._backward = lambda g: tuple(np.split(g, splits, axis=axis))
-    return out
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  _parents=tuple(tensors), op="concat",
+                  _backward=lambda g: tuple(part if t.requires_grad else None for t, part
+                                            in zip(tensors, np.split(g, splits, axis=axis))))
 
 
 def embedding(weight: Tensor, indices) -> Tensor:
     """Row gather: ``weight[indices]`` with scatter-add backward."""
     idx = np.asarray(indices, dtype=np.int64)
-    out = Tensor(weight.data[idx], _parents=(weight,), op="embedding")
 
     def back(g):
         gw = np.zeros_like(weight.data)
         np.add.at(gw, idx.reshape(-1), g.reshape(-1, weight.data.shape[-1]))
         return (gw,)
 
-    out._backward = back
-    return out
+    return Tensor(weight.data[idx], _parents=(weight,), op="embedding", _backward=back)
 
 
 def softmax(x: Tensor, axis=-1) -> Tensor:
@@ -256,21 +242,22 @@ def softmax_cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     nll = lse - z[np.arange(n), tgt]
-    out = Tensor((nll * w).sum() / denom, _parents=(logits,), op="xent")
 
     def back(g):
         p = np.exp(z - lse[:, None])
         p[np.arange(n), tgt] -= 1.0
         return (g * p * (w / denom)[:, None],)
 
-    out._backward = back
-    return out
+    return Tensor((nll * w).sum() / denom, _parents=(logits,), op="xent", _backward=back)
 
 
 def backward(loss: Tensor) -> None:
     """Reverse-mode pass from a scalar loss; populates ``.grad`` on leaves.
 
-    Raises ``NumericFailure`` (carrying the node id) if a NaN appears in any
+    Only grad-requiring nodes are recorded, so the pass visits just the paths
+    from ``loss`` to grad-requiring leaves; a leaf whose ``requires_grad`` is
+    off gets no gradient, and none is computed for it. Raises
+    ``NumericFailure`` (carrying the node id) if a NaN appears in any
     propagated gradient, and ``ContractViolation`` for a non-scalar loss.
     """
     if loss.data.size != 1:

@@ -115,9 +115,9 @@ def main():
 
 @main.command("gen-data")
 @click.option("--seed", type=int, required=True)
-@click.option("--count", type=int, default=3000, show_default=True)
-@click.option("--min-len", type=int, default=3, show_default=True)
-@click.option("--max-len", type=int, default=14, show_default=True)
+@click.option("--count", type=int, default=config_mod.DataConfig.count, show_default=True)
+@click.option("--min-len", type=int, default=config_mod.DataConfig.min_len, show_default=True)
+@click.option("--max-len", type=int, default=config_mod.DataConfig.max_len, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_exit_codes
 def gen_data(seed, count, min_len, max_len, out_dir):

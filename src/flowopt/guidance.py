@@ -89,13 +89,15 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
-                       normalize: bool = False, clip_norm: float = None) -> np.ndarray:
-    """Exact reverse-mode gradient of J for each row of a (B, K, d) latent batch.
+                       normalize: bool = False, clip_norm: float = None) -> tuple:
+    """J (B,) and its exact reverse-mode gradient (B, K, d) for each row of a
+    (B, K, d) latent batch, both from one surrogate pass.
 
-    The graph sums J over rows; rows never mix, so row b of the result is the
-    gradient of row b's own J. Post-processing acts on each row: unit-norm
-    rescaling first (a zero row stays zero), then norm clipping. Scaling by
-    gamma is the integrator's job.
+    J equals ``objective_value(spec, surrogate.predict(mean_pool(z)))`` bit
+    for bit. The graph sums J over rows; rows never mix, so row b of the
+    gradient is that of row b's own J. Post-processing acts on each row:
+    unit-norm rescaling first (a zero row stays zero), then norm clipping.
+    Scaling by gamma is the integrator's job.
     """
     zt = Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
     pred = surrogate.predict_graph(mean_pool(zt))
@@ -110,7 +112,7 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
         norm = _row_norms(g)
         scale = np.divide(clip_norm, norm, out=np.ones_like(norm), where=norm > clip_norm)
         g *= scale[:, None, None]
-    return g
+    return np.atleast_1d(objective_value(spec, pred.data)), g
 
 
 @dataclass
@@ -156,7 +158,9 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
 
     ``z_init.z`` is a (B, K, d) batch. Returns (Trajectory, final
     LatentState). With gamma == 0 the update degenerates bit-exactly to
-    unconditional flow integration.
+    unconditional flow integration. A guided step runs one surrogate pass:
+    the J its gradient pass yields is that of the state the previous step
+    reached, and one ``predict`` gives the last step's.
     """
     z = np.array(z_init.z, dtype=np.float64)
     B, K, d = z.shape
@@ -170,9 +174,11 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
         if cfg.gamma == 0.0:
             z = z + dt * v
         else:
-            g = objective_gradient(spec, surrogate, z,
-                                   normalize=cfg.normalize_gradient,
-                                   clip_norm=cfg.clip_norm)
+            j, g = objective_gradient(spec, surrogate, z,
+                                      normalize=cfg.normalize_gradient,
+                                      clip_norm=cfg.clip_norm)
+            if step:  # J at the state the previous step reached
+                traj.objective[step - 1] = j
             z = z + dt * (v - cfg.gamma * g)
             traj.grad_norm[step] = _row_norms(g)
         t = cfg.t_start + (step + 1) * dt
@@ -180,7 +186,8 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
             raise NumericFailure("non-finite state during guided integration",
                                  where=f"step={step}")
         traj.t[step] = t
-        traj.objective[step] = objective_value(spec, surrogate.predict(mean_pool(z)))
+        if cfg.gamma == 0.0 or step == cfg.steps - 1:
+            traj.objective[step] = objective_value(spec, surrogate.predict(mean_pool(z)))
         traj.velocity_norm[step] = _row_norms(v)
     return traj, LatentState(z=z, t=1.0)
 
@@ -210,7 +217,7 @@ def gradient_ascent_baseline(surrogate, spec: ObjectiveSpec, z_init: LatentState
         raise ContractViolation("need one rng per latent row")
     z = z_init.z + sigma * normal_rows(rngs, z_init.z.shape[1:])
     for step in range(steps):
-        g = objective_gradient(spec, surrogate, z)
+        _, g = objective_gradient(spec, surrogate, z)
         z = z - eta * g
         if not np.isfinite(z).all():
             raise NumericFailure("non-finite state in gradient ascent", where=f"step={step}")

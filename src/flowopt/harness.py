@@ -52,6 +52,10 @@ class Pipeline:
 
         vae, sur = _load_model(os.path.join(ckpt_dir, FINETUNE_CKPT), finetuned)
         flow = _load_model(os.path.join(ckpt_dir, FLOW_CKPT), flowmatch.FlowField.from_checkpoint)
+        # Nothing trains after loading: frozen parameters keep every tape
+        # down to the path from a grad-requiring input (a guided latent).
+        for p in vae.params() + sur.params() + flow.params():
+            p.requires_grad = False
         return cls(vae=vae, surrogate=sur, flow=flow)
 
 
@@ -195,10 +199,11 @@ def selection_probabilities(state: BudgetState) -> np.ndarray:
     flags = state.pareto_flags()
     w = np.where(flags, PARETO_WEIGHT, 1.0)
     if state.history:
-        feats = np.stack([e.features for e in state.pool])
-        hist = np.stack(state.history)
-        inter = (feats[:, None, :] & hist[None, :, :]).sum(axis=-1)
-        union = (feats[:, None, :] | hist[None, :, :]).sum(axis=-1)
+        # Jaccard from one count product on 0/1 floats: every count is an exact integer.
+        feats = np.stack([e.features for e in state.pool]).astype(np.float64)
+        hist = np.stack(state.history).astype(np.float64)
+        inter = feats @ hist.T
+        union = feats.sum(axis=1)[:, None] + hist.sum(axis=1) - inter
         sims = np.where(union > 0, inter / np.maximum(union, 1), 1.0).max(axis=1)
     else:
         sims = np.zeros(len(state.pool))

@@ -71,10 +71,15 @@ class LatentState:
 
 
 def mean_pool(z):
-    """The pooling the surrogate consumes: mean over latent tokens."""
+    """The pooling the surrogate consumes: mean over latent tokens.
+
+    Both branches take the tape's rule, sum times 1/K, so they agree bit for
+    bit (``np.mean`` divides by K, which differs by an ulp for some K).
+    """
     if isinstance(z, Tensor):
         return z.mean(axis=-2)
-    return np.asarray(z).mean(axis=-2)
+    z = np.asarray(z)
+    return z.sum(axis=-2) * (1.0 / z.shape[-2])
 
 
 PARAM_NAMES = ("tok_emb", "pos_emb", "enc_w", "enc_b", "mu_w", "mu_b", "ls_w", "ls_b",

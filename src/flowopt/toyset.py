@@ -277,6 +277,8 @@ def generate_dataset(seed: int, count: int, min_len: int = 4, max_len: int = 40)
     """
     if count < 1:
         raise ContractViolation("count must be >= 1")
+    if not 0 <= min_len <= max_len:
+        raise ContractViolation(f"need 0 <= min_len <= max_len, not {min_len} and {max_len}")
     rng = Rng(seed).split("toyset")
     entries = []
     for i in range(count):

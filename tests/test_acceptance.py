@@ -204,7 +204,7 @@ def test_guidance_gradient_matches_finite_differences():
         def f(zv):
             return guidance.objective_value(spec, sur.predict(mean_pool(zv)))
 
-        g = guidance.objective_gradient(spec, sur, z)
+        _, g = guidance.objective_gradient(spec, sur, z)
         worst = max(worst, rel_err(g, finite_difference(f, z.copy())))
     _report("guidance-gradient-correctness", worst < 1e-5,
             f"worst rel err {worst:.2e} over 50 cases, both objective modes")

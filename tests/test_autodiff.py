@@ -187,3 +187,73 @@ def test_concat_gradient_splits(rng):
     ga, gb = ad.gradients((cat * Tensor(scale)).sum(), [a, b])
     assert np.array_equal(ga, scale[:, :3])
     assert np.array_equal(gb, scale[:, 3:])
+
+
+# -- frozen inputs ----------------------------------------------------------
+#
+# Only what a grad-requiring leaf feeds is recorded. A frozen input changes
+# no gradient of a trainable one, bit for bit, and the closures compute no
+# gradient for it.
+
+BINARY_OPS = {
+    "add": (lambda a, b: a + b, (3, 4), (4,)),
+    "sub": (lambda a, b: a - b, (3, 4), (3, 1)),
+    "mul": (lambda a, b: a * b, (3, 4), (1, 4)),
+    "div": (lambda a, b: a / b, (3, 4), (3, 4)),
+    "matmul": (lambda a, b: a @ b, (3, 4), (4, 2)),
+    "concat": (lambda a, b: ad.concat([a, b], axis=1), (3, 2), (3, 3)),
+}
+
+
+def _operands(seed, op, trainable):
+    fn, shape_a, shape_b = BINARY_OPS[op]
+    rng = Rng(seed)
+    a = rng.split("a").normal(shape_a)
+    b = np.exp(rng.split("b").normal(shape_b))  # away from 0 for div
+    return fn, [Tensor(x, requires_grad=t) for x, t in zip((a, b), trainable)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(BINARY_OPS)), st.integers(0, 1), st.integers(0, 2 ** 16))
+def test_frozen_input_leaves_other_gradient_unchanged(op, frozen, seed):
+    fn, both = _operands(seed, op, (True, True))
+    out = fn(*both)
+    upstream = Rng(seed).split("g").normal(out.shape)
+    want = ad.gradients((out.tanh() * Tensor(upstream)).sum(), both)[1 - frozen]
+    trainable = [True, True]
+    trainable[frozen] = False
+    fn, xs = _operands(seed, op, trainable)
+    out = fn(*xs)
+    (got,) = ad.gradients((out.tanh() * Tensor(upstream)).sum(), [xs[1 - frozen]])
+    assert np.array_equal(got, want)
+    assert xs[frozen].grad is None
+    assert out._backward(np.ones(out.shape))[frozen] is None
+
+
+FROZEN_OPS = {
+    "neg": lambda x: -x,
+    "pow": lambda x: x ** 3,
+    "exp": Tensor.exp,
+    "log": Tensor.log,
+    "tanh": Tensor.tanh,
+    "sigmoid": Tensor.sigmoid,
+    "relu": Tensor.relu,
+    "clamp": lambda x: x.clamp(0.5, 1.5),
+    "reshape": lambda x: x.reshape(4, 3),
+    "transpose": Tensor.transpose,
+    "sum": lambda x: x.sum(axis=0),
+    "mean": lambda x: x.mean(axis=1),
+    "embedding": lambda x: ad.embedding(x, [2, 0, 2]),
+    "softmax": lambda x: ad.softmax(x, axis=1),
+    "xent": lambda x: ad.softmax_cross_entropy(x, [0, 3, 1]),
+    **{op: (lambda x, fn=fn, op=op: fn(x, x.transpose() if op == "matmul" else x))
+       for op, (fn, _, _) in BINARY_OPS.items()},
+}
+
+
+@pytest.mark.parametrize("op", sorted(FROZEN_OPS))
+def test_output_of_frozen_inputs_is_not_recorded(op, rng):
+    x = Tensor(np.exp(rng.normal((3, 4))))
+    out = FROZEN_OPS[op](x)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None

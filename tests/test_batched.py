@@ -25,7 +25,7 @@ from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_bas
                               guided_integrate, objective_gradient, objective_value)
 from flowopt.nn import TIME_EMBED_FREQ_RANGE, time_embed
 from flowopt.rng import Rng
-from flowopt.seqvae import ENCODE_CHUNK, LatentState, SeqVae, VaeConfig
+from flowopt.seqvae import ENCODE_CHUNK, LatentState, SeqVae, VaeConfig, mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
 from test_harness import tiny_config
@@ -79,15 +79,51 @@ def test_guided_integrate_rows_match_single(B, K, d, seed, gamma, normalize, cli
 
 
 @settings(max_examples=40, deadline=None)
+@given(batch, st.integers(1, 5), dims, seeds, st.sampled_from([0.0, 5.0]), st.booleans(),
+       clips, specs, st.integers(1, 4))
+def test_trajectory_objective_is_that_of_each_state(B, K, d, seed, gamma, normalize, clip,
+                                                     spec, steps):
+    """Row s of ``Trajectory.objective`` is J of the state step s reached; the
+    guided branch takes it from the next step's gradient pass, so the states
+    come from the Euler loop written out here."""
+    field, sur = models(seed, K, d)
+    cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=steps, t_start=0.4, clip_norm=clip,
+                         normalize_gradient=normalize)
+    z = Rng(seed).split("z").normal((B, K, d)) * 2.0
+    traj, out = guided_integrate(field, sur, spec, cfg, LatentState(z=z, t=0.4))
+    dt = (1.0 - cfg.t_start) / cfg.steps
+    for s in range(steps):
+        t = cfg.t_start + s * dt
+        v = field.velocity_graph(Tensor(z.reshape(B, K * d)), t).data.reshape(B, K, d)
+        if gamma:
+            v = v - gamma * objective_gradient(spec, sur, z, normalize=normalize,
+                                               clip_norm=clip)[1]
+        z = z + dt * v
+        assert np.array_equal(traj.objective[s],
+                              np.reshape(objective_value(spec, sur.predict(mean_pool(z))), B))
+    assert np.array_equal(z, out.z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch, st.integers(1, 8), dims, seeds)
+def test_mean_pool_branches_agree(B, K, d, seed):
+    """The NumPy branch takes the tape's rule, sum times 1/K, bit for bit."""
+    z = Rng(seed).normal((B, K, d)) * 3.0
+    pooled = mean_pool(z)
+    assert np.array_equal(pooled, mean_pool(Tensor(z)).data)
+    assert np.array_equal(pooled, z.sum(axis=1) * (1.0 / K))
+
+
+@settings(max_examples=40, deadline=None)
 @given(batch, tokens_k, dims, seeds, st.booleans(), clips, specs)
 def test_objective_gradient_rows_match_single(B, K, d, seed, normalize, clip, spec):
     _, sur = models(seed, K, d)
     z = Rng(seed).split("z").normal((B, K, d)) * 2.0
-    g = objective_gradient(spec, sur, z, normalize=normalize, clip_norm=clip)
+    _, g = objective_gradient(spec, sur, z, normalize=normalize, clip_norm=clip)
     assert g.shape == (B, K, d)
     for b in range(B):
-        close(g[b], objective_gradient(spec, sur, z[b:b + 1], normalize=normalize,
-                                       clip_norm=clip)[0])
+        _, one = objective_gradient(spec, sur, z[b:b + 1], normalize=normalize, clip_norm=clip)
+        close(g[b], one[0])
 
 
 class RowScaledSurrogate:
@@ -126,7 +162,7 @@ def test_gradient_postprocessing_equals_row_loop(B, K, d, seed, normalize, clip,
     scale[r.split("zero").uniform(0.0, 1.0, B) < 0.25] = 0.0
     sur = RowScaledSurrogate(scale, r.split("w").normal((d, 2)))
     z = r.split("z").normal((B, K, d))
-    raw = objective_gradient(spec, sur, z)
+    _, raw = objective_gradient(spec, sur, z)
     clip_norm = {"none": None, "drawn": clip_value}.get(clip)
     if clip == "at-row":
         # the median row's norm: rows above it are clipped, a row exactly at
@@ -134,7 +170,7 @@ def test_gradient_postprocessing_equals_row_loop(B, K, d, seed, normalize, clip,
         norms = sorted(n for n in map(np.linalg.norm, loop_postprocess(raw, normalize, None))
                        if n > 0)
         clip_norm = norms[len(norms) // 2] if norms else None
-    got = objective_gradient(spec, sur, z, normalize=normalize, clip_norm=clip_norm)
+    _, got = objective_gradient(spec, sur, z, normalize=normalize, clip_norm=clip_norm)
     assert np.array_equal(got, loop_postprocess(raw, normalize, clip_norm))
 
 

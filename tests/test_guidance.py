@@ -83,7 +83,7 @@ def test_gradient_matches_fd_both_modes(rng):
         def f(zv):
             return objective_value(spec, model.predict(mean_pool(zv)))
 
-        g = objective_gradient(spec, model, z)
+        _, g = objective_gradient(spec, model, z)
         assert rel_err(g, finite_difference(f, z.copy())) < 1e-5
 
 
@@ -94,7 +94,7 @@ def test_gradient_linear_surrogate_exact():
     z = Rng(3).normal((1, K, D))
     # J = -(pred1 - pred2) => dJ/dpooled = -(w[:,0] - w[:,1]); pooling averages
     expected = np.tile(-(w[:, 0] - w[:, 1]) / K, (1, K, 1))
-    g = objective_gradient(spec, model, z)
+    _, g = objective_gradient(spec, model, z)
     assert np.allclose(g, expected, atol=1e-12)
 
 
@@ -103,14 +103,14 @@ def test_gradient_normalize_then_clip_order():
     model = LinearSurrogate(w)
     spec = ObjectiveSpec.maximize_p1_minimize_p2()
     z = Rng(5).normal((1, K, D))
-    raw = objective_gradient(spec, model, z)
+    _, raw = objective_gradient(spec, model, z)
     assert np.linalg.norm(raw) > 1.0
-    unit = objective_gradient(spec, model, z, normalize=True)
+    _, unit = objective_gradient(spec, model, z, normalize=True)
     assert np.linalg.norm(unit) == pytest.approx(1.0)
     # clip below 1 bites after normalization; clip above 1 does not
-    half = objective_gradient(spec, model, z, normalize=True, clip_norm=0.5)
+    _, half = objective_gradient(spec, model, z, normalize=True, clip_norm=0.5)
     assert np.linalg.norm(half) == pytest.approx(0.5)
-    same = objective_gradient(spec, model, z, normalize=True, clip_norm=2.0)
+    _, same = objective_gradient(spec, model, z, normalize=True, clip_norm=2.0)
     assert np.allclose(same, unit)
     # direction is preserved throughout
     assert np.allclose(half / np.linalg.norm(half), raw / np.linalg.norm(raw))
@@ -119,7 +119,7 @@ def test_gradient_normalize_then_clip_order():
 def test_gradient_zero_stays_zero_under_normalize():
     spec = ObjectiveSpec(mode="target", weights=(0.0, 0.0), targets=(0.5, 5.0))
     model = LinearSurrogate(np.ones((D, 2)))
-    g = objective_gradient(spec, model, Rng(1).normal((1, K, D)), normalize=True)
+    _, g = objective_gradient(spec, model, Rng(1).normal((1, K, D)), normalize=True)
     assert np.array_equal(g, np.zeros((1, K, D)))
 
 

@@ -5,9 +5,11 @@ import shutil
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from flowopt import cli, flowmatch, harness, moeval, seqvae, toyset
+from flowopt import cli, config, flowmatch, guidance, harness, moeval, seqvae, toyset
+from flowopt import surrogate as surrogate_mod
 from flowopt.config import RunConfig, DataConfig, BudgetConfig, EvalConfig, SweepConfig
 from flowopt.errors import ConfigError, ContractViolation, NumericFailure
 from flowopt.flowmatch import FlowConfig
@@ -97,6 +99,33 @@ def test_selection_probabilities_normalized_and_weighted(rng):
                          for h in state.history) for e in state.pool])
     expected = w * np.exp(-2.0 * sims)
     assert np.allclose(p, expected / expected.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.integers(1, harness.HISTORY_WINDOW), st.integers(0, 2 ** 16),
+       st.sampled_from([0.0, 0.005, 0.05, 0.5]))
+def test_selection_similarities_equal_broadcast_formula(n, h, seed, density):
+    """The count product gives the pairwise boolean Jaccard bit for bit, with
+    empty bitsets (a pair of them has similarity 1) and short histories."""
+    rng = Rng(seed)
+    state = _pool_state(rng.split("pool"), n)
+    width = len(state.pool[0].features)
+
+    def bitsets(r, k):
+        bits = r.split("bits").uniform(0.0, 1.0, (k, width)) < density
+        bits[r.split("empty").uniform(0.0, 1.0, k) < 0.3] = False
+        return bits
+
+    for e, f in zip(state.pool, bitsets(rng.split("pool-bits"), n)):
+        e.features = f
+    state.history = list(bitsets(rng.split("history-bits"), h))
+    feats, hist = np.stack([e.features for e in state.pool]), np.stack(state.history)
+    inter = (feats[:, None, :] & hist[None, :, :]).sum(axis=-1)
+    union = (feats[:, None, :] | hist[None, :, :]).sum(axis=-1)
+    sims = np.where(union > 0, inter / np.maximum(union, 1), 1.0).max(axis=1)
+    p = (np.where(state.pareto_flags(), harness.PARETO_WEIGHT, 1.0)
+         * np.exp(-harness.DIVERSITY_PENALTY * sims))
+    assert np.array_equal(harness.selection_probabilities(state), p / p.sum())
 
 
 def test_select_seed_matches_law_chi_square(rng):
@@ -262,6 +291,27 @@ def test_flow_stage_matches_per_step_encoding(tiny_run, tmp_path, monkeypatch):
     assert all((arrays[name] == want[name]).all() for name in want)
 
 
+def test_finetune_stage_trains_every_parameter(tiny_run, tmp_path):
+    """Loaded models are frozen, but the fine-tune stage loads its source
+    trainable: it updates every VAE parameter and writes, bit for bit, what
+    fine-tuning a model built straight from the pretrain checkpoint gives."""
+    cfg, ds = tiny_run["cfg"], tiny_run["ds"]
+    shutil.copy(os.path.join(tiny_run["ckpt_dir"], harness.VAE_CKPT), tmp_path)
+    harness.pipeline_train(cfg, ds, tmp_path, ("finetune",))
+    before, _ = load_checkpoint(tmp_path / harness.VAE_CKPT)
+    after, _ = load_checkpoint(tmp_path / harness.FINETUNE_CKPT)
+    for name in seqvae.PARAM_NAMES:
+        assert not np.array_equal(after[f"vae.{name}"], before[f"vae.{name}"]), name
+
+    rng = Rng(cfg.seed)
+    vae = seqvae.SeqVae.from_checkpoint(*load_checkpoint(tmp_path / harness.VAE_CKPT))
+    sur = surrogate_mod.Surrogate(cfg.surrogate, rng.split("surrogate"))
+    seqvae.finetune(vae, sur, ds, rng.split("finetune"))
+    want = {**vae.arrays(), **sur.arrays()}
+    assert sorted(after) == sorted(want)
+    assert all(np.array_equal(after[name], want[name]) for name in want)
+
+
 # -- reference point ------------------------------------------------------
 
 def test_reference_point_falls_back_on_zero_range():
@@ -352,6 +402,18 @@ def test_cli_gen_data(runner, tmp_path_factory):
     assert res.exit_code == 0, res.output
     for split in ("train", "val", "test"):
         assert (out / f"{split}.tsv").exists()
+
+
+@pytest.mark.parametrize("min_len, max_len", [(5, 2), (-1, 4)])
+def test_cli_gen_data_bad_lengths_exit_2(runner, tmp_path, min_len, max_len):
+    with pytest.raises(ContractViolation):
+        toyset.generate_dataset(5, 50, min_len, max_len)
+    out = tmp_path / "out"
+    res = runner.invoke(cli.main, ["gen-data", "--seed", "5", "--count", "50",
+                                   "--min-len", str(min_len), "--max-len", str(max_len),
+                                   "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and not out.exists()
 
 
 def test_cli_seed_required(runner, tiny_run):
@@ -531,6 +593,31 @@ def test_committed_bench_checkpoint_loads():
     assert post.mu.shape == (2, c.K, c.d) == (2, models.flow.config.K, models.flow.config.d)
     decoded = models.vae.decode_greedy_batch(post.mu)
     assert len(decoded) == 2 and all(t in toyset.VOCAB for row in decoded for t in row)
+
+
+def test_loaded_models_are_frozen():
+    models = harness.Pipeline.load(BENCH_CKPT)
+    params = models.vae.params() + models.surrogate.params() + models.flow.params()
+    assert params and not any(p.requires_grad for p in params)
+
+
+@pytest.mark.parametrize("spec", [ObjectiveSpec.maximize_p1_minimize_p2(),
+                                  ObjectiveSpec(mode="target", weights=(1.0, 0.5),
+                                                targets=(0.8, 2.5))])
+@pytest.mark.parametrize("normalize, clip_norm", [(False, None), (True, 5.0)])
+def test_frozen_objective_gradient_equals_trainable(spec, normalize, clip_norm):
+    """On the benchmark checkpoint, the tape over frozen surrogate parameters
+    gives the J and latent gradient of the all-trainable tape, bit for bit."""
+    models = harness.Pipeline.load(BENCH_CKPT)
+    g = config.toy_default(0).guidance
+    xs = [tokens for tokens, _ in toyset.generate_dataset(3, 16, 3, 14).entries]
+    z = guidance.prepare_optimization(models.vae, xs, g.sigma, g.t_start,
+                                      [Rng(0).split(i) for i in range(len(xs))]).z
+    frozen = guidance.objective_gradient(spec, models.surrogate, z, normalize, clip_norm)
+    for p in models.surrogate.params():
+        p.requires_grad = True
+    full = guidance.objective_gradient(spec, models.surrogate, z, normalize, clip_norm)
+    assert np.array_equal(frozen[0], full[0]) and np.array_equal(frozen[1], full[1])
 
 
 def test_cli_generate(runner, tiny_run):

@@ -47,7 +47,7 @@ DEAD_PARAMETER_ALLOWLIST = {
     "config.paper_scale.seed": "every PROFILES entry shares the signature of toy_default(seed)",
 }
 DEAD_CONFIG_ALLOWLIST = {
-    "DataConfig.min_len": "read by bench/workloads.py to generate the benchmark dataset",
+    "DataConfig.min_len": "read by bench/workloads.py and as `flowopt gen-data`'s default",
     "VaeConfig.lambda_prop": "the joint-supervision ablation in seqvae.finetune (0 skips it)",
     "GuidanceConfig.clip_norm": "serialized into every report's config_echo",
     "SurrogateConfig.epochs": "read by nothing, and kept while bench/test_smoke.py sets it",
