@@ -29,15 +29,13 @@ def main(argv=None):
     ds = toyset.generate_dataset(cfg.data.seed, cfg.data.count,
                                  cfg.data.min_len, cfg.data.max_len)
     models = harness.Pipeline.load(args.ckpt)
-    reference = harness.reference_set(ds)  # shared by every proposer and seed
 
     rows = []
     finals = {}
     for proposer in harness.PROPOSERS:
         vals = []
         for seed in range(args.seeds):
-            result = harness.budgeted_run(models, ds, cfg, proposer, seed,
-                                          reference=reference)
+            result = harness.budgeted_run(models, ds, cfg, proposer, seed)
             vals.append(result.final_hvi)
             rows.append({"proposer": proposer, "seed": seed,
                          "calls": result.calls, "final_hvi": result.final_hvi,

@@ -312,8 +312,7 @@ def eval_cmd(config_path, profile, seed, ckpt_dir, data_dir, gen_path, out_dir):
     test = ds.subset("test")
     baseline = np.stack([p.as_array() for _, p in test])
     ref = harness.reference_point(baseline)
-    report = harness._evaluate(models, cfg, structures, baseline, ref, seed,
-                               harness.reference_set(ds))
+    report = harness._evaluate(models, cfg, structures, baseline, ref, seed, ds)
     if out_dir:
         run_dir = _run_dir(out_dir, f"eval-seed{seed}")
         harness.run_report(run_dir, {"report.json": report.to_json(),

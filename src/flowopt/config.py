@@ -40,6 +40,12 @@ class BudgetConfig:
     init_size: int = 10
     free_init: bool = False  # when True, the initial pool does not consume budget
 
+    def __post_init__(self):
+        for name in ("budget", "init_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"budget.{name} must be >= 1, not {value!r}")
+
 
 @dataclass
 class EvalConfig:
@@ -51,6 +57,10 @@ class SweepConfig:
     grid: tuple = GAMMA_GRID_DEFAULT
     seeds: tuple = SWEEP_SEEDS_DEFAULT
     candidates: int = 64
+
+    def __post_init__(self):
+        if self.candidates < 1:
+            raise ConfigError(f"sweep.candidates must be >= 1, not {self.candidates!r}")
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import weakref
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -176,22 +177,52 @@ class PoolEntry:
 
 @dataclass
 class BudgetState:
+    """The pool of a budgeted run and its recent optimized bitsets.
+
+    Each pool entry's point and 0/1 float bitset are copied once into arrays
+    preallocated for ``budget`` rows, when the state is first read after the
+    entry joined the pool; the arrays double if the pool outgrows them (a
+    free initial pool). Entries are not changed once they are read.
+    """
+
     budget: int
     pool: list = field(default_factory=list)
     history: list = field(default_factory=list)  # recent-optimized feature bitsets
+    _points: np.ndarray = field(init=False, repr=False)
+    _bits: np.ndarray = field(init=False, repr=False)
+    _filled: int = field(init=False, default=0, repr=False)
+
+    def __post_init__(self):
+        self._points = np.empty((self.budget, 2))
+        self._bits = np.empty((self.budget, toyset.FEATURE_BITS))
+
+    def _sync(self) -> int:
+        n = len(self.pool)
+        if n > len(self._points):
+            rows = max(n, 2 * len(self._points))
+            self._points = np.resize(self._points, (rows, 2))
+            self._bits = np.resize(self._bits, (rows, toyset.FEATURE_BITS))
+        for i in range(self._filled, n):
+            self._points[i] = self.pool[i].props
+            self._bits[i] = self.pool[i].features
+        self._filled = n
+        return n
 
     def points(self) -> np.ndarray:
-        return np.stack([e.props for e in self.pool])
+        """The pool's (n, 2) points, a view of the kept array."""
+        n = self._sync()  # first: it may replace the array
+        return self._points[:n]
+
+    def bitsets(self) -> np.ndarray:
+        """The pool's (n, FEATURE_BITS) bitsets as 0/1 floats, a view of the kept array."""
+        n = self._sync()
+        return self._bits[:n]
 
     def pareto_flags(self) -> np.ndarray:
-        front = moeval.pareto_front(self.points())
-        flags = np.zeros(len(self.pool), dtype=bool)
-        # Mark every pool member whose point lies on the front (duplicates too).
-        front_set = {tuple(p) for p in front.points}
-        for i, e in enumerate(self.pool):
-            if tuple(e.props) in front_set:
-                flags[i] = True
-        return flags
+        """Whether each pool member's point is on the front (duplicates too)."""
+        points = self.points()
+        front = moeval.pareto_front(points).points
+        return (points[:, None, :] == front[None, :, :]).all(axis=2).any(axis=1)
 
 
 def selection_probabilities(state: BudgetState) -> np.ndarray:
@@ -200,7 +231,7 @@ def selection_probabilities(state: BudgetState) -> np.ndarray:
     w = np.where(flags, PARETO_WEIGHT, 1.0)
     if state.history:
         # Jaccard from one count product on 0/1 floats: every count is an exact integer.
-        feats = np.stack([e.features for e in state.pool]).astype(np.float64)
+        feats = state.bitsets()
         hist = np.stack(state.history).astype(np.float64)
         inter = feats @ hist.T
         union = feats.sum(axis=1)[:, None] + hist.sum(axis=1) - inter
@@ -264,12 +295,8 @@ class BudgetedResult:
 
 
 def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
-                 proposer: str, seed: int, reference: ReferenceSet = None) -> BudgetedResult:
-    """One sequential optimization run under an exact oracle budget.
-
-    ``reference`` may carry ``reference_set(dataset)`` built once for
-    many runs; it is built here otherwise.
-    """
+                 proposer: str, seed: int) -> BudgetedResult:
+    """One sequential optimization run under an exact oracle budget."""
     if proposer not in PROPOSERS:
         raise ConfigError(f"proposer must be one of {PROPOSERS}")
     rng = Rng(seed).split(("budgeted", proposer))
@@ -312,9 +339,7 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
 
     final_hvi = trace[-1][1] if trace else 0.0
     proposed_structures = [e.structure for e in state.pool if not e.from_init]
-    if reference is None:
-        reference = reference_set(dataset)
-    report = _evaluate(models, cfg, proposed_structures, baseline, ref, seed, reference)
+    report = _evaluate(models, cfg, proposed_structures, baseline, ref, seed, dataset)
     return BudgetedResult(
         proposer=proposer, seed=seed, calls=oracle.calls, complete=complete,
         reference=tuple(float(x) for x in ref),
@@ -335,30 +360,43 @@ def reference_point(baseline) -> np.ndarray:
         return np.where(np.asarray(toyset.PROPERTY_SIGNS) > 0, lo, hi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReferenceSet:
     """What generated sets are compared against: the train split's canonical
-    keys, descriptor values and Fréchet embeddings under ``projection``."""
+    keys, descriptor values and the Gaussian fit of its Fréchet embeddings
+    (None for fewer than two rows)."""
 
-    keys: set
+    keys: frozenset
     descriptors: dict
-    projection: np.ndarray
-    embeddings: np.ndarray
+    embedding_fit: moeval.GaussianFit | None
+
+
+# Each live dataset's reference; an entry goes with its dataset.
+_REFERENCES = weakref.WeakKeyDictionary()
 
 
 def reference_set(dataset: toyset.Dataset) -> ReferenceSet:
-    """Decode the train split once and derive everything ``_evaluate`` compares to."""
+    """Everything ``_evaluate`` compares to, built once per dataset."""
+    reference = _REFERENCES.get(dataset)
+    if reference is None:
+        reference = _REFERENCES[dataset] = _build_reference(dataset)
+    return reference
+
+
+def _build_reference(dataset: toyset.Dataset) -> ReferenceSet:
+    """Decode the train split once and derive the reference from it."""
     structures = [toyset.decode(t) for t, _ in dataset.subset("train")]
     features = moeval.feature_matrix(structures)
-    projection = moeval.embedding_projection(moeval.PROJECTION_SEED)
-    return ReferenceSet(keys={s.canonical_key for s in structures},
+    embeddings = moeval.structure_embeddings(
+        features, moeval.embedding_projection(moeval.PROJECTION_SEED))
+    return ReferenceSet(keys=frozenset(s.canonical_key for s in structures),
                         descriptors=moeval.descriptor_values(structures, features),
-                        projection=projection,
-                        embeddings=moeval.structure_embeddings(features, projection))
+                        embedding_fit=(moeval.gaussian_fit(embeddings)
+                                       if len(embeddings) >= 2 else None))
 
 
 def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
-              ref, seed, reference: ReferenceSet) -> moeval.EvalReport:
+              ref, seed, dataset: toyset.Dataset) -> moeval.EvalReport:
     report = moeval.EvalReport(seed=seed, projection_seed=moeval.PROJECTION_SEED,
                                reference_point=tuple(float(x) for x in ref),
                                config_echo={"guidance": asdict(cfg.guidance),
@@ -387,15 +425,17 @@ def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
     report.hv_ci = moeval.bootstrap_ci(hv_metric, len(points),
                                        cfg.evaluation.bootstrap_resamples, moeval.CI_LEVEL,
                                        Rng(seed).split("hv-ci"))
+    reference = reference_set(dataset)
     sm = moeval.set_metrics(structures, reference.keys)
     report.validity = sm["validity"]
     report.uniqueness = sm["uniqueness"]
     report.novelty = sm["novelty"]
     report.skeleton_diversity = sm["skeleton_diversity"]
 
-    if len(structures) >= 2 and len(reference.embeddings) >= 2:
+    if len(structures) >= 2 and reference.embedding_fit is not None:
+        projection = moeval.embedding_projection(moeval.PROJECTION_SEED)
         report.frechet = moeval.frechet_distance(
-            moeval.structure_embeddings(features, reference.projection), reference.embeddings)
+            moeval.structure_embeddings(features, projection), reference.embedding_fit)
     report.descriptor_kl = moeval.descriptor_kl(descriptors, reference.descriptors)
     post = models.vae.encode_batch([s.canonical_tokens for s in structures])
     mse, r2 = surrogate_mod.fidelity(models.surrogate.predict(seqvae.mean_pool(post.mu)), points)
@@ -441,7 +481,6 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     # Every gamma and seed is validated before any work.
     cells = [replace(cfg.guidance, gamma=gamma) for gamma in grid]
     streams = [(seed, Rng(seed)) for seed in seeds]
-    reference = reference_set(dataset)
     candidates = _sweep_candidates(models, dataset, cfg)
     # Encoded once per sweep; each cell adds the noise prepare_optimization
     # would draw, from the same per-candidate streams.
@@ -463,7 +502,7 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
             _, final = guidance.guided_integrate(models.flow, models.surrogate,
                                                  cfg.objective, gcfg, z0)
             structures = [toyset.decode(t) for t in models.vae.decode_greedy_batch(final.z)]
-            report = _evaluate(models, cfg, structures, baseline, ref, seed, reference)
+            report = _evaluate(models, cfg, structures, baseline, ref, seed, dataset)
             rows.append(SweepRow(gamma=gamma, seed=seed, hvi=report.hvi,
                                  hvi_pct=report.hvi_pct, report=report))
     return rows

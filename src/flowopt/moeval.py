@@ -168,23 +168,34 @@ def set_metrics(generated, train_keys) -> dict:
     }
 
 
-def frechet_distance(a: np.ndarray, b: np.ndarray) -> float:
+@dataclass(frozen=True)
+class GaussianFit:
+    """Mean (d,) and sample covariance (d, d) of an embedding set."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+def gaussian_fit(embeddings) -> GaussianFit:
+    """The Gaussian fit ``frechet_distance`` compares; needs at least 2 points."""
+    x = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    if x.shape[0] < 2:
+        raise ContractViolation("each embedding set needs at least 2 points")
+    return GaussianFit(mean=x.mean(axis=0), cov=np.atleast_2d(np.cov(x, rowvar=False)))
+
+
+def frechet_distance(a, b) -> float:
     """Gaussian-fit Fréchet (FID-style) distance between embedding sets.
 
+    Each argument is an (n, d) embedding set or its ``gaussian_fit``.
     ||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^{1/2}); the matrix square
     root uses a symmetric eigendecomposition of S_a^{1/2} S_b S_a^{1/2}.
     Eigenvalues below -1e-8 raise; small negatives are clamped to zero.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.shape[0] < 2 or b.shape[0] < 2:
-        raise ContractViolation("each embedding set needs at least 2 points")
-    if a.shape[1] != b.shape[1]:
+    fa, fb = (x if isinstance(x, GaussianFit) else gaussian_fit(x) for x in (a, b))
+    if fa.mean.shape != fb.mean.shape:
         raise ContractViolation("embedding dimensions differ")
-    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    sa = np.cov(a, rowvar=False)
-    sb = np.cov(b, rowvar=False)
-    sa, sb = np.atleast_2d(sa), np.atleast_2d(sb)
+    mu_a, mu_b, sa, sb = fa.mean, fb.mean, fa.cov, fb.cov
 
     def _clamp(vals, what):
         if np.any(vals < -1e-8):

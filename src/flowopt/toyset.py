@@ -236,9 +236,13 @@ def tanimoto(a: np.ndarray, b: np.ndarray) -> float:
 
 # -- dataset generation ---------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Token sequences with oracle properties and a skeleton-based split."""
+    """Token sequences with oracle properties and a skeleton-based split.
+
+    A dataset is not changed after it is built: work derived from it (the
+    evaluation reference) is kept per dataset object, which hashes by identity.
+    """
 
     entries: list  # list of (tokens tuple, Properties)
     train_idx: list

@@ -67,7 +67,7 @@ def shipped(tmp_path_factory):
     train_time = time.time() - t0
     models = harness.Pipeline.load(out)
     return dict(cfg=cfg, ds=ds, models=models, ckpt_dir=str(out),
-                train_time=train_time, reference=harness.reference_set(ds))
+                train_time=train_time)
 
 
 @pytest.fixture(scope="session")
@@ -358,8 +358,7 @@ def test_baseline_ordering(shipped):
     finals = {}
     for proposer in harness.PROPOSERS:
         finals[proposer] = np.array([
-            harness.budgeted_run(models, ds, cfg, proposer, s,
-                                 reference=shipped["reference"]).final_hvi
+            harness.budgeted_run(models, ds, cfg, proposer, s).final_hvi
             for s in seeds])
     guided = finals["guided-flow"]
     ga = finals["gradient-ascent"]

@@ -112,6 +112,22 @@ def test_embedding_gradient_scatter(rng):
     assert np.array_equal(g, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 3), st.integers(1, 40),
+       st.integers(0, 2 ** 16))
+def test_embedding_backward_equals_add_at(vocab, width, lead, n, seed):
+    """The per-column bincount scatter is ``==`` to ``np.add.at``, repeated
+    indices (a small vocabulary) and multi-axis index arrays included."""
+    r = Rng(seed)
+    w = Tensor(r.split("w").normal((vocab, width)), requires_grad=True)
+    idx = r.split("idx").gen.integers(0, vocab, (lead, n))
+    g = r.split("g").normal((lead, n, width))
+    (gw,) = ad.embedding(w, idx)._backward(g)
+    expected = np.zeros((vocab, width))
+    np.add.at(expected, idx.reshape(-1), g.reshape(-1, width))
+    assert np.array_equal(gw, expected)
+
+
 def test_gradients_unused_param_is_zero(rng):
     x = Tensor(rng.normal((2, 2)), requires_grad=True)
     unused = Tensor(rng.normal((3,)), requires_grad=True)

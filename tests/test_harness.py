@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import json
 import os
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +159,47 @@ def test_pareto_flags_hand_case():
     assert list(flags) == [True, False, True, True]
 
 
+def _stacked_probabilities(state):
+    """Front flags and selection probabilities restacked from the pool entries."""
+    points = np.stack([e.props for e in state.pool])
+    front = {tuple(p) for p in moeval.pareto_front(points).points}
+    flags = np.array([tuple(e.props) in front for e in state.pool])
+    w = np.where(flags, harness.PARETO_WEIGHT, 1.0)
+    if state.history:
+        feats = np.stack([e.features for e in state.pool]).astype(np.float64)
+        hist = np.stack(state.history).astype(np.float64)
+        inter = feats @ hist.T
+        union = feats.sum(axis=1)[:, None] + hist.sum(axis=1) - inter
+        sims = np.where(union > 0, inter / np.maximum(union, 1), 1.0).max(axis=1)
+    else:
+        sims = np.zeros(len(state.pool))
+    p = w * np.exp(-harness.DIVERSITY_PENALTY * sims)
+    return flags, p / p.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(1, 8),
+       st.integers(0, harness.HISTORY_WINDOW), st.integers(0, 2 ** 16))
+def test_kept_pool_arrays_equal_stacked_formulas(batches, budget, h, seed):
+    """Flags and probabilities read from the kept arrays are ``==`` to those
+    restacked from the pool, on points from a coarse grid (duplicates, ties),
+    as the pool grows in batches past the preallocated rows."""
+    rng = Rng(seed)
+    state = harness.BudgetState(budget=budget)
+    s = toyset.decode(("A",))
+    for b, size in enumerate(batches):
+        r = rng.split(b)
+        for i, p in enumerate(r.split("points").gen.integers(0, 4, (size, 2))):
+            entry = harness.PoolEntry(structure=s, props=p * [0.25, 1.5] + [0.0, 1.0])
+            entry.features = r.split(("bits", i)).uniform(0.0, 1.0, toyset.FEATURE_BITS) < 0.05
+            state.pool.append(entry)
+        state.history = [e.features for e in state.pool[-h:]] if h else []
+        flags, probs = _stacked_probabilities(state)
+        assert np.array_equal(state.pareto_flags(), flags)
+        assert np.array_equal(harness.selection_probabilities(state), probs)
+        assert np.array_equal(state.points(), np.stack([e.props for e in state.pool]))
+
+
 # -- budgeted runs --------------------------------------------------------
 
 def test_budgeted_run_budget_exact(tiny_run):
@@ -176,7 +220,6 @@ def test_budgeted_run_trace_monotone(tiny_run):
 
 
 def test_budgeted_run_free_init_extends_proposals(tiny_run):
-    import dataclasses
     cfg = tiny_config()
     cfg.budget = dataclasses.replace(cfg.budget, free_init=True)
     free = harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg,
@@ -204,7 +247,6 @@ def test_budgeted_run_deterministic(tiny_run):
 def test_budgeted_run_initial_pool_at_or_over_budget(tiny_run, budget, complete):
     """A paid initial pool of 5 that meets the budget leaves no step to take;
     one that exceeds it stops at the budget, incomplete."""
-    import dataclasses
     cfg = tiny_config()
     cfg.budget = dataclasses.replace(cfg.budget, budget=budget, init_size=5)
     result = harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg, "random", seed=3)
@@ -234,6 +276,29 @@ def test_gamma_sweep_rows_and_summary(tiny_run):
     with pytest.raises(ConfigError):
         harness.gamma_sweep(tiny_run["models"], tiny_run["ds"], tiny_run["cfg"],
                             grid=[])
+
+
+def test_reference_built_once_per_dataset(tiny_run, monkeypatch):
+    """Two budgeted runs and a sweep on one dataset build its reference once;
+    a second live dataset keeps its own, and a dropped one frees it."""
+    built = []
+    build = harness._build_reference
+    monkeypatch.setattr(harness, "_build_reference",
+                        lambda ds: built.append(None) or build(ds))
+    models, cfg = tiny_run["models"], tiny_run["cfg"]
+    ds = dataclasses.replace(tiny_run["ds"])
+    harness.budgeted_run(models, ds, cfg, "random", seed=1)
+    harness.budgeted_run(models, ds, cfg, "gradient-ascent", seed=2)
+    harness.gamma_sweep(models, ds, cfg)
+    assert len(built) == 1
+    other = dataclasses.replace(ds)
+    kept = weakref.ref(harness.reference_set(other))
+    assert len(built) == 2
+    assert kept() is not harness.reference_set(ds) and kept().keys == harness.reference_set(ds).keys
+    del other
+    gc.collect()
+    assert kept() is None
+    assert len(built) == 2
 
 
 # -- stage ordering -------------------------------------------------------
@@ -702,6 +767,22 @@ def test_cli_gamma_sweep_bad_list_exit_2(runner, tiny_run, flag, value, bad):
     assert flag in res.output and bad in res.output
 
 
+@pytest.mark.parametrize("command, section, key", [("budgeted", "budget", "budget"),
+                                                    ("budgeted", "budget", "init_size"),
+                                                    ("gamma-sweep", "sweep", "candidates")])
+def test_cli_bad_budget_or_sweep_config_exit_2(runner, tiny_run, tmp_path, command, section, key):
+    doc = tiny_run["cfg"].to_dict()
+    doc[section][key] = 0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    res = runner.invoke(cli.main, [command, "--seed", "0", "--config", str(cfg_path),
+                                   "--ckpt", tiny_run["ckpt_dir"],
+                                   "--data", tiny_run["data_dir"], "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: ")
+    assert f"{section}.{key} must be >= 1, not 0" in res.output
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1,nan"])
 def test_cli_gamma_sweep_non_finite_gamma_exit_2(runner, tiny_run, value):
     res = runner.invoke(cli.main, ["gamma-sweep", "--seed", "0",
@@ -717,6 +798,7 @@ def test_gamma_sweep_checks_seeds_before_any_work(tiny_run, monkeypatch):
     def no_work(*args):
         raise AssertionError("the sweep started work before checking its seeds")
 
+    monkeypatch.setattr(harness, "_sweep_candidates", no_work)
     monkeypatch.setattr(harness, "reference_set", no_work)
     with pytest.raises(ContractViolation, match="-1"):
         harness.gamma_sweep(tiny_run["models"], tiny_run["ds"], tiny_run["cfg"], seeds=[0, -1])

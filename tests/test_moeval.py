@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowopt import toyset
 from flowopt.errors import (ContractViolation, DegenerateRangeError,
@@ -7,7 +8,7 @@ from flowopt.errors import (ContractViolation, DegenerateRangeError,
 from flowopt.moeval import (DESCRIPTOR_NAMES, REFERENCE_MARGIN, EvalReport, auto_reference,
                             bootstrap_ci, descriptor_kl, descriptor_values,
                             embedding_projection, feature_matrix,
-                            frechet_distance, histogram_kl, hypervolume_2d,
+                            frechet_distance, gaussian_fit, histogram_kl, hypervolume_2d,
                             hypervolume_2d_with_warnings, pareto_front,
                             set_metrics, structure_embeddings)
 from flowopt.rng import Rng
@@ -195,6 +196,32 @@ def test_frechet_symmetric_nonnegative(rng):
     a, b = rng.normal((40, 3)), rng.normal((40, 3)) + 0.5
     assert frechet_distance(a, b) == pytest.approx(frechet_distance(b, a), rel=1e-8)
     assert frechet_distance(a, b) >= 0.0
+
+
+def _frechet_of_arrays(a, b):
+    """The distance written out on the raw embedding sets, fits not kept."""
+    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
+    sa = np.atleast_2d(np.cov(a, rowvar=False))
+    sb = np.atleast_2d(np.cov(b, rowvar=False))
+    wa, va = np.linalg.eigh(sa)
+    sa_half = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.T
+    m = sa_half @ sb @ sa_half
+    tr_sqrt = 2.0 * np.sqrt(np.clip(np.linalg.eigh(0.5 * (m + m.T))[0], 0.0, None)).sum()
+    diff = mu_a - mu_b
+    return max(0.0, float(diff @ diff + np.trace(sa) + np.trace(sb) - tr_sqrt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(2, 30), st.integers(1, 6), st.integers(0, 2 ** 16),
+       st.sampled_from([0.0, 0.5, 3.0]))
+def test_frechet_from_fit_equals_from_arrays(n_a, n_b, d, seed, shift):
+    r = Rng(seed)
+    a = r.split("a").normal((n_a, d))
+    b = 0.5 * r.split("b").normal((n_b, d)) + shift
+    expected = _frechet_of_arrays(a, b)
+    assert frechet_distance(gaussian_fit(a), gaussian_fit(b)) == expected
+    assert frechet_distance(a, gaussian_fit(b)) == expected
+    assert frechet_distance(a, b) == expected
 
 
 def test_histogram_kl_identity_and_positivity(rng):
