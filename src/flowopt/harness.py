@@ -179,29 +179,27 @@ class PoolEntry:
 class BudgetState:
     """The pool of a budgeted run and its recent optimized bitsets.
 
-    Each pool entry's point and 0/1 float bitset are copied once into arrays
-    preallocated for ``budget`` rows, when the state is first read after the
-    entry joined the pool; the arrays double if the pool outgrows them (a
-    free initial pool). Entries are not changed once they are read.
+    Each pool entry's point and 0/1 float bitset are copied once into kept
+    arrays, when the state is first read after the entry joined the pool;
+    the arrays start empty and at least double when the pool outgrows them.
+    Entries are not changed once they are read.
     """
 
     budget: int
     pool: list = field(default_factory=list)
     history: list = field(default_factory=list)  # recent-optimized feature bitsets
-    _points: np.ndarray = field(init=False, repr=False)
-    _bits: np.ndarray = field(init=False, repr=False)
+    _points: np.ndarray = field(init=False, repr=False,
+                                default_factory=lambda: np.empty((0, 2)))
+    _bits: np.ndarray = field(init=False, repr=False,
+                              default_factory=lambda: np.empty((0, toyset.FEATURE_BITS)))
     _filled: int = field(init=False, default=0, repr=False)
-
-    def __post_init__(self):
-        self._points = np.empty((self.budget, 2))
-        self._bits = np.empty((self.budget, toyset.FEATURE_BITS))
 
     def _sync(self) -> int:
         n = len(self.pool)
         if n > len(self._points):
-            rows = max(n, 2 * len(self._points))
-            self._points = np.resize(self._points, (rows, 2))
-            self._bits = np.resize(self._bits, (rows, toyset.FEATURE_BITS))
+            extra = max(n, 2 * len(self._points)) - len(self._points)
+            self._points = np.concatenate([self._points, np.empty((extra, 2))])
+            self._bits = np.concatenate([self._bits, np.empty((extra, toyset.FEATURE_BITS))])
         for i in range(self._filled, n):
             self._points[i] = self.pool[i].props
             self._bits[i] = self.pool[i].features

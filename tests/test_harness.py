@@ -178,14 +178,14 @@ def _stacked_probabilities(state):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(1, 8),
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4),
        st.integers(0, harness.HISTORY_WINDOW), st.integers(0, 2 ** 16))
-def test_kept_pool_arrays_equal_stacked_formulas(batches, budget, h, seed):
+def test_kept_pool_arrays_equal_stacked_formulas(batches, h, seed):
     """Flags and probabilities read from the kept arrays are ``==`` to those
     restacked from the pool, on points from a coarse grid (duplicates, ties),
-    as the pool grows in batches past the preallocated rows."""
+    as the pool grows in batches that double the arrays or more."""
     rng = Rng(seed)
-    state = harness.BudgetState(budget=budget)
+    state = harness.BudgetState(budget=sum(batches))
     s = toyset.decode(("A",))
     for b, size in enumerate(batches):
         r = rng.split(b)
