@@ -161,10 +161,9 @@ def generate(config_path, profile, seed, ckpt_dir, count, steps, out_path):
         raise ConfigError("--count must be >= 1")
     models = harness.Pipeline.load(ckpt_dir)
     rng = Rng(seed).split("generate")
-    state = flowmatch.sample_prior(models.flow, [rng.split(i) for i in range(count)],
-                                   steps=steps)
+    z = flowmatch.sample_prior(models.flow, [rng.split(i) for i in range(count)], steps=steps)
     lines = []
-    for tokens in models.vae.decode_greedy_batch(state.z):
+    for tokens in models.vae.decode_greedy_batch(z):
         s = toyset.decode(tokens)
         props = toyset.oracle_properties(s)
         lines.append(f"{' '.join(s.canonical_tokens)}\t{props.p1!r}\t{props.p2!r}")
@@ -198,11 +197,11 @@ def optimize(config_path, profile, seed, ckpt_dir, tokens, data_dir):
         test = _load_dataset(data_dir).subset("test")
         start = test[int(rng.integers(0, len(test)))][0]
     g = cfg.guidance
-    z0 = guidance.prepare_optimization(models.vae, [start], g.sigma, g.t_start,
+    z0 = guidance.prepare_optimization(models.vae.encode_batch([start]).mu, g.sigma,
                                        [rng.split("noise")])
     traj, final = guidance.guided_integrate(models.flow, models.surrogate,
                                             cfg.objective, g, z0)
-    (tokens,) = models.vae.decode_greedy_batch(final.z)
+    (tokens,) = models.vae.decode_greedy_batch(final)
     result = toyset.decode(tokens)
     start_props = toyset.oracle_properties(toyset.decode(start))
     end_props = toyset.oracle_properties(result)

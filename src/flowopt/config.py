@@ -51,6 +51,11 @@ class BudgetConfig:
 class EvalConfig:
     bootstrap_resamples: int = 1000
 
+    def __post_init__(self):
+        if self.bootstrap_resamples < 1:
+            raise ConfigError(f"evaluation.bootstrap_resamples must be >= 1, "
+                              f"not {self.bootstrap_resamples!r}")
+
 
 @dataclass
 class SweepConfig:
@@ -147,7 +152,7 @@ def paper_scale(seed: int = 0) -> RunConfig:
     cfg = RunConfig(
         seed=seed,
         vae=VaeConfig(K=8, d=128, embed_dim=128, enc_hidden=128, dec_hidden=128,
-                      beta_max=0.1, lambda_prop=1.0, lr=1e-4, batch_size=256,
+                      beta_max=0.1, lr=1e-4, batch_size=256,
                       pretrain_epochs=150, finetune_epochs=20),
         surrogate=SurrogateConfig(latent_dim=128, hidden=1024, layers=3),
         flow=FlowConfig(K=8, d=128, hidden=256, layers=10, time_embed_dim=128,

@@ -18,7 +18,6 @@ from .errors import ContractViolation, NumericFailure
 from .nn import (GRAD_CLIP_NORM, AdamState, Mlp, clip_grad_norm, config_from_dict, mlp_arrays,
                  mlp_from_arrays, optimizer_step, time_embed)
 from .rng import Rng, normal_rows
-from .seqvae import LatentState
 
 LR = 2e-4
 
@@ -130,20 +129,14 @@ def train_flow(field: FlowField, z1_sampler, rng: Rng) -> list:
     return history
 
 
-def sample_prior(field: FlowField, rngs, steps: int = None, t_start: float = 0.0,
-                 z_init: np.ndarray = None) -> LatentState:
-    """Integrate the flow ODE over a (B, K, d) batch with explicit Euler from t_start to 1.
-
-    With no ``z_init``, row i starts from N(0, I) noise drawn from ``rngs[i]``
-    (unconditional sampling from t_start=0); a given ``z_init`` is used as is.
-    """
-    c = field.config
-    steps = c.sample_steps if steps is None else steps
+def integrate(field: FlowField, z: np.ndarray, t_start: float, steps: int) -> np.ndarray:
+    """Integrate the flow ODE over a (B, K, d) batch with explicit Euler from t_start to 1."""
     if steps < 1:
         raise ContractViolation("steps must be >= 1")
     if not (0.0 <= t_start < 1.0):
         raise ContractViolation("t_start must lie in [0, 1)")
-    z = normal_rows(rngs, (c.K, c.d)) if z_init is None else np.array(z_init, dtype=np.float64)
+    c = field.config
+    z = np.asarray(z, dtype=np.float64)
     B = len(z)
     dt = (1.0 - t_start) / steps
     t = t_start
@@ -153,4 +146,12 @@ def sample_prior(field: FlowField, rngs, steps: int = None, t_start: float = 0.0
         t = t_start + (step + 1) * dt
         if not np.isfinite(z).all():
             raise NumericFailure("non-finite state during integration", where=f"step={step}")
-    return LatentState(z=z, t=1.0)
+    return z
+
+
+def sample_prior(field: FlowField, rngs, steps: int = None) -> np.ndarray:
+    """Unconditional samples: row i starts from N(0, I) noise drawn from ``rngs[i]``
+    and is integrated from t=0 to 1 (``steps`` defaults to the config's)."""
+    c = field.config
+    steps = c.sample_steps if steps is None else steps
+    return integrate(field, normal_rows(rngs, (c.K, c.d)), 0.0, steps)

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import toyset
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
-from .seqvae import LatentState, mean_pool
+from .seqvae import mean_pool
 from .rng import normal_rows
 
 # The gradient-ascent ablation's step size, steps and start noise; fixed, not tuned.
@@ -153,16 +153,16 @@ class Trajectory:
 
 
 def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
-                     z_init: LatentState) -> tuple:
+                     z: np.ndarray) -> tuple:
     """Euler integration of the guided dynamics from cfg.t_start to 1.
 
-    ``z_init.z`` is a (B, K, d) batch. Returns (Trajectory, final
-    LatentState). With gamma == 0 the update degenerates bit-exactly to
-    unconditional flow integration. A guided step runs one surrogate pass:
-    the J its gradient pass yields is that of the state the previous step
-    reached, and one ``predict`` gives the last step's.
+    ``z`` is a (B, K, d) batch. Returns (Trajectory, final (B, K, d)
+    latents). With gamma == 0 the update is bit for bit that of
+    ``flowmatch.integrate`` from cfg.t_start. A guided step runs one
+    surrogate pass: the J its gradient pass yields is that of the state the
+    previous step reached, and one ``predict`` gives the last step's.
     """
-    z = np.array(z_init.z, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
     B, K, d = z.shape
     dt = (1.0 - cfg.t_start) / cfg.steps
     t = cfg.t_start
@@ -189,37 +189,31 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
         if cfg.gamma == 0.0 or step == cfg.steps - 1:
             traj.objective[step] = objective_value(spec, surrogate.predict(mean_pool(z)))
         traj.velocity_norm[step] = _row_norms(v)
-    return traj, LatentState(z=z, t=1.0)
+    return traj, z
 
 
-def prepare_optimization(vae, xs, sigma: float, t_start: float, rngs) -> LatentState:
-    """Posterior-mean encodings of existing structures plus one noise draw each.
+def prepare_optimization(mu: np.ndarray, sigma: float, rngs) -> np.ndarray:
+    """Start latents for local optimization: (B, K, d) posterior means plus
+    sigma times one N(0, I) draw per row, row i's from ``rngs[i]``.
 
-    Row i encodes ``xs[i]`` and draws its noise from ``rngs[i]``.
+    The one place start noise is added, for the guided ODE and the
+    gradient-ascent baseline alike.
     """
     if sigma < 0:
         raise ContractViolation("sigma must be >= 0")
-    if len(xs) != len(rngs):
-        raise ContractViolation("need one rng per structure")
-    mu = vae.encode_batch(xs).mu
-    return LatentState(z=mu + sigma * normal_rows(rngs, mu.shape[1:]), t=t_start)
+    if len(mu) != len(rngs):
+        raise ContractViolation("need one rng per latent row")
+    return mu + sigma * normal_rows(rngs, mu.shape[1:])
 
 
-def gradient_ascent_baseline(surrogate, spec: ObjectiveSpec, z_init: LatentState,
-                             eta: float, steps: int, sigma: float, rngs) -> LatentState:
-    """No-flow ablation on a (B, K, d) batch: noise injection, then plain descent on J.
-
-    Row i draws its noise from ``rngs[i]``.
-    """
+def gradient_ascent_baseline(surrogate, spec: ObjectiveSpec, z: np.ndarray,
+                             eta: float, steps: int) -> np.ndarray:
+    """No-flow ablation on a (B, K, d) batch: plain descent on J from ``z``."""
     if eta <= 0:
         raise ContractViolation("eta must be > 0")
-    if len(z_init.z) != len(rngs):
-        raise ContractViolation("need one rng per latent row")
-    z = z_init.z + sigma * normal_rows(rngs, z_init.z.shape[1:])
     for step in range(steps):
         _, g = objective_gradient(spec, surrogate, z)
         z = z - eta * g
         if not np.isfinite(z).all():
             raise NumericFailure("non-finite state in gradient ascent", where=f"step={step}")
-    return LatentState(z=z, t=1.0)
-
+    return z

@@ -21,7 +21,7 @@ from . import flowmatch, guidance, moeval, seqvae, surrogate as surrogate_mod, t
 from .config import RunConfig
 from .errors import ArtifactIOError, ConfigError, ContractViolation
 from .nn import load_checkpoint, save_checkpoint
-from .rng import Rng, normal_rows
+from .rng import Rng
 
 VAE_CKPT = "vae_pretrain.ckpt"
 FINETUNE_CKPT = "vae_finetune.ckpt"
@@ -126,7 +126,7 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
         def z1_sampler(r: Rng, n: int) -> np.ndarray:
             idx = r.split("idx").gen.integers(0, len(post.mu), n)
             rows = seqvae.PosteriorParams(mu=post.mu[idx], log_sigma=post.log_sigma[idx])
-            return seqvae.reparameterize(rows, r.split("eps")).z
+            return seqvae.reparameterize(rows, r.split("eps"))
 
         flowmatch.train_flow(field_model, z1_sampler, rng.split("flow-train"))
         save_checkpoint(os.path.join(out_dir, FLOW_CKPT), field_model.arrays(), field_model.meta())
@@ -185,7 +185,6 @@ class BudgetState:
     Entries are not changed once they are read.
     """
 
-    budget: int
     pool: list = field(default_factory=list)
     history: list = field(default_factory=list)  # recent-optimized feature bitsets
     _points: np.ndarray = field(init=False, repr=False,
@@ -259,23 +258,20 @@ def _propose(proposer: str, models: Pipeline, cfg: RunConfig,
              seed_entry: PoolEntry, rng: Rng) -> toyset.Structure:
     vae, sur, flow = models.vae, models.surrogate, models.flow
     spec = cfg.objective
-    if proposer == "guided-flow":
-        g = cfg.guidance
-        z0 = guidance.prepare_optimization(vae, [seed_entry.structure.canonical_tokens],
-                                           g.sigma, g.t_start, [rng.split("noise")])
-        _, final = guidance.guided_integrate(flow, sur, spec, g, z0)
-    elif proposer == "gradient-ascent":
-        post = vae.encode_batch([seed_entry.structure.canonical_tokens])
-        z0 = seqvae.LatentState(z=post.mu, t=1.0)
-        final = guidance.gradient_ascent_baseline(
-            sur, spec, z0, guidance.GA_ETA, guidance.GA_STEPS, guidance.GA_SIGMA,
-            [rng.split("noise")])
-    elif proposer == "random":
-        final = seqvae.LatentState(
-            z=rng.split("noise").normal((1, cfg.vae.K, cfg.vae.d)), t=1.0)
+    if proposer == "random":
+        final = rng.split("noise").normal((1, cfg.vae.K, cfg.vae.d))
+    elif proposer in ("guided-flow", "gradient-ascent"):
+        mu = vae.encode_batch([seed_entry.structure.canonical_tokens]).mu
+        if proposer == "guided-flow":
+            z0 = guidance.prepare_optimization(mu, cfg.guidance.sigma, [rng.split("noise")])
+            _, final = guidance.guided_integrate(flow, sur, spec, cfg.guidance, z0)
+        else:
+            z0 = guidance.prepare_optimization(mu, guidance.GA_SIGMA, [rng.split("noise")])
+            final = guidance.gradient_ascent_baseline(sur, spec, z0, guidance.GA_ETA,
+                                                      guidance.GA_STEPS)
     else:
         raise ConfigError(f"unknown proposer {proposer!r}")
-    (tokens,) = vae.decode_greedy_batch(final.z)
+    (tokens,) = vae.decode_greedy_batch(final)
     return toyset.decode(tokens)
 
 
@@ -299,7 +295,7 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
         raise ConfigError(f"proposer must be one of {PROPOSERS}")
     rng = Rng(seed).split(("budgeted", proposer))
     oracle = CountingOracle(cfg.budget.budget)
-    state = BudgetState(budget=cfg.budget.budget)
+    state = BudgetState()
     train = dataset.subset("train")
     complete = True
 
@@ -476,12 +472,13 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     seeds = list(cfg.sweep.seeds if seeds is None else seeds)
     if not grid:
         raise ConfigError("gamma grid must be nonempty")
+    if not seeds:
+        raise ConfigError("sweep seeds must be nonempty")
     # Every gamma and seed is validated before any work.
     cells = [replace(cfg.guidance, gamma=gamma) for gamma in grid]
     streams = [(seed, Rng(seed)) for seed in seeds]
     candidates = _sweep_candidates(models, dataset, cfg)
-    # Encoded once per sweep; each cell adds the noise prepare_optimization
-    # would draw, from the same per-candidate streams.
+    # Encoded once per sweep; each cell adds its start noise to the means.
     mu = models.vae.encode_batch(candidates).mu
     # HVI measures the gain over the starting pool: the baseline front is the
     # candidates' own oracle points, not the full test split.
@@ -494,12 +491,11 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
         gamma = gcfg.gamma
         for seed, seed_rng in streams:
             rng = seed_rng.split(("sweep", repr(gamma)))
-            noise = normal_rows([rng.split(("cand", i)) for i in range(len(candidates))],
-                                mu.shape[1:])
-            z0 = seqvae.LatentState(z=mu + gcfg.sigma * noise, t=gcfg.t_start)
+            z0 = guidance.prepare_optimization(
+                mu, gcfg.sigma, [rng.split(("cand", i)) for i in range(len(candidates))])
             _, final = guidance.guided_integrate(models.flow, models.surrogate,
                                                  cfg.objective, gcfg, z0)
-            structures = [toyset.decode(t) for t in models.vae.decode_greedy_batch(final.z)]
+            structures = [toyset.decode(t) for t in models.vae.decode_greedy_batch(final)]
             report = _evaluate(models, cfg, structures, baseline, ref, seed, dataset)
             rows.append(SweepRow(gamma=gamma, seed=seed, hvi=report.hvi,
                                  hvi_pct=report.hvi_pct, report=report))

@@ -41,7 +41,6 @@ class VaeConfig:
     enc_hidden: int = 64
     dec_hidden: int = 64
     beta_max: float = 0.1
-    lambda_prop: float = 1.0
     lr: float = 1e-3
     batch_size: int = 64
     pretrain_epochs: int = 10
@@ -52,22 +51,12 @@ class VaeConfig:
             raise ContractViolation("all architecture dimensions must be >= 1")
         if self.beta_max < 0:
             raise ContractViolation("beta_max must be >= 0")
-        if self.lambda_prop < 0:
-            raise ContractViolation("lambda_prop must be >= 0")
 
 
 @dataclass
 class PosteriorParams:
     mu: np.ndarray        # (B, K, d)
     log_sigma: np.ndarray
-
-
-@dataclass
-class LatentState:
-    """A (B, K, d) batch of latent tokens plus flow time."""
-
-    z: np.ndarray
-    t: float
 
 
 def mean_pool(z):
@@ -248,10 +237,10 @@ class SeqVae:
         return model
 
 
-def reparameterize(post: PosteriorParams, rng: Rng) -> LatentState:
-    """z = mu + exp(log_sigma) * eps with eps ~ N(0, I); returns t=1 state."""
+def reparameterize(post: PosteriorParams, rng: Rng) -> np.ndarray:
+    """z = mu + exp(log_sigma) * eps with eps ~ N(0, I), a (B, K, d) array."""
     eps = rng.normal(post.mu.shape)
-    return LatentState(z=post.mu + np.exp(post.log_sigma) * eps, t=1.0)
+    return post.mu + np.exp(post.log_sigma) * eps
 
 
 def kl_standard_normal(mu: Tensor, log_sigma: Tensor) -> Tensor:
@@ -319,11 +308,7 @@ def train_vae(model: SeqVae, dataset, rng: Rng) -> TrainHistory:
 
 
 def finetune(model: SeqVae, surrogate, dataset, rng: Rng) -> TrainHistory:
-    """Stage-two joint fine-tuning (encoder+decoder+surrogate, lam weighting).
-
-    With ``lambda_prop == 0`` the surrogate branch is skipped and the updates
-    are the pure-VAE ones at full KL weight.
-    """
+    """Stage-two joint fine-tuning of encoder, decoder and surrogate."""
     return _train_epochs(model, surrogate, dataset, rng, lr=FINETUNE_LR,
                          epochs=model.config.finetune_epochs, warmup_frac=0.0, prefix="ft-",
                          stage="finetune")
@@ -335,8 +320,8 @@ def _train_epochs(model: SeqVae, surrogate, dataset, rng: Rng, lr, epochs, warmu
 
     Epoch ``e`` shuffles and draws its batches from ``rng.split((prefix +
     "epoch", e))`` and validates on ``rng.split((prefix + "val", e))``. With a
-    surrogate, the property MSE of the mean-pooled latents, weighted by
-    ``lambda_prop``, is added to each batch's negative ELBO.
+    surrogate, the property MSE of the mean-pooled latents is added to each
+    batch's negative ELBO.
     """
     c = model.config
     train = dataset.subset("train")
@@ -353,10 +338,9 @@ def _train_epochs(model: SeqVae, surrogate, dataset, rng: Rng, lr, epochs, warmu
         for b, idx in enumerate(_epoch_batches(len(train), c.batch_size, erng.split("order"))):
             beta = beta_schedule(step / total_steps, c.beta_max, warmup_frac)
             loss, z, _ = elbo_loss(model, [train[i][0] for i in idx], erng.split(("b", b)), beta)
-            if surrogate is not None and c.lambda_prop > 0:
+            if surrogate is not None:
                 y = Tensor(np.stack([train[i][1].as_array() for i in idx]))
-                loss = loss + c.lambda_prop * (
-                    (surrogate.predict_graph(mean_pool(z)) - y) ** 2).mean()
+                loss = loss + ((surrogate.predict_graph(mean_pool(z)) - y) ** 2).mean()
             grads = ad.gradients(loss, params)
             grads, _ = clip_grad_norm(grads, GRAD_CLIP_NORM)
             optimizer_step(opt, params, grads)

@@ -22,10 +22,11 @@ from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
 from flowopt.flowmatch import FlowConfig, FlowField, sample_prior
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
-                              guided_integrate, objective_gradient, objective_value)
+                              guided_integrate, objective_gradient, objective_value,
+                              prepare_optimization)
 from flowopt.nn import TIME_EMBED_FREQ_RANGE, time_embed
 from flowopt.rng import Rng
-from flowopt.seqvae import ENCODE_CHUNK, LatentState, SeqVae, VaeConfig, mean_pool
+from flowopt.seqvae import ENCODE_CHUNK, SeqVae, VaeConfig, mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
 from test_harness import tiny_config
@@ -66,12 +67,11 @@ def test_guided_integrate_rows_match_single(B, K, d, seed, gamma, normalize, cli
     cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=3, t_start=0.4, clip_norm=clip,
                          normalize_gradient=normalize)
     z0 = Rng(seed).split("z").normal((B, K, d)) * 2.0
-    traj, out = guided_integrate(field, sur, spec, cfg, LatentState(z=z0, t=0.4))
-    assert out.z.shape == (B, K, d) and traj.t.shape == (cfg.steps,)
+    traj, out = guided_integrate(field, sur, spec, cfg, z0)
+    assert out.shape == (B, K, d) and traj.t.shape == (cfg.steps,)
     for b in range(B):
-        one_traj, one = guided_integrate(field, sur, spec, cfg,
-                                         LatentState(z=z0[b:b + 1], t=0.4))
-        close(out.z[b], one.z[0])
+        one_traj, one = guided_integrate(field, sur, spec, cfg, z0[b:b + 1])
+        close(out[b], one[0])
         assert np.array_equal(traj.t, one_traj.t)
         for name in ("objective", "grad_norm", "velocity_norm"):
             assert getattr(traj, name).shape == (cfg.steps, B)
@@ -90,7 +90,7 @@ def test_trajectory_objective_is_that_of_each_state(B, K, d, seed, gamma, normal
     cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=steps, t_start=0.4, clip_norm=clip,
                          normalize_gradient=normalize)
     z = Rng(seed).split("z").normal((B, K, d)) * 2.0
-    traj, out = guided_integrate(field, sur, spec, cfg, LatentState(z=z, t=0.4))
+    traj, out = guided_integrate(field, sur, spec, cfg, z)
     dt = (1.0 - cfg.t_start) / cfg.steps
     for s in range(steps):
         t = cfg.t_start + s * dt
@@ -101,7 +101,7 @@ def test_trajectory_objective_is_that_of_each_state(B, K, d, seed, gamma, normal
         z = z + dt * v
         assert np.array_equal(traj.objective[s],
                               np.reshape(objective_value(spec, sur.predict(mean_pool(z))), B))
-    assert np.array_equal(z, out.z)
+    assert np.array_equal(z, out)
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,13 +186,14 @@ def test_objective_value_rows_equal_scalar_calls(B, seed, spec):
 @settings(max_examples=30, deadline=None)
 @given(batch, tokens_k, dims, seeds, specs)
 def test_gradient_ascent_rows_match_single(B, K, d, seed, spec):
+    """Start noise, then descent, as the gradient-ascent proposer runs them."""
     _, sur = models(seed, K, d)
-    z0 = LatentState(z=Rng(seed).split("z").normal((B, K, d)), t=1.0)
-    out = gradient_ascent_baseline(sur, spec, z0, 0.3, 4, 0.2, streams(seed, B))
+    mu = Rng(seed).split("z").normal((B, K, d))
+    out = gradient_ascent_baseline(sur, spec, prepare_optimization(mu, 0.2, streams(seed, B)),
+                                   0.3, 4)
     for b in range(B):
-        one = gradient_ascent_baseline(sur, spec, LatentState(z=z0.z[b:b + 1], t=1.0),
-                                       0.3, 4, 0.2, streams(seed, B)[b:b + 1])
-        close(out.z[b], one.z[0])
+        z0 = prepare_optimization(mu[b:b + 1], 0.2, streams(seed, B)[b:b + 1])
+        close(out[b], gradient_ascent_baseline(sur, spec, z0, 0.3, 4)[0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -200,9 +201,9 @@ def test_gradient_ascent_rows_match_single(B, K, d, seed, spec):
 def test_sample_prior_rows_match_single(B, K, d, seed):
     field, _ = models(seed, K, d)
     out = sample_prior(field, streams(seed, B))
-    assert out.z.shape == (B, K, d)
+    assert out.shape == (B, K, d)
     for b in range(B):
-        close(out.z[b], sample_prior(field, streams(seed, B)[b:b + 1]).z[0])
+        close(out[b], sample_prior(field, streams(seed, B)[b:b + 1])[0])
 
 
 plain_tokens = [t for t in toyset.VOCAB if t not in (toyset.PAD, toyset.BOS, toyset.EOS)]

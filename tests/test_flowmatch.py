@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
-from flowopt.flowmatch import (FlowConfig, FlowField, fm_loss, interpolate, sample_prior,
-                               train_flow)
+from flowopt.flowmatch import (FlowConfig, FlowField, fm_loss, integrate, interpolate,
+                               sample_prior, train_flow)
 from flowopt.nn import load_checkpoint, save_checkpoint
 from flowopt.rng import Rng
 
@@ -93,26 +93,27 @@ def test_train_flow_reduces_loss_on_point_mass(rng, monkeypatch):
 def test_sample_prior_deterministic(field):
     a = sample_prior(field, [Rng(4), Rng(5)])
     b = sample_prior(field, [Rng(4), Rng(5)])
-    assert np.array_equal(a.z, b.z)
-    assert a.z.shape == (2, field.config.K, field.config.d)
-    assert a.t == 1.0
+    assert np.array_equal(a, b)
+    assert a.shape == (2, field.config.K, field.config.d)
 
 
 def test_sample_prior_contracts(field, rng):
     with pytest.raises(ContractViolation):
         sample_prior(field, [rng], steps=0)
     with pytest.raises(ContractViolation):
-        sample_prior(field, [rng], t_start=1.0)
+        integrate(field, rng.normal((1, 2, 3)), 1.0, 5)
+    with pytest.raises(ContractViolation):
+        integrate(field, rng.normal((1, 2, 3)), 0.5, 0)
 
 
-def test_sample_prior_z_init_partial_time(field, rng):
+def test_integrate_from_partial_time(field, rng):
     c = field.config
     z = rng.normal((1, c.K, c.d))
-    out = sample_prior(field, [rng], steps=5, t_start=0.5, z_init=z)
-    assert out.z.shape == (1, c.K, c.d)
-    # the provided initial state is consumed, not the rng draw
-    out2 = sample_prior(field, [Rng(999)], steps=5, t_start=0.5, z_init=z)
-    assert np.array_equal(out.z, out2.z)
+    out = integrate(field, z, 0.5, 5)
+    assert out.shape == (1, c.K, c.d) and not np.array_equal(out, z)
+    # sample_prior integrates each row's own noise from t=0
+    assert np.array_equal(sample_prior(field, [Rng(3)], steps=5),
+                          integrate(field, Rng(3).normal((1, c.K, c.d)), 0.0, 5))
 
 
 def test_train_flow_deterministic():

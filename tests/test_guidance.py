@@ -3,12 +3,12 @@ import pytest
 
 from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation, NumericFailure
-from flowopt.flowmatch import FlowConfig, FlowField, sample_prior
+from flowopt.flowmatch import FlowConfig, FlowField, integrate, sample_prior
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
                               guided_integrate, objective_gradient, objective_value,
                               prepare_optimization)
 from flowopt.rng import Rng
-from flowopt.seqvae import LatentState, SeqVae, VaeConfig, mean_pool
+from flowopt.seqvae import PosteriorParams, SeqVae, VaeConfig, mean_pool, reparameterize
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
 from conftest import finite_difference, rel_err
@@ -161,11 +161,9 @@ def test_gamma_zero_bit_identical_to_unconditional(field, surrogate):
     spec = ObjectiveSpec.maximize_p1_minimize_p2()
     cfg = GuidanceConfig(gamma=0.0, sigma=0.0, steps=7, t_start=0.3)
     z0 = Rng(11).normal((1, K, D))
-    _, out = guided_integrate(field, surrogate, spec, cfg,
-                              LatentState(z=z0.copy(), t=cfg.t_start))
-    ref = sample_prior(field, [Rng(999)], steps=cfg.steps, t_start=cfg.t_start,
-                       z_init=z0.copy())
-    assert np.array_equal(out.z, ref.z)
+    _, out = guided_integrate(field, surrogate, spec, cfg, z0.copy())
+    ref = integrate(field, z0.copy(), cfg.t_start, cfg.steps)
+    assert np.array_equal(out, ref)
 
 
 def test_guided_trajectory_records(field, surrogate):
@@ -173,9 +171,8 @@ def test_guided_trajectory_records(field, surrogate):
     cfg = GuidanceConfig(gamma=2.0, sigma=0.0, steps=6, t_start=0.4,
                          normalize_gradient=True)
     z0 = Rng(2).normal((3, K, D))
-    traj, out = guided_integrate(field, surrogate, spec, cfg,
-                                 LatentState(z=z0, t=cfg.t_start))
-    assert out.t == 1.0
+    traj, out = guided_integrate(field, surrogate, spec, cfg, z0)
+    assert out.shape == z0.shape
     assert traj.t.shape == (cfg.steps,) and traj.t[-1] == pytest.approx(1.0)
     assert np.all(np.diff(traj.t) > 0)
     for stat in (traj.objective, traj.grad_norm, traj.velocity_norm):
@@ -184,7 +181,7 @@ def test_guided_trajectory_records(field, surrogate):
     np.testing.assert_allclose(traj.grad_norm, 1.0, rtol=1e-12)
     # the last row's J is that of the final state
     np.testing.assert_array_equal(
-        traj.objective[-1], objective_value(spec, surrogate.predict(mean_pool(out.z))))
+        traj.objective[-1], objective_value(spec, surrogate.predict(mean_pool(out))))
 
 
 def test_guided_gamma_changes_trajectory(field, surrogate):
@@ -193,9 +190,8 @@ def test_guided_gamma_changes_trajectory(field, surrogate):
     outs = []
     for gamma in (0.0, 5.0):
         cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=5, t_start=0.5)
-        _, out = guided_integrate(field, surrogate, spec, cfg,
-                                  LatentState(z=z0.copy(), t=0.5))
-        outs.append(out.z)
+        _, out = guided_integrate(field, surrogate, spec, cfg, z0.copy())
+        outs.append(out)
     assert not np.array_equal(outs[0], outs[1])
 
 
@@ -204,18 +200,17 @@ def test_guided_gamma_changes_trajectory(field, surrogate):
 def test_prepare_optimization_noise_once(rng):
     vae = SeqVae(VaeConfig(K=K, d=D, embed_dim=8, enc_hidden=16, dec_hidden=16),
                  rng.split("vae"))
-    x = ("A", "B", "R")
-    clean = prepare_optimization(vae, [x], 0.0, 0.6, [Rng(1)])
-    assert clean.t == 0.6
-    assert np.array_equal(clean.z, vae.encode_batch([x]).mu)
-    noisy = prepare_optimization(vae, [x], 0.5, 0.6, [Rng(1)])
-    assert not np.array_equal(noisy.z, clean.z)
+    mu = vae.encode_batch([("A", "B", "R")]).mu
+    clean = prepare_optimization(mu, 0.0, [Rng(1)])
+    assert np.array_equal(clean, mu)
+    noisy = prepare_optimization(mu, 0.5, [Rng(1)])
+    assert not np.array_equal(noisy, clean)
     # the one noise draw is exactly the row's own stream
-    assert np.array_equal(noisy.z, clean.z + 0.5 * Rng(1).normal((K, D)))
+    assert np.array_equal(noisy, mu + 0.5 * Rng(1).normal((K, D)))
     with pytest.raises(ContractViolation):
-        prepare_optimization(vae, [x], -0.1, 0.6, [Rng(1)])
+        prepare_optimization(mu, -0.1, [Rng(1)])
     with pytest.raises(ContractViolation):
-        prepare_optimization(vae, [x, x], 0.5, 0.6, [Rng(1)])
+        prepare_optimization(mu, 0.5, [Rng(1), Rng(2)])
 
 
 # -- gradient-ascent baseline --------------------------------------------
@@ -225,22 +220,40 @@ def test_gradient_ascent_descends_convex_objective():
     w = np.array([[0.3, -0.1], [0.2, 0.4], [-0.2, 0.3]])
     model = LinearSurrogate(w, b=(0.4, 4.0))
     spec = ObjectiveSpec(mode="target", weights=(1.0, 1.0), targets=(0.6, 3.0))
-    z0 = LatentState(z=Rng(6).normal((1, K, D)) * 3.0, t=0.0)
-    j0 = objective_value(spec, model.predict(mean_pool(z0.z))[0])
-    out = gradient_ascent_baseline(model, spec, z0, eta=0.5, steps=200,
-                                   sigma=0.0, rngs=[Rng(0)])
-    j1 = objective_value(spec, model.predict(mean_pool(out.z))[0])
+    z0 = Rng(6).normal((1, K, D)) * 3.0
+    j0 = objective_value(spec, model.predict(mean_pool(z0))[0])
+    out = gradient_ascent_baseline(model, spec, z0, eta=0.5, steps=200)
+    j1 = objective_value(spec, model.predict(mean_pool(out))[0])
     assert j1 < j0
     assert j1 < 1e-6  # quadratic minimum is zero along the pooled direction
 
 
 def test_gradient_ascent_deterministic_and_contracts(surrogate):
     spec = ObjectiveSpec.maximize_p1_minimize_p2()
-    z0 = LatentState(z=Rng(8).normal((1, K, D)), t=0.0)
-    a = gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5, 0.2, [Rng(3)])
-    b = gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5, 0.2, [Rng(3)])
-    assert np.array_equal(a.z, b.z)
+    z0 = Rng(8).normal((1, K, D))
+    a = gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5)
+    b = gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5)
+    assert np.array_equal(a, b)
     with pytest.raises(ContractViolation):
-        gradient_ascent_baseline(surrogate, spec, z0, 0.0, 5, 0.2, [Rng(3)])
-    with pytest.raises(ContractViolation):
-        gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5, 0.2, [Rng(3), Rng(4)])
+        gradient_ascent_baseline(surrogate, spec, z0, 0.0, 5)
+
+
+# -- the latent API -------------------------------------------------------
+
+def test_latent_routines_return_arrays(field, surrogate):
+    """Every latent routine takes and returns a plain (B, K, d) array."""
+    B = 3
+    mu = Rng(5).normal((B, K, D))
+    rngs = [Rng(5).split(i) for i in range(B)]
+    cfg = GuidanceConfig(gamma=1.0, sigma=0.3, steps=2, t_start=0.5)
+    spec = ObjectiveSpec.maximize_p1_minimize_p2()
+    outs = {
+        "reparameterize": reparameterize(PosteriorParams(mu=mu, log_sigma=mu * 0.1), Rng(1)),
+        "sample_prior": sample_prior(field, rngs, steps=2),
+        "integrate": integrate(field, mu, 0.5, 2),
+        "prepare_optimization": prepare_optimization(mu, 0.3, rngs),
+        "guided_integrate": guided_integrate(field, surrogate, spec, cfg, mu)[1],
+        "gradient_ascent_baseline": gradient_ascent_baseline(surrogate, spec, mu, 0.3, 2),
+    }
+    for name, z in outs.items():
+        assert type(z) is np.ndarray and z.shape == (B, K, D), name

@@ -75,7 +75,7 @@ def test_counting_oracle_enforces_budget():
 # -- selection law --------------------------------------------------------
 
 def _pool_state(rng, n, with_history=False):
-    state = harness.BudgetState(budget=100)
+    state = harness.BudgetState()
     for i in range(n):
         r = rng.split(i)
         tokens = tuple(toyset.BACKBONE[int(r.integers(0, 8))]
@@ -146,11 +146,11 @@ def test_select_seed_matches_law_chi_square(rng):
 
 def test_select_seed_empty_pool():
     with pytest.raises(ContractViolation):
-        harness.select_seed(harness.BudgetState(budget=5), Rng(0))
+        harness.select_seed(harness.BudgetState(), Rng(0))
 
 
 def test_pareto_flags_hand_case():
-    state = harness.BudgetState(budget=10)
+    state = harness.BudgetState()
     for p1, p2 in [(0.9, 2.0), (0.5, 5.0), (0.9, 2.0), (0.2, 1.0)]:
         s = toyset.decode(("A",))
         state.pool.append(harness.PoolEntry(structure=s, props=np.array([p1, p2])))
@@ -185,7 +185,7 @@ def test_kept_pool_arrays_equal_stacked_formulas(batches, h, seed):
     restacked from the pool, on points from a coarse grid (duplicates, ties),
     as the pool grows in batches that double the arrays or more."""
     rng = Rng(seed)
-    state = harness.BudgetState(budget=sum(batches))
+    state = harness.BudgetState()
     s = toyset.decode(("A",))
     for b, size in enumerate(batches):
         r = rng.split(b)
@@ -344,7 +344,7 @@ def test_flow_stage_matches_per_step_encoding(tiny_run, tmp_path, monkeypatch):
     def per_step_sampler(r, n):
         idx = r.split("idx").gen.integers(0, len(train), n)
         post = vae.encode_batch([train[i][0] for i in idx])
-        return seqvae.reparameterize(post, r.split("eps")).z
+        return seqvae.reparameterize(post, r.split("eps"))
 
     rng = Rng(cfg.seed)
     field = flowmatch.FlowField(cfg.flow, rng.split("flow"))
@@ -647,7 +647,7 @@ def test_committed_bench_checkpoint_loads():
     flow config keys its headers still carry; it must keep loading and running."""
     _, meta = load_checkpoint(os.path.join(BENCH_CKPT, harness.FINETUNE_CKPT))
     assert {"pooling", "seed", "kl_warmup_frac", "finetune_lr", "clip_norm",
-            "max_len"} <= set(meta["config"])
+            "max_len", "lambda_prop"} <= set(meta["config"])
     assert {"lr", "batch_size", "holdout_frac", "clip_norm"} <= set(meta["surrogate"]["config"])
     _, meta = load_checkpoint(os.path.join(BENCH_CKPT, harness.FLOW_CKPT))
     assert {"ot_coupling", "lr", "clip_norm"} <= set(meta["config"])
@@ -676,8 +676,8 @@ def test_frozen_objective_gradient_equals_trainable(spec, normalize, clip_norm):
     models = harness.Pipeline.load(BENCH_CKPT)
     g = config.toy_default(0).guidance
     xs = [tokens for tokens, _ in toyset.generate_dataset(3, 16, 3, 14).entries]
-    z = guidance.prepare_optimization(models.vae, xs, g.sigma, g.t_start,
-                                      [Rng(0).split(i) for i in range(len(xs))]).z
+    z = guidance.prepare_optimization(models.vae.encode_batch(xs).mu, g.sigma,
+                                      [Rng(0).split(i) for i in range(len(xs))])
     frozen = guidance.objective_gradient(spec, models.surrogate, z, normalize, clip_norm)
     for p in models.surrogate.params():
         p.requires_grad = True
@@ -769,7 +769,9 @@ def test_cli_gamma_sweep_bad_list_exit_2(runner, tiny_run, flag, value, bad):
 
 @pytest.mark.parametrize("command, section, key", [("budgeted", "budget", "budget"),
                                                     ("budgeted", "budget", "init_size"),
-                                                    ("gamma-sweep", "sweep", "candidates")])
+                                                    ("gamma-sweep", "sweep", "candidates"),
+                                                    ("budgeted", "evaluation",
+                                                     "bootstrap_resamples")])
 def test_cli_bad_budget_or_sweep_config_exit_2(runner, tiny_run, tmp_path, command, section, key):
     doc = tiny_run["cfg"].to_dict()
     doc[section][key] = 0
@@ -781,6 +783,19 @@ def test_cli_bad_budget_or_sweep_config_exit_2(runner, tiny_run, tmp_path, comma
     assert res.exit_code == 2, res.output
     assert res.output.startswith("config error: ")
     assert f"{section}.{key} must be >= 1, not 0" in res.output
+
+
+def test_cli_gamma_sweep_empty_seeds_exit_2(runner, tiny_run, tmp_path):
+    doc = tiny_run["cfg"].to_dict()
+    doc["sweep"]["seeds"] = []
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    res = runner.invoke(cli.main, ["gamma-sweep", "--seed", "0", "--config", str(cfg_path),
+                                   "--ckpt", tiny_run["ckpt_dir"],
+                                   "--data", tiny_run["data_dir"], "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "config error: sweep seeds must be nonempty" in res.output
+    assert not list(tmp_path.glob("*gamma-sweep*"))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1,nan"])

@@ -37,10 +37,6 @@ DEAD_CODE_ALLOWLIST = {
     "toyset.tanimoto": "reference the selection-law test compares selection_probabilities with",
 }
 DEAD_PARAMETER_ALLOWLIST = {
-    "flowmatch.sample_prior.t_start":
-        "the gamma-zero acceptance line integrates the prior from the guided start time",
-    "flowmatch.sample_prior.z_init":
-        "the gamma-zero acceptance line integrates the prior from the guided start state",
     "harness.select_seed.probs":
         "the selection-law acceptance line draws many times from one probability vector",
     "config.paper_tuned.seed": "every PROFILES entry shares the signature of toy_default(seed)",
@@ -48,7 +44,6 @@ DEAD_PARAMETER_ALLOWLIST = {
 }
 DEAD_CONFIG_ALLOWLIST = {
     "DataConfig.min_len": "read by bench/workloads.py and as `flowopt gen-data`'s default",
-    "VaeConfig.lambda_prop": "the joint-supervision ablation in seqvae.finetune (0 skips it)",
     "GuidanceConfig.clip_norm": "serialized into every report's config_echo",
     "SurrogateConfig.epochs": "read by nothing, and kept while bench/test_smoke.py sets it",
 }

@@ -67,7 +67,7 @@ def test_reparameterize_statistics(rng):
     mu = np.zeros((1, 2, 3))
     ls = np.zeros((1, 2, 3))
     post = seqvae.PosteriorParams(mu=mu, log_sigma=ls)
-    draws = np.stack([reparameterize(post, rng.split(i)).z for i in range(3000)])
+    draws = np.stack([reparameterize(post, rng.split(i)) for i in range(3000)])
     assert abs(draws.mean()) < 0.05
     assert abs(draws.std() - 1.0) < 0.05
 
@@ -171,35 +171,8 @@ def test_training_deterministic(tiny_dataset):
         assert np.array_equal(outs[0][k], outs[1][k])
 
 
-def test_finetune_lambda_zero_matches_pure_vae(tiny_dataset):
-    """With lambda 0 the property branch must not touch the update at all."""
-    from flowopt.surrogate import Surrogate, SurrogateConfig
-
-    results = []
-    for lam in (0.0, 0.0):
-        rng = Rng(55)
-        cfg = small_config(lambda_prop=lam)
-        model = SeqVae(cfg, rng.split("m"))
-        sur = Surrogate(SurrogateConfig(latent_dim=cfg.d, hidden=8, layers=2),
-                        rng.split("s"))
-        seqvae.finetune(model, sur, tiny_dataset, rng.split("f"))
-        results.append({k: v.data.copy() for k, v in model.p.items()})
-    for k in results[0]:
-        assert np.array_equal(results[0][k], results[1][k])
-
-    # and with lam > 0 the weights must differ from the lam == 0 run
-    rng = Rng(55)
-    cfg = small_config(lambda_prop=1.0)
-    model = SeqVae(cfg, rng.split("m"))
-    from flowopt.surrogate import Surrogate, SurrogateConfig
-    sur = Surrogate(SurrogateConfig(latent_dim=cfg.d, hidden=8, layers=2), rng.split("s"))
-    seqvae.finetune(model, sur, tiny_dataset, rng.split("f"))
-    changed = any(not np.array_equal(results[0][k], model.p[k].data) for k in results[0])
-    assert changed
-
-
 def test_config_validation():
     with pytest.raises(Exception):
         VaeConfig(K=0)
     with pytest.raises(ContractViolation):
-        VaeConfig(lambda_prop=-1.0)
+        VaeConfig(beta_max=-1.0)
