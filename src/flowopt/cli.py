@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import config as config_mod
-from . import flowmatch, guidance, harness, toyset
+from . import flowmatch, guidance, harness, moeval, toyset
 from .errors import (ArtifactIOError, ConfigError, ContractViolation,
                      NumericFailure)
 from .rng import Rng
@@ -194,7 +194,7 @@ def optimize(config_path, profile, seed, ckpt_dir, tokens, data_dir):
     else:
         if data_dir is None:
             raise ConfigError("provide --tokens or --data to choose a start structure")
-        test = _load_dataset(data_dir).subset("test")
+        test = harness.nonempty_split(_load_dataset(data_dir), "test")
         start = test[int(rng.integers(0, len(test)))][0]
     g = cfg.guidance
     z0 = guidance.prepare_optimization(models.vae.encode_batch([start]).mu, g.sigma,
@@ -308,10 +308,10 @@ def eval_cmd(config_path, profile, seed, ckpt_dir, data_dir, gen_path, out_dir):
         raise ArtifactIOError(f"cannot read {gen_path}: {e}") from e
     if not structures:
         raise ConfigError(f"{gen_path} contains no structures")
-    test = ds.subset("test")
-    baseline = np.stack([p.as_array() for _, p in test])
+    baseline = np.stack([p.as_array() for _, p in harness.nonempty_split(ds, "test")])
     ref = harness.reference_point(baseline)
-    report = harness._evaluate(models, cfg, structures, baseline, ref, seed, ds)
+    report = harness._evaluate(models, cfg, structures, moeval.feature_matrix(structures),
+                               baseline, ref, seed, ds)
     if out_dir:
         run_dir = _run_dir(out_dir, f"eval-seed{seed}")
         harness.run_report(run_dir, {"report.json": report.to_json(),

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import weakref
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -164,104 +164,58 @@ class CountingOracle:
         return toyset.oracle_properties(structure).as_array()
 
 
-@dataclass
-class PoolEntry:
-    structure: toyset.Structure
-    props: np.ndarray
-    from_init: bool = False
-    features: np.ndarray = field(init=False)  # the structure's bitset, computed once
-
-    def __post_init__(self):
-        self.features = self.structure.features
+def nonempty_split(dataset: toyset.Dataset, which: str) -> list:
+    """The entries of split ``which``; an empty one is a config error."""
+    entries = dataset.subset(which)
+    if not entries:
+        raise ConfigError(f"the {which} split is empty")
+    return entries
 
 
-@dataclass
-class BudgetState:
-    """The pool of a budgeted run and its recent optimized bitsets.
+def pareto_flags(points: np.ndarray) -> np.ndarray:
+    """Whether each of the (n, 2) points is on their front (duplicates too)."""
+    front = moeval.pareto_front(points).points
+    return (points[:, None, :] == front[None, :, :]).all(axis=2).any(axis=1)
 
-    Each pool entry's point and 0/1 float bitset are copied once into kept
-    arrays, when the state is first read after the entry joined the pool;
-    the arrays start empty and at least double when the pool outgrows them.
-    Entries are not changed once they are read.
+
+def selection_probabilities(points: np.ndarray, bits: np.ndarray, history) -> np.ndarray:
+    """Each pool member's probability under the selection law stated with DIVERSITY_PENALTY.
+
+    ``points`` and ``bits`` are the pool's (n, 2) points and (n, FEATURE_BITS)
+    0/1 float bitsets; ``history`` holds the recently optimized bitsets, one
+    row each.
     """
-
-    pool: list = field(default_factory=list)
-    history: list = field(default_factory=list)  # recent-optimized feature bitsets
-    _points: np.ndarray = field(init=False, repr=False,
-                                default_factory=lambda: np.empty((0, 2)))
-    _bits: np.ndarray = field(init=False, repr=False,
-                              default_factory=lambda: np.empty((0, toyset.FEATURE_BITS)))
-    _filled: int = field(init=False, default=0, repr=False)
-
-    def _sync(self) -> int:
-        n = len(self.pool)
-        if n > len(self._points):
-            extra = max(n, 2 * len(self._points)) - len(self._points)
-            self._points = np.concatenate([self._points, np.empty((extra, 2))])
-            self._bits = np.concatenate([self._bits, np.empty((extra, toyset.FEATURE_BITS))])
-        for i in range(self._filled, n):
-            self._points[i] = self.pool[i].props
-            self._bits[i] = self.pool[i].features
-        self._filled = n
-        return n
-
-    def points(self) -> np.ndarray:
-        """The pool's (n, 2) points, a view of the kept array."""
-        n = self._sync()  # first: it may replace the array
-        return self._points[:n]
-
-    def bitsets(self) -> np.ndarray:
-        """The pool's (n, FEATURE_BITS) bitsets as 0/1 floats, a view of the kept array."""
-        n = self._sync()
-        return self._bits[:n]
-
-    def pareto_flags(self) -> np.ndarray:
-        """Whether each pool member's point is on the front (duplicates too)."""
-        points = self.points()
-        front = moeval.pareto_front(points).points
-        return (points[:, None, :] == front[None, :, :]).all(axis=2).any(axis=1)
-
-
-def selection_probabilities(state: BudgetState) -> np.ndarray:
-    """Each pool member's probability under the selection law stated with DIVERSITY_PENALTY."""
-    flags = state.pareto_flags()
-    w = np.where(flags, PARETO_WEIGHT, 1.0)
-    if state.history:
+    w = np.where(pareto_flags(points), PARETO_WEIGHT, 1.0)
+    if len(history):
         # Jaccard from one count product on 0/1 floats: every count is an exact integer.
-        feats = state.bitsets()
-        hist = np.stack(state.history).astype(np.float64)
-        inter = feats @ hist.T
-        union = feats.sum(axis=1)[:, None] + hist.sum(axis=1) - inter
+        hist = np.asarray(history, dtype=np.float64)
+        inter = bits @ hist.T
+        union = bits.sum(axis=1)[:, None] + hist.sum(axis=1) - inter
         sims = np.where(union > 0, inter / np.maximum(union, 1), 1.0).max(axis=1)
     else:
-        sims = np.zeros(len(state.pool))
+        sims = np.zeros(len(points))
     p = w * np.exp(-DIVERSITY_PENALTY * sims)
     return p / p.sum()
 
 
-def select_seed(state: BudgetState, rng: Rng, probs: np.ndarray = None) -> int:
-    """Draw a pool index under the selection law.
-
-    ``probs`` may carry precomputed ``selection_probabilities`` output for
-    repeated draws from an unchanged state.
-    """
-    if not state.pool:
+def select_seed(probs: np.ndarray, rng: Rng) -> int:
+    """Draw a pool index with the given ``selection_probabilities``."""
+    if not len(probs):
         raise ContractViolation("cannot select from an empty pool")
-    p = selection_probabilities(state) if probs is None else probs
-    return rng.choice(len(p), p=p)
+    return rng.choice(len(probs), p=probs)
 
 
 PROPOSERS = ("guided-flow", "gradient-ascent", "random")
 
 
 def _propose(proposer: str, models: Pipeline, cfg: RunConfig,
-             seed_entry: PoolEntry, rng: Rng) -> toyset.Structure:
+             seed_structure: toyset.Structure, rng: Rng) -> toyset.Structure:
     vae, sur, flow = models.vae, models.surrogate, models.flow
     spec = cfg.objective
     if proposer == "random":
         final = rng.split("noise").normal((1, cfg.vae.K, cfg.vae.d))
     elif proposer in ("guided-flow", "gradient-ascent"):
-        mu = vae.encode_batch([seed_entry.structure.canonical_tokens]).mu
+        mu = vae.encode_batch([seed_structure.canonical_tokens]).mu
         if proposer == "guided-flow":
             z0 = guidance.prepare_optimization(mu, cfg.guidance.sigma, [rng.split("noise")])
             _, final = guidance.guided_integrate(flow, sur, spec, cfg.guidance, z0)
@@ -290,55 +244,65 @@ class BudgetedResult:
 
 def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
                  proposer: str, seed: int) -> BudgetedResult:
-    """One sequential optimization run under an exact oracle budget."""
+    """One sequential optimization run under an exact oracle budget.
+
+    The pool is its structures with their (n, 2) points and 0/1 float
+    bitsets in arrays sized for the largest pool a run can reach; each row is
+    written once, when its oracle value arrives. The first ``n_init`` rows are
+    the initial pool and the rest the optimized structures, in order.
+    """
     if proposer not in PROPOSERS:
         raise ConfigError(f"proposer must be one of {PROPOSERS}")
+    train = nonempty_split(dataset, "train")
     rng = Rng(seed).split(("budgeted", proposer))
     oracle = CountingOracle(cfg.budget.budget)
-    state = BudgetState()
-    train = dataset.subset("train")
-    complete = True
+    size = cfg.budget.init_size + cfg.budget.budget
+    structures = []
+    points = np.empty((size, 2))
+    bits = np.empty((size, toyset.FEATURE_BITS))
 
+    def add(structure, props):
+        points[len(structures)] = props
+        bits[len(structures)] = structure.features
+        structures.append(structure)
+
+    complete = True
     init_rng = rng.split("init")
     init_idx = [int(init_rng.integers(0, len(train))) for _ in range(cfg.budget.init_size)]
     try:
         for i in init_idx:
             s = toyset.decode(train[i][0])
-            props = (toyset.oracle_properties(s).as_array() if cfg.budget.free_init
-                     else oracle(s))
-            state.pool.append(PoolEntry(structure=s, props=props, from_init=True))
+            add(s, toyset.oracle_properties(s).as_array() if cfg.budget.free_init else oracle(s))
     except BudgetExhausted:
         complete = False
 
-    baseline = state.points()
+    n_init = len(structures)
+    baseline = points[:n_init]
     ref = reference_point(baseline)
 
     hv_base = moeval.hypervolume_2d(baseline, ref)
     trace = []
-    step = 0
     while complete and oracle.calls < cfg.budget.budget:
-        srng = rng.split(("step", step))
-        idx = select_seed(state, srng.split("select"))
-        entry = state.pool[idx]
-        proposed = _propose(proposer, models, cfg, entry, srng.split("propose"))
-        new = PoolEntry(structure=proposed, props=oracle(proposed))
-        state.pool.append(new)
-        state.history.append(new.features)
-        if len(state.history) > HISTORY_WINDOW:
-            state.history.pop(0)
+        n = len(structures)
+        srng = rng.split(("step", n - n_init))
+        # The history is the last HISTORY_WINDOW optimized bitsets.
+        probs = selection_probabilities(points[:n], bits[:n],
+                                        bits[max(n_init, n - HISTORY_WINDOW):n])
+        seed_structure = structures[select_seed(probs, srng.split("select"))]
+        proposed = _propose(proposer, models, cfg, seed_structure, srng.split("propose"))
+        add(proposed, oracle(proposed))
         # The pool is the baseline followed by the optimized points.
-        hvi = max(0.0, moeval.hypervolume_2d(state.points(), ref) - hv_base)
+        hvi = max(0.0, moeval.hypervolume_2d(points[:n + 1], ref) - hv_base)
         trace.append((oracle.calls, hvi))
-        step += 1
 
     final_hvi = trace[-1][1] if trace else 0.0
-    proposed_structures = [e.structure for e in state.pool if not e.from_init]
-    report = _evaluate(models, cfg, proposed_structures, baseline, ref, seed, dataset)
+    report = _evaluate(models, cfg, structures[n_init:], bits[n_init:len(structures)],
+                       baseline, ref, seed, dataset)
     return BudgetedResult(
         proposer=proposer, seed=seed, calls=oracle.calls, complete=complete,
         reference=tuple(float(x) for x in ref),
         hvi_trace=trace, final_hvi=final_hvi, report=report,
-        pool_keys=[e.structure.canonical_key for e in state.pool])
+        pool_keys=[s.canonical_key for s in structures])
 
 
 # -- shared evaluation ----------------------------------------------------
@@ -379,7 +343,7 @@ def reference_set(dataset: toyset.Dataset) -> ReferenceSet:
 
 def _build_reference(dataset: toyset.Dataset) -> ReferenceSet:
     """Decode the train split once and derive the reference from it."""
-    structures = [toyset.decode(t) for t, _ in dataset.subset("train")]
+    structures = [toyset.decode(t) for t, _ in nonempty_split(dataset, "train")]
     features = moeval.feature_matrix(structures)
     embeddings = moeval.structure_embeddings(
         features, moeval.embedding_projection(moeval.PROJECTION_SEED))
@@ -389,15 +353,16 @@ def _build_reference(dataset: toyset.Dataset) -> ReferenceSet:
                                        if len(embeddings) >= 2 else None))
 
 
-def _evaluate(models: Pipeline, cfg: RunConfig, structures, baseline_points,
+def _evaluate(models: Pipeline, cfg: RunConfig, structures, features, baseline_points,
               ref, seed, dataset: toyset.Dataset) -> moeval.EvalReport:
+    """The report on ``structures``, whose (n, FEATURE_BITS) bitsets are
+    ``features``, against the baseline points and the dataset's reference."""
     report = moeval.EvalReport(seed=seed, projection_seed=moeval.PROJECTION_SEED,
                                reference_point=tuple(float(x) for x in ref),
                                config_echo={"guidance": asdict(cfg.guidance),
                                             "objective": asdict(cfg.objective)})
     if not structures:
         return report
-    features = moeval.feature_matrix(structures)
     descriptors = moeval.descriptor_values(structures, features)
     points = np.stack([descriptors["p1"], descriptors["p2"]], axis=1)
     all_points = np.vstack([baseline_points, points])
@@ -452,8 +417,7 @@ class SweepRow:
 def _sweep_candidates(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig):
     """Seeds for the sweep: test-set structures on the surrogate-predicted front,
     padded with the best remaining predicted-objective entries."""
-    test = dataset.subset("test")
-    seqs = [t for t, _ in test]
+    seqs = [t for t, _ in nonempty_split(dataset, "test")]
     pred = models.surrogate.predict(seqvae.mean_pool(models.vae.encode_batch(seqs).mu))
     front = moeval.pareto_front(pred)
     chosen = list(front.indices)
@@ -496,7 +460,8 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
             _, final = guidance.guided_integrate(models.flow, models.surrogate,
                                                  cfg.objective, gcfg, z0)
             structures = [toyset.decode(t) for t in models.vae.decode_greedy_batch(final)]
-            report = _evaluate(models, cfg, structures, baseline, ref, seed, dataset)
+            report = _evaluate(models, cfg, structures, moeval.feature_matrix(structures),
+                               baseline, ref, seed, dataset)
             rows.append(SweepRow(gamma=gamma, seed=seed, hvi=report.hvi,
                                  hvi_pct=report.hvi_pct, report=report))
     return rows

@@ -283,22 +283,21 @@ def test_selection_law_chi_square():
     for case in range(20):
         r = rng.split(("pool", case))
         n = int(r.integers(3, 15))
-        state = harness.BudgetState()
+        pool = []
         for i in range(n):
             e = r.split(i)
             tokens = tuple(toyset.BACKBONE[int(e.integers(0, 8))]
                            for _ in range(int(e.integers(1, 7))))
-            s = toyset.decode(tokens)
-            state.pool.append(harness.PoolEntry(
-                structure=s, props=toyset.oracle_properties(s).as_array()))
+            pool.append(toyset.decode(tokens))
+        points = np.stack([toyset.oracle_properties(s).as_array() for s in pool])
+        bits = moeval.feature_matrix(pool).astype(np.float64)
         n_hist = int(r.integers(0, 4))
-        state.history = [state.pool[int(r.integers(0, n))].structure.features
-                         for _ in range(n_hist)]
-        p = harness.selection_probabilities(state)
+        history = [pool[int(r.integers(0, n))].features for _ in range(n_hist)]
+        p = harness.selection_probabilities(points, bits, history)
         draw_rng = r.split("draws")
         counts = np.zeros(n)
         for _ in range(draws):
-            counts[harness.select_seed(state, draw_rng, probs=p)] += 1
+            counts[harness.select_seed(p, draw_rng)] += 1
         _, pval = sps.chisquare(counts, p * draws)
         worst_p = min(worst_p, pval)
         ok = ok and pval > 0.001

@@ -434,7 +434,8 @@ def test_evaluate_hv_ci_matches_resample_loop(picks, seed):
     structures = [toyset.decode(test[i][0]) for i in picks]
     baseline = np.stack([p.as_array() for _, p in test[12:30]])
     ref = moeval.auto_reference(baseline)
-    report = harness._evaluate(TINY_MODELS, TINY, structures, baseline, ref, seed, TINY_DATA)
+    report = harness._evaluate(TINY_MODELS, TINY, structures, moeval.feature_matrix(structures),
+                               baseline, ref, seed, TINY_DATA)
     points = np.stack([toyset.oracle_properties(s).as_array() for s in structures])
     ev, n = TINY.evaluation, len(points)
     gen = Rng(seed).split("hv-ci").split("bootstrap").gen

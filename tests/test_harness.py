@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -75,132 +76,112 @@ def test_counting_oracle_enforces_budget():
 # -- selection law --------------------------------------------------------
 
 def _pool_state(rng, n, with_history=False):
-    state = harness.BudgetState()
+    """A pool of n decoded structures: its points, 0/1 float bitsets and a
+    history of the first and last member's bitsets (or an empty one)."""
+    structures = []
     for i in range(n):
         r = rng.split(i)
         tokens = tuple(toyset.BACKBONE[int(r.integers(0, 8))]
                        for _ in range(int(r.integers(1, 6))))
-        s = toyset.decode(tokens)
-        state.pool.append(harness.PoolEntry(
-            structure=s, props=toyset.oracle_properties(s).as_array()))
-    if with_history:
-        state.history = [state.pool[0].structure.features,
-                         state.pool[-1].structure.features]
-    return state
+        structures.append(toyset.decode(tokens))
+    points = np.stack([toyset.oracle_properties(s).as_array() for s in structures])
+    bits = moeval.feature_matrix(structures).astype(np.float64)
+    return points, bits, bits[[0, -1]] if with_history else bits[:0]
 
 
 def test_selection_probabilities_normalized_and_weighted(rng):
-    state = _pool_state(rng.split("a"), 12, with_history=True)
-    p = harness.selection_probabilities(state)
+    points, bits, history = _pool_state(rng.split("a"), 12, with_history=True)
+    p = harness.selection_probabilities(points, bits, history)
     assert p.shape == (12,)
     assert p.sum() == pytest.approx(1.0)
     assert (p > 0).all()
     # the closed form is reproduced exactly
-    flags = state.pareto_flags()
-    w = np.where(flags, 2.0, 1.0)
-    sims = np.array([max(toyset.tanimoto(e.structure.features, h)
-                         for h in state.history) for e in state.pool])
+    w = np.where(harness.pareto_flags(points), 2.0, 1.0)
+    sims = np.array([max(toyset.tanimoto(b > 0, h > 0) for h in history) for b in bits])
     expected = w * np.exp(-2.0 * sims)
     assert np.allclose(p, expected / expected.sum())
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 24), st.integers(1, harness.HISTORY_WINDOW), st.integers(0, 2 ** 16),
-       st.sampled_from([0.0, 0.005, 0.05, 0.5]))
-def test_selection_similarities_equal_broadcast_formula(n, h, seed, density):
+       st.sampled_from([0.0, 0.005, 0.05, 0.5]), st.booleans())
+def test_selection_similarities_equal_broadcast_formula(n, h, seed, density, coarse):
     """The count product gives the pairwise boolean Jaccard bit for bit, with
-    empty bitsets (a pair of them has similarity 1) and short histories."""
+    empty bitsets (a pair of them has similarity 1) and short histories. On
+    points from a coarse grid (duplicates, ties) the front flags are ``==``
+    to membership in the front's point set."""
     rng = Rng(seed)
-    state = _pool_state(rng.split("pool"), n)
-    width = len(state.pool[0].features)
+    points, _, _ = _pool_state(rng.split("pool"), n)
+    if coarse:
+        points = rng.split("grid").gen.integers(0, 4, (n, 2)) * [0.25, 1.5] + [0.0, 1.0]
 
     def bitsets(r, k):
-        bits = r.split("bits").uniform(0.0, 1.0, (k, width)) < density
+        bits = r.split("bits").uniform(0.0, 1.0, (k, toyset.FEATURE_BITS)) < density
         bits[r.split("empty").uniform(0.0, 1.0, k) < 0.3] = False
         return bits
 
-    for e, f in zip(state.pool, bitsets(rng.split("pool-bits"), n)):
-        e.features = f
-    state.history = list(bitsets(rng.split("history-bits"), h))
-    feats, hist = np.stack([e.features for e in state.pool]), np.stack(state.history)
+    feats, hist = bitsets(rng.split("pool-bits"), n), bitsets(rng.split("history-bits"), h)
     inter = (feats[:, None, :] & hist[None, :, :]).sum(axis=-1)
     union = (feats[:, None, :] | hist[None, :, :]).sum(axis=-1)
     sims = np.where(union > 0, inter / np.maximum(union, 1), 1.0).max(axis=1)
-    p = (np.where(state.pareto_flags(), harness.PARETO_WEIGHT, 1.0)
-         * np.exp(-harness.DIVERSITY_PENALTY * sims))
-    assert np.array_equal(harness.selection_probabilities(state), p / p.sum())
+    front = {tuple(p) for p in moeval.pareto_front(points).points}
+    flags = np.array([tuple(p) in front for p in points])
+    assert np.array_equal(harness.pareto_flags(points), flags)
+    p = np.where(flags, harness.PARETO_WEIGHT, 1.0) * np.exp(-harness.DIVERSITY_PENALTY * sims)
+    assert np.array_equal(harness.selection_probabilities(points, feats.astype(np.float64), hist),
+                          p / p.sum())
 
 
 def test_select_seed_matches_law_chi_square(rng):
     for case in range(5):
-        state = _pool_state(rng.split(("cfg", case)), 8, with_history=(case % 2 == 0))
-        p = harness.selection_probabilities(state)
+        p = harness.selection_probabilities(
+            *_pool_state(rng.split(("cfg", case)), 8, with_history=(case % 2 == 0)))
         draws = 20_000
         r = rng.split(("draws", case))
         counts = np.zeros(len(p))
         for i in range(draws):
-            counts[harness.select_seed(state, r.split(i))] += 1
+            counts[harness.select_seed(p, r.split(i))] += 1
         _, pval = sps.chisquare(counts, p * draws)
         assert pval > 0.001
 
 
 def test_select_seed_empty_pool():
     with pytest.raises(ContractViolation):
-        harness.select_seed(harness.BudgetState(), Rng(0))
+        harness.select_seed(np.empty(0), Rng(0))
 
 
 def test_pareto_flags_hand_case():
-    state = harness.BudgetState()
-    for p1, p2 in [(0.9, 2.0), (0.5, 5.0), (0.9, 2.0), (0.2, 1.0)]:
-        s = toyset.decode(("A",))
-        state.pool.append(harness.PoolEntry(structure=s, props=np.array([p1, p2])))
-    flags = state.pareto_flags()
+    flags = harness.pareto_flags(np.array([(0.9, 2.0), (0.5, 5.0), (0.9, 2.0), (0.2, 1.0)]))
     # (0.5, 5.0) is dominated; the duplicate front point is flagged twice
     assert list(flags) == [True, False, True, True]
 
 
-def _stacked_probabilities(state):
-    """Front flags and selection probabilities restacked from the pool entries."""
-    points = np.stack([e.props for e in state.pool])
-    front = {tuple(p) for p in moeval.pareto_front(points).points}
-    flags = np.array([tuple(e.props) in front for e in state.pool])
-    w = np.where(flags, harness.PARETO_WEIGHT, 1.0)
-    if state.history:
-        feats = np.stack([e.features for e in state.pool]).astype(np.float64)
-        hist = np.stack(state.history).astype(np.float64)
-        inter = feats @ hist.T
-        union = feats.sum(axis=1)[:, None] + hist.sum(axis=1) - inter
-        sims = np.where(union > 0, inter / np.maximum(union, 1), 1.0).max(axis=1)
-    else:
-        sims = np.zeros(len(state.pool))
-    p = w * np.exp(-harness.DIVERSITY_PENALTY * sims)
-    return flags, p / p.sum()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=4),
-       st.integers(0, harness.HISTORY_WINDOW), st.integers(0, 2 ** 16))
-def test_kept_pool_arrays_equal_stacked_formulas(batches, h, seed):
-    """Flags and probabilities read from the kept arrays are ``==`` to those
-    restacked from the pool, on points from a coarse grid (duplicates, ties),
-    as the pool grows in batches that double the arrays or more."""
-    rng = Rng(seed)
-    state = harness.BudgetState()
-    s = toyset.decode(("A",))
-    for b, size in enumerate(batches):
-        r = rng.split(b)
-        for i, p in enumerate(r.split("points").gen.integers(0, 4, (size, 2))):
-            entry = harness.PoolEntry(structure=s, props=p * [0.25, 1.5] + [0.0, 1.0])
-            entry.features = r.split(("bits", i)).uniform(0.0, 1.0, toyset.FEATURE_BITS) < 0.05
-            state.pool.append(entry)
-        state.history = [e.features for e in state.pool[-h:]] if h else []
-        flags, probs = _stacked_probabilities(state)
-        assert np.array_equal(state.pareto_flags(), flags)
-        assert np.array_equal(harness.selection_probabilities(state), probs)
-        assert np.array_equal(state.points(), np.stack([e.props for e in state.pool]))
-
-
 # -- budgeted runs --------------------------------------------------------
+
+def test_history_window_slides(tiny_run, monkeypatch):
+    """Each step's history is the bitsets of the last HISTORY_WINDOW
+    proposals, oldest first, and never a member of the initial pool."""
+    cfg = tiny_config()
+    cfg.budget = dataclasses.replace(cfg.budget, budget=cfg.budget.init_size
+                                     + harness.HISTORY_WINDOW + 4)
+    histories, proposals = [], []
+    law, propose = harness.selection_probabilities, harness._propose
+
+    def record_law(points, bits, history):
+        histories.append(np.array(history))
+        return law(points, bits, history)
+
+    monkeypatch.setattr(harness, "selection_probabilities", record_law)
+    monkeypatch.setattr(harness, "_propose",
+                        lambda *args: proposals.append(propose(*args)) or proposals[-1])
+    result = harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg, "random", seed=6)
+    steps = cfg.budget.budget - cfg.budget.init_size
+    assert result.complete and len(histories) == len(proposals) == steps
+    for k, history in enumerate(histories):
+        window = proposals[max(0, k - harness.HISTORY_WINDOW):k]
+        want = np.reshape([s.features for s in window], (-1, toyset.FEATURE_BITS))
+        assert np.array_equal(history, want), k
+
 
 def test_budgeted_run_budget_exact(tiny_run):
     for proposer in harness.PROPOSERS:
@@ -798,6 +779,30 @@ def test_cli_gamma_sweep_empty_seeds_exit_2(runner, tiny_run, tmp_path):
     assert not list(tmp_path.glob("*gamma-sweep*"))
 
 
+def _empty_split_args(command, tiny_run, data):
+    common = ["--seed", "0", "--config", tiny_run["cfg_path"], "--ckpt", tiny_run["ckpt_dir"]]
+    if command == "optimize":
+        return ["optimize", *common, "--data", str(data)]
+    if command == "eval":
+        gen = data / "gen.tsv"
+        gen.write_text("A B R i\t0.5\t2.0\nC\t0.1\t1.0\n")
+        return ["eval", *common, "--data", str(data), "--generated", str(gen)]
+    return [command, *common, "--data", str(data), "--out", str(data / "runs")]
+
+
+@pytest.mark.parametrize("command, split", [("budgeted", "train"), ("gamma-sweep", "test"),
+                                            ("optimize", "test"), ("eval", "test"),
+                                            ("eval", "train")])
+def test_cli_empty_split_exit_2(runner, tiny_run, tmp_path, command, split):
+    """A command that indexes an empty split names it in a config error."""
+    data = tmp_path / "data"
+    shutil.copytree(tiny_run["data_dir"], data)
+    (data / f"{split}.tsv").write_text("")
+    res = runner.invoke(cli.main, _empty_split_args(command, tiny_run, data))
+    assert res.exit_code == 2, res.output
+    assert f"config error: the {split} split is empty" in res.output
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1,nan"])
 def test_cli_gamma_sweep_non_finite_gamma_exit_2(runner, tiny_run, value):
     res = runner.invoke(cli.main, ["gamma-sweep", "--seed", "0",
@@ -874,6 +879,45 @@ def test_cli_eval(runner, tiny_run):
     doc = json.loads(res.output)
     assert doc["validity"] == 1.0
     assert "hvi" in doc and "frechet" in doc
+
+
+# SHA-256 of the bundle files ``flowopt budgeted --profile toy-default --seed 0``
+# writes on the benchmark checkpoint and the toy-default dataset. A change that
+# moves these bits re-records them and says so.
+RECORDED_BUDGETED_SHA256 = {
+    "random": {
+        "report.json": "85ac218d3c509446bb266300a8720df83cf7a93497ae815ecd344444ed299cf5",
+        "hvi_trace.csv": "03f38f5ca53d282a7aae1bcb0e412af3ad5c2a5787ca650aa11bf482a9dae3b8",
+        "run.json": "f3989da0acee6cd515cb152a6191ecb4461e5c81c2467eacd9b8118ee613f4bd"},
+    "guided-flow": {
+        "report.json": "aa5f6e55a000cb055b61521c8975b0436f827542b8635524331bdaed0c660ec0",
+        "hvi_trace.csv": "121fc48015c82e9d33cfd82b6cb2f5cbf1e24e07b951801bc914ba86bc86b445",
+        "run.json": "da1594371e19bbeddca94cdbc5f768a31b6438bc2010a263b2a5406a1d584ee3"},
+    "gradient-ascent": {
+        "report.json": "07d20cce4a60dbffad16acfc1bc47db461e7053098a39b7d56fecada3ca0e17f",
+        "hvi_trace.csv": "591d40fe673b17b3049642870d859da07eef30f16348c769610c5b9655bd5813",
+        "run.json": "6217b29a4a750379bb59fd574270fbfcba3153857718ffbd3be57e69a85ad013"},
+}
+
+
+def test_budgeted_outputs_match_recorded_bytes(runner, tmp_path):
+    d = config.toy_default(0).data
+    data = tmp_path / "data"
+    res = runner.invoke(cli.main, ["gen-data", "--seed", str(d.seed), "--count", str(d.count),
+                                   "--min-len", str(d.min_len), "--max-len", str(d.max_len),
+                                   "--out", str(data)])
+    assert res.exit_code == 0, res.output
+    for proposer, want in RECORDED_BUDGETED_SHA256.items():
+        res = runner.invoke(cli.main, ["budgeted", "--seed", "0", "--profile", "toy-default",
+                                       "--ckpt", BENCH_CKPT, "--data", str(data),
+                                       "--proposer", proposer, "--out", str(tmp_path / "runs")])
+        assert res.exit_code == 0, res.output
+        run_dir = res.output.strip().splitlines()[-1].split("bundle: ")[1]
+        got = {}
+        for name in want:
+            with open(os.path.join(run_dir, name), "rb") as fh:
+                got[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert got == want, proposer
 
 
 def test_cli_determinism_byte_identical_reports(runner, tiny_run):

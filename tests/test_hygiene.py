@@ -37,8 +37,6 @@ DEAD_CODE_ALLOWLIST = {
     "toyset.tanimoto": "reference the selection-law test compares selection_probabilities with",
 }
 DEAD_PARAMETER_ALLOWLIST = {
-    "harness.select_seed.probs":
-        "the selection-law acceptance line draws many times from one probability vector",
     "config.paper_tuned.seed": "every PROFILES entry shares the signature of toy_default(seed)",
     "config.paper_scale.seed": "every PROFILES entry shares the signature of toy_default(seed)",
 }
