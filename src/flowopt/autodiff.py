@@ -1,5 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
+The tape serves training. Frozen inference (flow velocities, surrogate
+predictions, the guidance gradient) runs on plain arrays through
+``nn.Mlp.forward``/``input_grad``, written with this module's ops in their
+order so it gives the tape's bits.
+
 The graph is implicit: every ``Tensor`` carries a strictly increasing
 creation id, and an operation's output records its parents and a closure that
 pushes gradient into them. Only what a grad-requiring leaf feeds is recorded:

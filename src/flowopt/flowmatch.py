@@ -49,13 +49,22 @@ class FlowField:
     def params(self) -> list:
         return self.net.params()
 
-    def velocity_graph(self, z: Tensor, t) -> Tensor:
-        """Velocity for a batch of flattened latents (B, K*d) at times t (B,) or one time."""
-        B = z.shape[0]
+    def _time_rows(self, t, B: int) -> np.ndarray:
+        """Time embeddings (B, E) for times t (B,) or one shared time."""
         te = time_embed(np.atleast_1d(t), self.config.time_embed_dim)
-        if te.shape[0] == 1 and B > 1:
-            te = np.repeat(te, B, axis=0)
-        return self.net(ad.concat([z, Tensor(te)], axis=1))
+        return np.repeat(te, B, axis=0) if te.shape[0] == 1 and B > 1 else te
+
+    def velocity_graph(self, z: Tensor, t) -> Tensor:
+        """Velocity for a batch of flattened latents (B, K*d) at times t (B,) or
+        one time, as a differentiable graph node (training)."""
+        return self.net(ad.concat([z, Tensor(self._time_rows(t, z.shape[0]))], axis=1))
+
+    def velocity(self, z: np.ndarray, t) -> np.ndarray:
+        """Velocity (B, K, d) of a (B, K, d) latent batch at times t (B,) or one
+        time, on arrays: ``velocity_graph``'s values bit for bit."""
+        B = len(z)
+        x = np.concatenate([np.reshape(z, (B, -1)), self._time_rows(t, B)], axis=1)
+        return self.net.forward(x)[-1].reshape(np.shape(z))
 
     def arrays(self) -> dict:
         return mlp_arrays("flow", self.net)
@@ -135,14 +144,11 @@ def integrate(field: FlowField, z: np.ndarray, t_start: float, steps: int) -> np
         raise ContractViolation("steps must be >= 1")
     if not (0.0 <= t_start < 1.0):
         raise ContractViolation("t_start must lie in [0, 1)")
-    c = field.config
     z = np.asarray(z, dtype=np.float64)
-    B = len(z)
     dt = (1.0 - t_start) / steps
     t = t_start
     for step in range(steps):
-        v = field.velocity_graph(Tensor(z.reshape(B, c.K * c.d)), t).data
-        z = z + dt * v.reshape(B, c.K, c.d)
+        z = z + dt * field.velocity(z, t)
         t = t_start + (step + 1) * dt
         if not np.isfinite(z).all():
             raise NumericFailure("non-finite state during integration", where=f"step={step}")

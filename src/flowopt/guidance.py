@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import toyset
-from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
 from .seqvae import mean_pool
 from .rng import normal_rows
@@ -72,11 +70,16 @@ def objective_value(spec: ObjectiveSpec, pred):
     return j.item() if j.size == 1 else j
 
 
-def _objective_graph(spec: ObjectiveSpec, pred: Tensor) -> Tensor:
+def _objective_pullback(spec: ObjectiveSpec, pred: np.ndarray) -> np.ndarray:
+    """The (B, P) gradient of J summed over rows with respect to ``pred``, in
+    the ops and order of a tape over ``sum(w * diff * diff)`` or
+    ``-sum(signs * pred)``."""
     if spec.mode == "target":
-        diff = pred - Tensor(np.asarray(spec.targets))
-        return (Tensor(np.asarray(spec.weights)) * diff * diff).sum()
-    return -(Tensor(np.asarray(spec.signs, dtype=np.float64)) * pred).sum()
+        w = np.asarray(spec.weights, dtype=np.float64)
+        diff = pred - np.asarray(spec.targets, dtype=np.float64)
+        # The tape adds the first factor's share, then the second's.
+        return w * diff + diff * w
+    return np.broadcast_to(-np.asarray(spec.signs, dtype=np.float64), pred.shape)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -91,19 +94,23 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
                        normalize: bool = False, clip_norm: float = None) -> tuple:
     """J (B,) and its exact reverse-mode gradient (B, K, d) for each row of a
-    (B, K, d) latent batch, both from one surrogate pass.
+    (B, K, d) latent batch, both from one array pass of the surrogate and its
+    pullback (``surrogate.predict_vjp``).
 
-    J equals ``objective_value(spec, surrogate.predict(mean_pool(z)))`` bit
-    for bit. The graph sums J over rows; rows never mix, so row b of the
-    gradient is that of row b's own J. Post-processing acts on each row:
-    unit-norm rescaling first (a zero row stays zero), then norm clipping.
-    Scaling by gamma is the integrator's job.
+    J equals ``objective_value(spec, surrogate.predict(mean_pool(z)))`` and the
+    gradient that of a tape over J summed over rows, bit for bit; rows never
+    mix, so row b of the gradient is that of row b's own J. Post-processing
+    acts on each row: unit-norm rescaling first (a zero row stays zero), then
+    norm clipping. Scaling by gamma is the integrator's job.
     """
-    zt = Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
-    pred = surrogate.predict_graph(mean_pool(zt))
-    (g,) = ad.gradients(_objective_graph(spec, pred), [zt])
-    if not np.isfinite(g).all():
-        raise NumericFailure("non-finite objective gradient")
+    z = np.asarray(z, dtype=np.float64)
+    pred, pullback = surrogate.predict_vjp(mean_pool(z))
+    # Mean pooling's pullback: times 1/K, then spread over the K tokens.
+    g_pooled = pullback(_objective_pullback(spec, pred)) * (1.0 / z.shape[-2])
+    g = np.broadcast_to(g_pooled[..., None, :], z.shape).copy()
+    j = np.atleast_1d(objective_value(spec, pred))
+    if not (np.isfinite(j).all() and np.isfinite(g).all()):
+        raise NumericFailure("non-finite objective or objective gradient")
     # Rows left alone are divided or multiplied by exactly 1.0, which keeps their bits.
     if normalize:
         norm = _row_norms(g)
@@ -112,7 +119,7 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
         norm = _row_norms(g)
         scale = np.divide(clip_norm, norm, out=np.ones_like(norm), where=norm > clip_norm)
         g *= scale[:, None, None]
-    return np.atleast_1d(objective_value(spec, pred.data)), g
+    return j, g
 
 
 @dataclass
@@ -163,14 +170,14 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
     previous step reached, and one ``predict`` gives the last step's.
     """
     z = np.asarray(z, dtype=np.float64)
-    B, K, d = z.shape
+    B, _, _ = z.shape
     dt = (1.0 - cfg.t_start) / cfg.steps
     t = cfg.t_start
     traj = Trajectory(t=np.empty(cfg.steps), objective=np.empty((cfg.steps, B)),
                       grad_norm=np.zeros((cfg.steps, B)),
                       velocity_norm=np.empty((cfg.steps, B)))
     for step in range(cfg.steps):
-        v = field.velocity_graph(Tensor(z.reshape(B, K * d)), t).data.reshape(B, K, d)
+        v = field.velocity(z, t)
         if cfg.gamma == 0.0:
             z = z + dt * v
         else:

@@ -83,6 +83,7 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
     Stage order is enforced: fine-tuning needs the pretrained VAE and flow
     training the fine-tuned encoder.
     """
+    nonempty_split(dataset, "train")  # every stage trains on it
     os.makedirs(out_dir, exist_ok=True)
     rng = Rng(config.seed)
     paths = {}
@@ -209,13 +210,14 @@ PROPOSERS = ("guided-flow", "gradient-ascent", "random")
 
 
 def _propose(proposer: str, models: Pipeline, cfg: RunConfig,
-             seed_structure: toyset.Structure, rng: Rng) -> toyset.Structure:
+             mu: np.ndarray, rng: Rng) -> toyset.Structure:
+    """One proposal from the seed whose (1, K, d) posterior mean is ``mu``
+    (unread, and may be None, for ``random``)."""
     vae, sur, flow = models.vae, models.surrogate, models.flow
     spec = cfg.objective
     if proposer == "random":
         final = rng.split("noise").normal((1, cfg.vae.K, cfg.vae.d))
     elif proposer in ("guided-flow", "gradient-ascent"):
-        mu = vae.encode_batch([seed_structure.canonical_tokens]).mu
         if proposer == "guided-flow":
             z0 = guidance.prepare_optimization(mu, cfg.guidance.sigma, [rng.split("noise")])
             _, final = guidance.guided_integrate(flow, sur, spec, cfg.guidance, z0)
@@ -249,7 +251,8 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     The pool is its structures with their (n, 2) points and 0/1 float
     bitsets in arrays sized for the largest pool a run can reach; each row is
     written once, when its oracle value arrives. The first ``n_init`` rows are
-    the initial pool and the rest the optimized structures, in order.
+    the initial pool and the rest the optimized structures, in order. A
+    row's posterior mean is encoded when it is first selected, and kept.
     """
     if proposer not in PROPOSERS:
         raise ConfigError(f"proposer must be one of {PROPOSERS}")
@@ -260,6 +263,7 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     structures = []
     points = np.empty((size, 2))
     bits = np.empty((size, toyset.FEATURE_BITS))
+    means = {}  # pool row -> its (1, K, d) posterior mean
 
     def add(structure, props):
         points[len(structures)] = props
@@ -288,8 +292,10 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
         # The history is the last HISTORY_WINDOW optimized bitsets.
         probs = selection_probabilities(points[:n], bits[:n],
                                         bits[max(n_init, n - HISTORY_WINDOW):n])
-        seed_structure = structures[select_seed(probs, srng.split("select"))]
-        proposed = _propose(proposer, models, cfg, seed_structure, srng.split("propose"))
+        i = select_seed(probs, srng.split("select"))
+        if proposer != "random" and i not in means:
+            means[i] = models.vae.encode_batch([structures[i].canonical_tokens]).mu
+        proposed = _propose(proposer, models, cfg, means.get(i), srng.split("propose"))
         add(proposed, oracle(proposed))
         # The pool is the baseline followed by the optimized points.
         hvi = max(0.0, moeval.hypervolume_2d(points[:n + 1], ref) - hv_base)

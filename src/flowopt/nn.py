@@ -1,6 +1,9 @@
 """Small feed-forward building blocks on top of the autodiff tape.
 
-Includes the sinusoidal time embedding (geometric frequencies over
+An ``Mlp`` runs two ways: called on a ``Tensor`` it builds the tape that
+training differentiates; ``forward`` and ``input_grad`` run a frozen net on
+plain arrays with the tape's ops in the tape's order, so they give its bits.
+Also includes the sinusoidal time embedding (geometric frequencies over
 [1, 1e4] — recorded in every checkpoint header), an adaptive-moment
 optimizer with decoupled weight decay, global-norm gradient clipping, a
 self-describing JSON checkpoint container with bit-exact round-trips, and the
@@ -53,6 +56,21 @@ def time_embed(t, dim: int) -> np.ndarray:
     return out
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function as ``Tensor.sigmoid`` computes it."""
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+
+
+# Array twins of the tape's activations: name -> (forward of the pre-activation,
+# pullback of an upstream gradient g through the output y). Each is the tape's
+# expression, so the array path keeps its bits.
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
+    "relu": (lambda x: np.where(x > 0, x, 0.0), lambda g, y: g * (y > 0)),
+    "sigmoid": (sigmoid, lambda g, y: g * y * (1.0 - y)),
+}
+
+
 @dataclass
 class Mlp:
     """Fully connected stack with a linear output layer."""
@@ -77,17 +95,49 @@ class Mlp:
             out.extend([w, b])
         return out
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
+    def _check_input(self, shape) -> None:
+        if len(shape) != 2 or shape[1] != self.weights[0].shape[0]:
             raise ContractViolation(
-                f"input shape {x.shape} does not match first layer "
+                f"input shape {shape} does not match first layer "
                 f"({self.weights[0].shape[0]} features expected)")
+
+    def __call__(self, x: Tensor) -> Tensor:
+        self._check_input(x.shape)
         act = {"tanh": Tensor.tanh, "relu": Tensor.relu, "sigmoid": Tensor.sigmoid}[self.activation]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             x = x @ w + b
             if i < len(self.weights) - 1:
                 x = act(x)
         return x
+
+    def forward(self, x: np.ndarray) -> list:
+        """Array forward of a (B, in) batch: ``[x, h1, ..., out]``, the input,
+        each hidden activation and the linear output.
+
+        ``out`` equals ``self(Tensor(x)).data`` bit for bit, and the list is
+        what ``input_grad`` pulls a gradient back through.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        self._check_input(x.shape)
+        act = _ACTIVATIONS[self.activation][0]
+        acts = [x]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            x = x @ w.data + b.data
+            if i < len(self.weights) - 1:
+                x = act(x)
+            acts.append(x)
+        return acts
+
+    def input_grad(self, acts: list, g: np.ndarray) -> np.ndarray:
+        """Vector-Jacobian product: the (B, in) gradient of ``sum(g * out)``
+        with respect to the input, through the activations ``forward``
+        returned; the tape's input gradient bit for bit."""
+        back = _ACTIVATIONS[self.activation][1]
+        for i in reversed(range(len(self.weights))):
+            if i < len(self.weights) - 1:
+                g = back(g, acts[i + 1])
+            g = g @ self.weights[i].data.T
+        return g
 
 
 @dataclass

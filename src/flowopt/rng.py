@@ -9,6 +9,7 @@ split with distinct keys are statistically independent.
 from __future__ import annotations
 
 import hashlib
+from functools import cached_property
 
 import numpy as np
 
@@ -16,7 +17,11 @@ from .errors import ContractViolation
 
 
 class Rng:
-    """Thin wrapper over ``numpy.random.Generator`` with keyed splitting."""
+    """Thin wrapper over ``numpy.random.Generator`` with keyed splitting.
+
+    The Generator is built on the first draw, so a stream that is only split
+    never pays for one; its draws are those of an eagerly built Generator.
+    """
 
     def __init__(self, seed):
         if isinstance(seed, np.random.SeedSequence):
@@ -25,7 +30,10 @@ class Rng:
             raise ContractViolation(f"seed must be a non-negative integer, not {seed!r}")
         else:
             self._seq = np.random.SeedSequence(int(seed))
-        self.gen = np.random.default_rng(self._seq)
+
+    @cached_property
+    def gen(self) -> np.random.Generator:
+        return np.random.default_rng(self._seq)
 
     def split(self, key) -> "Rng":
         """Derive an independent child generator from a string or int key."""

@@ -15,7 +15,7 @@ import numpy as np
 from . import toyset
 from .autodiff import Tensor
 from .errors import ContractViolation
-from .nn import Mlp, config_from_dict, mlp_arrays, mlp_from_arrays
+from .nn import Mlp, config_from_dict, mlp_arrays, mlp_from_arrays, sigmoid
 from .rng import Rng
 
 
@@ -25,6 +25,11 @@ class SurrogateConfig:
     hidden: int = 128
     layers: int = 3
     epochs: int = 40  # unread; kept while bench/test_smoke.py sets it
+
+
+# The heads' scaling, per property: a sigmoid times _SPAN plus _LO.
+_LO, _HI = np.array([toyset.P1_BOUNDS, toyset.P2_BOUNDS]).T
+_SPAN = _HI - _LO
 
 
 class Surrogate:
@@ -42,17 +47,30 @@ class Surrogate:
         return self.net.params()
 
     def predict_graph(self, pooled: Tensor) -> Tensor:
-        """Bounded predictions (B, 2) as a differentiable graph node."""
-        raw = self.net(pooled if isinstance(pooled, Tensor) else Tensor(pooled))
-        lo, hi = np.array([toyset.P1_BOUNDS, toyset.P2_BOUNDS]).T
-        return raw.sigmoid() * Tensor(hi - lo) + Tensor(lo)
+        """Bounded predictions (B, 2) as a differentiable graph node (training)."""
+        return self.net(pooled).sigmoid() * Tensor(_SPAN) + Tensor(_LO)
+
+    def predict_vjp(self, pooled: np.ndarray) -> tuple:
+        """Predictions (B, 2) for pooled latents (B, d) and their pullback:
+        ``pullback(g)`` is the (B, d) gradient of ``sum(g * pred)``.
+
+        Runs on arrays with the tape's ops in its order, so both equal what
+        ``predict_graph`` and a backward pass through it give, bit for bit.
+        """
+        acts = self.net.forward(pooled)
+        y = sigmoid(acts[-1])
+
+        def pullback(g):
+            return self.net.input_grad(acts, g * _SPAN * y * (1.0 - y))
+
+        return y * _SPAN + _LO, pullback
 
     def predict(self, pooled: np.ndarray) -> np.ndarray:
         """Predictions (B, 2) for pooled latents (B, d)."""
         x = np.asarray(pooled, dtype=np.float64)
         if not np.isfinite(x).all():
             raise ContractViolation("pooled latent must be finite")
-        return self.predict_graph(Tensor(x)).data
+        return self.predict_vjp(x)[0]
 
     def arrays(self) -> dict:
         return mlp_arrays("surrogate", self.net)

@@ -6,8 +6,8 @@ across the chunks ``encode_batch`` splits a long batch into. The vector time
 embedding and the batched evaluation layer (one front/hypervolume sweep over
 an (R, n) presence mask, one bootstrap over an (R, n) index matrix), the
 row-wise gradient normalize/clip and the row-wise objective must equal the
-per-scalar, per-point and per-row loops written out below exactly, compared
-with ``==``.
+per-scalar, per-point and per-row loops written out below (the normalize/clip
+loop in ``conftest``) exactly, compared with ``==``.
 """
 
 import dataclasses
@@ -29,6 +29,7 @@ from flowopt.rng import Rng
 from flowopt.seqvae import ENCODE_CHUNK, SeqVae, VaeConfig, mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
+from conftest import loop_postprocess
 from test_harness import tiny_config
 
 SPECS = (ObjectiveSpec(mode="target", weights=(1.0, 0.5), targets=(0.8, 2.5)),
@@ -133,23 +134,8 @@ class RowScaledSurrogate:
     def __init__(self, scale, w):
         self.scale, self.w = scale, w
 
-    def predict_graph(self, pooled):
-        return (pooled * Tensor(self.scale)) @ Tensor(self.w)
-
-
-def loop_postprocess(g, normalize, clip_norm):
-    """The per-row normalize-then-clip loop the row-wise post-processing replaced."""
-    g = g.copy()
-    for b in range(len(g)):
-        if normalize:
-            norm = np.linalg.norm(g[b])
-            if norm > 0:
-                g[b] = g[b] / norm
-        if clip_norm is not None:
-            norm = np.linalg.norm(g[b])
-            if norm > clip_norm:
-                g[b] = g[b] * (clip_norm / norm)
-    return g
+    def predict_vjp(self, pooled):
+        return (pooled * self.scale) @ self.w, lambda g: (g @ self.w.T) * self.scale
 
 
 @settings(max_examples=60, deadline=None)

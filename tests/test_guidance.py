@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation, NumericFailure
 from flowopt.flowmatch import FlowConfig, FlowField, integrate, sample_prior
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
@@ -26,8 +25,8 @@ class LinearSurrogate:
     def predict(self, x):
         return x @ self.w + self.b
 
-    def predict_graph(self, x):
-        return x @ Tensor(self.w) + Tensor(self.b)
+    def predict_vjp(self, x):
+        return self.predict(x), lambda g: g @ self.w.T
 
 
 @pytest.fixture

@@ -23,6 +23,8 @@ from flowopt.rng import Rng
 from flowopt.seqvae import VaeConfig
 from flowopt.surrogate import SurrogateConfig
 
+from conftest import tape_objective_gradient
+
 
 def tiny_config(seed=0) -> RunConfig:
     return RunConfig(
@@ -190,6 +192,28 @@ def test_budgeted_run_budget_exact(tiny_run):
         assert result.calls == tiny_run["cfg"].budget.budget
         assert result.complete
         assert result.hvi_trace[-1][0] == tiny_run["cfg"].budget.budget
+
+
+@pytest.mark.parametrize("proposer", harness.PROPOSERS)
+def test_budgeted_run_encodes_each_selected_row_once(tiny_run, monkeypatch, proposer):
+    """Between two selections the run encodes the seed only when its row is
+    selected for the first time; ``random`` never needs a mean."""
+    cfg = tiny_config()
+    cfg.budget = dataclasses.replace(cfg.budget, budget=cfg.budget.init_size + 30)
+    vae, events = tiny_run["models"].vae, []
+    select, encode = harness.select_seed, vae.encode_batch
+    monkeypatch.setattr(harness, "select_seed",
+                        lambda *a: events.append(("select", select(*a))) or events[-1][1])
+    monkeypatch.setattr(vae, "encode_batch", lambda xs: events.append(("encode",)) or encode(xs))
+    harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg, proposer, seed=4)
+    picks = [k for k, e in enumerate(events) if e[0] == "select"]
+    seen = set()
+    for a, b in zip(picks, picks[1:]):
+        row = events[a][1]
+        fresh = row not in seen and proposer != "random"
+        assert events[a + 1:b] == ([("encode",)] if fresh else []), a
+        seen.add(row)
+    assert len(seen) < len(picks) - 1  # some row was selected again
 
 
 def test_budgeted_run_trace_monotone(tiny_run):
@@ -652,8 +676,9 @@ def test_loaded_models_are_frozen():
                                                 targets=(0.8, 2.5))])
 @pytest.mark.parametrize("normalize, clip_norm", [(False, None), (True, 5.0)])
 def test_frozen_objective_gradient_equals_trainable(spec, normalize, clip_norm):
-    """On the benchmark checkpoint, the tape over frozen surrogate parameters
-    gives the J and latent gradient of the all-trainable tape, bit for bit."""
+    """On the benchmark checkpoint, the array path over the frozen surrogate
+    gives the J and latent gradient of a tape over the all-trainable one, bit
+    for bit."""
     models = harness.Pipeline.load(BENCH_CKPT)
     g = config.toy_default(0).guidance
     xs = [tokens for tokens, _ in toyset.generate_dataset(3, 16, 3, 14).entries]
@@ -662,7 +687,7 @@ def test_frozen_objective_gradient_equals_trainable(spec, normalize, clip_norm):
     frozen = guidance.objective_gradient(spec, models.surrogate, z, normalize, clip_norm)
     for p in models.surrogate.params():
         p.requires_grad = True
-    full = guidance.objective_gradient(spec, models.surrogate, z, normalize, clip_norm)
+    full = tape_objective_gradient(spec, models.surrogate, z, normalize, clip_norm)
     assert np.array_equal(frozen[0], full[0]) and np.array_equal(frozen[1], full[1])
 
 
@@ -780,6 +805,9 @@ def test_cli_gamma_sweep_empty_seeds_exit_2(runner, tiny_run, tmp_path):
 
 
 def _empty_split_args(command, tiny_run, data):
+    if command == "train":
+        return ["train", "--seed", "0", "--config", tiny_run["cfg_path"], "--data", str(data),
+                "--out", str(data / "ckpt")]
     common = ["--seed", "0", "--config", tiny_run["cfg_path"], "--ckpt", tiny_run["ckpt_dir"]]
     if command == "optimize":
         return ["optimize", *common, "--data", str(data)]
@@ -790,9 +818,9 @@ def _empty_split_args(command, tiny_run, data):
     return [command, *common, "--data", str(data), "--out", str(data / "runs")]
 
 
-@pytest.mark.parametrize("command, split", [("budgeted", "train"), ("gamma-sweep", "test"),
-                                            ("optimize", "test"), ("eval", "test"),
-                                            ("eval", "train")])
+@pytest.mark.parametrize("command, split", [("train", "train"), ("budgeted", "train"),
+                                            ("gamma-sweep", "test"), ("optimize", "test"),
+                                            ("eval", "test"), ("eval", "train")])
 def test_cli_empty_split_exit_2(runner, tiny_run, tmp_path, command, split):
     """A command that indexes an empty split names it in a config error."""
     data = tmp_path / "data"
