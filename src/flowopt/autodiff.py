@@ -228,6 +228,46 @@ def embedding(weight: Tensor, indices) -> Tensor:
     return Tensor(weight.data[idx], _parents=(weight,), op="embedding", _backward=back)
 
 
+def attention_pool(attn: Tensor, h: Tensor) -> Tensor:
+    """Attention-weighted sum over positions: (B, L, K) weights and (B, L, H)
+    features give the (B, K, H) ``out[b, k] = sum_l attn[b, l, k] * h[b, l]``.
+
+    Neither direction forms the (B, L, K, H) product: the forward adds one
+    position at a time into the output, the backward makes one (B, L, H)
+    product per query. Both keep the summation orders of the broadcast
+    formula ``(attn[..., None] * h[:, :, None, :]).sum(axis=1)`` on this tape,
+    so the bits are equal: sequential over positions forward, NumPy's pairwise
+    sum over H for the attention gradient, sequential over K for the feature
+    gradient. The one exception is K·H = 1 with L >= 8, where NumPy
+    pairwise-sums the broadcast formula's positions; the encoder never has it.
+    """
+    a, x = attn.data, h.data
+    if a.ndim != 3 or x.ndim != 3 or a.shape[:2] != x.shape[:2]:
+        raise ContractViolation("attention_pool takes (B, L, K) weights and (B, L, H) features")
+    B, L, K = a.shape
+    out = np.zeros((B, K, x.shape[2]))  # as NumPy's sums start from +0.0
+    for l in range(L):
+        out += a[:, l, :, None] * x[:, l, None, :]
+
+    def back(g):
+        # The broadcast formula's gradients go through _unbroadcast, which
+        # skips the sum over a length-1 axis, keeping a -0.0 a sum would drop.
+        ga = gh = None
+        if attn.requires_grad:
+            ga = np.empty_like(a)
+            for k in range(K):
+                ga[:, :, k] = _unbroadcast(g[:, None, k, :] * x, (B, L, 1))[:, :, 0]
+        if h.requires_grad:
+            gh = g[:, None, 0, :] * a[:, :, 0, None]
+            if K > 1:
+                gh += 0.0  # as NumPy's sums start from +0.0
+                for k in range(1, K):
+                    gh += g[:, None, k, :] * a[:, :, k, None]
+        return ga, gh
+
+    return Tensor(out, _parents=(attn, h), op="attention_pool", _backward=back)
+
+
 def softmax(x: Tensor, axis=-1) -> Tensor:
     """Numerically stable softmax built from primitive ops."""
     shift = Tensor(x.data.max(axis=axis, keepdims=True))  # constant, no grad
@@ -260,6 +300,12 @@ def softmax_cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
         return (g * p * (w / denom)[:, None],)
 
     return Tensor((nll * w).sum() / denom, _parents=(logits,), op="xent", _backward=back)
+
+
+def _has_nan(a: np.ndarray) -> bool:
+    """``np.isnan(a).any()`` without the boolean array: ``min`` propagates
+    NaN, and ±inf alone never makes it NaN."""
+    return a.size > 0 and bool(np.isnan(a.min()))
 
 
 def backward(loss: Tensor) -> None:
@@ -300,7 +346,7 @@ def backward(loss: Tensor) -> None:
         for parent, pg in zip(node._parents, node._backward(g)):
             if not parent.requires_grad:
                 continue
-            if np.isnan(pg).any():
+            if _has_nan(pg):
                 raise NumericFailure("NaN gradient", where=node._id)
             if parent._id in grads:
                 grads[parent._id] = grads[parent._id] + pg

@@ -120,8 +120,11 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
             raise ConfigError("flow stage requires the fine-tuned encoder checkpoint")
         vae = _load_model(src, seqvae.SeqVae.from_checkpoint)
         field_model = flowmatch.FlowField(config.flow, rng.split("flow"))
-        # The encoder is frozen here, and a row's encoding does not depend on
-        # its batch or padding: encode the train split once, gather per step.
+        # The encoder is frozen here: encode the train split once, gather per
+        # step. A row's encoding does not depend on its padding or on the other
+        # rows, but its last bits do depend on the batch's row count (BLAS picks
+        # its kernel by the shape of the scores product), so these are the bits
+        # of encode_batch's fixed chunks, not of each row encoded alone.
         post = vae.encode_batch([tokens for tokens, _ in dataset.subset("train")])
 
         def z1_sampler(r: Rng, n: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from .nn import GRAD_CLIP_NORM, AdamState, clip_grad_norm, config_from_dict, opt
 from .rng import Rng
 
 LOG_SIGMA_CLAMP = (-8.0, 4.0)
-ENCODE_CHUNK = 256  # rows per encoder tape in encode_batch
+ENCODE_CHUNK = 256  # rows per encode_batch pass; fixes the batch shapes, so the bits
 KL_WARMUP_FRAC = 0.35  # share of pretraining over which the KL weight ramps to beta_max
 FINETUNE_LR = 1e-3
 
@@ -145,9 +145,7 @@ class SeqVae:
         h3 = h.reshape(B, L, c.enc_hidden)
         scores = (h @ self.p["queries"].transpose() + neg).reshape(B, L, c.K)
         attn = ad.softmax(scores, axis=1)  # over positions
-        # (B, L, K) x (B, L, H) -> (B, K, H)
-        pooled = (attn.reshape(B, L, c.K, 1) * h3.reshape(B, L, 1, c.enc_hidden)).sum(axis=1)
-        pooled = pooled.reshape(B * c.K, c.enc_hidden)
+        pooled = ad.attention_pool(attn, h3).reshape(B * c.K, c.enc_hidden)
         mu = (pooled @ self.p["mu_w"] + self.p["mu_b"]).reshape(B, c.K, c.d)
         ls = (pooled @ self.p["ls_w"] + self.p["ls_b"]).clamp(*LOG_SIGMA_CLAMP)
         return mu, ls.reshape(B, c.K, c.d)
@@ -168,8 +166,11 @@ class SeqVae:
         """Deterministic posterior parameters (B, K, d) for a list of token strings.
 
         Encodes ``ENCODE_CHUNK`` rows at a time, each chunk padded to its own
-        longest sequence: the pooling tape is (rows, L, K, H), so one call over
-        a whole split would hold it for every row at once.
+        longest sequence. Padding and the other rows' values do not change a
+        row's bits, but the chunk's row count can: the scores product
+        ``h @ queries.T`` gives other last bits for a 3-row operand than for a
+        4,096-row one. Fixed chunks make the batch shapes, and so the bits, a
+        function of the list alone; a row encoded alone agrees within 1e-12.
         """
         parts = [self._encode_chunk(xs[i:i + ENCODE_CHUNK])
                  for i in range(0, len(xs), ENCODE_CHUNK)]

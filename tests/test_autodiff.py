@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import flowopt.autodiff as ad
 from flowopt.autodiff import Tensor
@@ -128,6 +129,57 @@ def test_embedding_backward_equals_add_at(vocab, width, lead, n, seed):
     assert np.array_equal(gw, expected)
 
 
+def broadcast_attention_pool(attn: Tensor, h: Tensor) -> Tensor:
+    """The (B, L, K, H) broadcast-multiply-sum ``ad.attention_pool`` replaced."""
+    (B, L, K), H = attn.shape, h.shape[2]
+    return (attn.reshape(B, L, K, 1) * h.reshape(B, L, 1, H)).sum(axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 33), st.integers(1, 5), st.integers(1, 40),
+       st.sampled_from([None, 0, 1]), st.integers(0, 2 ** 16))
+def test_attention_pool_equals_broadcast_formula(B, L, K, H, frozen, seed):
+    """Forward and both gradients are ``==`` (down to the sign of zero) to the
+    broadcast formula on the tape, for any K·H >= 2. Trailing positions carry
+    exactly 0 weight, as padded ones do after the softmax, and either input
+    may be frozen."""
+    assume(K * H >= 2)
+    r = Rng(seed)
+    a = r.split("a").uniform(shape=(B, L, K))
+    a[:, int(r.split("pad").integers(1, L + 1)):] = 0.0
+    x = r.split("h").normal((B, L, H))
+    upstream = Tensor(r.split("g").normal((B, K, H)))
+    runs = []
+    for pool in (ad.attention_pool, broadcast_attention_pool):
+        ts = [Tensor(v, requires_grad=i != frozen) for i, v in enumerate((a, x))]
+        out = pool(*ts)
+        trainable = [t for t in ts if t.requires_grad]
+        runs.append([out.data] + ad.gradients((out * upstream).sum(), trainable))
+    for got, want in zip(*runs):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_attention_pool_gradient_matches_fd(rng):
+    a = np.exp(rng.split("a").normal((2, 5, 3)))
+    x = rng.split("h").normal((2, 5, 4))
+    w = rng.split("w").normal((2, 3, 4))
+
+    def f(av, xv):
+        return float((np.tanh(np.einsum("blk,blh->bkh", av, xv)) * w).sum())
+
+    ts = [Tensor(a.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)]
+    ga, gh = ad.gradients((ad.attention_pool(*ts).tanh() * Tensor(w)).sum(), ts)
+    assert rel_err(ga, finite_difference(lambda v: f(v, x), a.copy())) < 1e-6
+    assert rel_err(gh, finite_difference(lambda v: f(a, v), x.copy())) < 1e-6
+
+
+def test_attention_pool_rejects_mismatched_shapes(rng):
+    with pytest.raises(ContractViolation):
+        ad.attention_pool(Tensor(rng.normal((2, 5, 3))), Tensor(rng.normal((2, 4, 6))))
+    with pytest.raises(ContractViolation):
+        ad.attention_pool(Tensor(rng.normal((10, 3))), Tensor(rng.normal((10, 6))))
+
+
 def test_gradients_unused_param_is_zero(rng):
     x = Tensor(rng.normal((2, 2)), requires_grad=True)
     unused = Tensor(rng.normal((3,)), requires_grad=True)
@@ -147,6 +199,30 @@ def test_nan_gradient_raises(rng):
     loss = (x.log()).sum()  # log(0) = -inf; gradient 1/0 is non-finite
     with pytest.raises(NumericFailure):
         ad.backward(loss)
+
+
+def test_interior_nan_gradient_names_its_node():
+    """A NaN first made inside the graph (0 * inf in the backward of
+    ``x ** 0.5`` at 0) raises at the node whose closure made it."""
+    x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+    root = x ** 0.5
+    loss = (root * 0.0).sum()
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(NumericFailure) as info:
+        ad.backward(loss)
+    assert info.value.where == root._id
+
+
+special_floats = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+                  elements=st.one_of(st.floats(-1e300, 1e300), special_floats)))
+def test_nan_check_agrees_with_isnan_any(a):
+    """NaN, ±inf, both or neither, size 0 included: the min-based check is
+    ``np.isnan(a).any()``."""
+    assert ad._has_nan(a) == bool(np.isnan(a).any())
 
 
 @settings(max_examples=50, deadline=None)
@@ -218,6 +294,7 @@ BINARY_OPS = {
     "div": (lambda a, b: a / b, (3, 4), (3, 4)),
     "matmul": (lambda a, b: a @ b, (3, 4), (4, 2)),
     "concat": (lambda a, b: ad.concat([a, b], axis=1), (3, 2), (3, 3)),
+    "attention_pool": (ad.attention_pool, (2, 5, 3), (2, 5, 4)),
 }
 
 
@@ -263,7 +340,8 @@ FROZEN_OPS = {
     "softmax": lambda x: ad.softmax(x, axis=1),
     "xent": lambda x: ad.softmax_cross_entropy(x, [0, 3, 1]),
     **{op: (lambda x, fn=fn, op=op: fn(x, x.transpose() if op == "matmul" else x))
-       for op, (fn, _, _) in BINARY_OPS.items()},
+       for op, (fn, _, _) in BINARY_OPS.items() if op != "attention_pool"},
+    "attention_pool": lambda x: ad.attention_pool(x.reshape(1, 3, 4), x.reshape(1, 3, 4)),
 }
 
 

@@ -948,6 +948,27 @@ def test_budgeted_outputs_match_recorded_bytes(runner, tmp_path):
         assert got == want, proposer
 
 
+# SHA-256 of the three checkpoints ``pipeline_train`` writes for ``tiny_config()``
+# on its own dataset: the training counterpart of the budgeted bytes above.
+RECORDED_TRAINING_SHA256 = {
+    "vae": "e4a23277a492e112498918df27c29d3833f8f25c95b816651f51525dc1f868ae",
+    "finetune": "226b4c453c047d41b53eda68a372468264a1baeb051b8cb9fe961e521c9b04ee",
+    "flow": "05ae3d8ce317b02074c5ee48ab726320a96475d7af9464e7cd7c3212494b3186",
+}
+
+
+def test_training_checkpoints_match_recorded_bytes(tmp_path):
+    cfg = tiny_config()
+    ds = toyset.generate_dataset(cfg.data.seed, cfg.data.count,
+                                 cfg.data.min_len, cfg.data.max_len)
+    paths = harness.pipeline_train(cfg, ds, tmp_path)
+    got = {}
+    for stage, path in paths.items():
+        with open(path, "rb") as fh:
+            got[stage] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == RECORDED_TRAINING_SHA256
+
+
 def test_cli_determinism_byte_identical_reports(runner, tiny_run):
     outs = []
     for run in range(2):
