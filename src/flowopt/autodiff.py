@@ -178,6 +178,15 @@ class Tensor:
         return Tensor(self.data.T, _parents=(self,), op="transpose",
                       _backward=lambda g: (g.T,))
 
+    def rows(self, start, stop):
+        """Rows ``start:stop``; the gradient is zero outside them."""
+        def back(g):
+            gx = np.zeros_like(self.data)
+            gx[start:stop] = g
+            return (gx,)
+
+        return Tensor(self.data[start:stop], _parents=(self,), op="rows", _backward=back)
+
     def sum(self, axis=None, keepdims=False):
         def back(g):
             if axis is None:
@@ -216,14 +225,12 @@ def embedding(weight: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
 
     def back(g):
-        # One bincount per column adds each row's gradients in index order,
-        # as np.add.at would, at a fraction of its cost.
+        # One bincount over the flat bins row * width + col adds each bin's
+        # gradients in index order, as np.add.at would, at a fraction of its cost.
         n_rows, width = weight.data.shape
-        rows, cols = idx.reshape(-1), g.reshape(-1, width).T
-        gw = np.empty_like(weight.data)
-        for j in range(width):
-            gw[:, j] = np.bincount(rows, weights=cols[j], minlength=n_rows)
-        return (gw,)
+        bins = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        return (np.bincount(bins, weights=g.reshape(-1),
+                            minlength=n_rows * width).reshape(n_rows, width),)
 
     return Tensor(weight.data[idx], _parents=(weight,), op="embedding", _backward=back)
 
@@ -232,40 +239,19 @@ def attention_pool(attn: Tensor, h: Tensor) -> Tensor:
     """Attention-weighted sum over positions: (B, L, K) weights and (B, L, H)
     features give the (B, K, H) ``out[b, k] = sum_l attn[b, l, k] * h[b, l]``.
 
-    Neither direction forms the (B, L, K, H) product: the forward adds one
-    position at a time into the output, the backward makes one (B, L, H)
-    product per query. Both keep the summation orders of the broadcast
-    formula ``(attn[..., None] * h[:, :, None, :]).sum(axis=1)`` on this tape,
-    so the bits are equal: sequential over positions forward, NumPy's pairwise
-    sum over H for the attention gradient, sequential over K for the feature
-    gradient. The one exception is K·H = 1 with L >= 8, where NumPy
-    pairwise-sums the broadcast formula's positions; the encoder never has it.
+    One tape op of batched matmuls, ``attnᵀ @ h`` forward and ``h @ gᵀ``,
+    ``attn @ g`` backward, so neither direction forms the (B, L, K, H)
+    product. The matmuls sum in BLAS order, not in the broadcast formula's
+    ``(attn[..., None] * h[:, :, None, :]).sum(axis=1)``: the two agree within
+    1e-12, not bit for bit.
     """
     a, x = attn.data, h.data
     if a.ndim != 3 or x.ndim != 3 or a.shape[:2] != x.shape[:2]:
         raise ContractViolation("attention_pool takes (B, L, K) weights and (B, L, H) features")
-    B, L, K = a.shape
-    out = np.zeros((B, K, x.shape[2]))  # as NumPy's sums start from +0.0
-    for l in range(L):
-        out += a[:, l, :, None] * x[:, l, None, :]
-
-    def back(g):
-        # The broadcast formula's gradients go through _unbroadcast, which
-        # skips the sum over a length-1 axis, keeping a -0.0 a sum would drop.
-        ga = gh = None
-        if attn.requires_grad:
-            ga = np.empty_like(a)
-            for k in range(K):
-                ga[:, :, k] = _unbroadcast(g[:, None, k, :] * x, (B, L, 1))[:, :, 0]
-        if h.requires_grad:
-            gh = g[:, None, 0, :] * a[:, :, 0, None]
-            if K > 1:
-                gh += 0.0  # as NumPy's sums start from +0.0
-                for k in range(1, K):
-                    gh += g[:, None, k, :] * a[:, :, k, None]
-        return ga, gh
-
-    return Tensor(out, _parents=(attn, h), op="attention_pool", _backward=back)
+    return Tensor(np.matmul(a.transpose(0, 2, 1), x), _parents=(attn, h), op="attention_pool",
+                  _backward=lambda g: (
+                      np.matmul(x, g.transpose(0, 2, 1)) if attn.requires_grad else None,
+                      np.matmul(a, g) if h.requires_grad else None))
 
 
 def softmax(x: Tensor, axis=-1) -> Tensor:

@@ -84,6 +84,8 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
     training the fine-tuned encoder.
     """
     nonempty_split(dataset, "train")  # every stage trains on it
+    if "vae" in stages or "finetune" in stages:
+        nonempty_split(dataset, "val")  # both keep their best validation epoch
     os.makedirs(out_dir, exist_ok=True)
     rng = Rng(config.seed)
     paths = {}

@@ -6,7 +6,10 @@ parameterizing a diagonal Gaussian posterior.
 
 Decoder: teacher-forced, autoregressive in the previous token, conditioned
 on the latent by concatenating the flattened K×d code to every position
-("concat-flat-z" conditioning, recorded in checkpoint headers).
+("concat-flat-z" conditioning, recorded in checkpoint headers). The first
+layer computes that concat as a split product, the token term per position
+plus the latent term once per row; the parameters and the header are those
+of the concat.
 
 Training follows the staged protocol: ELBO pretraining with linear KL
 warmup, then joint property-supervised fine-tuning where the surrogate loss
@@ -151,14 +154,24 @@ class SeqVae:
         return mu, ls.reshape(B, c.K, c.d)
 
     def decode_graph(self, dec_in: np.ndarray, z: Tensor):
-        """Teacher-forced logits for every position; z is (B, K, d)."""
+        """Teacher-forced logits for every position; z is (B, K, d).
+
+        The concat-flat-z layer ``[emb + pos | z] @ dec_w1 + dec_b1`` is
+        computed split, as ``(emb + pos) @ W_e`` per position plus
+        ``z @ W_z + dec_b1`` once per row, broadcast over the positions, where
+        ``W_e`` and ``W_z`` are the first ``embed_dim`` and the last ``K·d``
+        rows of ``dec_w1``. Same function and parameters; the sums run in
+        another order, so the bits differ from the concat within 1e-12.
+        """
         c = self.config
         B, L = dec_in.shape
+        E, H = c.embed_dim, c.dec_hidden
         emb = ad.embedding(self.p["tok_emb"], dec_in.reshape(-1))
         pos = ad.embedding(self.p["pos_emb"], np.tile(np.arange(L), B))
-        zf = z.reshape(B, 1, c.K * c.d) * Tensor(np.ones((1, L, 1)))
-        x = ad.concat([(emb + pos).reshape(B, L, c.embed_dim), zf], axis=2)
-        h = (x.reshape(B * L, c.embed_dim + c.K * c.d) @ self.p["dec_w1"] + self.p["dec_b1"]).tanh()
+        w1 = self.p["dec_w1"]
+        zh = z.reshape(B, c.K * c.d) @ w1.rows(E, None) + self.p["dec_b1"]  # (B, H)
+        xh = ((emb + pos) @ w1.rows(0, E)).reshape(B, L, H)
+        h = (xh + zh.reshape(B, 1, H)).reshape(B * L, H).tanh()
         return h @ self.p["dec_w2"] + self.p["dec_b2"]  # (B*L, V)
 
     # -- public operations ------------------------------------------------
@@ -172,6 +185,9 @@ class SeqVae:
         4,096-row one. Fixed chunks make the batch shapes, and so the bits, a
         function of the list alone; a row encoded alone agrees within 1e-12.
         """
+        if not xs:
+            empty = np.zeros((0, self.config.K, self.config.d))
+            return PosteriorParams(mu=empty, log_sigma=empty)
         parts = [self._encode_chunk(xs[i:i + ENCODE_CHUNK])
                  for i in range(0, len(xs), ENCODE_CHUNK)]
         return PosteriorParams(mu=np.concatenate([mu for mu, _ in parts]),
@@ -183,33 +199,35 @@ class SeqVae:
         return mu.data, ls.data
 
     def decode_greedy_batch(self, Z: np.ndarray):
-        """Greedy autoregressive decoding of a (B, K, d) batch; deterministic in z."""
+        """Greedy autoregressive decoding of a (B, K, d) batch; deterministic in z.
+
+        Runs ``decode_graph``'s split first layer on arrays: the z term once
+        per batch, then ``embed_dim`` input columns per step.
+        """
         c = self.config
-        B = Z.shape[0]
-        zf = Z.reshape(B, c.K * c.d)
+        B, E = Z.shape[0], c.embed_dim
         pad, bos, eos = (toyset.TOKEN_ID[t] for t in (toyset.PAD, toyset.BOS, toyset.EOS))
-        prev = np.full(B, bos, dtype=np.int64)
-        done = np.zeros(B, dtype=bool)
-        out = [[] for _ in range(B)]
         tok_emb, pos_emb = self.p["tok_emb"].data, self.p["pos_emb"].data
         w1, b1 = self.p["dec_w1"].data, self.p["dec_b1"].data
         w2, b2 = self.p["dec_w2"].data, self.p["dec_b2"].data
+        w_e, zh = w1[:E], Z.reshape(B, c.K * c.d) @ w1[E:] + b1
+        tokens = np.empty((B, toyset.MAX_LEN), dtype=np.int64)
+        lengths = np.full(B, toyset.MAX_LEN)
+        done = np.zeros(B, dtype=bool)
+        prev = np.full(B, bos, dtype=np.int64)
         for pos in range(toyset.MAX_LEN):
-            x = np.concatenate([tok_emb[prev] + pos_emb[pos], zf], axis=1)
-            logits = np.tanh(x @ w1 + b1) @ w2 + b2
+            logits = np.tanh((tok_emb[prev] + pos_emb[pos]) @ w_e + zh) @ w2 + b2
             logits[:, pad] = -np.inf
             logits[:, bos] = -np.inf
             nxt = logits.argmax(axis=1)
-            for i in range(B):
-                if not done[i]:
-                    if nxt[i] == eos:
-                        done[i] = True
-                    else:
-                        out[i].append(toyset.VOCAB[nxt[i]])
+            tokens[:, pos] = nxt
+            ended = ~done & (nxt == eos)
+            lengths[ended] = pos
+            done |= ended
             if done.all():
                 break
             prev = np.where(done, eos, nxt)
-        return [tuple(s) for s in out]
+        return [tuple(toyset.VOCAB[t] for t in row[:n]) for row, n in zip(tokens, lengths)]
 
     # -- checkpointing ----------------------------------------------------
     def arrays(self) -> dict:

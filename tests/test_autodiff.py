@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import flowopt.autodiff as ad
@@ -129,6 +129,38 @@ def test_embedding_backward_equals_add_at(vocab, width, lead, n, seed):
     assert np.array_equal(gw, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 12), st.integers(1, 6), st.integers(1, 3),
+       st.integers(1, 40), st.integers(0, 2 ** 16))
+def test_embedding_backward_equals_column_loop(used, unused, width, lead, n, seed):
+    """The flat-bin bincount is ``==`` to one bincount per column: indices
+    repeat (a few used rows) and some rows are never indexed."""
+    r = Rng(seed)
+    vocab = used + unused
+    w = Tensor(r.split("w").normal((vocab, width)), requires_grad=True)
+    idx = r.split("idx").gen.integers(0, used, (lead, n))
+    g = r.split("g").normal((lead, n, width))
+    (gw,) = ad.embedding(w, idx)._backward(g)
+    rows, cols = idx.reshape(-1), g.reshape(-1, width).T
+    expected = np.empty((vocab, width))
+    for j in range(width):
+        expected[:, j] = np.bincount(rows, weights=cols[j], minlength=vocab)
+    assert gw.tobytes() == expected.tobytes()
+
+
+def test_rows_gradient_is_zero_outside_the_rows(rng):
+    w = Tensor(rng.normal((5, 3)), requires_grad=True)
+    up = rng.normal((2, 3))
+    (g,) = ad.gradients((w.rows(1, 3) * Tensor(up)).sum(), [w])
+    expected = np.zeros((5, 3))
+    expected[1:3] = up
+    assert np.array_equal(w.rows(1, 3).data, w.data[1:3])
+    assert np.array_equal(g, expected)
+    assert w.rows(3, None).shape == (2, 3)
+    frozen = Tensor(w.data).rows(0, 2)
+    assert frozen._parents == () and frozen._backward is None
+
+
 def broadcast_attention_pool(attn: Tensor, h: Tensor) -> Tensor:
     """The (B, L, K, H) broadcast-multiply-sum ``ad.attention_pool`` replaced."""
     (B, L, K), H = attn.shape, h.shape[2]
@@ -139,11 +171,10 @@ def broadcast_attention_pool(attn: Tensor, h: Tensor) -> Tensor:
 @given(st.integers(1, 8), st.integers(1, 33), st.integers(1, 5), st.integers(1, 40),
        st.sampled_from([None, 0, 1]), st.integers(0, 2 ** 16))
 def test_attention_pool_equals_broadcast_formula(B, L, K, H, frozen, seed):
-    """Forward and both gradients are ``==`` (down to the sign of zero) to the
-    broadcast formula on the tape, for any K·H >= 2. Trailing positions carry
-    exactly 0 weight, as padded ones do after the softmax, and either input
-    may be frozen."""
-    assume(K * H >= 2)
+    """Forward and both gradients agree with the broadcast formula on the
+    tape within 1e-12 (the batched matmuls sum in another order). Trailing
+    positions carry exactly 0 weight, as padded ones do after the softmax,
+    and either input may be frozen."""
     r = Rng(seed)
     a = r.split("a").uniform(shape=(B, L, K))
     a[:, int(r.split("pad").integers(1, L + 1)):] = 0.0
@@ -156,7 +187,8 @@ def test_attention_pool_equals_broadcast_formula(B, L, K, H, frozen, seed):
         trainable = [t for t in ts if t.requires_grad]
         runs.append([out.data] + ad.gradients((out * upstream).sum(), trainable))
     for got, want in zip(*runs):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_attention_pool_gradient_matches_fd(rng):

@@ -818,7 +818,8 @@ def _empty_split_args(command, tiny_run, data):
     return [command, *common, "--data", str(data), "--out", str(data / "runs")]
 
 
-@pytest.mark.parametrize("command, split", [("train", "train"), ("budgeted", "train"),
+@pytest.mark.parametrize("command, split", [("train", "train"), ("train", "val"),
+                                            ("budgeted", "train"),
                                             ("gamma-sweep", "test"), ("optimize", "test"),
                                             ("eval", "test"), ("eval", "train")])
 def test_cli_empty_split_exit_2(runner, tiny_run, tmp_path, command, split):
@@ -914,15 +915,15 @@ def test_cli_eval(runner, tiny_run):
 # moves these bits re-records them and says so.
 RECORDED_BUDGETED_SHA256 = {
     "random": {
-        "report.json": "85ac218d3c509446bb266300a8720df83cf7a93497ae815ecd344444ed299cf5",
+        "report.json": "427e094cdcabee45438028fe468abba5e66ea53e4c4a5538642c932ec660fb9d",
         "hvi_trace.csv": "03f38f5ca53d282a7aae1bcb0e412af3ad5c2a5787ca650aa11bf482a9dae3b8",
         "run.json": "f3989da0acee6cd515cb152a6191ecb4461e5c81c2467eacd9b8118ee613f4bd"},
     "guided-flow": {
-        "report.json": "aa5f6e55a000cb055b61521c8975b0436f827542b8635524331bdaed0c660ec0",
+        "report.json": "9e6b7188fe944f50fdbcd7b0005f1e994aa14fd213b418813594274e2da24348",
         "hvi_trace.csv": "121fc48015c82e9d33cfd82b6cb2f5cbf1e24e07b951801bc914ba86bc86b445",
         "run.json": "da1594371e19bbeddca94cdbc5f768a31b6438bc2010a263b2a5406a1d584ee3"},
     "gradient-ascent": {
-        "report.json": "07d20cce4a60dbffad16acfc1bc47db461e7053098a39b7d56fecada3ca0e17f",
+        "report.json": "4d58b9c0959eb261c580d511724bc2f18d6c4ca59aa0a5f736a044bcf1440d26",
         "hvi_trace.csv": "591d40fe673b17b3049642870d859da07eef30f16348c769610c5b9655bd5813",
         "run.json": "6217b29a4a750379bb59fd574270fbfcba3153857718ffbd3be57e69a85ad013"},
 }
@@ -951,9 +952,9 @@ def test_budgeted_outputs_match_recorded_bytes(runner, tmp_path):
 # SHA-256 of the three checkpoints ``pipeline_train`` writes for ``tiny_config()``
 # on its own dataset: the training counterpart of the budgeted bytes above.
 RECORDED_TRAINING_SHA256 = {
-    "vae": "e4a23277a492e112498918df27c29d3833f8f25c95b816651f51525dc1f868ae",
-    "finetune": "226b4c453c047d41b53eda68a372468264a1baeb051b8cb9fe961e521c9b04ee",
-    "flow": "05ae3d8ce317b02074c5ee48ab726320a96475d7af9464e7cd7c3212494b3186",
+    "vae": "7d22851bc3aa2d469469e2b8b9fe95533c22af5b7b46a305eddf935154511906",
+    "finetune": "247b4c83f9ac51d06194e3b9360e22ae64981a9ef90dc3b58006b6633bfc4953",
+    "flow": "38606e3d050ede0fc62d786cc9e62409e122235dd9761e88ce2a1a7c39941c2a",
 }
 
 

@@ -1,10 +1,11 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowopt import autodiff as ad, seqvae, toyset
+from flowopt import autodiff as ad, config, harness, seqvae, toyset
 from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
 from flowopt.nn import load_checkpoint, save_checkpoint
@@ -46,6 +47,13 @@ def test_log_sigma_clamped(model):
 def test_empty_sequence_encodes(model):
     post = model.encode_batch([()])
     assert np.isfinite(post.mu).all()
+
+
+def test_empty_batch_encodes_to_empty_arrays(model):
+    post = model.encode_batch([])
+    c = model.config
+    assert post.mu.shape == post.log_sigma.shape == (0, c.K, c.d)
+    assert model.decode_greedy_batch(post.mu) == []
 
 
 def test_encode_deterministic(model):
@@ -123,6 +131,79 @@ def test_decode_greedy_deterministic(model, rng):
     b = model.decode_greedy_batch(z)
     assert a == b and len(a) == 3
     assert all(tok not in (toyset.PAD, toyset.BOS, toyset.EOS) for row in a for tok in row)
+
+
+def concat_decode_graph(vae, dec_in, z):
+    """The concat-flat-z first layer ``decode_graph`` replaced: the flat code
+    repeated at every position and concatenated to its input embedding."""
+    c = vae.config
+    B, L = dec_in.shape
+    emb = ad.embedding(vae.p["tok_emb"], dec_in.reshape(-1))
+    pos = ad.embedding(vae.p["pos_emb"], np.tile(np.arange(L), B))
+    zf = z.reshape(B, 1, c.K * c.d) * Tensor(np.ones((1, L, 1)))
+    x = ad.concat([(emb + pos).reshape(B, L, c.embed_dim), zf], axis=2)
+    h = (x.reshape(B * L, c.embed_dim + c.K * c.d) @ vae.p["dec_w1"] + vae.p["dec_b1"]).tanh()
+    return h @ vae.p["dec_w2"] + vae.p["dec_b2"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(1, toyset.MAX_LEN + 1), st.integers(1, 5),
+       st.integers(1, 8), st.integers(1, 12), st.integers(0, 2 ** 16))
+def test_split_decoder_layer_matches_concat(B, L, K, d, E, seed):
+    """Logits and the gradients of every parameter and of z agree with the
+    concat formula within 1e-12."""
+    r = Rng(seed)
+    vae = SeqVae(small_config(K=K, d=d, embed_dim=E), r.split("vae"))
+    dec_in = r.split("tok").integers(0, len(toyset.VOCAB), (B, L))
+    z0 = r.split("z").normal((B, K, d))
+    upstream = Tensor(r.split("g").normal((B * L, len(toyset.VOCAB))))
+    runs = []
+    for decode in (SeqVae.decode_graph, concat_decode_graph):
+        z = Tensor(z0, requires_grad=True)
+        logits = decode(vae, dec_in, z)
+        runs.append([logits.data] + ad.gradients((logits * upstream).sum(), vae.params() + [z]))
+    for got, want in zip(*runs):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def concat_decode_greedy(vae, Z):
+    """The greedy decoder before the split layer: the flat code concatenated
+    to every step's input, and a per-row loop over the unfinished rows."""
+    c = vae.config
+    B = Z.shape[0]
+    zf = Z.reshape(B, c.K * c.d)
+    pad, bos, eos = (toyset.TOKEN_ID[t] for t in (toyset.PAD, toyset.BOS, toyset.EOS))
+    prev = np.full(B, bos, dtype=np.int64)
+    done = np.zeros(B, dtype=bool)
+    out = [[] for _ in range(B)]
+    p = {k: v.data for k, v in vae.p.items()}
+    for pos in range(toyset.MAX_LEN):
+        x = np.concatenate([p["tok_emb"][prev] + p["pos_emb"][pos], zf], axis=1)
+        logits = np.tanh(x @ p["dec_w1"] + p["dec_b1"]) @ p["dec_w2"] + p["dec_b2"]
+        logits[:, pad] = -np.inf
+        logits[:, bos] = -np.inf
+        nxt = logits.argmax(axis=1)
+        for i in range(B):
+            if not done[i]:
+                if nxt[i] == eos:
+                    done[i] = True
+                else:
+                    out[i].append(toyset.VOCAB[nxt[i]])
+        if done.all():
+            break
+        prev = np.where(done, eos, nxt)
+    return [tuple(s) for s in out]
+
+
+def test_greedy_decode_equals_concat_loop_on_bench_means():
+    """Every train-split mean of the benchmark checkpoint decodes to the same
+    structure as through the concat layer and the per-row loop."""
+    vae = harness.Pipeline.load(Path(__file__).parent.parent / "bench" / "ckpt").vae
+    d = config.toy_default(0).data
+    ds = toyset.generate_dataset(d.seed, d.count, d.min_len, d.max_len)
+    mu = vae.encode_batch([tokens for tokens, _ in ds.subset("train")]).mu
+    assert vae.decode_greedy_batch(mu) == concat_decode_greedy(vae, mu)
 
 
 def test_checkpoint_round_trip_bit_exact(model, tmp_path):
