@@ -57,7 +57,11 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), op="leaf", _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        for p in _parents:  # a plain loop: ``any`` over a generator costs more here
+            if requires_grad:
+                break
+            requires_grad = p.requires_grad
+        self.requires_grad = requires_grad
         self.grad = None
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
@@ -235,6 +239,16 @@ def embedding(weight: Tensor, indices) -> Tensor:
     return Tensor(weight.data[idx], _parents=(weight,), op="embedding", _backward=back)
 
 
+def scatter_rows(x: Tensor, index, n_rows: int) -> Tensor:
+    """Rows placed in a zero array: row ``i`` of ``x`` at row ``index[i]`` of
+    an ``(n_rows, ...)`` output. ``index`` must hold distinct rows, so the
+    backward is the gather ``g[index]``."""
+    idx = np.asarray(index, dtype=np.int64)
+    out = np.zeros((n_rows,) + x.shape[1:])
+    out[idx] = x.data
+    return Tensor(out, _parents=(x,), op="scatter_rows", _backward=lambda g: (g[idx],))
+
+
 def attention_pool(attn: Tensor, h: Tensor) -> Tensor:
     """Attention-weighted sum over positions: (B, L, K) weights and (B, L, H)
     features give the (B, K, H) ``out[b, k] = sum_l attn[b, l, k] * h[b, l]``.
@@ -261,21 +275,17 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
-    """Mean token cross-entropy, fused for stability.
+def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean token cross-entropy over the rows, fused for stability.
 
-    ``logits``: (N, V); ``targets``: (N,) int class ids; ``weights``: optional
-    (N,) per-position weights (e.g. a padding mask). The mean is taken over
-    the total weight.
+    ``logits``: (N, V) with N >= 1; ``targets``: (N,) int class ids.
     """
     if logits.data.ndim != 2:
         raise ContractViolation("logits must be (N, V)")
     tgt = np.asarray(targets, dtype=np.int64)
     n, _ = logits.shape
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    denom = w.sum()
-    if denom <= 0:
-        raise ContractViolation("total weight must be positive")
+    if n == 0:
+        raise ContractViolation("cross-entropy needs at least one row")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     nll = lse - z[np.arange(n), tgt]
@@ -283,9 +293,9 @@ def softmax_cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     def back(g):
         p = np.exp(z - lse[:, None])
         p[np.arange(n), tgt] -= 1.0
-        return (g * p * (w / denom)[:, None],)
+        return (g * p * (1.0 / n),)
 
-    return Tensor((nll * w).sum() / denom, _parents=(logits,), op="xent", _backward=back)
+    return Tensor(nll.sum() / n, _parents=(logits,), op="xent", _backward=back)
 
 
 def _has_nan(a: np.ndarray) -> bool:

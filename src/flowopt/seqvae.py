@@ -11,6 +11,14 @@ layer computes that concat as a split product, the token term per position
 plus the latent term once per row; the parameters and the header are those
 of the concat.
 
+Both run their per-position layers only on the positions ``prepare_batch``
+returns as ``valid``, 0 to len in each row (the decoder's targets: every
+token and EOS), not on the padded (B, L) grid. Only the encoder's attention
+scores, softmax and pooling see the grid, where pad weights are exactly 0.
+So encodings are bit for bit those of the grid layers. Training losses and
+gradients agree with the grid within 1e-12 but sum in another order (no pad
+terms, other BLAS blocks), so trained checkpoints have other bits.
+
 Training follows the staged protocol: ELBO pretraining with linear KL
 warmup, then joint property-supervised fine-tuning where the surrogate loss
 backpropagates through the encoder and reshapes the latent geometry.
@@ -111,7 +119,12 @@ class SeqVae:
 
     # -- batching ---------------------------------------------------------
     def prepare_batch(self, sequences):
-        """Pad to a common length; returns (enc_ids, dec_in, dec_tgt, mask)."""
+        """Pad to a common length L; returns (enc_ids, dec_in, dec_tgt, valid).
+
+        ``valid`` holds the flat indices into the (B, L) grid of positions 0
+        to len of each row, in row-major order: the decoder's targets, every
+        token and EOS.
+        """
         for s in sequences:
             for tok in s:
                 if tok not in toyset.TOKEN_ID:
@@ -122,7 +135,6 @@ class SeqVae:
         enc = np.full((len(seqs), L), pad, dtype=np.int64)
         dec_in = np.full((len(seqs), L), pad, dtype=np.int64)
         tgt = np.full((len(seqs), L), pad, dtype=np.int64)
-        mask = np.zeros((len(seqs), L))
         for i, s in enumerate(seqs):
             ids = [toyset.TOKEN_ID[t] for t in s]
             enc[i, : len(ids)] = ids
@@ -130,21 +142,35 @@ class SeqVae:
             dec_in[i, 1 : len(ids) + 1] = ids
             tgt[i, : len(ids)] = ids
             tgt[i, len(ids)] = eos
-            mask[i, : len(ids) + 1] = 1.0
-        return enc, dec_in, tgt, mask
+        lengths = np.array([len(s) for s in seqs])
+        valid = np.flatnonzero(np.arange(L) <= lengths[:, None])
+        return enc, dec_in, tgt, valid
 
     # -- graphs -----------------------------------------------------------
-    def encode_graph(self, enc_ids: np.ndarray):
-        """Posterior parameters as graph tensors: mu, log_sigma of (B, K, d)."""
+    def encode_graph(self, enc_ids: np.ndarray, valid: np.ndarray):
+        """Posterior parameters as graph tensors: mu, log_sigma of (B, K, d).
+
+        ``valid`` is ``prepare_batch``'s: each row's tokens and the pad cell
+        after them (slot 0 of an empty row). The embeddings and the tanh
+        feature layer run on those N positions only, and their rows are
+        scattered into a zero (B·L, H) grid for the scores, the softmax over
+        positions and the pooling. Pad cells other than slot 0 score -1e9, so
+        their weights underflow to exactly 0, and the encodings are bit for
+        bit those of the feature layer run on the whole grid. Two products
+        keep the grid's row count, because their bits depend on it: the
+        scores, and the feature layer of a one-row batch, which the pad cell
+        after the tokens fills out (a one-row product takes another BLAS path).
+        """
         c = self.config
         B, L = enc_ids.shape
-        emb = ad.embedding(self.p["tok_emb"], enc_ids.reshape(-1))
-        pos = ad.embedding(self.p["pos_emb"], np.tile(np.arange(L), B))
-        h = ((emb + pos) @ self.p["enc_w"] + self.p["enc_b"]).tanh()  # (B*L, H)
-        pad_mask = (enc_ids != toyset.TOKEN_ID[toyset.PAD]).astype(np.float64)
+        emb = ad.embedding(self.p["tok_emb"], enc_ids.reshape(-1)[valid])
+        pos = ad.embedding(self.p["pos_emb"], valid % L)
+        h_valid = ((emb + pos) @ self.p["enc_w"] + self.p["enc_b"]).tanh()  # (N, H)
+        h = ad.scatter_rows(h_valid, valid, B * L)  # (B*L, H), zero outside valid
+        attended = enc_ids != toyset.TOKEN_ID[toyset.PAD]
         # Fully padded rows (empty structures) still need one attended slot.
-        pad_mask[:, 0] = 1.0
-        neg = Tensor((1.0 - pad_mask.reshape(-1, 1)) * -1e9)
+        attended[:, 0] = True
+        neg = Tensor((~attended).reshape(-1, 1) * -1e9)
         h3 = h.reshape(B, L, c.enc_hidden)
         scores = (h @ self.p["queries"].transpose() + neg).reshape(B, L, c.K)
         attn = ad.softmax(scores, axis=1)  # over positions
@@ -153,26 +179,29 @@ class SeqVae:
         ls = (pooled @ self.p["ls_w"] + self.p["ls_b"]).clamp(*LOG_SIGMA_CLAMP)
         return mu, ls.reshape(B, c.K, c.d)
 
-    def decode_graph(self, dec_in: np.ndarray, z: Tensor):
-        """Teacher-forced logits for every position; z is (B, K, d).
+    def decode_graph(self, dec_in: np.ndarray, valid: np.ndarray, z: Tensor):
+        """Teacher-forced logits (N, V) of the N positions ``valid`` of the
+        (B, L) grid ``dec_in``, in the order of ``valid``; z is (B, K, d).
 
-        The concat-flat-z layer ``[emb + pos | z] @ dec_w1 + dec_b1`` is
-        computed split, as ``(emb + pos) @ W_e`` per position plus
-        ``z @ W_z + dec_b1`` once per row, broadcast over the positions, where
-        ``W_e`` and ``W_z`` are the first ``embed_dim`` and the last ``K·d``
-        rows of ``dec_w1``. Same function and parameters; the sums run in
-        another order, so the bits differ from the concat within 1e-12.
+        Every layer runs on those N rows only: the input token, its position
+        (``valid % L``) and its row's latent term (``valid // L``) are
+        gathered, and padding is never computed. The concat-flat-z layer
+        ``[emb + pos | z] @ dec_w1 + dec_b1`` is computed split, as
+        ``(emb + pos) @ W_e`` per position plus ``z @ W_z + dec_b1`` once per
+        row, where ``W_e`` and ``W_z`` are the first ``embed_dim`` and the
+        last ``K·d`` rows of ``dec_w1``. Same function and parameters; the
+        sums run in another order, so the bits differ from the concat within
+        1e-12.
         """
         c = self.config
         B, L = dec_in.shape
-        E, H = c.embed_dim, c.dec_hidden
-        emb = ad.embedding(self.p["tok_emb"], dec_in.reshape(-1))
-        pos = ad.embedding(self.p["pos_emb"], np.tile(np.arange(L), B))
+        E = c.embed_dim
+        emb = ad.embedding(self.p["tok_emb"], dec_in.reshape(-1)[valid])
+        pos = ad.embedding(self.p["pos_emb"], valid % L)
         w1 = self.p["dec_w1"]
         zh = z.reshape(B, c.K * c.d) @ w1.rows(E, None) + self.p["dec_b1"]  # (B, H)
-        xh = ((emb + pos) @ w1.rows(0, E)).reshape(B, L, H)
-        h = (xh + zh.reshape(B, 1, H)).reshape(B * L, H).tanh()
-        return h @ self.p["dec_w2"] + self.p["dec_b2"]  # (B*L, V)
+        h = ((emb + pos) @ w1.rows(0, E) + ad.embedding(zh, valid // L)).tanh()  # (N, H)
+        return h @ self.p["dec_w2"] + self.p["dec_b2"]  # (N, V)
 
     # -- public operations ------------------------------------------------
     def encode_batch(self, xs) -> PosteriorParams:
@@ -194,8 +223,8 @@ class SeqVae:
                                log_sigma=np.concatenate([ls for _, ls in parts]))
 
     def _encode_chunk(self, xs):
-        enc, _, _, _ = self.prepare_batch(xs)
-        mu, ls = self.encode_graph(enc)
+        enc, _, _, valid = self.prepare_batch(xs)
+        mu, ls = self.encode_graph(enc, valid)
         return mu.data, ls.data
 
     def decode_greedy_batch(self, Z: np.ndarray):
@@ -290,14 +319,14 @@ def elbo_loss(model: SeqVae, batch_seqs, rng: Rng, beta: float):
     """Negative ELBO graph for a batch: token cross-entropy + beta * KL.
 
     Returns (loss tensor, z tensor, components dict). Reconstruction is the
-    masked mean token cross-entropy under teacher forcing.
+    mean token cross-entropy over the real positions under teacher forcing.
     """
-    enc, dec_in, tgt, mask = model.prepare_batch(batch_seqs)
-    mu, ls = model.encode_graph(enc)
+    enc, dec_in, tgt, valid = model.prepare_batch(batch_seqs)
+    mu, ls = model.encode_graph(enc, valid)
     eps = Tensor(rng.normal(mu.shape))
     z = mu + ls.exp() * eps
-    logits = model.decode_graph(dec_in, z)
-    recon = ad.softmax_cross_entropy(logits, tgt.reshape(-1), mask.reshape(-1))
+    logits = model.decode_graph(dec_in, valid, z)
+    recon = ad.softmax_cross_entropy(logits, tgt.reshape(-1)[valid])
     kl = kl_standard_normal(mu, ls)
     loss = recon + beta * kl
     return loss, z, {"recon": recon.item(), "kl": kl.item()}

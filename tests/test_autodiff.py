@@ -92,13 +92,9 @@ def test_softmax_cross_entropy_matches_manual(rng):
     assert rel_err(g, finite_difference(f, logits.copy())) < 1e-6
 
 
-def test_cross_entropy_weights_mask_positions(rng):
-    logits = rng.normal((4, 7))
-    targets = np.array([1, 2, 3, 4])
-    w = np.array([1.0, 0.0, 1.0, 0.0])
-    loss = ad.softmax_cross_entropy(Tensor(logits), targets, weights=w)
-    loss_sub = ad.softmax_cross_entropy(Tensor(logits[[0, 2]]), targets[[0, 2]])
-    assert abs(loss.item() - loss_sub.item()) < 1e-12
+def test_softmax_cross_entropy_rejects_empty_rows():
+    with pytest.raises(ContractViolation):
+        ad.softmax_cross_entropy(Tensor(np.zeros((0, 4))), [])
 
 
 def test_embedding_gradient_scatter(rng):
@@ -159,6 +155,26 @@ def test_rows_gradient_is_zero_outside_the_rows(rng):
     assert w.rows(3, None).shape == (2, 3)
     frozen = Tensor(w.data).rows(0, 2)
     assert frozen._parents == () and frozen._backward is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 40), st.integers(1, 6), st.integers(0, 2 ** 16))
+def test_scatter_rows_equals_gather_of_padded_rows(n, extra, width, seed):
+    """Forward and gradient are ``==`` to the formula the encoder could use
+    instead: a gather from the rows with one zero row appended, which every
+    cell outside ``index`` reads."""
+    r = Rng(seed)
+    index = np.sort(r.split("idx").gen.permutation(n + extra)[:n])
+    x = Tensor(r.split("x").normal((n, width)), requires_grad=True)
+    upstream = Tensor(r.split("g").normal((n + extra, width)))
+    slot = np.full(n + extra, n)
+    slot[index] = np.arange(n)
+    runs = []
+    for out in (ad.scatter_rows(x, index, n + extra),
+                ad.embedding(ad.concat([x, np.zeros((1, width))]), slot)):
+        runs.append([out.data] + ad.gradients((out * upstream).sum(), [x]))
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 
 
 def broadcast_attention_pool(attn: Tensor, h: Tensor) -> Tensor:
@@ -369,6 +385,7 @@ FROZEN_OPS = {
     "sum": lambda x: x.sum(axis=0),
     "mean": lambda x: x.mean(axis=1),
     "embedding": lambda x: ad.embedding(x, [2, 0, 2]),
+    "scatter_rows": lambda x: ad.scatter_rows(x, [4, 0, 2], 5),
     "softmax": lambda x: ad.softmax(x, axis=1),
     "xent": lambda x: ad.softmax_cross_entropy(x, [0, 3, 1]),
     **{op: (lambda x, fn=fn, op=op: fn(x, x.transpose() if op == "matmul" else x))

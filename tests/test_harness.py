@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -150,6 +152,49 @@ def test_select_seed_matches_law_chi_square(rng):
 def test_select_seed_empty_pool():
     with pytest.raises(ContractViolation):
         harness.select_seed(np.empty(0), Rng(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.floats(0.0, 0.9), st.booleans(), st.integers(0, 2 ** 16))
+def test_select_seed_equals_generator_choice(n, zero_frac, law, seed):
+    """Every draw is ``==`` to ``Generator.choice(n, p=p)`` from the same
+    stream, on drawn weights with zeros and on the selection law's own
+    probabilities."""
+    r = Rng(seed)
+    if law:
+        p = harness.selection_probabilities(*_pool_state(r.split("pool"), n, with_history=True))
+    else:
+        w = r.split("w").uniform(shape=n) * (r.split("zero").uniform(shape=n) >= zero_frac)
+        w[r.split("keep").integers(0, n)] = 1.0
+        p = w / w.sum()
+    ours, theirs = Rng(seed).split("draw"), Rng(seed).split("draw")
+    assert ([harness.select_seed(p, ours) for _ in range(50)]
+            == [int(theirs.gen.choice(n, p=p)) for _ in range(50)])
+
+
+def test_select_seed_never_draws_a_zero_probability_index():
+    """A uniform that lands exactly on a cumulative sum picks the next index
+    with mass, as ``choice`` does (``side="right"``)."""
+    class FixedUniform:
+        """An ``Rng`` stand-in whose every uniform is ``u``."""
+        def __init__(self, u):
+            self.gen, self.u = self, u
+
+        def random(self):
+            return self.u
+
+    p = np.array([0.0, 0.5, 0.0, 0.5])
+    draws = [harness.select_seed(p, FixedUniform(u)) for u in (0.0, 0.25, 0.5, 0.75)]
+    assert draws == [1, 1, 3, 3]
+
+
+@pytest.mark.parametrize("probs", [np.full((2, 2), 0.25), np.array([0.5, np.nan, 0.5]),
+                                   np.array([np.inf, 0.5]), np.array([1.5, -0.5]),
+                                   np.array([0.5, 0.4])],
+                         ids=["2d", "nan", "inf", "negative", "sum"])
+def test_select_seed_rejects_invalid_probabilities(probs):
+    with pytest.raises(ContractViolation):
+        harness.select_seed(probs, Rng(0))
 
 
 def test_pareto_flags_hand_case():
@@ -968,6 +1013,40 @@ def test_training_checkpoints_match_recorded_bytes(tmp_path):
         with open(path, "rb") as fh:
             got[stage] = hashlib.sha256(fh.read()).hexdigest()
     assert got == RECORDED_TRAINING_SHA256
+
+
+# The same for toy-default on the benchmark's short schedule (1 + 1 epochs, 50
+# flow steps) and the toy-default dataset. ``tiny_config``'s small products keep
+# their bits when a summation order in training moves; these do not. The run has
+# one BLAS thread, as bench/make_checkpoint.py trains: threaded OpenBLAS splits a
+# long reduction, such as a weight gradient over a batch's real positions, into
+# other blocks for most lengths that are not a multiple of 32.
+RECORDED_TOY_TRAINING_SHA256 = {
+    "vae": "c64f99c738e7bfcd7ecd2a1b0f44a235331db1260c7d63349115522fc59eb9eb",
+    "finetune": "f0ae47faa41c10710e8bdd3a5bdc023f86e4ec64f30ec7643458147e96c8b529",
+    "flow": "da6de9bab5e88deb842a8a6b0f747112d4bb76f819443ae801e9acf90011196b",
+}
+TOY_TRAINING = """
+import dataclasses, hashlib, json, sys
+from flowopt import config, harness, toyset
+cfg = config.toy_default(0)
+cfg.vae = dataclasses.replace(cfg.vae, pretrain_epochs=1, finetune_epochs=1)
+cfg.flow = dataclasses.replace(cfg.flow, steps=50)
+d = cfg.data
+ds = toyset.generate_dataset(d.seed, d.count, d.min_len, d.max_len)
+paths = harness.pipeline_train(cfg, ds, sys.argv[1])
+print(json.dumps({s: hashlib.sha256(open(p, "rb").read()).hexdigest() for s, p in paths.items()}))
+"""
+
+
+def test_toy_default_training_checkpoints_match_recorded_bytes(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    res = subprocess.run([sys.executable, "-c", TOY_TRAINING, str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == RECORDED_TOY_TRAINING_SHA256
 
 
 def test_cli_determinism_byte_identical_reports(runner, tiny_run):
