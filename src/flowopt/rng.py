@@ -44,21 +44,24 @@ class Rng:
         )
         return Rng(child)
 
-    # Convenience passthroughs; all return float64 / int64 arrays.
+    # Convenience passthroughs; they return float64 / int64 arrays, except
+    # that ``uniform`` and ``integers`` with ``shape=()`` take the Generator's
+    # cheaper scalar path, which returns the value a 0-d draw would hold.
     def normal(self, shape=()):
         return self.gen.standard_normal(shape)
 
     def uniform(self, low=0.0, high=1.0, shape=()):
-        return self.gen.uniform(low, high, shape)
+        return self.gen.uniform(low, high, _size(shape))
 
     def integers(self, low, high, shape=()):
-        return self.gen.integers(low, high, size=shape)
-
-    def choice(self, n, p=None):
-        return int(self.gen.choice(n, p=p))
+        return self.gen.integers(low, high, size=_size(shape))
 
     def permutation(self, n):
         return self.gen.permutation(n)
+
+
+def _size(shape):
+    return None if isinstance(shape, tuple) and not shape else shape
 
 
 def normal_rows(rngs, shape) -> np.ndarray:

@@ -24,6 +24,7 @@ raising p1 requires structure that raises p2.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,38 +127,42 @@ def _prune_empty(chain) -> None:
         unit.branches = [b for b in unit.branches if b]
 
 
-def _serialize(chain) -> list:
-    out = []
+def _serialize(chain, canon: list, skel: list) -> None:
+    """Append the canonical and skeleton tokens of a pruned chain in one pass.
+
+    The skeleton is the canonical form without side groups. Pruning leaves
+    no empty branch, and dropping side groups empties none, so the skeleton
+    keeps every branch the canonical form has.
+    """
     for unit in chain:
-        out.append(unit.atom)
-        out.extend([RING] * unit.rings)
-        out.extend(sorted(unit.sides))
+        head = [unit.atom] + [RING] * unit.rings
+        canon.extend(head)
+        canon.extend(sorted(unit.sides))
+        skel.extend(head)
         for b in unit.branches:
-            out.append(OPEN)
-            out.extend(_serialize(b))
-            out.append(CLOSE)
-    return out
+            canon.append(OPEN)
+            skel.append(OPEN)
+            _serialize(b, canon, skel)
+            canon.append(CLOSE)
+            skel.append(CLOSE)
 
 
-def _strip_sides(chain) -> list:
-    out = []
-    for unit in chain:
-        u = _Unit(unit.atom, rings=unit.rings)
-        u.branches = [s for s in (_strip_sides(b) for b in unit.branches) if s]
-        out.append(u)
-    return out
-
-
-def decode(tokens) -> Structure:
-    """Total decode: every token sequence yields a valid Structure."""
+def _decode(tokens) -> tuple:
+    """The parsed chain of ``tokens`` and its Structure."""
     chain = _parse(tokens)
-    canon = _serialize(chain)
-    skel = _serialize(_strip_sides(chain))
-    return Structure(
+    canon: list = []
+    skel: list = []
+    _serialize(chain, canon, skel)
+    return chain, Structure(
         canonical_key=" ".join(canon) if canon else EMPTY_KEY,
         skeleton_key=" ".join(skel) if skel else EMPTY_KEY,
         canonical_tokens=tuple(canon),
     )
+
+
+def decode(tokens) -> Structure:
+    """Total decode: every token sequence yields a valid Structure."""
+    return _decode(tokens)[1]
 
 
 def _stats(chain, depth=0):
@@ -178,7 +183,11 @@ def _stats(chain, depth=0):
 
 def structure_stats(s: Structure) -> dict:
     """Descriptor values used by the oracle and the evaluation suite."""
-    chain = _parse(s.canonical_tokens)
+    return _chain_stats(_parse(s.canonical_tokens), s)
+
+
+def _chain_stats(chain, s: Structure) -> dict:
+    """``structure_stats`` of ``s`` from the parse of any tokens that decode to ``s``."""
     nb, rings, sides, depth = _stats(chain)
     return {
         "length": len(s.canonical_tokens),
@@ -209,18 +218,28 @@ def properties_from_stats(st: dict) -> Properties:
     return Properties(p1=float(p1), p2=float(p2))
 
 
-def _features(tokens) -> np.ndarray:
+# N-gram -> bit index. The bit is a pure function of the n-gram, so one memo
+# serves every caller, and the fixed vocabulary bounds its size.
+_GRAM_BIT: dict = {}
+
+
+def _features(tokens: tuple) -> np.ndarray:
     """N-gram (n in 1..3) presence bitset of width 512, blake2b-hashed.
 
     Collisions are accepted; this is the fingerprint analogue used for
     similarity and embedding projections.
     """
-    bits = np.zeros(FEATURE_BITS, dtype=bool)
+    idx = []
     for n in (1, 2, 3):
         for i in range(len(tokens) - n + 1):
-            gram = "\x1f".join(tokens[i:i + n])
-            h = hashlib.blake2b(gram.encode(), digest_size=8).digest()
-            bits[int.from_bytes(h, "little") % FEATURE_BITS] = True
+            gram = tokens[i:i + n]
+            bit = _GRAM_BIT.get(gram)
+            if bit is None:
+                h = hashlib.blake2b("\x1f".join(gram).encode(), digest_size=8).digest()
+                bit = _GRAM_BIT[gram] = int.from_bytes(h, "little") % FEATURE_BITS
+            idx.append(bit)
+    bits = np.zeros(FEATURE_BITS, dtype=bool)
+    bits[idx] = True
     return bits
 
 
@@ -254,20 +273,20 @@ class Dataset:
         return [self.entries[i] for i in idx]
 
 
-def _random_chain(rng: Rng, budget: int, depth: int) -> list:
+def _random_chain(gen: np.random.Generator, budget: int, depth: int) -> list:
     tokens = []
-    n_units = int(rng.integers(1, max(2, budget // 2 + 1)))
+    n_units = int(gen.integers(1, max(2, budget // 2 + 1)))
     for _ in range(n_units):
         if len(tokens) >= budget:
             break
-        tokens.append(BACKBONE[rng.choice(len(BACKBONE))])
-        r = rng.uniform()
+        tokens.append(BACKBONE[gen.integers(0, len(BACKBONE))])
+        r = gen.random()
         if r < 0.18:
             tokens.append(RING)
-        if rng.uniform() < 0.35:
-            tokens.append(SIDE[rng.choice(len(SIDE))])
-        if depth < 3 and rng.uniform() < 0.15 and budget - len(tokens) > 3:
-            sub = _random_chain(rng, (budget - len(tokens)) // 2, depth + 1)
+        if gen.random() < 0.35:
+            tokens.append(SIDE[gen.integers(0, len(SIDE))])
+        if depth < 3 and gen.random() < 0.15 and budget - len(tokens) > 3:
+            sub = _random_chain(gen, (budget - len(tokens)) // 2, depth + 1)
             tokens += [OPEN] + sub + [CLOSE]
     return tokens
 
@@ -285,16 +304,13 @@ def generate_dataset(seed: int, count: int, min_len: int = 4, max_len: int = 40)
         raise ContractViolation(f"need 0 <= min_len <= max_len, not {min_len} and {max_len}")
     rng = Rng(seed).split("toyset")
     entries = []
+    groups: dict = {}
     for i in range(count):
         r = rng.split(i)
         budget = int(r.integers(min_len, max_len + 1))
-        raw = _random_chain(r, budget, 0)[:MAX_LEN]
-        s = decode(raw)
-        entries.append((s.canonical_tokens, oracle_properties(s)))
-
-    groups: dict = {}
-    for i, (tokens, _) in enumerate(entries):
-        groups.setdefault(decode(tokens).skeleton_key, []).append(i)
+        chain, s = _decode(_random_chain(r.gen, budget, 0)[:MAX_LEN])
+        entries.append((s.canonical_tokens, properties_from_stats(_chain_stats(chain, s))))
+        groups.setdefault(s.skeleton_key, []).append(i)
     keys = sorted(groups, key=lambda k: hashlib.blake2b(k.encode(), digest_size=8).hexdigest())
     n = len(keys)
     n_train = round(0.81 * n)
@@ -321,8 +337,8 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
 def read_split(path) -> list:
     """Read one split file back as (tokens, Properties) pairs.
 
-    A line that is not ``tokens<TAB>p1<TAB>p2`` with numeric properties
-    raises ArtifactIOError naming the file and line.
+    A line that is not ``tokens<TAB>p1<TAB>p2`` with finite numeric
+    properties raises ArtifactIOError naming the file and line.
     """
     out = []
     with open(path) as fh:
@@ -332,5 +348,7 @@ def read_split(path) -> list:
                 props = Properties(p1=float(p1), p2=float(p2))
             except ValueError as e:
                 raise ArtifactIOError(f"{path}:{lineno}: malformed split line ({e})") from e
+            if not (math.isfinite(props.p1) and math.isfinite(props.p2)):
+                raise ArtifactIOError(f"{path}:{lineno}: non-finite property in split line")
             out.append((tuple(text.split()), props))
     return out

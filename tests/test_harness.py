@@ -562,6 +562,22 @@ def test_cli_malformed_split_exit_4(runner, tiny_run, tmp_path):
     assert "train.tsv:3" in res.output
 
 
+@pytest.mark.parametrize("line", [0, 3])
+@pytest.mark.parametrize("p1, p2", [("nan", None), (None, "inf"), ("-inf", None)])
+def test_cli_non_finite_property_exit_4(runner, tiny_run, tmp_path, line, p1, p2):
+    """A split line whose p1 or p2 is not finite is an I/O error naming its line."""
+    data = tmp_path / "data"
+    shutil.copytree(tiny_run["data_dir"], data)
+    lines = (data / "train.tsv").read_text().splitlines()
+    tokens, old1, old2 = lines[line].split("\t")
+    lines[line] = "\t".join([tokens, p1 or old1, p2 or old2])
+    (data / "train.tsv").write_text("\n".join(lines) + "\n")
+    res = runner.invoke(cli.main, ["train", "--seed", "1", "--config", tiny_run["cfg_path"],
+                                   "--data", str(data), "--out", str(tmp_path / "ckpt")])
+    assert res.exit_code == 4, res.output
+    assert f"train.tsv:{line + 1}: non-finite" in res.output
+
+
 def _truncate(text):
     return text[: len(text) // 2]
 

@@ -26,7 +26,13 @@ def test_lazy_chain_draws_equal_eager(seed, keys):
     gen = eager_generator(seed, keys)
     assert np.array_equal(rng.normal((3, 2)), gen.standard_normal((3, 2)))
     assert np.array_equal(rng.uniform(0.0, 2.0, 4), gen.uniform(0.0, 2.0, 4))
-    assert rng.choice(7, p=np.full(7, 1 / 7)) == int(gen.choice(7, p=np.full(7, 1 / 7)))
+    # Scalar draws take the Generator's scalar path and hold what a 0-d draw holds.
+    assert rng.integers(0, 7) == gen.integers(0, 7, size=())
+    assert rng.integers(3, 2 ** 40) == gen.integers(3, 2 ** 40, size=())
+    assert rng.uniform() == gen.uniform(0.0, 1.0, ())
+    assert rng.uniform(-1.0, 3.0) == gen.uniform(-1.0, 3.0, ())
+    assert rng.gen.random() == gen.uniform(0.0, 1.0, ())
+    assert rng.integers(0, 8) == gen.choice(8)
 
 
 def test_split_only_chain_builds_no_generator(monkeypatch):
