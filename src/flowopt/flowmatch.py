@@ -8,6 +8,7 @@ and posterior samples are coupled independently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -34,6 +35,16 @@ class FlowConfig:
     sample_steps: int = 50  # default Euler steps for unconditional sampling
 
 
+@functools.lru_cache(maxsize=1024)
+def _time_row(t: float, dim: int) -> np.ndarray:
+    """The read-only (1, dim) embedding row of one time, computed once per
+    (t, dim): an Euler grid's times repeat across every batch it integrates,
+    and ``time_embed``'s row for t depends on t alone."""
+    row = time_embed(np.array([t]), dim)
+    row.flags.writeable = False
+    return row
+
+
 class FlowField:
     """MLP velocity field on the flattened K*d latent plus time embedding."""
 
@@ -49,21 +60,27 @@ class FlowField:
     def params(self) -> list:
         return self.net.params()
 
-    def _time_rows(self, t, B: int) -> np.ndarray:
-        """Time embeddings (B, E) for times t (B,) or one shared time."""
-        te = time_embed(np.atleast_1d(t), self.config.time_embed_dim)
-        return np.repeat(te, B, axis=0) if te.shape[0] == 1 and B > 1 else te
+    def _time_rows(self, t) -> np.ndarray:
+        """Time embeddings (B, E) for times t (B,), or the memoized read-only
+        (1, E) row of one shared time, which broadcasts over a batch."""
+        if np.ndim(t) == 0:
+            return _time_row(float(t), self.config.time_embed_dim)
+        return time_embed(t, self.config.time_embed_dim)
 
     def velocity_graph(self, z: Tensor, t) -> Tensor:
         """Velocity for a batch of flattened latents (B, K*d) at times t (B,) or
         one time, as a differentiable graph node (training)."""
-        return self.net(ad.concat([z, Tensor(self._time_rows(t, z.shape[0]))], axis=1))
+        rows = np.broadcast_to(self._time_rows(t), (z.shape[0], self.config.time_embed_dim))
+        return self.net(ad.concat([z, Tensor(rows)], axis=1))
 
     def velocity(self, z: np.ndarray, t) -> np.ndarray:
         """Velocity (B, K, d) of a (B, K, d) latent batch at times t (B,) or one
         time, on arrays: ``velocity_graph``'s values bit for bit."""
-        B = len(z)
-        x = np.concatenate([np.reshape(z, (B, -1)), self._time_rows(t, B)], axis=1)
+        flat = np.reshape(z, (len(z), -1))
+        rows = self._time_rows(t)
+        x = np.empty((len(z), flat.shape[1] + rows.shape[1]))
+        x[:, :flat.shape[1]] = flat
+        x[:, flat.shape[1]:] = rows
         return self.net.forward(x)[-1].reshape(np.shape(z))
 
     def arrays(self) -> dict:

@@ -40,6 +40,11 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.mode not in ("target", "directional"):
             raise ContractViolation(f"unknown objective mode {self.mode!r}")
+        for name in ("weights", "targets", "signs"):
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != np.shape(toyset.PROPERTY_SIGNS):
+                raise ContractViolation(f"{name} needs one entry per property "
+                                        f"({len(toyset.PROPERTY_SIGNS)}), not {value!r}")
         if any(w < 0 or not np.isfinite(w) for w in self.weights):
             raise ContractViolation("weights must be finite and nonnegative")
         if self.mode == "target" and self.targets is None:
@@ -70,18 +75,6 @@ def objective_value(spec: ObjectiveSpec, pred):
     return j.item() if j.size == 1 else j
 
 
-def _objective_pullback(spec: ObjectiveSpec, pred: np.ndarray) -> np.ndarray:
-    """The (B, P) gradient of J summed over rows with respect to ``pred``, in
-    the ops and order of a tape over ``sum(w * diff * diff)`` or
-    ``-sum(signs * pred)``."""
-    if spec.mode == "target":
-        w = np.asarray(spec.weights, dtype=np.float64)
-        diff = pred - np.asarray(spec.targets, dtype=np.float64)
-        # The tape adds the first factor's share, then the second's.
-        return w * diff + diff * w
-    return np.broadcast_to(-np.asarray(spec.signs, dtype=np.float64), pred.shape)
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (B, ...) array, bit-identical to
     ``np.linalg.norm(x[b])``: a (1, n) @ (n, 1) matmul is the same BLAS dot
@@ -105,20 +98,32 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
     """
     z = np.asarray(z, dtype=np.float64)
     pred, pullback = surrogate.predict_vjp(mean_pool(z))
+    # J in ``objective_value``'s ops; its pullback in those of a tape over
+    # ``sum(w * diff * diff)`` (the first factor's share, then the second's)
+    # or ``-sum(signs * pred)``.
+    if spec.mode == "target":
+        w = np.asarray(spec.weights, dtype=np.float64)
+        diff = pred - np.asarray(spec.targets, dtype=np.float64)
+        j = (w * diff ** 2).sum(axis=-1)
+        dj = w * diff + diff * w
+    else:
+        signs = np.asarray(spec.signs, dtype=np.float64)
+        j = -(signs * pred).sum(axis=-1)
+        dj = np.broadcast_to(-signs, pred.shape)
     # Mean pooling's pullback: times 1/K, then spread over the K tokens.
-    g_pooled = pullback(_objective_pullback(spec, pred)) * (1.0 / z.shape[-2])
-    g = np.broadcast_to(g_pooled[..., None, :], z.shape).copy()
-    j = np.atleast_1d(objective_value(spec, pred))
-    if not (np.isfinite(j).all() and np.isfinite(g).all()):
+    g_pooled = pullback(dj) * (1.0 / z.shape[-2])
+    if not (np.isfinite(j).all() and np.isfinite(g_pooled).all()):
         raise NumericFailure("non-finite objective or objective gradient")
+    g = np.repeat(g_pooled[..., None, :], z.shape[-2], axis=-2)
     # Rows left alone are divided or multiplied by exactly 1.0, which keeps their bits.
     if normalize:
         norm = _row_norms(g)
         g /= np.where(norm > 0, norm, 1.0)[:, None, None]
     if clip_norm is not None:
         norm = _row_norms(g)
-        scale = np.divide(clip_norm, norm, out=np.ones_like(norm), where=norm > clip_norm)
-        g *= scale[:, None, None]
+        over = norm > clip_norm
+        if over.any():
+            g *= np.divide(clip_norm, norm, out=np.ones_like(norm), where=over)[:, None, None]
     return j, g
 
 
@@ -170,33 +175,36 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
     previous step reached, and one ``predict`` gives the last step's.
     """
     z = np.asarray(z, dtype=np.float64)
-    B, _, _ = z.shape
-    dt = (1.0 - cfg.t_start) / cfg.steps
-    t = cfg.t_start
-    traj = Trajectory(t=np.empty(cfg.steps), objective=np.empty((cfg.steps, B)),
-                      grad_norm=np.zeros((cfg.steps, B)),
-                      velocity_norm=np.empty((cfg.steps, B)))
-    for step in range(cfg.steps):
-        v = field.velocity(z, t)
-        if cfg.gamma == 0.0:
-            z = z + dt * v
+    steps, B = cfg.steps, len(z)
+    dt = (1.0 - cfg.t_start) / steps
+    t = [cfg.t_start] + [cfg.t_start + (step + 1) * dt for step in range(steps)]
+    objective = np.empty((steps, B))
+    # Each step's v and g, kept for the norms taken in bulk after the loop.
+    v = np.empty((steps,) + z.shape)
+    g = np.empty((steps,) + z.shape) if cfg.gamma != 0.0 else None
+    for step in range(steps):
+        v[step] = field.velocity(z, t[step])
+        if g is None:
+            z = z + dt * v[step]
         else:
-            j, g = objective_gradient(spec, surrogate, z,
-                                      normalize=cfg.normalize_gradient,
-                                      clip_norm=cfg.clip_norm)
+            j, g[step] = objective_gradient(spec, surrogate, z,
+                                            normalize=cfg.normalize_gradient,
+                                            clip_norm=cfg.clip_norm)
             if step:  # J at the state the previous step reached
-                traj.objective[step - 1] = j
-            z = z + dt * (v - cfg.gamma * g)
-            traj.grad_norm[step] = _row_norms(g)
-        t = cfg.t_start + (step + 1) * dt
+                objective[step - 1] = j
+            z = z + dt * (v[step] - cfg.gamma * g[step])
         if not np.isfinite(z).all():
             raise NumericFailure("non-finite state during guided integration",
                                  where=f"step={step}")
-        traj.t[step] = t
-        if cfg.gamma == 0.0 or step == cfg.steps - 1:
-            traj.objective[step] = objective_value(spec, surrogate.predict(mean_pool(z)))
-        traj.velocity_norm[step] = _row_norms(v)
-    return traj, z
+        if g is None or step == steps - 1:
+            objective[step] = objective_value(spec, surrogate.predict(mean_pool(z)))
+
+    def norms(x):
+        return _row_norms(x.reshape(steps * B, -1)).reshape(steps, B)
+
+    return Trajectory(t=np.array(t[1:]), objective=objective,
+                      grad_norm=np.zeros((steps, B)) if g is None else norms(g),
+                      velocity_norm=norms(v)), z
 
 
 def prepare_optimization(mu: np.ndarray, sigma: float, rngs) -> np.ndarray:

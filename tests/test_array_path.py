@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowopt import autodiff as ad
+from flowopt import autodiff as ad, flowmatch
 from flowopt.autodiff import Tensor
 from flowopt.flowmatch import FlowConfig, FlowField, integrate
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
@@ -79,6 +79,31 @@ def test_velocity_equals_velocity_graph(B, K, d, seed, times):
          "ends": np.resize([0.0, 1.0], B)}[times]
     want = field.velocity_graph(Tensor(z.reshape(B, K * d)), t).data
     assert np.array_equal(field.velocity(z, t), want.reshape(B, K, d))
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows, st.integers(1, 4), widths, seeds, st.lists(unit.map(lambda t: t / 3.0),
+                                                         min_size=1, max_size=4))
+def test_velocity_at_repeated_times_equals_velocity_graph(B, K, d, seed, times):
+    """Scalar times read memoized embedding rows: fields of several embedding
+    widths, each asked twice at every time, in one process, equal
+    ``velocity_graph`` at the same time as a per-row vector, which bypasses
+    the memo."""
+    r = Rng(seed)
+    z = r.split("z").normal((B, K, d)) * 2.0
+    for dim in (2, 4, 6, 16):
+        field = FlowField(FlowConfig(K=K, d=d, hidden=8, layers=2, time_embed_dim=dim),
+                          r.split(("field", dim)))
+        for t in times + times:
+            want = field.velocity_graph(Tensor(z.reshape(B, K * d)), np.full(B, t)).data
+            assert np.array_equal(field.velocity(z, t), want.reshape(B, K, d))
+
+
+def test_memoized_time_rows_are_read_only():
+    row = flowmatch._time_row(0.25, 4)
+    assert row.shape == (1, 4) and flowmatch._time_row(0.25, 4) is row
+    with pytest.raises(ValueError, match="read-only"):
+        row[0, 0] = 1.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,9 +21,9 @@ from flowopt import harness, moeval, toyset
 from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
 from flowopt.flowmatch import FlowConfig, FlowField, sample_prior
-from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
-                              guided_integrate, objective_gradient, objective_value,
-                              prepare_optimization)
+from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, _row_norms,
+                              gradient_ascent_baseline, guided_integrate, objective_gradient,
+                              objective_value, prepare_optimization)
 from flowopt.nn import TIME_EMBED_FREQ_RANGE, time_embed
 from flowopt.rng import Rng
 from flowopt.seqvae import ENCODE_CHUNK, SeqVae, VaeConfig, mean_pool
@@ -84,9 +84,11 @@ def test_guided_integrate_rows_match_single(B, K, d, seed, gamma, normalize, cli
        clips, specs, st.integers(1, 4))
 def test_trajectory_objective_is_that_of_each_state(B, K, d, seed, gamma, normalize, clip,
                                                      spec, steps):
-    """Row s of ``Trajectory.objective`` is J of the state step s reached; the
-    guided branch takes it from the next step's gradient pass, so the states
-    come from the Euler loop written out here."""
+    """Row s of ``Trajectory.objective`` is J of the state step s reached, and
+    rows s of ``grad_norm`` and ``velocity_norm`` the norms of step s's g and
+    v. The guided branch takes J from the next step's gradient pass and the
+    norms in bulk after its loop, so all come from the Euler loop written out
+    here."""
     field, sur = models(seed, K, d)
     cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=steps, t_start=0.4, clip_norm=clip,
                          normalize_gradient=normalize)
@@ -96,13 +98,29 @@ def test_trajectory_objective_is_that_of_each_state(B, K, d, seed, gamma, normal
     for s in range(steps):
         t = cfg.t_start + s * dt
         v = field.velocity_graph(Tensor(z.reshape(B, K * d)), t).data.reshape(B, K, d)
+        g = np.zeros_like(z)
         if gamma:
-            v = v - gamma * objective_gradient(spec, sur, z, normalize=normalize,
-                                               clip_norm=clip)[1]
-        z = z + dt * v
+            g = objective_gradient(spec, sur, z, normalize=normalize, clip_norm=clip)[1]
+        assert np.array_equal(traj.velocity_norm[s], _row_norms(v))
+        assert np.array_equal(traj.grad_norm[s], _row_norms(g))
+        z = z + dt * (v - gamma * g)
         assert np.array_equal(traj.objective[s],
                               np.reshape(objective_value(spec, sur.predict(mean_pool(z))), B))
     assert np.array_equal(z, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.lists(st.integers(1, 9), min_size=1, max_size=3), seeds)
+def test_row_norms_of_stacked_rows_equal_each_row(N, shape, seed):
+    """One call over N stacked rows gives each row's own call and
+    ``np.linalg.norm`` of the row, so norms may be taken in bulk."""
+    r = Rng(seed)
+    mag = 10.0 ** r.split("mag").integers(-3, 4, (N,) + (1,) * len(shape))
+    x = r.split("x").normal((N, *shape)) * mag
+    got = _row_norms(x)
+    assert got.shape == (N,)
+    for i in range(N):
+        assert got[i] == _row_norms(x[i:i + 1])[0] == np.linalg.norm(x[i])
 
 
 @settings(max_examples=40, deadline=None)

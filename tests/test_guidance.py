@@ -54,6 +54,17 @@ def test_objective_spec_validation():
         ObjectiveSpec(mode="target", targets=(0.5, 5.0), weights=(-1.0, 1.0))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("name", ["weights", "targets", "signs"])
+def test_objective_spec_needs_one_entry_per_property(name, n):
+    """A vector of the wrong length is refused, not broadcast over the properties."""
+    good = {"weights": (1.0, 1.0), "targets": (0.5, 3.0), "signs": (1, -1)}
+    bad = {"weights": (1.0,) * n, "targets": (0.5,) * n, "signs": (1,) * n}[name]
+    for mode in ("target", "directional"):
+        with pytest.raises(ContractViolation, match=f"{name} needs one entry per property"):
+            ObjectiveSpec(mode=mode, **{**good, name: bad})
+
+
 def test_objective_value_target_mode_analytic():
     spec = ObjectiveSpec(mode="target", weights=(2.0, 0.5), targets=(0.5, 3.0))
     assert objective_value(spec, [0.5, 3.0]) == 0.0

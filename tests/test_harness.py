@@ -852,6 +852,22 @@ def test_cli_bad_budget_or_sweep_config_exit_2(runner, tiny_run, tmp_path, comma
     assert f"{section}.{key} must be >= 1, not 0" in res.output
 
 
+@pytest.mark.parametrize("objective", [{"mode": "directional", "signs": [1]},
+                                       {"mode": "target", "weights": [1.0, 0.5, 2.0],
+                                        "targets": [0.8, 2.5]}],
+                         ids=["one-sign", "three-weights"])
+def test_cli_objective_of_wrong_length_exit_2(runner, tiny_run, tmp_path, objective):
+    doc = tiny_run["cfg"].to_dict()
+    doc["objective"] = objective
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    res = runner.invoke(cli.main, ["optimize", "--seed", "0", "--config", str(cfg_path),
+                                   "--ckpt", tiny_run["ckpt_dir"],
+                                   "--data", tiny_run["data_dir"]])
+    assert res.exit_code == 2, res.output
+    assert "config error: " in res.output and "needs one entry per property" in res.output
+
+
 def test_cli_gamma_sweep_empty_seeds_exit_2(runner, tiny_run, tmp_path):
     doc = tiny_run["cfg"].to_dict()
     doc["sweep"]["seeds"] = []
