@@ -1,9 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The tape serves training. Frozen inference (flow velocities, surrogate
-predictions, the guidance gradient) runs on plain arrays through
-``nn.Mlp.forward``/``input_grad``, written with this module's ops in their
-order so it gives the tape's bits.
+The tape serves the VAE's training and fine-tuning. An ``nn.Mlp`` is one
+node on it, whose value and pullback are ``Mlp.forward``/``backward``: the
+array code that frozen inference and flow-matching training run without a
+tape, written with this module's ops in their order.
 
 The graph is implicit: every ``Tensor`` carries a strictly increasing
 creation id, and an operation's output records its parents and a closure that

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field, asdict
 
@@ -66,6 +67,12 @@ class SweepConfig:
     def __post_init__(self):
         if self.candidates < 1:
             raise ConfigError(f"sweep.candidates must be >= 1, not {self.candidates!r}")
+        for g in self.grid:
+            if type(g) not in (int, float) or not math.isfinite(g):
+                raise ConfigError(f"sweep.grid entries must be finite numbers, not {g!r}")
+        for s in self.seeds:
+            if type(s) is not int or s < 0:
+                raise ConfigError(f"sweep.seeds entries must be ints >= 0, not {s!r}")
 
 
 @dataclass

@@ -13,8 +13,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
 from .nn import (GRAD_CLIP_NORM, AdamState, Mlp, clip_grad_norm, config_from_dict, mlp_arrays,
                  mlp_from_arrays, optimizer_step, time_embed)
@@ -60,28 +58,20 @@ class FlowField:
     def params(self) -> list:
         return self.net.params()
 
-    def _time_rows(self, t) -> np.ndarray:
-        """Time embeddings (B, E) for times t (B,), or the memoized read-only
-        (1, E) row of one shared time, which broadcasts over a batch."""
-        if np.ndim(t) == 0:
-            return _time_row(float(t), self.config.time_embed_dim)
-        return time_embed(t, self.config.time_embed_dim)
-
-    def velocity_graph(self, z: Tensor, t) -> Tensor:
-        """Velocity for a batch of flattened latents (B, K*d) at times t (B,) or
-        one time, as a differentiable graph node (training)."""
-        rows = np.broadcast_to(self._time_rows(t), (z.shape[0], self.config.time_embed_dim))
-        return self.net(ad.concat([z, Tensor(rows)], axis=1))
-
-    def velocity(self, z: np.ndarray, t) -> np.ndarray:
-        """Velocity (B, K, d) of a (B, K, d) latent batch at times t (B,) or one
-        time, on arrays: ``velocity_graph``'s values bit for bit."""
+    def inputs(self, z: np.ndarray, t) -> np.ndarray:
+        """The net's (B, K*d + E) input: B latents, flat or (B, K, d), each
+        followed by the embedding of its time, from t (B,) or one shared time."""
         flat = np.reshape(z, (len(z), -1))
-        rows = self._time_rows(t)
-        x = np.empty((len(z), flat.shape[1] + rows.shape[1]))
+        E = self.config.time_embed_dim
+        rows = _time_row(float(t), E) if np.ndim(t) == 0 else time_embed(t, E)
+        x = np.empty((len(z), flat.shape[1] + E))
         x[:, :flat.shape[1]] = flat
         x[:, flat.shape[1]:] = rows
-        return self.net.forward(x)[-1].reshape(np.shape(z))
+        return x
+
+    def velocity(self, z: np.ndarray, t) -> np.ndarray:
+        """Velocity (B, K, d) of a (B, K, d) latent batch at times t (B,) or one time."""
+        return self.net.forward(self.inputs(z, t))[-1].reshape(np.shape(z))
 
     def arrays(self) -> dict:
         return mlp_arrays("flow", self.net)
@@ -117,15 +107,23 @@ def interpolate(z0: np.ndarray, z1: np.ndarray, t) -> tuple:
     return (1.0 - tt) * z0 + tt * z1, z1 - z0
 
 
-def fm_loss(field: FlowField, z0: np.ndarray, z1: np.ndarray, t: np.ndarray) -> Tensor:
-    """Mean squared regression of the field onto the path derivative."""
-    if len(z0) == 0:
+def fm_loss(field: FlowField, z0: np.ndarray, z1: np.ndarray, t: np.ndarray) -> tuple:
+    """Mean squared regression of the field onto the path derivative: the
+    float loss ``mean(sum((v - target) ** 2, axis=1))`` and, in a tape's ops,
+    its gradient for each of ``field.params()`` (None if frozen). A
+    non-finite loss raises NumericFailure."""
+    n = len(z0)
+    if n == 0:
         raise ContractViolation("empty flow-matching batch")
-    c = field.config
     zt, target = interpolate(z0, z1, t)
-    v = field.velocity_graph(Tensor(zt.reshape(len(z0), c.K * c.d)), t)
-    diff = v - Tensor(target.reshape(len(z0), c.K * c.d))
-    return (diff ** 2).sum(axis=1).mean()
+    acts = field.net.forward(field.inputs(zt, t))
+    diff = acts[-1] - target.reshape(n, -1)
+    loss = float((diff ** 2).sum(axis=1).sum() * (1.0 / n))
+    if not np.isfinite(loss):
+        raise NumericFailure("non-finite flow-matching loss", where="stage=flow")
+    # The mean spreads 1/n to every entry, and the square multiplies by 2 * diff.
+    _, *grads = field.net.backward(acts, (1.0 / n) * 2.0 * diff, wrt_input=False)
+    return loss, grads
 
 
 def train_flow(field: FlowField, z1_sampler, rng: Rng) -> list:
@@ -145,13 +143,10 @@ def train_flow(field: FlowField, z1_sampler, rng: Rng) -> list:
         z1 = z1_sampler(srng.split("z1"), c.batch_size).reshape(c.batch_size, c.K * c.d)
         z0 = srng.split("z0").normal(z1.shape)
         t = srng.split("t").uniform(0.0, 1.0, (c.batch_size,))
-        loss = fm_loss(field, z0, z1, t)
-        grads = ad.gradients(loss, params)
+        loss, grads = fm_loss(field, z0, z1, t)
         grads, _ = clip_grad_norm(grads, GRAD_CLIP_NORM)
         optimizer_step(opt, params, grads)
-        history.append(loss.item())
-    if history and not np.isfinite(history[-1]):
-        raise NumericFailure("divergent flow training loss", where="stage=flow")
+        history.append(loss)
     return history
 
 

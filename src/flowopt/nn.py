@@ -1,8 +1,8 @@
 """Small feed-forward building blocks on top of the autodiff tape.
 
-An ``Mlp`` runs two ways: called on a ``Tensor`` it builds the tape that
-training differentiates; ``forward`` and ``input_grad`` run a frozen net on
-plain arrays with the tape's ops in the tape's order, so they give its bits.
+An ``Mlp`` has one forward and one pullback, both on plain arrays:
+``forward`` and ``backward`` serve inference, flow-matching training and, as
+the single tape node an ``Mlp`` called on a ``Tensor`` records, fine-tuning.
 Also includes the sinusoidal time embedding (geometric frequencies over
 [1, 1e4] — recorded in every checkpoint header), an adaptive-moment
 optimizer with decoupled weight decay, global-norm gradient clipping, a
@@ -90,35 +90,23 @@ class Mlp:
         return cls(weights=weights, biases=biases, activation=activation)
 
     def params(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
-
-    def _check_input(self, shape) -> None:
-        if len(shape) != 2 or shape[1] != self.weights[0].shape[0]:
-            raise ContractViolation(
-                f"input shape {shape} does not match first layer "
-                f"({self.weights[0].shape[0]} features expected)")
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
     def __call__(self, x: Tensor) -> Tensor:
-        self._check_input(x.shape)
-        act = {"tanh": Tensor.tanh, "relu": Tensor.relu, "sigmoid": Tensor.sigmoid}[self.activation]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w + b
-            if i < len(self.weights) - 1:
-                x = act(x)
-        return x
+        """The net as one tape node: ``forward``'s output, pulled back by ``backward``."""
+        acts = self.forward(x.data)
+        return Tensor(acts[-1], _parents=(x, *self.params()), op="mlp",
+                      _backward=lambda g: self.backward(acts, g, wrt_input=x.requires_grad))
 
     def forward(self, x: np.ndarray) -> list:
-        """Array forward of a (B, in) batch: ``[x, h1, ..., out]``, the input,
-        each hidden activation and the linear output.
-
-        ``out`` equals ``self(Tensor(x)).data`` bit for bit, and the list is
-        what ``input_grad`` pulls a gradient back through.
-        """
+        """Forward of a (B, in) batch: ``[x, h1, ..., out]``, the input, each
+        hidden activation and the linear output, which ``backward`` pulls a
+        gradient back through."""
         x = np.asarray(x, dtype=np.float64)
-        self._check_input(x.shape)
+        if x.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
+            raise ContractViolation(
+                f"input shape {x.shape} does not match first layer "
+                f"({self.weights[0].shape[0]} features expected)")
         act = _ACTIVATIONS[self.activation][0]
         acts = [x]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -128,16 +116,26 @@ class Mlp:
             acts.append(x)
         return acts
 
-    def input_grad(self, acts: list, g: np.ndarray) -> np.ndarray:
-        """Vector-Jacobian product: the (B, in) gradient of ``sum(g * out)``
-        with respect to the input, through the activations ``forward``
-        returned; the tape's input gradient bit for bit."""
+    def backward(self, acts: list, g: np.ndarray, wrt_input: bool = True) -> tuple:
+        """Gradients ``(input, *params())`` of ``sum(g * out)`` through the
+        activations ``forward`` returned, in a per-layer tape's ops and order:
+        ``acts[i].T @ g``, ``g.sum(axis=0)``, ``g @ w.T``. The input's is None
+        unless ``wrt_input``, a frozen parameter's is None, and no layer below
+        the lowest wanted gradient is visited."""
         back = _ACTIVATIONS[self.activation][1]
-        for i in reversed(range(len(self.weights))):
-            if i < len(self.weights) - 1:
+        n = len(self.weights)
+        stop = 0 if wrt_input else next(
+            (i // 2 for i, p in enumerate(self.params()) if p.requires_grad), n)
+        grads = [None] * (2 * n)
+        for i in reversed(range(stop, n)):
+            if i < n - 1:
                 g = back(g, acts[i + 1])
-            g = g @ self.weights[i].data.T
-        return g
+            w, b = self.weights[i], self.biases[i]
+            grads[2 * i] = acts[i].T @ g if w.requires_grad else None
+            grads[2 * i + 1] = g.sum(axis=0) if b.requires_grad else None
+            if i > stop or wrt_input:
+                g = g @ w.data.T
+        return (g if wrt_input else None, *grads)
 
 
 @dataclass

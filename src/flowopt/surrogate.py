@@ -54,14 +54,14 @@ class Surrogate:
         """Predictions (B, 2) for pooled latents (B, d) and their pullback:
         ``pullback(g)`` is the (B, d) gradient of ``sum(g * pred)``.
 
-        Runs on arrays with the tape's ops in its order, so both equal what
-        ``predict_graph`` and a backward pass through it give, bit for bit.
+        The net's ``forward``/``backward`` and the head's tape ops in order, so
+        both equal what ``predict_graph`` and a backward pass through it give.
         """
         acts = self.net.forward(pooled)
         y = sigmoid(acts[-1])
 
         def pullback(g):
-            return self.net.input_grad(acts, g * _SPAN * y * (1.0 - y))
+            return self.net.backward(acts, g * _SPAN * y * (1.0 - y))[0]
 
         return y * _SPAN + _LO, pullback
 

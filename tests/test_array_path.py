@@ -1,10 +1,10 @@
-"""Property tests: frozen inference on arrays equals the tape, bit for bit.
+"""Property tests: the array MLP and frozen inference equal the tape, bit for bit.
 
-``Mlp.forward``/``Mlp.input_grad``, ``FlowField.velocity``,
-``Surrogate.predict`` and ``guidance.objective_gradient`` run the tape's ops
-in the tape's order on plain arrays, so each must equal the tape value it
-stands for with ``==``, over batches of 1 to 64 rows. A guard checks that
-guided inference builds no tape at all.
+``Mlp.forward``/``Mlp.backward``, ``FlowField.velocity``,
+``Surrogate.predict`` and ``guidance.objective_gradient`` must each equal,
+with ``==``, a reference tape built layer by layer from primitive ``Tensor``
+ops (``conftest.tape_mlp``), over batches of 1 to 64 rows. A guard checks
+that guided inference builds no tape at all.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from flowopt.rng import Rng
 from flowopt.seqvae import mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
-from conftest import tape_objective_gradient
+from conftest import tape_mlp, tape_objective_gradient, tape_predict, tape_velocity
 
 rows = st.integers(1, 64)
 widths = st.integers(1, 8)
@@ -54,48 +54,65 @@ def small_models(seed, K, d, hidden, layers):
     return field, sur
 
 
-@settings(max_examples=60, deadline=None)
-@given(rows, st.lists(widths, min_size=2, max_size=5), activations, seeds)
-def test_mlp_forward_and_input_grad_equal_tape(B, sizes, activation, seed):
+@settings(max_examples=80, deadline=None)
+@given(rows, st.lists(widths, min_size=2, max_size=5), activations, seeds, st.booleans(),
+       st.lists(st.booleans(), min_size=8, max_size=8))
+def test_mlp_forward_and_backward_equal_tape(B, sizes, activation, seed, wrt_input, frozen):
+    """``backward`` gives the reference tape's input gradient (None unless
+    ``wrt_input``) and each trainable parameter's gradient (None for a frozen
+    one), and the one-node tape of ``Mlp.__call__`` gives the same."""
     mlp = jittered_mlp(sizes, activation, seed)
+    params = mlp.params()
+    for p, off in zip(params, frozen):
+        p.requires_grad = not off
+    trainable = [p for p in params if p.requires_grad]
     x = Rng(seed).split("x").normal((B, sizes[0])) * 2.0
     g = Rng(seed).split("g").normal((B, sizes[-1]))
-    xt = Tensor(x, requires_grad=True)
-    out = mlp(xt)
-    (want,) = ad.gradients((out * Tensor(g)).sum(), [xt])
+    xt = Tensor(x, requires_grad=wrt_input)
+    out = tape_mlp(mlp, xt)
+    want = ad.gradients((out * Tensor(g)).sum(), trainable + [xt])
     acts = mlp.forward(x)
     assert len(acts) == len(sizes)
     assert np.array_equal(acts[-1], out.data)
-    assert np.array_equal(mlp.input_grad(acts, g), want)
+    gx, *grads = mlp.backward(acts, g, wrt_input=wrt_input)
+    assert np.array_equal(gx, want[-1]) if wrt_input else gx is None
+    got = [gp for p, gp in zip(params, grads) if p.requires_grad]
+    assert all(gp is None for p, gp in zip(params, grads) if not p.requires_grad)
+    assert len(got) == len(trainable) and all(map(np.array_equal, got, want))
+    node = mlp(xt)
+    assert node.op == "mlp" and np.array_equal(node.data, out.data)
+    on_node = ad.gradients((node * Tensor(g)).sum(), trainable + [xt])
+    assert all(map(np.array_equal, on_node[:-1], want[:-1]))
+    assert not wrt_input or np.array_equal(on_node[-1], want[-1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(rows, st.integers(1, 4), widths, seeds, st.sampled_from(["shared", "per-row", "ends"]))
-def test_velocity_equals_velocity_graph(B, K, d, seed, times):
+def test_velocity_equals_reference_net(B, K, d, seed, times):
     field, _ = small_models(seed, K, d, 8, 3)
     r = Rng(seed)
     z = r.split("z").normal((B, K, d)) * 2.0
     t = {"shared": 0.37, "per-row": r.split("t").uniform(0.0, 1.0, B),
          "ends": np.resize([0.0, 1.0], B)}[times]
-    want = field.velocity_graph(Tensor(z.reshape(B, K * d)), t).data
+    want = tape_velocity(field, z, t).data
     assert np.array_equal(field.velocity(z, t), want.reshape(B, K, d))
 
 
 @settings(max_examples=20, deadline=None)
 @given(rows, st.integers(1, 4), widths, seeds, st.lists(unit.map(lambda t: t / 3.0),
                                                          min_size=1, max_size=4))
-def test_velocity_at_repeated_times_equals_velocity_graph(B, K, d, seed, times):
+def test_velocity_at_repeated_times_equals_reference_net(B, K, d, seed, times):
     """Scalar times read memoized embedding rows: fields of several embedding
-    widths, each asked twice at every time, in one process, equal
-    ``velocity_graph`` at the same time as a per-row vector, which bypasses
-    the memo."""
+    widths, each asked twice at every time, in one process, equal the
+    reference net at the same time as a per-row vector, which bypasses the
+    memo."""
     r = Rng(seed)
     z = r.split("z").normal((B, K, d)) * 2.0
     for dim in (2, 4, 6, 16):
         field = FlowField(FlowConfig(K=K, d=d, hidden=8, layers=2, time_embed_dim=dim),
                           r.split(("field", dim)))
         for t in times + times:
-            want = field.velocity_graph(Tensor(z.reshape(B, K * d)), np.full(B, t)).data
+            want = tape_velocity(field, z, np.full(B, t)).data
             assert np.array_equal(field.velocity(z, t), want.reshape(B, K, d))
 
 
@@ -111,7 +128,9 @@ def test_memoized_time_rows_are_read_only():
 def test_predict_equals_predict_graph(B, d, seed, scale):
     _, sur = small_models(seed, 1, d, 8, 3)
     pooled = Rng(seed).split("x").normal((B, d)) * scale
-    assert np.array_equal(sur.predict(pooled), sur.predict_graph(Tensor(pooled)).data)
+    want = tape_predict(sur, Tensor(pooled)).data
+    assert np.array_equal(sur.predict(pooled), want)
+    assert np.array_equal(sur.predict_graph(Tensor(pooled)).data, want)
 
 
 @settings(max_examples=60, deadline=None)

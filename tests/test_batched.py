@@ -29,7 +29,7 @@ from flowopt.rng import Rng
 from flowopt.seqvae import ENCODE_CHUNK, SeqVae, VaeConfig, mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
-from conftest import loop_postprocess
+from conftest import loop_postprocess, tape_velocity
 from test_harness import tiny_config
 
 SPECS = (ObjectiveSpec(mode="target", weights=(1.0, 0.5), targets=(0.8, 2.5)),
@@ -97,7 +97,7 @@ def test_trajectory_objective_is_that_of_each_state(B, K, d, seed, gamma, normal
     dt = (1.0 - cfg.t_start) / cfg.steps
     for s in range(steps):
         t = cfg.t_start + s * dt
-        v = field.velocity_graph(Tensor(z.reshape(B, K * d)), t).data.reshape(B, K, d)
+        v = tape_velocity(field, z, t).data.reshape(B, K, d)
         g = np.zeros_like(z)
         if gamma:
             g = objective_gradient(spec, sur, z, normalize=normalize, clip_norm=clip)[1]

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowopt.autodiff import Tensor
-from flowopt.errors import ContractViolation
+from flowopt.errors import ContractViolation, NumericFailure
 from flowopt.flowmatch import (FlowConfig, FlowField, fm_loss, integrate, interpolate,
                                sample_prior, train_flow)
 from flowopt.nn import load_checkpoint, save_checkpoint
 from flowopt.rng import Rng
+
+from conftest import tape_fm_loss
 
 
 def small_config(**kw):
@@ -58,9 +59,9 @@ def test_interpolate_per_sample_times(rng):
 def test_velocity_shapes(field, rng):
     c = field.config
     for B in (1, 3):
-        v = field.velocity_graph(Tensor(rng.normal((B, c.K * c.d))), 0.3)
-        assert v.shape == (B, c.K * c.d)
-        assert np.isfinite(v.data).all()
+        v = field.velocity(rng.normal((B, c.K, c.d)), 0.3)
+        assert v.shape == (B, c.K, c.d)
+        assert np.isfinite(v).all()
 
 
 def test_fm_loss_nonnegative(field, rng):
@@ -68,12 +69,48 @@ def test_fm_loss_nonnegative(field, rng):
     z0 = rng.normal((5, c.K, c.d))
     z1 = rng.normal((5, c.K, c.d))
     t = rng.uniform(0, 1, (5,))
-    assert fm_loss(field, z0, z1, t).item() >= 0.0
+    loss, grads = fm_loss(field, z0, z1, t)
+    assert isinstance(loss, float) and loss >= 0.0
+    assert [g.shape for g in grads] == [p.data.shape for p in field.params()]
 
 
 def test_fm_loss_empty_batch(field):
     with pytest.raises(ContractViolation):
         fm_loss(field, np.zeros((0, 2, 3)), np.zeros((0, 2, 3)), np.zeros(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 32), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 16), st.lists(st.booleans(), min_size=8, max_size=8))
+def test_fm_loss_equals_tape(B, K, d, layers, seed, frozen):
+    """Loss and every trainable parameter's gradient equal a tape over the
+    reference net bit for bit; a frozen parameter's gradient is None."""
+    r = Rng(seed)
+    field = FlowField(small_config(K=K, d=d, layers=layers), r.split("field"))
+    for i, (p, off) in enumerate(zip(field.params(), frozen)):
+        p.data = p.data + 0.3 * r.split(("jitter", i)).normal(p.data.shape)
+        p.requires_grad = not off
+    z0, z1 = r.split("z0").normal((B, K, d)), r.split("z1").normal((B, K, d)) * 2.0
+    t = r.split("t").uniform(0.0, 1.0, (B,))
+    loss, grads = fm_loss(field, z0, z1, t)
+    want_loss, want = tape_fm_loss(field, z0, z1, t)
+    assert loss == want_loss
+    for p, g, w in zip(field.params(), grads, want):
+        assert np.array_equal(g, w) if p.requires_grad else g is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_flow_non_finite_latents_raise(rng, bad):
+    cfg = small_config(steps=3)
+    field = FlowField(cfg, rng.split("f"))
+
+    def sampler(r, n):
+        z = r.normal((n, cfg.K, cfg.d))
+        z[0, 0, 0] = bad
+        return z
+
+    with pytest.raises(NumericFailure, match="non-finite flow-matching loss"):
+        train_flow(field, sampler, rng.split("t"))
 
 
 def test_train_flow_reduces_loss_on_point_mass(rng, monkeypatch):
@@ -134,5 +171,5 @@ def test_checkpoint_round_trip(field, tmp_path, rng):
     arrays, meta = load_checkpoint(path)
     back = FlowField.from_checkpoint(arrays, meta)
     c = field.config
-    z = Tensor(rng.normal((3, c.K * c.d)))
-    assert np.array_equal(field.velocity_graph(z, 0.7).data, back.velocity_graph(z, 0.7).data)
+    z = rng.normal((3, c.K, c.d))
+    assert np.array_equal(field.velocity(z, 0.7), back.velocity(z, 0.7))

@@ -868,6 +868,28 @@ def test_cli_objective_of_wrong_length_exit_2(runner, tiny_run, tmp_path, object
     assert "config error: " in res.output and "needs one entry per property" in res.output
 
 
+@pytest.mark.parametrize("sweep, extra, message", [
+    ({"seeds": ["a"]}, [], "sweep.seeds entries must be ints >= 0, not 'a'"),
+    ({"seeds": [1.5]}, [], "sweep.seeds entries must be ints >= 0, not 1.5"),
+    ({"seeds": [-1]}, [], "sweep.seeds entries must be ints >= 0, not -1"),
+    ({"grid": ["x"]}, ["--sweep-seeds", "0"],
+     "sweep.grid entries must be finite numbers, not 'x'"),
+    ({"grid": [1.0, float("nan")]}, [], "sweep.grid entries must be finite numbers, not nan"),
+], ids=["seed-string", "seed-float", "seed-negative", "gamma-string", "gamma-nan"])
+def test_cli_gamma_sweep_bad_config_entry_exit_2(runner, tiny_run, tmp_path, sweep, extra,
+                                                 message):
+    doc = tiny_run["cfg"].to_dict()
+    doc["sweep"].update(sweep)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    res = runner.invoke(cli.main, ["gamma-sweep", "--seed", "0", "--config", str(cfg_path),
+                                   "--ckpt", tiny_run["ckpt_dir"],
+                                   "--data", tiny_run["data_dir"], *extra, "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: ") and message in res.output
+    assert not list(tmp_path.glob("*gamma-sweep*"))
+
+
 def test_cli_gamma_sweep_empty_seeds_exit_2(runner, tiny_run, tmp_path):
     doc = tiny_run["cfg"].to_dict()
     doc["sweep"]["seeds"] = []

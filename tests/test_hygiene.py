@@ -35,10 +35,13 @@ MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
 CALLERS = SRC + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 DEAD_CODE_ALLOWLIST = {
     "toyset.tanimoto": "reference the selection-law test compares selection_probabilities with",
+    "autodiff.concat": "test references build on it: the split decoder, scatter_rows, flow input",
 }
 DEAD_PARAMETER_ALLOWLIST = {
     "config.paper_tuned.seed": "every PROFILES entry shares the signature of toy_default(seed)",
     "config.paper_scale.seed": "every PROFILES entry shares the signature of toy_default(seed)",
+    "autodiff.concat.axis": "the split-decoder reference concatenates along axis 2, scatter_rows' "
+                            "along axis 0",
 }
 DEAD_CONFIG_ALLOWLIST = {
     "DataConfig.min_len": "read by bench/workloads.py and as `flowopt gen-data`'s default",
