@@ -1,9 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The tape serves the VAE's training and fine-tuning. An ``nn.Mlp`` is one
-node on it, whose value and pullback are ``Mlp.forward``/``backward``: the
-array code that frozen inference and flow-matching training run without a
-tape, written with this module's ops in their order.
+The program trains and infers on arrays: ``Tensor`` is only the holder of
+every parameter, whose ``requires_grad`` flag freezes it. The tape is the
+reference the tests compare the array pullbacks against (``SeqVae.backward``,
+``Mlp.backward``, the surrogate's and guidance's), which take its ops in its
+order and so have its bits.
 
 The graph is implicit: every ``Tensor`` carries a strictly increasing
 creation id, and an operation's output records its parents and a closure that

@@ -32,6 +32,11 @@ class FlowConfig:
     steps: int = 2000
     sample_steps: int = 50  # default Euler steps for unconditional sampling
 
+    def __post_init__(self):
+        for name in ("batch_size", "steps", "sample_steps"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(f"flow.{name} must be >= 1, not {getattr(self, name)!r}")
+
 
 @functools.lru_cache(maxsize=1024)
 def _time_row(t: float, dim: int) -> np.ndarray:

@@ -111,7 +111,7 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
         j = -(signs * pred).sum(axis=-1)
         dj = np.broadcast_to(-signs, pred.shape)
     # Mean pooling's pullback: times 1/K, then spread over the K tokens.
-    g_pooled = pullback(dj) * (1.0 / z.shape[-2])
+    g_pooled = pullback(dj)[0] * (1.0 / z.shape[-2])
     if not (np.isfinite(j).all() and np.isfinite(g_pooled).all()):
         raise NumericFailure("non-finite objective or objective gradient")
     g = np.repeat(g_pooled[..., None, :], z.shape[-2], axis=-2)

@@ -54,8 +54,8 @@ class Pipeline:
 
         vae, sur = _load_model(os.path.join(ckpt_dir, FINETUNE_CKPT), finetuned)
         flow = _load_model(os.path.join(ckpt_dir, FLOW_CKPT), flowmatch.FlowField.from_checkpoint)
-        # Nothing trains after loading: frozen parameters keep every tape
-        # down to the path from a grad-requiring input (a guided latent).
+        # Nothing trains after loading: frozen parameters get no gradient, so
+        # guidance's pullbacks compute the guided latent's alone.
         for p in vae.params() + sur.params() + flow.params():
             p.requires_grad = False
         return cls(vae=vae, surrogate=sur, flow=flow)

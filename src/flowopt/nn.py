@@ -1,13 +1,14 @@
-"""Small feed-forward building blocks on top of the autodiff tape.
+"""Small feed-forward building blocks on plain arrays.
 
-An ``Mlp`` has one forward and one pullback, both on plain arrays:
-``forward`` and ``backward`` serve inference, flow-matching training and, as
-the single tape node an ``Mlp`` called on a ``Tensor`` records, fine-tuning.
-Also includes the sinusoidal time embedding (geometric frequencies over
-[1, 1e4] — recorded in every checkpoint header), an adaptive-moment
-optimizer with decoupled weight decay, global-norm gradient clipping, a
-self-describing JSON checkpoint container with bit-exact round-trips, and the
-one rule by which stored configs are decoded.
+An ``Mlp`` has one forward and one pullback: ``forward`` and ``backward``
+serve inference, flow-matching training and the surrogate's share of
+fine-tuning. Also includes the sinusoidal time embedding (geometric
+frequencies over [1, 1e4] — recorded in every checkpoint header), an
+adaptive-moment optimizer with decoupled weight decay over one flat buffer
+per parameter list, global-norm gradient clipping, a self-describing JSON
+checkpoint container with bit-exact round-trips, and the one rule by which
+stored configs are decoded. Parameters are ``autodiff.Tensor`` leaves, the
+holders whose ``requires_grad`` flag freezes them.
 """
 
 from __future__ import annotations
@@ -92,12 +93,6 @@ class Mlp:
     def params(self) -> list:
         return [p for wb in zip(self.weights, self.biases) for p in wb]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        """The net as one tape node: ``forward``'s output, pulled back by ``backward``."""
-        acts = self.forward(x.data)
-        return Tensor(acts[-1], _parents=(x, *self.params()), op="mlp",
-                      _backward=lambda g: self.backward(acts, g, wrt_input=x.requires_grad))
-
     def forward(self, x: np.ndarray) -> list:
         """Forward of a (B, in) batch: ``[x, h1, ..., out]``, the input, each
         hidden activation and the linear output, which ``backward`` pulls a
@@ -138,12 +133,35 @@ class Mlp:
         return (g if wrt_input else None, *grads)
 
 
+_ALIGN = 8  # float64s per 64 bytes: where each optimizer segment starts
+
+
+def _aligned_zeros(n: int) -> np.ndarray:
+    """A zero float64 vector of n entries that starts on a 64-byte boundary."""
+    raw = np.zeros(n + _ALIGN)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start:start + n]
+
+
 @dataclass
 class AdamState:
-    """Moment accumulators for one parameter list; step count starts at 0."""
+    """Adaptive-moment state of one parameter list; step count starts at 0.
 
-    m: list
-    v: list
+    The parameters, their gradients and both moments live in flat buffers of
+    one layout, a 64-byte aligned segment per parameter, zero in between.
+    ``create`` copies each parameter into its segment of ``data`` and rebinds
+    its ``.data`` to that view, so one elementwise pass over the buffers
+    updates every parameter in place. Two more rows of that layout hold a
+    step's intermediates, allocated once.
+    """
+
+    data: np.ndarray
+    grad: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    work: np.ndarray  # (2, size): a step's intermediates
+    views: list   # each parameter's view into ``data``
+    grads: list   # each parameter's view into ``grad``
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -153,30 +171,55 @@ class AdamState:
 
     @classmethod
     def create(cls, params, lr=1e-3, weight_decay=0.0) -> "AdamState":
-        return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params],
-                   lr=lr, weight_decay=weight_decay)
+        offsets, total = [], 0
+        for p in params:
+            offsets.append(total)
+            total += -(-p.data.size // _ALIGN) * _ALIGN
+        buf = _aligned_zeros(6 * total).reshape(6, total)
+
+        def views(row):
+            return [row[o:o + p.data.size].reshape(p.data.shape) for o, p in zip(offsets, params)]
+
+        state = cls(data=buf[0], grad=buf[1], m=buf[2], v=buf[3], work=buf[4:],
+                    views=views(buf[0]), grads=views(buf[1]), lr=lr, weight_decay=weight_decay)
+        for p, view in zip(params, state.views):
+            view[...] = p.data
+            p.data = view
+        return state
 
 
 def optimizer_step(state: AdamState, params, grads) -> None:
     """Bias-corrected adaptive-moment update with decoupled weight decay.
 
-    Updates ``params`` in place and advances the step count.
+    Copies ``grads`` into the state's gradient buffer, updates ``params`` in
+    place through their views and advances the step count. Each entry takes
+    the per-array update's elementwise ops in its order, so the bits are those
+    of ``p - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)``.
     """
-    if len(params) != len(state.m) or len(params) != len(grads):
+    if len(params) != len(state.views) or len(params) != len(grads):
         raise ContractViolation("parameter/gradient/state length mismatch")
+    for p, view, dst, g in zip(params, state.views, state.grads, grads):
+        if p.data is not view:
+            raise ContractViolation("parameter rebound outside its optimizer")
+        if g.shape != view.shape:
+            raise ContractViolation("gradient shape mismatch")
+        dst[...] = g
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.data.shape:
-            raise ContractViolation("gradient shape mismatch")
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        mhat = state.m[i] / (1 - b1**t)
-        vhat = state.v[i] / (1 - b2**t)
-        p.data = p.data - state.lr * (mhat / (np.sqrt(vhat) + state.eps)
-                                      + state.weight_decay * p.data)
+    g, m, v = state.grad, state.m, state.v
+    tmp, upd = state.work
+    m *= b1                                        # m = b1 * m + (1 - b1) * g
+    m += np.multiply(g, 1 - b1, out=tmp)
+    v *= b2                                        # v = b2 * v + (1 - b2) * g * g
+    np.multiply(g, 1 - b2, out=tmp)
+    v += np.multiply(tmp, g, out=tmp)
+    np.divide(m, 1 - b1**t, out=upd)               # mhat / (sqrt(vhat) + eps)
+    np.sqrt(np.divide(v, 1 - b2**t, out=tmp), out=tmp)
+    upd /= np.add(tmp, state.eps, out=tmp)
+    upd += np.multiply(state.data, state.weight_decay, out=tmp)
+    upd *= state.lr
+    state.data -= upd
 
 
 def clip_grad_norm(grads, max_norm: float):

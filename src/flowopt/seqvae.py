@@ -21,17 +21,19 @@ terms, other BLAS blocks), so trained checkpoints have other bits.
 
 Training follows the staged protocol: ELBO pretraining with linear KL
 warmup, then joint property-supervised fine-tuning where the surrogate loss
-backpropagates through the encoder and reshapes the latent geometry.
+backpropagates through the encoder and reshapes the latent geometry. Both
+stages run on arrays: ``SeqVae.forward`` computes a batch's loss and
+``SeqVae.backward`` pulls it back with the ops, in the order, of a tape over
+that forward, so the gradients have the tape's bits without a tape.
 """
 
 from __future__ import annotations
 
-import copy
+import itertools
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import autodiff as ad
 from . import toyset
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
@@ -62,6 +64,9 @@ class VaeConfig:
             raise ContractViolation("all architecture dimensions must be >= 1")
         if self.beta_max < 0:
             raise ContractViolation("beta_max must be >= 0")
+        for name in ("batch_size", "pretrain_epochs", "finetune_epochs"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(f"vae.{name} must be >= 1, not {getattr(self, name)!r}")
 
 
 @dataclass
@@ -70,16 +75,23 @@ class PosteriorParams:
     log_sigma: np.ndarray
 
 
-def mean_pool(z):
-    """The pooling the surrogate consumes: mean over latent tokens.
-
-    Both branches take the tape's rule, sum times 1/K, so they agree bit for
-    bit (``np.mean`` divides by K, which differs by an ulp for some K).
+def mean_pool(z: np.ndarray) -> np.ndarray:
+    """The pooling the surrogate consumes: mean over latent tokens, by the
+    tape's rule, sum times 1/K (``np.mean`` divides by K, which differs by an
+    ulp for some K).
     """
-    if isinstance(z, Tensor):
-        return z.mean(axis=-2)
     z = np.asarray(z)
     return z.sum(axis=-2) * (1.0 / z.shape[-2])
+
+
+def _gather_pullback(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """The pullback of the row gather ``w[idx]`` of an (n_rows, D) ``w``:
+    row i of g added into row ``idx[i]``, in index order, by one bincount
+    over the flat bins row * D + col."""
+    width = g.shape[1]
+    bins = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    return np.bincount(bins, weights=g.reshape(-1),
+                       minlength=n_rows * width).reshape(n_rows, width)
 
 
 PARAM_NAMES = ("tok_emb", "pos_emb", "enc_w", "enc_b", "mu_w", "mu_b", "ls_w", "ls_b",
@@ -87,7 +99,7 @@ PARAM_NAMES = ("tok_emb", "pos_emb", "enc_w", "enc_b", "mu_w", "mu_b", "ls_w", "
 
 
 class SeqVae:
-    """Parameter container plus differentiable encode/decode graphs."""
+    """Parameters plus the array forward and pullback of the training loss."""
 
     def __init__(self, config: VaeConfig, rng: Rng):
         self.config = config
@@ -121,34 +133,38 @@ class SeqVae:
     def prepare_batch(self, sequences):
         """Pad to a common length L; returns (enc_ids, dec_in, dec_tgt, valid).
 
-        ``valid`` holds the flat indices into the (B, L) grid of positions 0
-        to len of each row, in row-major order: the decoder's targets, every
-        token and EOS.
+        Rows keep their first ``MAX_LEN - 1`` tokens; an unknown token
+        anywhere raises ContractViolation. ``valid`` holds the flat indices
+        into the (B, L) grid of positions 0 to len of each row, in row-major
+        order: the decoder's targets, every token and EOS.
         """
-        for s in sequences:
-            for tok in s:
-                if tok not in toyset.TOKEN_ID:
-                    raise ContractViolation(f"unknown token {tok!r}")
-        seqs = [list(s)[: toyset.MAX_LEN - 1] for s in sequences]
-        L = max(len(s) for s in seqs) + 1  # room for EOS
+        full = np.array([len(s) for s in sequences], dtype=np.int64)
+        flat = itertools.chain.from_iterable(sequences)
+        try:
+            ids = np.fromiter(map(toyset.TOKEN_ID.__getitem__, flat), np.int64, int(full.sum()))
+        except KeyError as e:
+            raise ContractViolation(f"unknown token {e.args[0]!r}") from None
+        lengths = np.minimum(full, toyset.MAX_LEN - 1)
+        if (lengths < full).any():  # keep each row's first MAX_LEN - 1 tokens
+            in_row = np.arange(len(ids)) - np.repeat(np.cumsum(full) - full, full)
+            ids = ids[in_row < toyset.MAX_LEN - 1]
+        L = int(lengths.max()) + 1  # room for EOS
         pad, bos, eos = (toyset.TOKEN_ID[t] for t in (toyset.PAD, toyset.BOS, toyset.EOS))
-        enc = np.full((len(seqs), L), pad, dtype=np.int64)
-        dec_in = np.full((len(seqs), L), pad, dtype=np.int64)
-        tgt = np.full((len(seqs), L), pad, dtype=np.int64)
-        for i, s in enumerate(seqs):
-            ids = [toyset.TOKEN_ID[t] for t in s]
-            enc[i, : len(ids)] = ids
-            dec_in[i, 0] = bos
-            dec_in[i, 1 : len(ids) + 1] = ids
-            tgt[i, : len(ids)] = ids
-            tgt[i, len(ids)] = eos
-        lengths = np.array([len(s) for s in seqs])
+        tokens = np.arange(L) < lengths[:, None]  # the cells that hold a token
+        enc = np.full((len(full), L), pad, dtype=np.int64)
+        enc[tokens] = ids
+        dec_in = np.full_like(enc, pad)
+        dec_in[:, 0] = bos
+        dec_in[:, 1:][tokens[:, :-1]] = ids
+        tgt = enc.copy()
+        tgt[np.arange(len(full)), lengths] = eos
         valid = np.flatnonzero(np.arange(L) <= lengths[:, None])
         return enc, dec_in, tgt, valid
 
-    # -- graphs -----------------------------------------------------------
-    def encode_graph(self, enc_ids: np.ndarray, valid: np.ndarray):
-        """Posterior parameters as graph tensors: mu, log_sigma of (B, K, d).
+    # -- array forward and pullback -----------------------------------------
+    def _encode(self, enc_ids: np.ndarray, valid: np.ndarray) -> dict:
+        """The encoder's forward: the posterior's ``mu`` and ``ls`` (B, K, d)
+        and the activations ``backward`` pulls back through.
 
         ``valid`` is ``prepare_batch``'s: each row's tokens and the pad cell
         after them (slot 0 of an empty row). The embeddings and the tanh
@@ -161,47 +177,146 @@ class SeqVae:
         scores, and the feature layer of a one-row batch, which the pad cell
         after the tokens fills out (a one-row product takes another BLAS path).
         """
-        c = self.config
+        c, p = self.config, {k: t.data for k, t in self.p.items()}
         B, L = enc_ids.shape
-        emb = ad.embedding(self.p["tok_emb"], enc_ids.reshape(-1)[valid])
-        pos = ad.embedding(self.p["pos_emb"], valid % L)
-        h_valid = ((emb + pos) @ self.p["enc_w"] + self.p["enc_b"]).tanh()  # (N, H)
-        h = ad.scatter_rows(h_valid, valid, B * L)  # (B*L, H), zero outside valid
+        H = c.enc_hidden
+        a = {"valid": valid, "tok_ids": enc_ids.reshape(-1)[valid], "pos_ids": valid % L}
+        a["x"] = x = p["tok_emb"][a["tok_ids"]] + p["pos_emb"][a["pos_ids"]]  # (N, E)
+        a["hv"] = hv = np.tanh(x @ p["enc_w"] + p["enc_b"])  # (N, H)
+        a["h"] = h = np.zeros((B * L, H))  # zero outside valid
+        h[valid] = hv
         attended = enc_ids != toyset.TOKEN_ID[toyset.PAD]
         # Fully padded rows (empty structures) still need one attended slot.
         attended[:, 0] = True
-        neg = Tensor((~attended).reshape(-1, 1) * -1e9)
-        h3 = h.reshape(B, L, c.enc_hidden)
-        scores = (h @ self.p["queries"].transpose() + neg).reshape(B, L, c.K)
-        attn = ad.softmax(scores, axis=1)  # over positions
-        pooled = ad.attention_pool(attn, h3).reshape(B * c.K, c.enc_hidden)
-        mu = (pooled @ self.p["mu_w"] + self.p["mu_b"]).reshape(B, c.K, c.d)
-        ls = (pooled @ self.p["ls_w"] + self.p["ls_b"]).clamp(*LOG_SIGMA_CLAMP)
-        return mu, ls.reshape(B, c.K, c.d)
+        scores = (h @ p["queries"].T + (~attended).reshape(-1, 1) * -1e9).reshape(B, L, c.K)
+        a["e"] = e = np.exp(scores - scores.max(axis=1, keepdims=True))  # softmax over positions
+        a["s"] = s = e.sum(axis=1, keepdims=True)
+        a["attn"] = attn = e / s
+        a["pooled"] = pooled = np.matmul(attn.transpose(0, 2, 1),
+                                         h.reshape(B, L, H)).reshape(B * c.K, H)
+        a["mu"] = (pooled @ p["mu_w"] + p["mu_b"]).reshape(B, c.K, c.d)
+        pre = pooled @ p["ls_w"] + p["ls_b"]
+        a["inside"] = (pre >= LOG_SIGMA_CLAMP[0]) & (pre <= LOG_SIGMA_CLAMP[1])
+        a["ls"] = np.clip(pre, *LOG_SIGMA_CLAMP).reshape(B, c.K, c.d)
+        return a
 
-    def decode_graph(self, dec_in: np.ndarray, valid: np.ndarray, z: Tensor):
-        """Teacher-forced logits (N, V) of the N positions ``valid`` of the
-        (B, L) grid ``dec_in``, in the order of ``valid``; z is (B, K, d).
+    def forward(self, batch_seqs, rng: Rng, beta: float, surrogate=None, y=None) -> tuple:
+        """The negative ELBO of a batch: the mean token cross-entropy over the
+        real positions under teacher forcing, plus ``beta`` times the KL of the
+        posterior from N(0, I), mean over the batch. With a ``surrogate``, plus
+        the MSE of its predictions on ``mean_pool(z)`` against the (B, 2)
+        properties ``y``. Here ``z = mu + exp(ls) * eps``, eps drawn from ``rng``.
 
-        Every layer runs on those N rows only: the input token, its position
-        (``valid % L``) and its row's latent term (``valid // L``) are
-        gathered, and padding is never computed. The concat-flat-z layer
+        Returns the float loss and the activations ``backward`` takes.
+
+        The decoder runs on the N positions ``valid`` only: the input token,
+        its position (``valid % L``) and its row's latent term (``valid // L``)
+        are gathered, and padding is never computed. The concat-flat-z layer
         ``[emb + pos | z] @ dec_w1 + dec_b1`` is computed split, as
         ``(emb + pos) @ W_e`` per position plus ``z @ W_z + dec_b1`` once per
-        row, where ``W_e`` and ``W_z`` are the first ``embed_dim`` and the
-        last ``K·d`` rows of ``dec_w1``. Same function and parameters; the
-        sums run in another order, so the bits differ from the concat within
-        1e-12.
+        row, where ``W_e`` and ``W_z`` are the first ``embed_dim`` and the last
+        ``K·d`` rows of ``dec_w1``. Same function and parameters; the sums run
+        in another order, so the bits differ from the concat within 1e-12.
         """
-        c = self.config
+        c, p = self.config, {k: t.data for k, t in self.p.items()}
+        enc, dec_in, tgt, valid = self.prepare_batch(batch_seqs)
         B, L = dec_in.shape
         E = c.embed_dim
-        emb = ad.embedding(self.p["tok_emb"], dec_in.reshape(-1)[valid])
-        pos = ad.embedding(self.p["pos_emb"], valid % L)
-        w1 = self.p["dec_w1"]
-        zh = z.reshape(B, c.K * c.d) @ w1.rows(E, None) + self.p["dec_b1"]  # (B, H)
-        h = ((emb + pos) @ w1.rows(0, E) + ad.embedding(zh, valid // L)).tanh()  # (N, H)
-        return h @ self.p["dec_w2"] + self.p["dec_b2"]  # (N, V)
+        a = self._encode(enc, valid)
+        mu, ls = a["mu"], a["ls"]
+        a["eps"] = eps = rng.normal(mu.shape)
+        a["sigma"] = sigma = np.exp(ls)
+        z = mu + sigma * eps
+        w1 = p["dec_w1"]
+        a["dec_ids"], a["row_ids"] = dec_in.reshape(-1)[valid], valid // L
+        a["xd"] = xd = p["tok_emb"][a["dec_ids"]] + p["pos_emb"][a["pos_ids"]]  # (N, E)
+        a["zf"] = zf = z.reshape(B, c.K * c.d)
+        zh = zf @ w1[E:] + p["dec_b1"]  # (B, H)
+        a["hd"] = hd = np.tanh(xd @ w1[:E] + zh[a["row_ids"]])  # (N, H)
+        logits = hd @ p["dec_w2"] + p["dec_b2"]  # (N, V)
+        n = len(valid)
+        a["tgt"] = tgt.reshape(-1)[valid]
+        a["shifted"] = shifted = logits - logits.max(axis=1, keepdims=True)
+        a["lse"] = lse = np.log(np.exp(shifted).sum(axis=1))
+        recon = (lse - shifted[np.arange(n), a["tgt"]]).sum() / n
+        a["var"] = var = np.exp(ls * 2.0)
+        kl = ((var + mu * mu - 1.0 - ls * 2.0) * 0.5).sum(axis=2).sum(axis=1).sum() * (1.0 / B)
+        loss = recon + kl * beta
+        a["beta"], a["pullback"] = beta, None
+        if surrogate is not None:
+            pred, a["pullback"] = surrogate.predict_vjp(mean_pool(z))
+            a["diff"] = diff = pred - y
+            loss = loss + (diff ** 2.0).sum() * (1.0 / diff.size)
+        return float(loss), a
+
+    def backward(self, a: dict) -> list:
+        """Gradients of ``forward``'s loss for ``params()``, followed, when the
+        forward had a surrogate, by those for its ``params()``.
+
+        Each step is the pullback a tape over ``forward`` would take, in the
+        tape's order, so the gradients have the tape's bits. The order of
+        adding matters where a value has several consumers: ``ls`` takes the
+        KL's two shares and then the reparameterization's; ``mu`` the KL
+        square's two and then z's; ``tok_emb`` and ``pos_emb`` the decoder's
+        and then the encoder's; ``z`` the pooled surrogate input's and then the
+        decoder's; the grid ``h`` the scores' and then the pooling's; the
+        softmax's ``e`` the quotient's and then the sum's; and the two row
+        blocks of ``dec_w1`` each add into zeros.
+        """
+        c, p = self.config, {k: t.data for k, t in self.p.items()}
+        B, K, d = a["mu"].shape
+        L, H = len(a["h"]) // B, c.enc_hidden
+        E, n = c.embed_dim, len(a["tgt"])
+        grads, g_z, sur_grads = {}, None, []
+        if a["pullback"] is not None:  # the MSE, the surrogate, then mean pooling
+            g_pooled, *sur_grads = a["pullback"](1.0 / a["diff"].size * 2.0 * a["diff"])
+            g_z = np.broadcast_to((g_pooled * (1.0 / K))[:, None, :], (B, K, d)).copy()
+        # The cross-entropy and the decoder.
+        g = np.exp(a["shifted"] - a["lse"][:, None])
+        g[np.arange(n), a["tgt"]] -= 1.0
+        g *= 1.0 / n
+        hd, w1 = a["hd"], p["dec_w1"]
+        grads["dec_b2"] = g.sum(axis=0)
+        grads["dec_w2"] = hd.T @ g
+        g = (g @ p["dec_w2"].T) * (1.0 - hd * hd)
+        g_zh = _gather_pullback(g, a["row_ids"], B)
+        grads["dec_w1"] = np.zeros_like(w1)
+        grads["dec_w1"][:E] += a["xd"].T @ g
+        g_x = g @ w1[:E].T
+        grads["dec_b1"] = g_zh.sum(axis=0)
+        grads["dec_w1"][E:] += a["zf"].T @ g_zh
+        g_zd = (g_zh @ w1[E:].T).reshape(B, K, d)
+        g_z = g_zd if g_z is None else g_z + g_zd
+        grads["pos_emb"] = _gather_pullback(g_x, a["pos_ids"], len(p["pos_emb"]))
+        grads["tok_emb"] = _gather_pullback(g_x, a["dec_ids"], len(p["tok_emb"]))
+        # The KL's shares (mu * mu's two; -ls * 2's, then exp(ls * 2)'s), then
+        # those of z = mu + exp(ls) * eps.
+        mu, g_kl = a["mu"], a["beta"] * (1.0 / B) * 0.5  # each KL term's gradient
+        g_mu = g_kl * mu + g_kl * mu + g_z
+        g_ls = -g_kl * 2.0 + g_kl * a["var"] * 2.0 + g_z * a["eps"] * a["sigma"]
+        # The posterior heads, the attention pooling, the softmax and the scores.
+        pooled, h, e, s = a["pooled"], a["h"], a["e"], a["s"]
+        g_ls = g_ls.reshape(B * K, d) * a["inside"]
+        grads["ls_b"] = g_ls.sum(axis=0)
+        grads["ls_w"] = pooled.T @ g_ls
+        g_mu = g_mu.reshape(B * K, d)
+        grads["mu_b"] = g_mu.sum(axis=0)
+        grads["mu_w"] = pooled.T @ g_mu
+        g = (g_ls @ p["ls_w"].T + g_mu @ p["mu_w"].T).reshape(B, K, H)
+        g_attn = np.matmul(h.reshape(B, L, H), g.transpose(0, 2, 1))
+        g_h = np.matmul(a["attn"], g).reshape(B * L, H)
+        g_s = (-g_attn * e / s ** 2).sum(axis=1, keepdims=True)
+        g = ((g_attn / s + g_s) * e).reshape(B * L, K)
+        grads["queries"] = (h.T @ g).T
+        # The feature layer and the embeddings, on the valid positions.
+        hv = a["hv"]
+        g = (g @ p["queries"] + g_h)[a["valid"]] * (1.0 - hv * hv)
+        grads["enc_b"] = g.sum(axis=0)
+        grads["enc_w"] = a["x"].T @ g
+        g_x = g @ p["enc_w"].T
+        grads["pos_emb"] += _gather_pullback(g_x, a["pos_ids"], len(p["pos_emb"]))
+        grads["tok_emb"] += _gather_pullback(g_x, a["tok_ids"], len(p["tok_emb"]))
+        return [grads[k] for k in sorted(self.p)] + sur_grads
 
     # -- public operations ------------------------------------------------
     def encode_batch(self, xs) -> PosteriorParams:
@@ -224,14 +339,14 @@ class SeqVae:
 
     def _encode_chunk(self, xs):
         enc, _, _, valid = self.prepare_batch(xs)
-        mu, ls = self.encode_graph(enc, valid)
-        return mu.data, ls.data
+        a = self._encode(enc, valid)
+        return a["mu"], a["ls"]
 
     def decode_greedy_batch(self, Z: np.ndarray):
         """Greedy autoregressive decoding of a (B, K, d) batch; deterministic in z.
 
-        Runs ``decode_graph``'s split first layer on arrays: the z term once
-        per batch, then ``embed_dim`` input columns per step.
+        Runs ``forward``'s split first layer: the z term once per batch, then
+        ``embed_dim`` input columns per step.
         """
         c = self.config
         B, E = Z.shape[0], c.embed_dim
@@ -291,16 +406,6 @@ def reparameterize(post: PosteriorParams, rng: Rng) -> np.ndarray:
     return post.mu + np.exp(post.log_sigma) * eps
 
 
-def kl_standard_normal(mu: Tensor, log_sigma: Tensor) -> Tensor:
-    """Closed-form KL(q || N(0, I)) summed over latent entries, mean over batch.
-
-    Inputs are (B, K, d); always >= 0, exactly 0 iff mu=0 and log_sigma=0.
-    """
-    var = (log_sigma * 2.0).exp()
-    per = (var + mu * mu - 1.0 - log_sigma * 2.0) * 0.5
-    return per.sum(axis=2).sum(axis=1).mean()
-
-
 def beta_schedule(progress: float, beta_max: float, warmup_frac: float) -> float:
     """Linear warmup of the KL weight from 0 to beta_max."""
     if warmup_frac <= 0:
@@ -315,35 +420,21 @@ class TrainHistory:
     best_epoch: int = -1
 
 
-def elbo_loss(model: SeqVae, batch_seqs, rng: Rng, beta: float):
-    """Negative ELBO graph for a batch: token cross-entropy + beta * KL.
-
-    Returns (loss tensor, z tensor, components dict). Reconstruction is the
-    mean token cross-entropy over the real positions under teacher forcing.
-    """
-    enc, dec_in, tgt, valid = model.prepare_batch(batch_seqs)
-    mu, ls = model.encode_graph(enc, valid)
-    eps = Tensor(rng.normal(mu.shape))
-    z = mu + ls.exp() * eps
-    logits = model.decode_graph(dec_in, valid, z)
-    recon = ad.softmax_cross_entropy(logits, tgt.reshape(-1)[valid])
-    kl = kl_standard_normal(mu, ls)
-    loss = recon + beta * kl
-    return loss, z, {"recon": recon.item(), "kl": kl.item()}
-
-
 def _epoch_batches(n, batch_size, rng: Rng):
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
 def evaluate_elbo(model: SeqVae, entries, beta: float, rng: Rng) -> float:
+    """Mean negative ELBO over ``entries`` in batches of 128, forward only;
+    batch ``i`` draws its noise from ``rng.split(i)``."""
     batch_size = 128
     total, count = 0.0, 0
     for i in range(0, len(entries), batch_size):
         batch = [e[0] for e in entries[i:i + batch_size]]
-        loss, _, _ = elbo_loss(model, batch, rng.split(i), beta)
-        total += loss.item() * len(batch)
+        # Index the loss out: binding the activations would keep them alive
+        # through the next batch's forward.
+        total += model.forward(batch, rng.split(i), beta)[0] * len(batch)
         count += len(batch)
     return total / max(count, 1)
 
@@ -369,7 +460,7 @@ def _train_epochs(model: SeqVae, surrogate, dataset, rng: Rng, lr, epochs, warmu
     Epoch ``e`` shuffles and draws its batches from ``rng.split((prefix +
     "epoch", e))`` and validates on ``rng.split((prefix + "val", e))``. With a
     surrogate, the property MSE of the mean-pooled latents is added to each
-    batch's negative ELBO.
+    batch's negative ELBO. A non-finite batch loss raises NumericFailure.
     """
     c = model.config
     train = dataset.subset("train")
@@ -385,27 +476,24 @@ def _train_epochs(model: SeqVae, surrogate, dataset, rng: Rng, lr, epochs, warmu
         losses = []
         for b, idx in enumerate(_epoch_batches(len(train), c.batch_size, erng.split("order"))):
             beta = beta_schedule(step / total_steps, c.beta_max, warmup_frac)
-            loss, z, _ = elbo_loss(model, [train[i][0] for i in idx], erng.split(("b", b)), beta)
-            if surrogate is not None:
-                y = Tensor(np.stack([train[i][1].as_array() for i in idx]))
-                loss = loss + ((surrogate.predict_graph(mean_pool(z)) - y) ** 2).mean()
-            grads = ad.gradients(loss, params)
-            grads, _ = clip_grad_norm(grads, GRAD_CLIP_NORM)
+            y = np.stack([train[i][1].as_array() for i in idx]) if surrogate is not None else None
+            loss, acts = model.forward([train[i][0] for i in idx], erng.split(("b", b)), beta,
+                                       surrogate, y)
+            if not np.isfinite(loss):
+                raise NumericFailure(f"non-finite {stage} training loss", where=f"stage={stage}")
+            grads, _ = clip_grad_norm(model.backward(acts), GRAD_CLIP_NORM)
             optimizer_step(opt, params, grads)
-            losses.append(loss.item())
+            losses.append(loss)
             step += 1
-            # Drop this batch's tape before the next is built, so peak memory
-            # holds one batch graph, not two; no other local refers back into it.
-            del loss, z, grads
+            # Drop this batch's activations before the next forward, so peak
+            # memory holds one batch's, not two.
+            del acts, grads
         hist.train_loss.append(float(np.mean(losses)))
         v = evaluate_elbo(model, val, c.beta_max, rng.split((prefix + "val", epoch)))
         hist.val_loss.append(v)
         if v < best[0]:
-            best = (v, copy.deepcopy([p.data for p in params]))
+            best = (v, opt.data.copy())
             hist.best_epoch = epoch
     if best[1] is not None:
-        for p, data in zip(params, best[1]):
-            p.data = data
-    if not np.isfinite(hist.train_loss[-1]):
-        raise NumericFailure(f"divergent {stage} training loss", where=f"stage={stage}")
+        opt.data[...] = best[1]  # into the parameters' views
     return hist

@@ -2,8 +2,9 @@
 
 Two bounded heads, sigmoids scaled to ``toyset.P1_BOUNDS`` and
 ``toyset.P2_BOUNDS``; bounds hold for arbitrarily large inputs by
-construction. The training loss is unweighted MSE; objective weights only
-enter at guidance time.
+construction. One array forward and pullback, ``predict_vjp``, serves
+frozen inference, guidance and the surrogate's share of joint fine-tuning,
+whose loss is unweighted MSE; objective weights only enter at guidance time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import toyset
-from .autodiff import Tensor
 from .errors import ContractViolation
 from .nn import Mlp, config_from_dict, mlp_arrays, mlp_from_arrays, sigmoid
 from .rng import Rng
@@ -46,22 +46,20 @@ class Surrogate:
     def params(self) -> list:
         return self.net.params()
 
-    def predict_graph(self, pooled: Tensor) -> Tensor:
-        """Bounded predictions (B, 2) as a differentiable graph node (training)."""
-        return self.net(pooled).sigmoid() * Tensor(_SPAN) + Tensor(_LO)
-
     def predict_vjp(self, pooled: np.ndarray) -> tuple:
         """Predictions (B, 2) for pooled latents (B, d) and their pullback:
-        ``pullback(g)`` is the (B, d) gradient of ``sum(g * pred)``.
+        ``pullback(g)`` is ``(d pooled, *d params())`` of ``sum(g * pred)``,
+        None for a frozen parameter.
 
-        The net's ``forward``/``backward`` and the head's tape ops in order, so
-        both equal what ``predict_graph`` and a backward pass through it give.
+        The net's ``forward``/``backward`` and the head's ops in a tape's
+        order: ``sigmoid(out) * span + lo``, pulled back as
+        ``g * span * y * (1 - y)``.
         """
         acts = self.net.forward(pooled)
         y = sigmoid(acts[-1])
 
         def pullback(g):
-            return self.net.backward(acts, g * _SPAN * y * (1.0 - y))[0]
+            return self.net.backward(acts, g * _SPAN * y * (1.0 - y))
 
         return y * _SPAN + _LO, pullback
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from flowopt import autodiff as ad
+from flowopt import autodiff as ad, toyset
 from flowopt.autodiff import Tensor
 from flowopt.flowmatch import interpolate
 from flowopt.guidance import objective_value
 from flowopt.nn import time_embed
 from flowopt.rng import Rng
-from flowopt.seqvae import mean_pool
+from flowopt.seqvae import LOG_SIGMA_CLAMP
 from flowopt.surrogate import _LO, _SPAN
 
 
@@ -63,6 +63,19 @@ def tape_mlp(mlp, x: Tensor) -> Tensor:
     return x
 
 
+def mlp_node(mlp, x: Tensor) -> Tensor:
+    """``mlp`` as one tape node whose value is ``Mlp.forward``'s output and
+    whose pullback is ``Mlp.backward``: array code differentiated on the tape."""
+    acts = mlp.forward(x.data)
+    return Tensor(acts[-1], _parents=(x, *mlp.params()), op="mlp",
+                  _backward=lambda g: mlp.backward(acts, g, wrt_input=x.requires_grad))
+
+
+def tape_mean_pool(z: Tensor) -> Tensor:
+    """Mean over latent tokens on the tape: sum times 1/K."""
+    return z.mean(axis=-2)
+
+
 def tape_velocity(field, z, t) -> Tensor:
     """The (B, K*d) velocity of B latents at times t (B,) or one time: the
     reference net on the concatenated input, each flat latent and then its
@@ -92,7 +105,7 @@ def tape_objective_gradient(spec, surrogate, z, normalize=False, clip_norm=None)
     rows over the reference net, post-processed by the per-row loop: the
     reference the array path of ``guidance.objective_gradient`` must equal."""
     zt = Tensor(z, requires_grad=True)
-    pred = tape_predict(surrogate, mean_pool(zt))
+    pred = tape_predict(surrogate, tape_mean_pool(zt))
     if spec.mode == "target":
         diff = pred - Tensor(np.asarray(spec.targets))
         total = (Tensor(np.asarray(spec.weights)) * diff * diff).sum()
@@ -100,3 +113,67 @@ def tape_objective_gradient(spec, surrogate, z, normalize=False, clip_norm=None)
         total = -(Tensor(np.asarray(spec.signs, dtype=np.float64)) * pred).sum()
     (g,) = ad.gradients(total, [zt])
     return np.atleast_1d(objective_value(spec, pred.data)), loop_postprocess(g, normalize, clip_norm)
+
+
+# -- the VAE on the tape ------------------------------------------------------
+#
+# The graphs ``SeqVae.forward``/``backward`` replaced, built from primitive
+# ``Tensor`` ops: the reference their loss and gradients must equal.
+
+def tape_encode(vae, enc_ids, valid) -> tuple:
+    """Posterior ``mu``, ``ls`` (B, K, d) as tape tensors: the packed feature
+    layer on the ``valid`` positions, scattered into the zero grid for the
+    scores, the softmax over positions and the attention pooling."""
+    c = vae.config
+    B, L = enc_ids.shape
+    emb = ad.embedding(vae.p["tok_emb"], enc_ids.reshape(-1)[valid])
+    pos = ad.embedding(vae.p["pos_emb"], valid % L)
+    h_valid = ((emb + pos) @ vae.p["enc_w"] + vae.p["enc_b"]).tanh()
+    h = ad.scatter_rows(h_valid, valid, B * L)
+    attended = enc_ids != toyset.TOKEN_ID[toyset.PAD]
+    attended[:, 0] = True
+    neg = Tensor((~attended).reshape(-1, 1) * -1e9)
+    h3 = h.reshape(B, L, c.enc_hidden)
+    scores = (h @ vae.p["queries"].transpose() + neg).reshape(B, L, c.K)
+    attn = ad.softmax(scores, axis=1)
+    pooled = ad.attention_pool(attn, h3).reshape(B * c.K, c.enc_hidden)
+    mu = (pooled @ vae.p["mu_w"] + vae.p["mu_b"]).reshape(B, c.K, c.d)
+    ls = (pooled @ vae.p["ls_w"] + vae.p["ls_b"]).clamp(*LOG_SIGMA_CLAMP)
+    return mu, ls.reshape(B, c.K, c.d)
+
+
+def tape_decode(vae, dec_in, valid, z: Tensor) -> Tensor:
+    """Teacher-forced logits (N, V) of the ``valid`` positions, with the
+    concat-flat-z layer split into the token term and the per-row z term."""
+    c = vae.config
+    B, L = dec_in.shape
+    E = c.embed_dim
+    emb = ad.embedding(vae.p["tok_emb"], dec_in.reshape(-1)[valid])
+    pos = ad.embedding(vae.p["pos_emb"], valid % L)
+    w1 = vae.p["dec_w1"]
+    zh = z.reshape(B, c.K * c.d) @ w1.rows(E, None) + vae.p["dec_b1"]
+    h = ((emb + pos) @ w1.rows(0, E) + ad.embedding(zh, valid // L)).tanh()
+    return h @ vae.p["dec_w2"] + vae.p["dec_b2"]
+
+
+def tape_kl(mu: Tensor, log_sigma: Tensor) -> Tensor:
+    """Closed-form KL(q || N(0, I)) summed over latent entries, mean over batch."""
+    var = (log_sigma * 2.0).exp()
+    per = (var + mu * mu - 1.0 - log_sigma * 2.0) * 0.5
+    return per.sum(axis=2).sum(axis=1).mean()
+
+
+def tape_elbo_loss(vae, seqs, rng, beta, surrogate=None, y=None) -> tuple:
+    """The training loss as a tape: the negative ELBO, plus with a surrogate
+    the MSE of its predictions on the mean-pooled z against ``y``. Returns
+    the loss tensor and the recon and KL tensors."""
+    enc, dec_in, tgt, valid = vae.prepare_batch(seqs)
+    mu, ls = tape_encode(vae, enc, valid)
+    z = mu + ls.exp() * Tensor(rng.normal(mu.shape))
+    logits = tape_decode(vae, dec_in, valid, z)
+    recon = ad.softmax_cross_entropy(logits, tgt.reshape(-1)[valid])
+    kl = tape_kl(mu, ls)
+    loss = recon + beta * kl
+    if surrogate is not None:
+        loss = loss + ((tape_predict(surrogate, tape_mean_pool(z)) - Tensor(y)) ** 2).mean()
+    return loss, recon, kl

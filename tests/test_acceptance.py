@@ -24,7 +24,7 @@ from flowopt.rng import Rng
 from flowopt.seqvae import mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
-from conftest import finite_difference, rel_err
+from conftest import finite_difference, mlp_node, rel_err
 from test_harness import tiny_config
 
 
@@ -110,7 +110,7 @@ def test_autodiff_gradients_match_finite_differences():
             p.data = p.data + 0.05 + 0.1 * rng.split(("jitter", pi)).normal(p.data.shape)
 
         def run():
-            return (mlp(Tensor(x)) ** 2).sum()
+            return (mlp_node(mlp, Tensor(x)) ** 2).sum()
 
         grads = ad.gradients(run(), params)
         for p, g in zip(params, grads):

@@ -1,27 +1,32 @@
-"""Property tests: the array MLP and frozen inference equal the tape, bit for bit.
+"""Property tests: the array MLP, the array VAE and frozen inference equal
+the tape, bit for bit.
 
 ``Mlp.forward``/``Mlp.backward``, ``FlowField.velocity``,
 ``Surrogate.predict`` and ``guidance.objective_gradient`` must each equal,
 with ``==``, a reference tape built layer by layer from primitive ``Tensor``
-ops (``conftest.tape_mlp``), over batches of 1 to 64 rows. A guard checks
-that guided inference builds no tape at all.
+ops (``conftest.tape_mlp``), over batches of 1 to 64 rows. The VAE's loss
+and every gradient of ``SeqVae.forward``/``backward``, in both training
+stages, and ``encode_batch`` must equal the tape VAE of ``conftest``, byte
+for byte, so signed zeros count. Guards check that guided inference and
+training build no tape at all.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from flowopt import autodiff as ad, flowmatch
+from flowopt import autodiff as ad, flowmatch, seqvae, toyset
 from flowopt.autodiff import Tensor
 from flowopt.flowmatch import FlowConfig, FlowField, integrate
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
                               guided_integrate, objective_gradient)
 from flowopt.nn import Mlp
 from flowopt.rng import Rng
-from flowopt.seqvae import mean_pool
+from flowopt.seqvae import ENCODE_CHUNK, SeqVae, VaeConfig, mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
-from conftest import tape_mlp, tape_objective_gradient, tape_predict, tape_velocity
+from conftest import (mlp_node, tape_elbo_loss, tape_encode, tape_mlp, tape_objective_gradient,
+                      tape_predict, tape_velocity)
 
 rows = st.integers(1, 64)
 widths = st.integers(1, 8)
@@ -60,7 +65,7 @@ def small_models(seed, K, d, hidden, layers):
 def test_mlp_forward_and_backward_equal_tape(B, sizes, activation, seed, wrt_input, frozen):
     """``backward`` gives the reference tape's input gradient (None unless
     ``wrt_input``) and each trainable parameter's gradient (None for a frozen
-    one), and the one-node tape of ``Mlp.__call__`` gives the same."""
+    one), and a one-node tape over ``forward``/``backward`` gives the same."""
     mlp = jittered_mlp(sizes, activation, seed)
     params = mlp.params()
     for p, off in zip(params, frozen):
@@ -79,7 +84,7 @@ def test_mlp_forward_and_backward_equal_tape(B, sizes, activation, seed, wrt_inp
     got = [gp for p, gp in zip(params, grads) if p.requires_grad]
     assert all(gp is None for p, gp in zip(params, grads) if not p.requires_grad)
     assert len(got) == len(trainable) and all(map(np.array_equal, got, want))
-    node = mlp(xt)
+    node = mlp_node(mlp, xt)
     assert node.op == "mlp" and np.array_equal(node.data, out.data)
     on_node = ad.gradients((node * Tensor(g)).sum(), trainable + [xt])
     assert all(map(np.array_equal, on_node[:-1], want[:-1]))
@@ -125,12 +130,20 @@ def test_memoized_time_rows_are_read_only():
 
 @settings(max_examples=40, deadline=None)
 @given(rows, widths, seeds, st.floats(0.1, 30.0))
-def test_predict_equals_predict_graph(B, d, seed, scale):
+def test_predict_vjp_equals_tape(B, d, seed, scale):
+    """``predict`` and ``predict_vjp``'s prediction equal the reference tape,
+    and its pullback the tape's gradients of the input and every parameter."""
     _, sur = small_models(seed, 1, d, 8, 3)
-    pooled = Rng(seed).split("x").normal((B, d)) * scale
-    want = tape_predict(sur, Tensor(pooled)).data
-    assert np.array_equal(sur.predict(pooled), want)
-    assert np.array_equal(sur.predict_graph(Tensor(pooled)).data, want)
+    r = Rng(seed)
+    pooled = r.split("x").normal((B, d)) * scale
+    g = r.split("g").normal((B, 2))
+    xt = Tensor(pooled, requires_grad=True)
+    out = tape_predict(sur, xt)
+    want = ad.gradients((out * Tensor(g)).sum(), [xt] + sur.params())
+    assert np.array_equal(sur.predict(pooled), out.data)
+    pred, pullback = sur.predict_vjp(pooled)
+    assert np.array_equal(pred, out.data)
+    assert [a.tobytes() for a in pullback(g)] == [w.tobytes() for w in want]
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,3 +173,83 @@ def test_frozen_inference_builds_no_tape(monkeypatch):
     sur.predict(mean_pool(z))
     with pytest.raises(AssertionError, match="autodiff.Tensor"):
         Tensor(np.zeros(1))
+
+
+PLAIN = [t for t in toyset.VOCAB if t not in (toyset.PAD, toyset.BOS, toyset.EOS)]
+# Rows of 0 to MAX_LEN + 2 tokens: empty structures, and rows prepare_batch
+# truncates to MAX_LEN - 1 tokens.
+VAE_ROW = st.lists(st.sampled_from(PLAIN), max_size=toyset.MAX_LEN + 2).map(tuple)
+VAE_BATCHES = st.one_of(st.lists(VAE_ROW, min_size=1, max_size=6),
+                        st.integers(1, 4).map(lambda b: [()] * b))
+
+
+def small_vae(seed, scale=1.0):
+    """A small VAE with every parameter jittered and then scaled: at scale
+    30 the tanh layers saturate and the log-sigma clamp bites."""
+    r = Rng(seed)
+    vae = SeqVae(VaeConfig(K=2, d=3, embed_dim=5, enc_hidden=7, dec_hidden=6), r.split("init"))
+    for i, p in enumerate(vae.params()):
+        p.data = (p.data + 0.3 * r.split(("jitter", i)).normal(p.data.shape)) * scale
+    return vae
+
+
+@settings(max_examples=60, deadline=None)
+@given(VAE_BATCHES, st.booleans(), st.sampled_from([0.0, 0.04, 0.1]),
+       st.sampled_from([1.0, 30.0]), seeds)
+@example([(PLAIN[0],)], False, 0.1, 1.0, 0)  # B = 1, one token
+@example([()], True, 0.0, 1.0, 1)  # B = 1, empty: a one-position grid
+@example([tuple(PLAIN[:3]) * 30, ()], True, 0.04, 30.0, 2)  # truncated and empty rows
+def test_vae_forward_and_backward_equal_tape(seqs, joint, beta, scale, seed):
+    """The loss and the gradients of all 13 VAE parameters, and in
+    fine-tuning of every surrogate parameter, are the tape VAE's bytes."""
+    vae = small_vae(seed, scale)
+    r = Rng(seed)
+    sur = Surrogate(SurrogateConfig(latent_dim=3, hidden=5, layers=3), r.split("sur")) if joint \
+        else None
+    y = r.split("y").normal((len(seqs), 2)) if joint else None
+    params = vae.params() + (sur.params() if joint else [])
+    loss, _, _ = tape_elbo_loss(vae, seqs, r.split("eps"), beta, sur, y)
+    want = [loss.data] + ad.gradients(loss, params)
+    loss, acts = vae.forward(seqs, r.split("eps"), beta, sur, y)
+    got = [np.float64(loss)] + vae.backward(acts)
+    assert [g.shape for g in got] == [w.shape for w in want]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@settings(max_examples=3, deadline=None)
+@given(seeds)
+def test_encode_batch_equals_tape_encoder_across_chunks(seed):
+    """At 255, 256 and 257 rows, ``encode_batch`` is the reference encoder's
+    bytes on each ``ENCODE_CHUNK`` slice."""
+    vae = small_vae(seed)
+    r = Rng(seed)
+    lengths = r.split("len").integers(0, 20, ENCODE_CHUNK + 1)
+    pick = r.split("tok").integers(0, len(PLAIN), (ENCODE_CHUNK + 1, 20))
+    seqs = [tuple(PLAIN[i] for i in row[:n]) for row, n in zip(pick, lengths)]
+    for rows in (ENCODE_CHUNK - 1, ENCODE_CHUNK, ENCODE_CHUNK + 1):
+        post = vae.encode_batch(seqs[:rows])
+        want = []
+        for i in range(0, rows, ENCODE_CHUNK):
+            enc, _, _, valid = vae.prepare_batch(seqs[i:min(i + ENCODE_CHUNK, rows)])
+            want.append([t.data for t in tape_encode(vae, enc, valid)])
+        assert post.mu.tobytes() == np.concatenate([mu for mu, _ in want]).tobytes()
+        assert post.log_sigma.tobytes() == np.concatenate([ls for _, ls in want]).tobytes()
+
+
+def test_training_builds_no_tape(monkeypatch):
+    """Pretraining, fine-tuning and flow training stay on arrays."""
+    ds = toyset.generate_dataset(5, 40, min_len=2, max_len=8)
+    cfg = VaeConfig(K=2, d=3, embed_dim=5, enc_hidden=7, dec_hidden=6, batch_size=8,
+                    pretrain_epochs=1, finetune_epochs=1)
+    vae = SeqVae(cfg, Rng(0))
+    sur = Surrogate(SurrogateConfig(latent_dim=3, hidden=5, layers=2), Rng(1))
+    field, _ = small_models(2, 2, 3, 8, 2)
+    field.config.steps, field.config.batch_size = 2, 4
+
+    def no_tensor(*args, **kwargs):
+        raise AssertionError("training built an autodiff.Tensor")
+
+    monkeypatch.setattr(Tensor, "__init__", no_tensor)
+    seqvae.train_vae(vae, ds, Rng(3))
+    seqvae.finetune(vae, sur, ds, Rng(4))
+    flowmatch.train_flow(field, lambda r, n: r.normal((n, 2, 3)), Rng(5))

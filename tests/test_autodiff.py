@@ -9,7 +9,7 @@ from flowopt.errors import ContractViolation, NumericFailure
 from flowopt.nn import Mlp
 from flowopt.rng import Rng
 
-from conftest import finite_difference, rel_err
+from conftest import finite_difference, mlp_node, rel_err
 
 
 def scalar_arrays(shape=(3, 4)):
@@ -291,7 +291,7 @@ def test_mlp_gradient_matches_fd_random_configs(seed):
         p.data = p.data + 0.05 + 0.1 * rng.split(("jitter", pi)).normal(p.data.shape)
 
     def run():
-        return (mlp(Tensor(x)) ** 2).sum()
+        return (mlp_node(mlp, Tensor(x)) ** 2).sum()
 
     grads = ad.gradients(run(), params)
     for p, g in zip(params, grads):

@@ -29,7 +29,7 @@ from flowopt.rng import Rng
 from flowopt.seqvae import ENCODE_CHUNK, SeqVae, VaeConfig, mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
-from conftest import loop_postprocess, tape_velocity
+from conftest import loop_postprocess, tape_mean_pool, tape_velocity
 from test_harness import tiny_config
 
 SPECS = (ObjectiveSpec(mode="target", weights=(1.0, 0.5), targets=(0.8, 2.5)),
@@ -125,11 +125,11 @@ def test_row_norms_of_stacked_rows_equal_each_row(N, shape, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(batch, st.integers(1, 8), dims, seeds)
-def test_mean_pool_branches_agree(B, K, d, seed):
-    """The NumPy branch takes the tape's rule, sum times 1/K, bit for bit."""
+def test_mean_pool_equals_tape(B, K, d, seed):
+    """``mean_pool`` takes the tape's rule, sum times 1/K, bit for bit."""
     z = Rng(seed).normal((B, K, d)) * 3.0
     pooled = mean_pool(z)
-    assert np.array_equal(pooled, mean_pool(Tensor(z)).data)
+    assert np.array_equal(pooled, tape_mean_pool(Tensor(z)).data)
     assert np.array_equal(pooled, z.sum(axis=1) * (1.0 / K))
 
 
@@ -147,13 +147,14 @@ def test_objective_gradient_rows_match_single(B, K, d, seed, normalize, clip, sp
 
 class RowScaledSurrogate:
     """pred[b] = (pooled[b] * scale[b]) @ W, so a zero row of ``scale`` gives a zero
-    gradient row and the others spread over many norms."""
+    gradient row and the others spread over many norms. It has no parameters,
+    so its pullback gives the input's gradient alone."""
 
     def __init__(self, scale, w):
         self.scale, self.w = scale, w
 
     def predict_vjp(self, pooled):
-        return (pooled * self.scale) @ self.w, lambda g: (g @ self.w.T) * self.scale
+        return (pooled * self.scale) @ self.w, lambda g: ((g @ self.w.T) * self.scale,)
 
 
 @settings(max_examples=60, deadline=None)

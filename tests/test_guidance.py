@@ -26,7 +26,8 @@ class LinearSurrogate:
         return x @ self.w + self.b
 
     def predict_vjp(self, x):
-        return self.predict(x), lambda g: g @ self.w.T
+        # Its weights are fixed, so the pullback gives the input's gradient alone.
+        return self.predict(x), lambda g: (g @ self.w.T,)
 
 
 @pytest.fixture

@@ -852,6 +852,26 @@ def test_cli_bad_budget_or_sweep_config_exit_2(runner, tiny_run, tmp_path, comma
     assert f"{section}.{key} must be >= 1, not 0" in res.output
 
 
+@pytest.mark.parametrize("section, key", [("vae", "pretrain_epochs"), ("vae", "finetune_epochs"),
+                                          ("vae", "batch_size"), ("flow", "batch_size"),
+                                          ("flow", "steps"), ("flow", "sample_steps")])
+@pytest.mark.parametrize("value", [0, -1])
+def test_cli_train_bad_schedule_exit_2(runner, tiny_run, tmp_path, section, key, value):
+    """A schedule value below 1 ends with exit 2 when the config loads, before
+    any stage runs (it ended in IndexError or ZeroDivisionError, exit 1, after
+    training, or trained nothing and exited 0)."""
+    doc = tiny_run["cfg"].to_dict()
+    doc[section][key] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = runner.invoke(cli.main, ["train", "--seed", "0", "--config", str(cfg_path),
+                                   "--data", tiny_run["data_dir"], "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"{section}.{key} must be >= 1, not {value}" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("objective", [{"mode": "directional", "signs": [1]},
                                        {"mode": "target", "weights": [1.0, 0.5, 2.0],
                                         "targets": [0.8, 2.5]}],

@@ -10,8 +10,10 @@ from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
 from flowopt.nn import load_checkpoint, save_checkpoint
 from flowopt.rng import Rng
-from flowopt.seqvae import (LOG_SIGMA_CLAMP, SeqVae, VaeConfig, beta_schedule,
-                            kl_standard_normal, mean_pool, reparameterize)
+from flowopt.seqvae import (LOG_SIGMA_CLAMP, SeqVae, VaeConfig, beta_schedule, mean_pool,
+                            reparameterize)
+
+from conftest import tape_decode, tape_elbo_loss, tape_encode, tape_kl, tape_mean_pool
 
 
 def small_config(**kw):
@@ -68,8 +70,7 @@ def test_mean_pool_matches_numpy(rng):
     pooled = mean_pool(z)
     assert isinstance(pooled, np.ndarray)
     assert np.allclose(pooled, z.mean(axis=-2))
-    zt = Tensor(z, requires_grad=True)
-    pt = mean_pool(zt)
+    pt = tape_mean_pool(Tensor(z, requires_grad=True))
     assert np.allclose(pt.data, z.mean(axis=-2))
 
 
@@ -85,7 +86,7 @@ def test_reparameterize_statistics(rng):
 def test_kl_closed_form_against_monte_carlo(rng):
     mu = rng.normal((1, 2, 3)) * 0.5
     ls = rng.normal((1, 2, 3)) * 0.3
-    exact = kl_standard_normal(Tensor(mu), Tensor(ls)).item()
+    exact = tape_kl(Tensor(mu), Tensor(ls)).item()
     # MC estimate: E_q[log q(z) - log p(z)]
     sigma = np.exp(ls)
     eps = rng.split("mc").normal((200000,) + mu.shape[1:])
@@ -99,8 +100,8 @@ def test_kl_closed_form_against_monte_carlo(rng):
 
 def test_kl_zero_iff_standard():
     zeros = Tensor(np.zeros((2, 3, 4)))
-    assert kl_standard_normal(zeros, zeros).item() == 0.0
-    assert kl_standard_normal(Tensor(np.full((1, 1, 1), 0.7)), Tensor(np.zeros((1, 1, 1)))).item() > 0
+    assert tape_kl(zeros, zeros).item() == 0.0
+    assert tape_kl(Tensor(np.full((1, 1, 1), 0.7)), Tensor(np.zeros((1, 1, 1)))).item() > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,11 +119,59 @@ def test_beta_schedule_zero_warmup():
 
 
 def test_elbo_loss_components(model, rng):
-    loss, z, comps = seqvae.elbo_loss(model, [("A", "B"), ("C",)], rng, beta=0.1)
-    assert np.isfinite(loss.item())
-    assert comps["kl"] >= 0.0
-    assert comps["recon"] >= 0.0
-    assert z.shape == (2, model.config.K, model.config.d)
+    """The loss is recon + beta * KL, both terms nonnegative; the decoder
+    reads the flat (B, K·d) z."""
+    seqs = [("A", "B"), ("C",)]
+    loss, acts = model.forward(seqs, rng.split("eps"), beta=0.1)
+    _, recon, kl = tape_elbo_loss(model, seqs, rng.split("eps"), 0.1)
+    assert np.isfinite(loss) and loss == (recon + 0.1 * kl).item()
+    assert kl.item() >= 0.0 and recon.item() >= 0.0
+    assert acts["zf"].shape == (2, model.config.K * model.config.d)
+
+
+def loop_prepare_batch(sequences):
+    """The per-token loops ``prepare_batch`` replaced."""
+    for s in sequences:
+        for tok in s:
+            if tok not in toyset.TOKEN_ID:
+                raise ContractViolation(f"unknown token {tok!r}")
+    seqs = [list(s)[: toyset.MAX_LEN - 1] for s in sequences]
+    L = max(len(s) for s in seqs) + 1
+    pad, bos, eos = (toyset.TOKEN_ID[t] for t in (toyset.PAD, toyset.BOS, toyset.EOS))
+    enc = np.full((len(seqs), L), pad, dtype=np.int64)
+    dec_in = np.full((len(seqs), L), pad, dtype=np.int64)
+    tgt = np.full((len(seqs), L), pad, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        ids = [toyset.TOKEN_ID[t] for t in s]
+        enc[i, : len(ids)] = ids
+        dec_in[i, 0] = bos
+        dec_in[i, 1 : len(ids) + 1] = ids
+        tgt[i, : len(ids)] = ids
+        tgt[i, len(ids)] = eos
+    lengths = np.array([len(s) for s in seqs])
+    valid = np.flatnonzero(np.arange(L) <= lengths[:, None])
+    return enc, dec_in, tgt, valid
+
+
+# Rows of 0 to MAX_LEN + 3 tokens, so some are truncated at MAX_LEN - 1.
+LONG_ROW = st.lists(st.sampled_from(toyset.VOCAB[3:]), max_size=toyset.MAX_LEN + 3).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(LONG_ROW, min_size=1, max_size=8))
+@example([()])
+@example([(), ("A",) * toyset.MAX_LEN])
+def test_prepare_batch_equals_token_loop(seqs):
+    got, want = SeqVae(small_config(), Rng(0)).prepare_batch(seqs), loop_prepare_batch(seqs)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seqs", [[("A", "bogus")], [("A",) * toyset.MAX_LEN + ("bogus",)],
+                                  [(), ("B",), ("C", 7)]])
+def test_prepare_batch_unknown_token_raises(model, seqs):
+    """Also past the truncation point, like the loop that checked every token."""
+    with pytest.raises(ContractViolation, match="unknown token"):
+        model.prepare_batch(seqs)
 
 
 def test_decode_greedy_deterministic(model, rng):
@@ -134,7 +183,7 @@ def test_decode_greedy_deterministic(model, rng):
 
 
 def concat_decode_graph(vae, dec_in, z):
-    """The concat-flat-z first layer ``decode_graph`` replaced: the flat code
+    """The concat-flat-z first layer the split decoder replaced: the flat code
     repeated at every position and concatenated to its input embedding."""
     c = vae.config
     B, L = dec_in.shape
@@ -164,7 +213,7 @@ def test_split_decoder_layer_matches_concat(B, L, K, d, E, seed):
     upstream = r.split("g").normal((B * L, len(toyset.VOCAB))) * mask.reshape(-1, 1)
     params = vae.params()
     z = Tensor(z0, requires_grad=True)
-    packed = vae.decode_graph(dec_in, valid, z)
+    packed = tape_decode(vae, dec_in, valid, z)
     got = [packed.data] + ad.gradients((packed * Tensor(upstream[valid])).sum(), params + [z])
     z = Tensor(z0, requires_grad=True)
     grid = concat_decode_graph(vae, dec_in, z)
@@ -208,7 +257,7 @@ def grid_elbo_loss(vae, seqs, rng, beta):
     onehot[np.arange(B * L), tgt.reshape(-1)] = 1.0
     nll = -(logp * Tensor(onehot)).sum(axis=1)
     recon = (nll * Tensor(mask)).sum() * (1.0 / mask.sum())
-    return recon + beta * kl_standard_normal(mu, ls)
+    return recon + beta * tape_kl(mu, ls)
 
 
 PLAIN = [t for t in toyset.VOCAB if t not in (toyset.PAD, toyset.BOS, toyset.EOS)]
@@ -228,8 +277,8 @@ def test_packed_elbo_matches_grid_formula(seqs, seed):
     grid formula within 1e-12: same function, sums without the pad terms."""
     r = Rng(seed)
     vae = SeqVae(small_config(), r.split("vae"))
-    loss, _, _ = seqvae.elbo_loss(vae, seqs, r.split("eps"), 0.1)
-    got = [loss.data] + ad.gradients(loss, vae.params())
+    loss, acts = vae.forward(seqs, r.split("eps"), 0.1)
+    got = [loss] + vae.backward(acts)
     loss = grid_elbo_loss(vae, seqs, r.split("eps"), 0.1)
     want = [loss.data] + ad.gradients(loss, vae.params())
     for g, w in zip(got, want):
@@ -240,13 +289,13 @@ def test_packed_elbo_matches_grid_formula(seqs, seed):
 @given(BATCHES, st.integers(0, 2 ** 16))
 @example([(PLAIN[0],)], 0)  # one row, one token: a one-row feature product has other bits
 def test_packed_encoder_equals_grid_encoder(seqs, seed):
-    """``encode_graph`` and ``encode_batch`` are ``==`` to the grid encoder:
-    the pad cells' features only ever met a weight of exactly 0."""
+    """The packed tape encoder and ``encode_batch`` are ``==`` to the grid
+    encoder: the pad cells' features only ever met a weight of exactly 0."""
     vae = SeqVae(small_config(), Rng(seed))
     enc, _, _, valid = vae.prepare_batch(seqs)
     want = [t.data for t in grid_encode_graph(vae, enc)]
     post = vae.encode_batch(seqs)
-    for got in ([t.data for t in vae.encode_graph(enc, valid)], [post.mu, post.log_sigma]):
+    for got in ([t.data for t in tape_encode(vae, enc, valid)], [post.mu, post.log_sigma]):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -370,8 +419,8 @@ def test_encoder_memory_stays_within_a_few_position_arrays():
         return rows * L * cfg.enc_hidden * 8
 
     def elbo_step():
-        loss, _, _ = seqvae.elbo_loss(vae, seqs[:64], Rng(2), cfg.beta_max)
-        ad.gradients(loss, vae.params())
+        _, acts = vae.forward(seqs[:64], Rng(2), cfg.beta_max)
+        vae.backward(acts)
 
     assert _traced_peak(lambda: vae.encode_batch(seqs)) < 6 * unit(len(seqs))
     assert _traced_peak(elbo_step) < 16 * unit(64)
@@ -393,7 +442,23 @@ def test_padded_elbo_memory_follows_real_positions():
     assert 0.25 < (lengths + 1).sum() / (B * L) < 0.3
 
     def elbo_step():
-        loss, _, _ = seqvae.elbo_loss(vae, seqs, Rng(2), cfg.beta_max)
-        ad.gradients(loss, vae.params())
+        _, acts = vae.forward(seqs, Rng(2), cfg.beta_max)
+        vae.backward(acts)
 
     assert _traced_peak(elbo_step) < 9 * B * L * cfg.enc_hidden * 8
+
+
+def test_validation_holds_one_batch_of_activations():
+    """``evaluate_elbo`` over three 128-row batches peaks below 6 arrays of
+    (128·L, H): it runs the forward alone, and drops each batch's activations
+    before the next. It peaked at about 4.3; with the activations bound
+    across batches at about 8.6; with a tape per batch, whose loss kept the
+    previous one alive through the next, at 18.2."""
+    cfg = VaeConfig(K=4, enc_hidden=128)
+    vae = SeqVae(cfg, Rng(0))
+    L = 14  # 13 tokens and EOS in every row
+    plain = [t for t in toyset.VOCAB if t not in (toyset.PAD, toyset.BOS, toyset.EOS)]
+    pick = Rng(1).integers(0, len(plain), (3 * 128, L - 1))
+    entries = [(tuple(plain[i] for i in row), None) for row in pick]
+    peak = _traced_peak(lambda: seqvae.evaluate_elbo(vae, entries, cfg.beta_max, Rng(2)))
+    assert peak < 6 * 128 * L * cfg.enc_hidden * 8
