@@ -97,7 +97,7 @@ _config_opts = [
     click.option("--config", "config_path", type=click.Path(), default=None,
                  help="JSON run config; overrides --profile."),
     click.option("--profile", default="toy-default",
-                 help="Named config profile (toy-default, paper-tuned, paper-scale)."),
+                 help="Named config profile (toy-default, paper-tuned)."),
     click.option("--seed", type=int, required=True, help="Run seed (mandatory)."),
 ]
 

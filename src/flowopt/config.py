@@ -2,9 +2,7 @@
 
 Every default either mirrors a tuned experiment value (see the
 ``paper_tuned`` profile) or is a documented repo choice for the desk-scale
-toy benchmark (``toy_default``). The ``paper_scale`` profile carries the
-full-scale architecture sizes; it is a configuration reference, not an
-acceptance target, and is untested at that scale.
+toy benchmark (``toy_default``).
 """
 
 from __future__ import annotations
@@ -154,18 +152,4 @@ def paper_tuned(seed: int = 0) -> RunConfig:
     return cfg
 
 
-def paper_scale(seed: int = 0) -> RunConfig:
-    """Full-scale architecture sizes; configuration reference only."""
-    cfg = RunConfig(
-        seed=seed,
-        vae=VaeConfig(K=8, d=128, embed_dim=128, enc_hidden=128, dec_hidden=128,
-                      beta_max=0.1, lr=1e-4, batch_size=256,
-                      pretrain_epochs=150, finetune_epochs=20),
-        surrogate=SurrogateConfig(latent_dim=128, hidden=1024, layers=3),
-        flow=FlowConfig(K=8, d=128, hidden=256, layers=10, time_embed_dim=128,
-                        batch_size=1024, steps=100),
-    )
-    return cfg
-
-
-PROFILES = {"toy-default": toy_default, "paper-tuned": paper_tuned, "paper-scale": paper_scale}
+PROFILES = {"toy-default": toy_default, "paper-tuned": paper_tuned}

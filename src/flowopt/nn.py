@@ -7,8 +7,9 @@ frequencies over [1, 1e4] — recorded in every checkpoint header), an
 adaptive-moment optimizer with decoupled weight decay over one flat buffer
 per parameter list, global-norm gradient clipping, a self-describing JSON
 checkpoint container with bit-exact round-trips, and the one rule by which
-stored configs are decoded. Parameters are ``autodiff.Tensor`` leaves, the
-holders whose ``requires_grad`` flag freezes them.
+stored configs are decoded. Parameters are ``autodiff.Tensor`` holders, whose
+``requires_grad`` flag freezes them. The pullbacks take the ops, in the order,
+of the reverse-mode tape in ``tests/tape.py``, the tests' reference.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ def time_embed(t, dim: int) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function as ``Tensor.sigmoid`` computes it."""
+    """Logistic function as ``Tensor.sigmoid`` of ``tests/tape.py`` computes it."""
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
-# Array twins of the tape's activations: name -> (forward of the pre-activation,
-# pullback of an upstream gradient g through the output y). Each is the tape's
-# expression, so the array path keeps its bits.
+# The activations of the tape in ``tests/tape.py``: name -> (forward of the
+# pre-activation, pullback of an upstream gradient g through the output y).
+# Each is the tape's expression, so the array path has its bits.
 _ACTIVATIONS = {
     "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
     "relu": (lambda x: np.where(x > 0, x, 0.0), lambda g, y: g * (y > 0)),
@@ -86,8 +87,8 @@ class Mlp:
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             scale = math.sqrt(2.0 / (fan_in + fan_out))
-            weights.append(Tensor(rng.normal((fan_in, fan_out)) * scale, requires_grad=True))
-            biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
+            weights.append(Tensor(rng.normal((fan_in, fan_out)) * scale))
+            biases.append(Tensor(np.zeros(fan_out)))
         return cls(weights=weights, biases=biases, activation=activation)
 
     def params(self) -> list:
@@ -98,10 +99,10 @@ class Mlp:
         hidden activation and the linear output, which ``backward`` pulls a
         gradient back through."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
+        if x.ndim != 2 or x.shape[1] != self.weights[0].data.shape[0]:
             raise ContractViolation(
                 f"input shape {x.shape} does not match first layer "
-                f"({self.weights[0].shape[0]} features expected)")
+                f"({self.weights[0].data.shape[0]} features expected)")
         act = _ACTIVATIONS[self.activation][0]
         acts = [x]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -334,7 +335,7 @@ def mlp_arrays(prefix: str, mlp: Mlp) -> dict:
 def mlp_from_arrays(prefix: str, arrays: dict, meta: dict) -> Mlp:
     n = len(meta["sizes"]) - 1
     return Mlp(
-        weights=[Tensor(arrays[f"{prefix}.w{i}"], requires_grad=True) for i in range(n)],
-        biases=[Tensor(arrays[f"{prefix}.b{i}"], requires_grad=True) for i in range(n)],
+        weights=[Tensor(arrays[f"{prefix}.w{i}"]) for i in range(n)],
+        biases=[Tensor(arrays[f"{prefix}.b{i}"]) for i in range(n)],
         activation=meta["activation"],
     )

@@ -24,7 +24,8 @@ warmup, then joint property-supervised fine-tuning where the surrogate loss
 backpropagates through the encoder and reshapes the latent geometry. Both
 stages run on arrays: ``SeqVae.forward`` computes a batch's loss and
 ``SeqVae.backward`` pulls it back with the ops, in the order, of a tape over
-that forward, so the gradients have the tape's bits without a tape.
+that forward (the tests' ``tests/tape.py``), so the gradients have the tape's
+bits without a tape.
 """
 
 from __future__ import annotations
@@ -108,21 +109,21 @@ class SeqVae:
         r = rng.split("vae-init")
         def init(shape, key, scale=None):
             s = scale if scale is not None else (2.0 / (shape[0] + shape[-1])) ** 0.5
-            return Tensor(r.split(key).normal(shape) * s, requires_grad=True)
+            return Tensor(r.split(key).normal(shape) * s)
 
         self.p = {
             "tok_emb": init((V, c.embed_dim), "tok", 0.1),
             "pos_emb": init((toyset.MAX_LEN + 1, c.embed_dim), "pos", 0.1),
             "enc_w": init((c.embed_dim, c.enc_hidden), "encw"),
-            "enc_b": Tensor(np.zeros(c.enc_hidden), requires_grad=True),
+            "enc_b": Tensor(np.zeros(c.enc_hidden)),
             "mu_w": init((c.enc_hidden, c.d), "muw"),
-            "mu_b": Tensor(np.zeros(c.d), requires_grad=True),
+            "mu_b": Tensor(np.zeros(c.d)),
             "ls_w": init((c.enc_hidden, c.d), "lsw"),
-            "ls_b": Tensor(np.zeros(c.d) - 1.0, requires_grad=True),
+            "ls_b": Tensor(np.zeros(c.d) - 1.0),
             "dec_w1": init((c.embed_dim + c.K * c.d, c.dec_hidden), "dw1"),
-            "dec_b1": Tensor(np.zeros(c.dec_hidden), requires_grad=True),
+            "dec_b1": Tensor(np.zeros(c.dec_hidden)),
             "dec_w2": init((c.dec_hidden, V), "dw2"),
-            "dec_b2": Tensor(np.zeros(V), requires_grad=True),
+            "dec_b2": Tensor(np.zeros(V)),
             "queries": init((c.K, c.enc_hidden), "attq", 0.5),
         }
 
@@ -394,7 +395,7 @@ class SeqVae:
             raise ContractViolation("checkpoint vocabulary does not match this build")
         model = cls.__new__(cls)
         model.config = config_from_dict(VaeConfig, meta["config"])
-        model.p = {k: Tensor(arrays[f"vae.{k}"], requires_grad=True) for k in PARAM_NAMES}
+        model.p = {k: Tensor(arrays[f"vae.{k}"]) for k in PARAM_NAMES}
         if len(model.p["pos_emb"].data) != toyset.MAX_LEN + 1:
             raise ContractViolation("checkpoint position table does not match MAX_LEN")
         return model

@@ -51,8 +51,8 @@ class Surrogate:
         ``pullback(g)`` is ``(d pooled, *d params())`` of ``sum(g * pred)``,
         None for a frozen parameter.
 
-        The net's ``forward``/``backward`` and the head's ops in a tape's
-        order: ``sigmoid(out) * span + lo``, pulled back as
+        The net's ``forward``/``backward`` and the head's ops in the order of
+        a tape (``tests/tape.py``): ``sigmoid(out) * span + lo``, pulled back as
         ``g * span * y * (1 - y)``.
         """
         acts = self.net.forward(pooled)
@@ -94,6 +94,8 @@ def fidelity(pred: np.ndarray, y: np.ndarray) -> tuple:
     mse = err.mean(axis=0)
     ss_res = err.sum(axis=0)
     ss_tot = ((y - y.mean(axis=0)) ** 2).sum(axis=0)
-    r2 = np.where(ss_tot > 0, 1.0 - ss_res / np.where(ss_tot > 0, ss_tot, 1.0), 0.0)
+    # An all-equal column has zero variance; its ss_tot is the mean's rounding residue.
+    varies = (np.ptp(y, axis=0) > 0) & (ss_tot > 0)
+    r2 = np.where(varies, 1.0 - ss_res / np.where(varies, ss_tot, 1.0), 0.0)
     return [float(m) for m in mse], [float(r) for r in r2]
 

@@ -1,14 +1,18 @@
+import copy
+
 import numpy as np
 import pytest
 
-from flowopt import autodiff as ad, toyset
-from flowopt.autodiff import Tensor
+from flowopt import toyset
 from flowopt.flowmatch import interpolate
 from flowopt.guidance import objective_value
-from flowopt.nn import time_embed
+from flowopt.nn import Mlp, time_embed
 from flowopt.rng import Rng
-from flowopt.seqvae import LOG_SIGMA_CLAMP
+from flowopt.seqvae import LOG_SIGMA_CLAMP, SeqVae
 from flowopt.surrogate import _LO, _SPAN
+
+import tape as ad
+from tape import Tensor
 
 
 @pytest.fixture
@@ -52,9 +56,31 @@ def loop_postprocess(g, normalize, clip_norm):
     return g
 
 
+def _leaf(p) -> Tensor:
+    return p if isinstance(p, Tensor) else Tensor(p.data, requires_grad=p.requires_grad)
+
+
+def on_tape(model):
+    """A shallow copy of an ``Mlp``, ``Surrogate``, ``FlowField`` or ``SeqVae``
+    whose parameters are tape leaves on the model's own arrays, with the same
+    ``requires_grad`` flags; a parameter that is already a leaf is kept, so
+    lifting a lifted model gives the same leaves. A test that takes parameter
+    gradients lifts once and asks for those of ``lifted.params()``."""
+    lifted = copy.copy(model)
+    if isinstance(model, Mlp):
+        lifted.weights = [_leaf(w) for w in model.weights]
+        lifted.biases = [_leaf(b) for b in model.biases]
+    elif isinstance(model, SeqVae):
+        lifted.p = {k: _leaf(p) for k, p in model.p.items()}
+    else:
+        lifted.net = on_tape(model.net)
+    return lifted
+
+
 def tape_mlp(mlp, x: Tensor) -> Tensor:
     """``mlp`` on the tape layer by layer, from primitive ``Tensor`` ops: the
     independent reference ``Mlp.forward`` and ``Mlp.backward`` must equal."""
+    mlp = on_tape(mlp)
     act = {"tanh": Tensor.tanh, "relu": Tensor.relu, "sigmoid": Tensor.sigmoid}[mlp.activation]
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         x = x @ w + b
@@ -66,6 +92,7 @@ def tape_mlp(mlp, x: Tensor) -> Tensor:
 def mlp_node(mlp, x: Tensor) -> Tensor:
     """``mlp`` as one tape node whose value is ``Mlp.forward``'s output and
     whose pullback is ``Mlp.backward``: array code differentiated on the tape."""
+    mlp = on_tape(mlp)
     acts = mlp.forward(x.data)
     return Tensor(acts[-1], _parents=(x, *mlp.params()), op="mlp",
                   _backward=lambda g: mlp.backward(acts, g, wrt_input=x.requires_grad))
@@ -88,7 +115,8 @@ def tape_velocity(field, z, t) -> Tensor:
 
 def tape_fm_loss(field, z0, z1, t):
     """The flow-matching loss as a tape over the reference net, and the
-    gradients ``autodiff.gradients`` takes of it for ``field.params()``."""
+    gradients ``tape.gradients`` takes of it for ``field.params()``."""
+    field = on_tape(field)
     zt, target = interpolate(z0, z1, t)
     diff = tape_velocity(field, zt, t) - Tensor(target.reshape(len(z0), -1))
     loss = (diff ** 2).sum(axis=1).mean()
@@ -124,6 +152,7 @@ def tape_encode(vae, enc_ids, valid) -> tuple:
     """Posterior ``mu``, ``ls`` (B, K, d) as tape tensors: the packed feature
     layer on the ``valid`` positions, scattered into the zero grid for the
     scores, the softmax over positions and the attention pooling."""
+    vae = on_tape(vae)
     c = vae.config
     B, L = enc_ids.shape
     emb = ad.embedding(vae.p["tok_emb"], enc_ids.reshape(-1)[valid])
@@ -145,6 +174,7 @@ def tape_encode(vae, enc_ids, valid) -> tuple:
 def tape_decode(vae, dec_in, valid, z: Tensor) -> Tensor:
     """Teacher-forced logits (N, V) of the ``valid`` positions, with the
     concat-flat-z layer split into the token term and the per-row z term."""
+    vae = on_tape(vae)
     c = vae.config
     B, L = dec_in.shape
     E = c.embed_dim

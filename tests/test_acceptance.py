@@ -14,9 +14,7 @@ import pytest
 from click.testing import CliRunner
 from scipy import stats as sps
 
-import flowopt.autodiff as ad
 from flowopt import cli, guidance, harness, moeval, toyset
-from flowopt.autodiff import Tensor
 from flowopt.config import toy_default
 from flowopt.flowmatch import FlowConfig, FlowField, integrate, sample_prior, train_flow
 from flowopt.nn import Mlp
@@ -24,7 +22,9 @@ from flowopt.rng import Rng
 from flowopt.seqvae import mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
-from conftest import finite_difference, mlp_node, rel_err
+import tape as ad
+from conftest import finite_difference, mlp_node, on_tape, rel_err
+from tape import Tensor
 from test_harness import tiny_config
 
 
@@ -102,12 +102,13 @@ def test_autodiff_gradients_match_finite_differences():
         activation = ["tanh", "relu", "sigmoid"][int(gen.integers(0, 3))]
         mlp = Mlp.create(sizes, rng.split("init"), activation=activation)
         x = rng.normal((2, sizes[0]))
-        params = mlp.params()
         # zero-initialized biases can park relu pre-activations exactly on
         # the kink, where central differences are undefined; generic random
         # offsets keep every configuration at a differentiable point
-        for pi, p in enumerate(params):
+        for pi, p in enumerate(mlp.params()):
             p.data = p.data + 0.05 + 0.1 * rng.split(("jitter", pi)).normal(p.data.shape)
+        mlp = on_tape(mlp)
+        params = mlp.params()
 
         def run():
             return (mlp_node(mlp, Tensor(x)) ** 2).sum()

@@ -7,16 +7,16 @@ with ``==``, a reference tape built layer by layer from primitive ``Tensor``
 ops (``conftest.tape_mlp``), over batches of 1 to 64 rows. The VAE's loss
 and every gradient of ``SeqVae.forward``/``backward``, in both training
 stages, and ``encode_batch`` must equal the tape VAE of ``conftest``, byte
-for byte, so signed zeros count. Guards check that guided inference and
-training build no tape at all.
+for byte, so signed zeros count. ``conftest.on_tape`` lifts each model onto
+the tape on its own arrays. Guards check that guided inference and training
+build no parameter holder at all.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flowopt import autodiff as ad, flowmatch, seqvae, toyset
-from flowopt.autodiff import Tensor
+from flowopt import autodiff, flowmatch, seqvae, toyset
 from flowopt.flowmatch import FlowConfig, FlowField, integrate
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
                               guided_integrate, objective_gradient)
@@ -25,8 +25,10 @@ from flowopt.rng import Rng
 from flowopt.seqvae import ENCODE_CHUNK, SeqVae, VaeConfig, mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
-from conftest import (mlp_node, tape_elbo_loss, tape_encode, tape_mlp, tape_objective_gradient,
-                      tape_predict, tape_velocity)
+import tape as ad
+from conftest import (mlp_node, on_tape, tape_elbo_loss, tape_encode, tape_mlp,
+                      tape_objective_gradient, tape_predict, tape_velocity)
+from tape import Tensor
 
 rows = st.integers(1, 64)
 widths = st.integers(1, 8)
@@ -70,11 +72,12 @@ def test_mlp_forward_and_backward_equal_tape(B, sizes, activation, seed, wrt_inp
     params = mlp.params()
     for p, off in zip(params, frozen):
         p.requires_grad = not off
-    trainable = [p for p in params if p.requires_grad]
+    lifted = on_tape(mlp)
+    trainable = [p for p in lifted.params() if p.requires_grad]
     x = Rng(seed).split("x").normal((B, sizes[0])) * 2.0
     g = Rng(seed).split("g").normal((B, sizes[-1]))
     xt = Tensor(x, requires_grad=wrt_input)
-    out = tape_mlp(mlp, xt)
+    out = tape_mlp(lifted, xt)
     want = ad.gradients((out * Tensor(g)).sum(), trainable + [xt])
     acts = mlp.forward(x)
     assert len(acts) == len(sizes)
@@ -84,7 +87,7 @@ def test_mlp_forward_and_backward_equal_tape(B, sizes, activation, seed, wrt_inp
     got = [gp for p, gp in zip(params, grads) if p.requires_grad]
     assert all(gp is None for p, gp in zip(params, grads) if not p.requires_grad)
     assert len(got) == len(trainable) and all(map(np.array_equal, got, want))
-    node = mlp_node(mlp, xt)
+    node = mlp_node(lifted, xt)
     assert node.op == "mlp" and np.array_equal(node.data, out.data)
     on_node = ad.gradients((node * Tensor(g)).sum(), trainable + [xt])
     assert all(map(np.array_equal, on_node[:-1], want[:-1]))
@@ -138,8 +141,9 @@ def test_predict_vjp_equals_tape(B, d, seed, scale):
     pooled = r.split("x").normal((B, d)) * scale
     g = r.split("g").normal((B, 2))
     xt = Tensor(pooled, requires_grad=True)
-    out = tape_predict(sur, xt)
-    want = ad.gradients((out * Tensor(g)).sum(), [xt] + sur.params())
+    lifted = on_tape(sur)
+    out = tape_predict(lifted, xt)
+    want = ad.gradients((out * Tensor(g)).sum(), [xt] + lifted.params())
     assert np.array_equal(sur.predict(pooled), out.data)
     pred, pullback = sur.predict_vjp(pooled)
     assert np.array_equal(pred, out.data)
@@ -165,14 +169,14 @@ def test_frozen_inference_builds_no_tape(monkeypatch):
     def no_tensor(*args, **kwargs):
         raise AssertionError("frozen inference built an autodiff.Tensor")
 
-    monkeypatch.setattr(Tensor, "__init__", no_tensor)
+    monkeypatch.setattr(autodiff.Tensor, "__init__", no_tensor)
     for gamma in (0.0, 5.0):
         guided_integrate(field, sur, spec, GuidanceConfig(gamma=gamma, steps=3), z)
     gradient_ascent_baseline(sur, spec, z, 0.3, 3)
     integrate(field, z, 0.0, 3)
     sur.predict(mean_pool(z))
     with pytest.raises(AssertionError, match="autodiff.Tensor"):
-        Tensor(np.zeros(1))
+        autodiff.Tensor(np.zeros(1))
 
 
 PLAIN = [t for t in toyset.VOCAB if t not in (toyset.PAD, toyset.BOS, toyset.EOS)]
@@ -207,8 +211,9 @@ def test_vae_forward_and_backward_equal_tape(seqs, joint, beta, scale, seed):
     sur = Surrogate(SurrogateConfig(latent_dim=3, hidden=5, layers=3), r.split("sur")) if joint \
         else None
     y = r.split("y").normal((len(seqs), 2)) if joint else None
-    params = vae.params() + (sur.params() if joint else [])
-    loss, _, _ = tape_elbo_loss(vae, seqs, r.split("eps"), beta, sur, y)
+    lifted_vae, lifted_sur = on_tape(vae), on_tape(sur) if joint else None
+    params = lifted_vae.params() + (lifted_sur.params() if joint else [])
+    loss, _, _ = tape_elbo_loss(lifted_vae, seqs, r.split("eps"), beta, lifted_sur, y)
     want = [loss.data] + ad.gradients(loss, params)
     loss, acts = vae.forward(seqs, r.split("eps"), beta, sur, y)
     got = [np.float64(loss)] + vae.backward(acts)
@@ -249,7 +254,40 @@ def test_training_builds_no_tape(monkeypatch):
     def no_tensor(*args, **kwargs):
         raise AssertionError("training built an autodiff.Tensor")
 
-    monkeypatch.setattr(Tensor, "__init__", no_tensor)
+    monkeypatch.setattr(autodiff.Tensor, "__init__", no_tensor)
     seqvae.train_vae(vae, ds, Rng(3))
     seqvae.finetune(vae, sur, ds, Rng(4))
     flowmatch.train_flow(field, lambda r, n: r.normal((n, 2, 3)), Rng(5))
+
+
+def test_on_tape_lifts_onto_the_models_own_arrays():
+    """``on_tape`` of each model kind gives leaves on the model's own arrays
+    with its flags, and the same leaves when lifted again; a parameter changed
+    in place through the model shows up in the reference. A copying lift would
+    pass every ``==`` test above, since a copy has equal values."""
+    field, sur = small_models(0, 2, 3, 8, 3)
+    vae = small_vae(0)
+    seqs = [tuple(PLAIN[:3]), (), (PLAIN[4],)]
+    enc, _, _, valid = vae.prepare_batch(seqs)
+    x = Rng(0).split("x").normal((4, 6))
+    models = {  # model, program output, reference output of its lift
+        "mlp": (jittered_mlp([6, 5, 2], "relu", 0), lambda m: m.forward(x)[-1],
+                lambda lifted: tape_mlp(lifted, Tensor(x)).data),
+        "surrogate": (sur, lambda m: m.predict(x[:, :3]),
+                      lambda lifted: tape_predict(lifted, Tensor(x[:, :3])).data),
+        "flow": (field, lambda m: m.velocity(x.reshape(4, 2, 3), 0.3).reshape(4, 6),
+                 lambda lifted: tape_velocity(lifted, x, 0.3).data),
+        "vae": (vae, lambda m: m.encode_batch(seqs).mu,
+                lambda lifted: tape_encode(lifted, enc, valid)[0].data),
+    }
+    for name, (model, program, reference) in models.items():
+        model.params()[1].requires_grad = False
+        lifted = on_tape(model)
+        pairs = list(zip(model.params(), lifted.params()))
+        assert len(pairs) == len(model.params()) > 1, name
+        assert all(isinstance(q, Tensor) and q.data is p.data
+                   and q.requires_grad == p.requires_grad for p, q in pairs), name
+        assert all(a is b for a, b in zip(on_tape(lifted).params(), lifted.params())), name
+        for p in model.params():
+            p.data *= 1.5
+        assert np.array_equal(program(model), reference(lifted)), name

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-import flowopt.autodiff as ad
-from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation, NumericFailure
 from flowopt.nn import Mlp
 from flowopt.rng import Rng
 
-from conftest import finite_difference, mlp_node, rel_err
+import tape as ad
+from conftest import finite_difference, mlp_node, on_tape, rel_err
+from tape import Tensor
 
 
 def scalar_arrays(shape=(3, 4)):
@@ -283,12 +283,13 @@ def test_mlp_gradient_matches_fd_random_configs(seed):
     activation = ["tanh", "relu", "sigmoid"][int(gen.integers(0, 3))]
     mlp = Mlp.create(sizes, rng.split("init"), activation=activation)
     x = rng.normal((2, sizes[0]))
-    params = mlp.params()
     # zero-initialized biases can park relu pre-activations exactly on the
     # kink, where central differences are undefined; random offsets keep
     # every sampled configuration at a generic differentiable point
-    for pi, p in enumerate(params):
+    for pi, p in enumerate(mlp.params()):
         p.data = p.data + 0.05 + 0.1 * rng.split(("jitter", pi)).normal(p.data.shape)
+    mlp = on_tape(mlp)
+    params = mlp.params()
 
     def run():
         return (mlp_node(mlp, Tensor(x)) ** 2).sum()

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowopt import harness, moeval, toyset
-from flowopt.autodiff import Tensor
 from flowopt.errors import ContractViolation
 from flowopt.flowmatch import FlowConfig, FlowField, sample_prior
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, _row_norms,
@@ -30,6 +29,7 @@ from flowopt.seqvae import ENCODE_CHUNK, SeqVae, VaeConfig, mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
 from conftest import loop_postprocess, tape_mean_pool, tape_velocity
+from tape import Tensor
 from test_harness import tiny_config
 
 SPECS = (ObjectiveSpec(mode="target", weights=(1.0, 0.5), targets=(0.8, 2.5)),

@@ -51,7 +51,7 @@ def test_flat_step_equals_per_array_adamw(shapes, clip, weight_decay, seed):
             g[r.split(("zero", t, i)).uniform(0.0, 1.0, g.shape) < 0.1] = 0.0
         grads_by_step.append(grads)
     want = per_array_adamw([p.copy() for p in data], grads_by_step, 1e-3, weight_decay, clip)
-    params = [Tensor(p.copy(), requires_grad=True) for p in data]
+    params = [Tensor(p.copy()) for p in data]
     opt = AdamState.create(params, lr=1e-3, weight_decay=weight_decay)
     assert [p.data.tobytes() for p in params] == [p.tobytes() for p in data]
     for grads, values in zip(grads_by_step, want):
@@ -65,7 +65,7 @@ def test_flat_step_equals_per_array_adamw(shapes, clip, weight_decay, seed):
 
 
 def test_step_refuses_a_rebound_parameter_or_a_misshapen_gradient():
-    params = [Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones(4), requires_grad=True)]
+    params = [Tensor(np.ones((2, 3))), Tensor(np.ones(4))]
     opt = AdamState.create(params)
     with pytest.raises(ContractViolation, match="gradient shape"):
         optimizer_step(opt, params, [np.ones((3, 2)), np.ones(4)])

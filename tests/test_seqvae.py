@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flowopt import autodiff as ad, config, harness, seqvae, toyset
-from flowopt.autodiff import Tensor
+from flowopt import config, harness, seqvae, toyset
 from flowopt.errors import ContractViolation
 from flowopt.nn import load_checkpoint, save_checkpoint
 from flowopt.rng import Rng
 from flowopt.seqvae import (LOG_SIGMA_CLAMP, SeqVae, VaeConfig, beta_schedule, mean_pool,
                             reparameterize)
 
-from conftest import tape_decode, tape_elbo_loss, tape_encode, tape_kl, tape_mean_pool
+import tape as ad
+from conftest import on_tape, tape_decode, tape_elbo_loss, tape_encode, tape_kl, tape_mean_pool
+from tape import Tensor
 
 
 def small_config(**kw):
@@ -185,6 +186,7 @@ def test_decode_greedy_deterministic(model, rng):
 def concat_decode_graph(vae, dec_in, z):
     """The concat-flat-z first layer the split decoder replaced: the flat code
     repeated at every position and concatenated to its input embedding."""
+    vae = on_tape(vae)
     c = vae.config
     B, L = dec_in.shape
     emb = ad.embedding(vae.p["tok_emb"], dec_in.reshape(-1))
@@ -204,7 +206,7 @@ def test_split_decoder_layer_matches_concat(B, L, K, d, E, seed):
     gradients of every parameter and of z with the concat's under the same
     upstream gradient (zero at masked cells), all within 1e-12."""
     r = Rng(seed)
-    vae = SeqVae(small_config(K=K, d=d, embed_dim=E), r.split("vae"))
+    vae = on_tape(SeqVae(small_config(K=K, d=d, embed_dim=E), r.split("vae")))
     dec_in = r.split("tok").integers(0, len(toyset.VOCAB), (B, L))
     mask = r.split("mask").uniform(shape=(B, L)) < 0.5
     mask[np.arange(B), r.split("keep").integers(0, L, B)] = True
@@ -226,6 +228,7 @@ def test_split_decoder_layer_matches_concat(B, L, K, d, E, seed):
 def grid_encode_graph(vae, enc_ids):
     """The encoder before packing: embeddings and the feature layer on every
     cell of the (B, L) grid, pad cells included."""
+    vae = on_tape(vae)
     c = vae.config
     B, L = enc_ids.shape
     emb = ad.embedding(vae.p["tok_emb"], enc_ids.reshape(-1))
@@ -279,8 +282,9 @@ def test_packed_elbo_matches_grid_formula(seqs, seed):
     vae = SeqVae(small_config(), r.split("vae"))
     loss, acts = vae.forward(seqs, r.split("eps"), 0.1)
     got = [loss] + vae.backward(acts)
-    loss = grid_elbo_loss(vae, seqs, r.split("eps"), 0.1)
-    want = [loss.data] + ad.gradients(loss, vae.params())
+    lifted = on_tape(vae)
+    loss = grid_elbo_loss(lifted, seqs, r.split("eps"), 0.1)
+    want = [loss.data] + ad.gradients(loss, lifted.params())
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12
 

@@ -69,9 +69,12 @@ def test_fidelity_mean_predictor_r2_zero():
 
 
 def test_fidelity_degenerate_targets():
-    y = np.full((4, 2), 0.5)
-    _, r2 = fidelity(y + 0.1, y)
-    assert r2 == [0.0, 0.0]
+    """All-equal target columns have zero variance and R² 0, also where the
+    mean rounds (0.1 * 3 and 0.7 over 7 rows) and leaves ss_tot at rounding
+    residue, not 0."""
+    for y, shift in ((np.full((4, 2), 0.5), 0.1), (np.tile([0.1 * 3, 0.7], (7, 1)), 0.05)):
+        _, r2 = fidelity(y + shift, y)
+        assert r2 == [0.0, 0.0]
 
 
 def test_checkpoint_round_trip(model, tmp_path, rng):
