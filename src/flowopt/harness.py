@@ -272,6 +272,11 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     written once, when its oracle value arrives. The first ``n_init`` rows are
     the initial pool and the rest the optimized structures, in order. A
     row's posterior mean is encoded when it is first selected, and kept.
+    ``random`` reads no seed, so it draws none. The pool's hypervolume is
+    carried while the front stands: a point outside the reference box or
+    weakly dominated by the pool keeps its bits. Each structure is parsed
+    once, by the decode that makes it; the oracle and the report read the
+    stats of that parse.
     """
     if proposer not in PROPOSERS:
         raise ConfigError(f"proposer must be one of {PROPOSERS}")
@@ -303,22 +308,26 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     baseline = points[:n_init]
     ref = reference_point(baseline)
 
-    hv_base = moeval.hypervolume_2d(baseline, ref)
+    hv = hv_base = moeval.hypervolume_2d(baseline, ref)
     trace = []
     while complete and oracle.calls < cfg.budget.budget:
         n = len(structures)
         srng = rng.split(("step", n - n_init))
-        # The history is the last HISTORY_WINDOW optimized bitsets.
-        probs = selection_probabilities(points[:n], bits[:n],
-                                        bits[max(n_init, n - HISTORY_WINDOW):n])
-        i = select_seed(probs, srng.split("select"))
-        if proposer != "random" and i not in means:
-            means[i] = models.vae.encode_batch([structures[i].canonical_tokens]).mu
-        proposed = _propose(proposer, models, cfg, means.get(i), srng.split("propose"))
+        mu = None  # random reads no seed, so it draws none
+        if proposer != "random":
+            # The history is the last HISTORY_WINDOW optimized bitsets.
+            probs = selection_probabilities(points[:n], bits[:n],
+                                            bits[max(n_init, n - HISTORY_WINDOW):n])
+            i = select_seed(probs, srng.split("select"))
+            if i not in means:
+                means[i] = models.vae.encode_batch([structures[i].canonical_tokens]).mu
+            mu = means[i]
+        proposed = _propose(proposer, models, cfg, mu, srng.split("propose"))
         add(proposed, oracle(proposed))
         # The pool is the baseline followed by the optimized points.
-        hvi = max(0.0, moeval.hypervolume_2d(points[:n + 1], ref) - hv_base)
-        trace.append((oracle.calls, hvi))
+        if moeval.adds_hypervolume(points[:n], points[n], ref):
+            hv = moeval.hypervolume_2d(points[:n + 1], ref)
+        trace.append((oracle.calls, max(0.0, hv - hv_base)))
 
     final_hvi = trace[-1][1] if trace else 0.0
     report = _evaluate(models, cfg, structures[n_init:], bits[n_init:len(structures)],
@@ -346,11 +355,12 @@ def reference_point(baseline) -> np.ndarray:
 @dataclass(frozen=True)
 class ReferenceSet:
     """What generated sets are compared against: the train split's canonical
-    keys, descriptor values and the Gaussian fit of its Fréchet embeddings
-    (None for fewer than two rows)."""
+    keys, descriptor values, the Fréchet embedding projection and the
+    Gaussian fit of the split's embeddings (None for fewer than two rows)."""
 
     keys: frozenset
     descriptors: dict
+    projection: np.ndarray
     embedding_fit: moeval.GaussianFit | None
 
 
@@ -370,10 +380,11 @@ def _build_reference(dataset: toyset.Dataset) -> ReferenceSet:
     """Decode the train split once and derive the reference from it."""
     structures = [toyset.decode(t) for t, _ in nonempty_split(dataset, "train")]
     features = moeval.feature_matrix(structures)
-    embeddings = moeval.structure_embeddings(
-        features, moeval.embedding_projection(moeval.PROJECTION_SEED))
+    projection = moeval.embedding_projection(moeval.PROJECTION_SEED)
+    embeddings = moeval.structure_embeddings(features, projection)
     return ReferenceSet(keys=frozenset(s.canonical_key for s in structures),
                         descriptors=moeval.descriptor_values(structures, features),
+                        projection=projection,
                         embedding_fit=(moeval.gaussian_fit(embeddings)
                                        if len(embeddings) >= 2 else None))
 
@@ -417,9 +428,9 @@ def _evaluate(models: Pipeline, cfg: RunConfig, structures, features, baseline_p
     report.skeleton_diversity = sm["skeleton_diversity"]
 
     if len(structures) >= 2 and reference.embedding_fit is not None:
-        projection = moeval.embedding_projection(moeval.PROJECTION_SEED)
         report.frechet = moeval.frechet_distance(
-            moeval.structure_embeddings(features, projection), reference.embedding_fit)
+            moeval.structure_embeddings(features, reference.projection),
+            reference.embedding_fit)
     report.descriptor_kl = moeval.descriptor_kl(descriptors, reference.descriptors)
     post = models.vae.encode_batch([s.canonical_tokens for s in structures])
     mse, r2 = surrogate_mod.fidelity(models.surrogate.predict(seqvae.mean_pool(post.mu)), points)

@@ -114,6 +114,20 @@ def hypervolume_2d_rows(points, present, ref) -> np.ndarray:
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
+def adds_hypervolume(points, point, ref) -> bool:
+    """Whether appending ``point`` to the (n, 2) ``points`` can move the bits
+    of their hypervolume.
+
+    It cannot when ``point`` lies outside the reference box, or when one of
+    ``points`` weakly dominates or equals it: its hypervolume improvement is
+    then zero (Emmerich, Giannakoglou & Naujoks, 2006). It is off the front and
+    sorts after its dominator, so ``hypervolume_2d_rows`` sums an exact zero
+    for it and every other term keeps its value.
+    """
+    p = _to_max(point)
+    return bool(np.all(p > _to_max(ref)) and not np.all(_to_max(points) >= p, axis=1).any())
+
+
 def auto_reference(points) -> np.ndarray:
     """Worst observed value per property pushed ``REFERENCE_MARGIN``*range further."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -233,17 +247,18 @@ def descriptor_values(structures, features: np.ndarray) -> dict:
     """Seven toy descriptors per structure, mirroring the report schema.
 
     ``features`` holds the structures' bitsets (``feature_matrix``); their
-    popcounts are one descriptor. Each structure is parsed once: p1 and p2
-    come from its stats through the oracle's own formula.
+    popcounts are one descriptor. No structure is parsed again: every value
+    comes from the stats its decode counted, p1 and p2 through the oracle's
+    own formula.
     """
     cols = {name: [] for name in DESCRIPTOR_NAMES}
     for s in structures:
-        st = toyset.structure_stats(s)
+        st = s.stats
         props = toyset.properties_from_stats(st)
-        cols["length"].append(st["length"])
-        cols["branch_depth"].append(st["branch_depth"])
-        cols["side_groups"].append(st["side_groups"])
-        cols["skeleton_length"].append(st["skeleton_length"])
+        cols["length"].append(st.length)
+        cols["branch_depth"].append(st.branch_depth)
+        cols["side_groups"].append(st.side_groups)
+        cols["skeleton_length"].append(st.skeleton_length)
         cols["p1"].append(props.p1)
         cols["p2"].append(props.p2)
     cols["popcount"] = features.sum(axis=1)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,11 +77,23 @@ class Properties:
         return np.array([self.p1, self.p2])
 
 
+class Stats(NamedTuple):
+    """A structure's descriptor counts, which the oracle and the evaluation suite read."""
+
+    length: int           # canonical tokens
+    backbone: int         # backbone units, those in branches too
+    rings: int
+    side_groups: int
+    branch_depth: int
+    skeleton_length: int  # skeleton tokens
+
+
 @dataclass(frozen=True)
 class Structure:
     canonical_key: str
     skeleton_key: str
     canonical_tokens: tuple
+    stats: Stats  # counted on the parse that ``decode`` made
 
     @property
     def features(self) -> np.ndarray:
@@ -147,22 +160,24 @@ def _serialize(chain, canon: list, skel: list) -> None:
             skel.append(CLOSE)
 
 
-def _decode(tokens) -> tuple:
-    """The parsed chain of ``tokens`` and its Structure."""
+def decode(tokens) -> Structure:
+    """Total decode: every token sequence yields a valid Structure.
+
+    The one parse of ``tokens`` gives the canonical and skeleton tokens and
+    the stats, so the oracle needs no parse of its own.
+    """
     chain = _parse(tokens)
     canon: list = []
     skel: list = []
     _serialize(chain, canon, skel)
-    return chain, Structure(
+    nb, rings, sides, depth = _stats(chain)
+    return Structure(
         canonical_key=" ".join(canon) if canon else EMPTY_KEY,
         skeleton_key=" ".join(skel) if skel else EMPTY_KEY,
         canonical_tokens=tuple(canon),
+        stats=Stats(length=len(canon), backbone=nb, rings=rings, side_groups=sides,
+                    branch_depth=depth, skeleton_length=len(skel)),
     )
-
-
-def decode(tokens) -> Structure:
-    """Total decode: every token sequence yields a valid Structure."""
-    return _decode(tokens)[1]
 
 
 def _stats(chain, depth=0):
@@ -181,39 +196,21 @@ def _stats(chain, depth=0):
     return nb, rings, sides, max_depth
 
 
-def structure_stats(s: Structure) -> dict:
-    """Descriptor values used by the oracle and the evaluation suite."""
-    return _chain_stats(_parse(s.canonical_tokens), s)
-
-
-def _chain_stats(chain, s: Structure) -> dict:
-    """``structure_stats`` of ``s`` from the parse of any tokens that decode to ``s``."""
-    nb, rings, sides, depth = _stats(chain)
-    return {
-        "length": len(s.canonical_tokens),
-        "backbone": nb,
-        "rings": rings,
-        "side_groups": sides,
-        "branch_depth": depth,
-        "skeleton_length": 0 if s.skeleton_key == EMPTY_KEY else len(s.skeleton_key.split()),
-    }
-
-
 def oracle_properties(s: Structure) -> Properties:
     """Exact analytic property oracle; a pure function of the canonical key."""
-    return properties_from_stats(structure_stats(s))
+    return properties_from_stats(s.stats)
 
 
-def properties_from_stats(st: dict) -> Properties:
-    """The oracle's analytic formula on a structure's ``structure_stats``."""
-    nb, rings, sides = st["backbone"], st["rings"], st["side_groups"]
+def properties_from_stats(st: Stats) -> Properties:
+    """The oracle's analytic formula on a structure's ``Stats``."""
+    nb, rings, sides = st.backbone, st.rings, st.side_groups
     side_frac = sides / (sides + nb) if (sides + nb) > 0 else 0.0
     p1 = (0.5 * np.exp(-(((nb - 8) / 3.0) ** 2))
           + 0.3 * np.exp(-(((side_frac - 0.35) / 0.12) ** 2))
           + 0.2 * np.exp(-(((rings - 3) / 1.2) ** 2)))
-    complexity = (0.35 * min(st["branch_depth"] / 4.0, 1.0)
+    complexity = (0.35 * min(st.branch_depth / 4.0, 1.0)
                   + 0.35 * min(rings / 6.0, 1.0)
-                  + 0.30 * min(st["length"] / 32.0, 1.0))
+                  + 0.30 * min(st.length / 32.0, 1.0))
     p2 = 1.0 + 9.0 * min(complexity, 1.0)
     return Properties(p1=float(p1), p2=float(p2))
 
@@ -308,8 +305,8 @@ def generate_dataset(seed: int, count: int, min_len: int = 4, max_len: int = 40)
     for i in range(count):
         r = rng.split(i)
         budget = int(r.integers(min_len, max_len + 1))
-        chain, s = _decode(_random_chain(r.gen, budget, 0)[:MAX_LEN])
-        entries.append((s.canonical_tokens, properties_from_stats(_chain_stats(chain, s))))
+        s = decode(_random_chain(r.gen, budget, 0)[:MAX_LEN])
+        entries.append((s.canonical_tokens, properties_from_stats(s.stats)))
         groups.setdefault(s.skeleton_key, []).append(i)
     keys = sorted(groups, key=lambda k: hashlib.blake2b(k.encode(), digest_size=8).hexdigest())
     n = len(keys)

@@ -221,7 +221,8 @@ def test_history_window_slides(tiny_run, monkeypatch):
     monkeypatch.setattr(harness, "selection_probabilities", record_law)
     monkeypatch.setattr(harness, "_propose",
                         lambda *args: proposals.append(propose(*args)) or proposals[-1])
-    result = harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg, "random", seed=6)
+    result = harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg, "gradient-ascent",
+                                  seed=6)
     steps = cfg.budget.budget - cfg.budget.init_size
     assert result.complete and len(histories) == len(proposals) == steps
     for k, history in enumerate(histories):
@@ -241,8 +242,9 @@ def test_budgeted_run_budget_exact(tiny_run):
 
 @pytest.mark.parametrize("proposer", harness.PROPOSERS)
 def test_budgeted_run_encodes_each_selected_row_once(tiny_run, monkeypatch, proposer):
-    """Between two selections the run encodes the seed only when its row is
-    selected for the first time; ``random`` never needs a mean."""
+    """Between two selections, and between the last one and the report, the
+    run encodes the seed only when its row is selected for the first time;
+    ``random`` reads no seed, so it selects none and encodes none."""
     cfg = tiny_config()
     cfg.budget = dataclasses.replace(cfg.budget, budget=cfg.budget.init_size + 30)
     vae, events = tiny_run["models"].vae, []
@@ -250,15 +252,43 @@ def test_budgeted_run_encodes_each_selected_row_once(tiny_run, monkeypatch, prop
     monkeypatch.setattr(harness, "select_seed",
                         lambda *a: events.append(("select", select(*a))) or events[-1][1])
     monkeypatch.setattr(vae, "encode_batch", lambda xs: events.append(("encode",)) or encode(xs))
+    monkeypatch.setattr(harness, "_evaluate", lambda *a: events.append(("evaluate",)))
     harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg, proposer, seed=4)
+    if proposer == "random":
+        assert events == [("evaluate",)]
+        return
+    assert events[-1] == ("evaluate",)
     picks = [k for k, e in enumerate(events) if e[0] == "select"]
+    assert len(picks) == 30
     seen = set()
-    for a, b in zip(picks, picks[1:]):
+    for a, b in zip(picks, picks[1:] + [len(events) - 1]):
         row = events[a][1]
-        fresh = row not in seen and proposer != "random"
-        assert events[a + 1:b] == ([("encode",)] if fresh else []), a
+        assert events[a + 1:b] == ([("encode",)] if row not in seen else []), a
         seen.add(row)
     assert len(seen) < len(picks) - 1  # some row was selected again
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((0.0, 0.2, 0.5, 0.8)) | st.floats(0.0, 1.0),
+                          st.sampled_from((1.0, 4.0, 7.0, 10.0)) | st.floats(1.0, 10.0)),
+                min_size=20, max_size=20))
+def test_budgeted_trace_equals_from_scratch_hypervolume(tiny_run, stream):
+    """With the oracle replaced by a point stream (duplicates, ties in one
+    coordinate, points outside the reference), the carried trace equals the
+    from-scratch ``hypervolume_2d(points[:n+1], ref)`` ``==`` at every step."""
+    cfg = tiny_config()
+    points = iter(stream)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toyset, "oracle_properties", lambda s: toyset.Properties(*next(points)))
+        mp.setattr(harness, "_evaluate", lambda *a: None)
+        result = harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg, "random", seed=2)
+    stream, n_init = np.array(stream), cfg.budget.init_size
+    ref = harness.reference_point(stream[:n_init])
+    assert result.reference == tuple(ref)
+    hv_base = moeval.hypervolume_2d(stream[:n_init], ref)
+    want = [(n + 1, max(0.0, moeval.hypervolume_2d(stream[:n + 1], ref) - hv_base))
+            for n in range(n_init, cfg.budget.budget)]
+    assert result.hvi_trace == want
 
 
 def test_budgeted_run_trace_monotone(tiny_run):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from flowopt import toyset
 from flowopt.errors import (ContractViolation, DegenerateRangeError,
                             UnsupportedDimensionError)
-from flowopt.moeval import (DESCRIPTOR_NAMES, REFERENCE_MARGIN, EvalReport, auto_reference,
-                            bootstrap_ci, descriptor_kl, descriptor_values,
+from flowopt.moeval import (DESCRIPTOR_NAMES, REFERENCE_MARGIN, EvalReport, adds_hypervolume,
+                            auto_reference, bootstrap_ci, descriptor_kl, descriptor_values,
                             embedding_projection, feature_matrix,
                             frechet_distance, gaussian_fit, histogram_kl, hypervolume_2d,
                             hypervolume_2d_with_warnings, pareto_front,
@@ -111,6 +111,42 @@ def test_hypervolume_never_drops_when_points_are_added(rng):
     assert hypervolume_2d(np.vstack([base, [[0.8, 2.0]]]), ref) > hv_base
     for _ in range(20):
         assert hypervolume_2d(np.vstack([base, rng.normal((3, 2))]), ref) >= hv_base
+
+
+def test_adds_hypervolume_hand_cases():
+    pool = np.array([[0.4, 4.0], [0.6, 6.0]])
+    ref = np.array([0.0, 10.0])
+    assert not adds_hypervolume(pool, [0.4, 4.0], ref)    # a duplicate
+    assert not adds_hypervolume(pool, [0.4, 5.0], ref)    # tied in p1, worse in p2
+    assert not adds_hypervolume(pool, [0.3, 4.0], ref)    # tied in p2, worse in p1
+    assert not adds_hypervolume(pool, [0.9, 10.0], ref)   # on the reference's edge
+    assert not adds_hypervolume(pool, [-0.1, 1.0], ref)   # outside the box
+    assert not adds_hypervolume(pool, [0.5, np.nan], ref)
+    assert adds_hypervolume(pool, [0.5, 4.0], ref)        # tied in p2, better in p1
+    assert adds_hypervolume(pool, [0.1, 1.0], ref)        # a new front point
+    assert adds_hypervolume(np.zeros((0, 2)), [0.1, 1.0], ref)
+
+
+# Coordinates from a coarse grid give duplicates, ties in one coordinate and
+# points on or outside the reference's edges; the floats give everything else.
+GRID_P1 = (-0.2, 0.0, 0.2, 0.5, 0.8, 1.0)
+GRID_P2 = (1.0, 2.0, 5.0, 8.0, 10.0, 12.0)
+grid_points = st.tuples(st.sampled_from(GRID_P1) | st.floats(-0.2, 1.0),
+                        st.sampled_from(GRID_P2) | st.floats(1.0, 12.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(grid_points, min_size=1, max_size=40), st.integers(1, 5),
+       st.sampled_from(GRID_P1), st.sampled_from(GRID_P2))
+def test_carried_hypervolume_equals_from_scratch(points, n_init, r1, r2):
+    """A pool's hypervolume, recomputed only when ``adds_hypervolume`` says the
+    new point may move it, equals the from-scratch value ``==`` at every step."""
+    points, ref = np.array(points), np.array([r1, r2])
+    hv = hypervolume_2d(points[:n_init], ref)
+    for n in range(n_init, len(points)):
+        if adds_hypervolume(points[:n], points[n], ref):
+            hv = hypervolume_2d(points[:n + 1], ref)
+        assert hv == hypervolume_2d(points[:n + 1], ref), n
 
 
 # -- reference points -----------------------------------------------------

@@ -66,11 +66,10 @@ def test_skeleton_strips_side_groups():
 
 def test_structure_stats_counts():
     s = toyset.decode(("A", "R", "i", "(", "B", "(", "C", ")", ")"))
-    stats = toyset.structure_stats(s)
-    assert stats["backbone"] == 3
-    assert stats["rings"] == 1
-    assert stats["side_groups"] == 1
-    assert stats["branch_depth"] == 2
+    assert s.stats.backbone == 3
+    assert s.stats.rings == 1
+    assert s.stats.side_groups == 1
+    assert s.stats.branch_depth == 2
 
 
 def test_oracle_p2_floor_and_monotone_signal():
@@ -225,6 +224,19 @@ def reference_strip_sides(chain) -> list:
     return out
 
 
+def reference_stats(canon, skel) -> toyset.Stats:
+    """The stats counted on the serialized tokens rather than the tree."""
+    depth = branch_depth = 0
+    for tok in canon:
+        depth += (tok == toyset.OPEN) - (tok == toyset.CLOSE)
+        branch_depth = max(branch_depth, depth)
+    return toyset.Stats(length=len(canon),
+                        backbone=sum(tok in toyset.BACKBONE for tok in canon),
+                        rings=canon.count(toyset.RING),
+                        side_groups=sum(tok in toyset.SIDE for tok in canon),
+                        branch_depth=branch_depth, skeleton_length=len(skel))
+
+
 def reference_decode(tokens) -> toyset.Structure:
     chain = toyset._parse(tokens)
     canon = reference_serialize(chain)
@@ -233,6 +245,7 @@ def reference_decode(tokens) -> toyset.Structure:
         canonical_key=" ".join(canon) if canon else toyset.EMPTY_KEY,
         skeleton_key=" ".join(skel) if skel else toyset.EMPTY_KEY,
         canonical_tokens=tuple(canon),
+        stats=reference_stats(canon, skel),
     )
 
 
