@@ -1059,6 +1059,27 @@ def test_cli_eval(runner, tiny_run):
     assert "hvi" in doc and "frechet" in doc
 
 
+@pytest.fixture(scope="module")
+def toy_data(runner, tmp_path_factory):
+    """The toy-default dataset, written once by ``flowopt gen-data``."""
+    d = config.toy_default(0).data
+    data = tmp_path_factory.mktemp("toy") / "data"
+    res = runner.invoke(cli.main, ["gen-data", "--seed", str(d.seed), "--count", str(d.count),
+                                   "--min-len", str(d.min_len), "--max-len", str(d.max_len),
+                                   "--out", str(data)])
+    assert res.exit_code == 0, res.output
+    return str(data)
+
+
+def _bundle_digests(output: str, names) -> dict:
+    run_dir = output.strip().splitlines()[-1].split("bundle: ")[1]
+    got = {}
+    for name in names:
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            got[name] = hashlib.sha256(fh.read()).hexdigest()
+    return got
+
+
 # SHA-256 of the bundle files ``flowopt budgeted --profile toy-default --seed 0``
 # writes on the benchmark checkpoint and the toy-default dataset. A change that
 # moves these bits re-records them and says so.
@@ -1078,24 +1099,42 @@ RECORDED_BUDGETED_SHA256 = {
 }
 
 
-def test_budgeted_outputs_match_recorded_bytes(runner, tmp_path):
-    d = config.toy_default(0).data
-    data = tmp_path / "data"
-    res = runner.invoke(cli.main, ["gen-data", "--seed", str(d.seed), "--count", str(d.count),
-                                   "--min-len", str(d.min_len), "--max-len", str(d.max_len),
-                                   "--out", str(data)])
-    assert res.exit_code == 0, res.output
+def test_budgeted_outputs_match_recorded_bytes(runner, toy_data, tmp_path):
     for proposer, want in RECORDED_BUDGETED_SHA256.items():
         res = runner.invoke(cli.main, ["budgeted", "--seed", "0", "--profile", "toy-default",
-                                       "--ckpt", BENCH_CKPT, "--data", str(data),
+                                       "--ckpt", BENCH_CKPT, "--data", toy_data,
                                        "--proposer", proposer, "--out", str(tmp_path / "runs")])
         assert res.exit_code == 0, res.output
-        run_dir = res.output.strip().splitlines()[-1].split("bundle: ")[1]
-        got = {}
-        for name in want:
-            with open(os.path.join(run_dir, name), "rb") as fh:
-                got[name] = hashlib.sha256(fh.read()).hexdigest()
-        assert got == want, proposer
+        assert _bundle_digests(res.output, want) == want, proposer
+
+
+# The same for ``flowopt gamma-sweep --profile toy-default --seed 0``: the 7-gamma
+# grid, 3 seeds of 64 candidates each, decoded and bootstrapped per cell.
+RECORDED_SWEEP_SHA256 = {
+    "summary.json": "ef5b4805180c5b30d68dc72665817df48d2353344eff62d11393758c929b2507",
+    "rows.json": "61412937256e2453589cd43ac3d2550b06e36a11b198ed6729d84cadc0478ab1",
+}
+
+
+def test_gamma_sweep_outputs_match_recorded_bytes(runner, toy_data, tmp_path):
+    res = runner.invoke(cli.main, ["gamma-sweep", "--seed", "0", "--profile", "toy-default",
+                                   "--ckpt", BENCH_CKPT, "--data", toy_data,
+                                   "--out", str(tmp_path / "sweeps")])
+    assert res.exit_code == 0, res.output
+    assert _bundle_digests(res.output, RECORDED_SWEEP_SHA256) == RECORDED_SWEEP_SHA256
+
+
+# And of the TSV ``flowopt generate --seed 0 --count 256`` writes on the benchmark
+# checkpoint: 256 prior samples decoded in one batch.
+RECORDED_GENERATE_SHA256 = "675bcc8cd0eb768c77fa7a25304240aa9475b1ce90b1817405d5658e4b5ba694"
+
+
+def test_generate_output_matches_recorded_bytes(runner, tmp_path):
+    out = tmp_path / "samples.tsv"
+    res = runner.invoke(cli.main, ["generate", "--seed", "0", "--profile", "toy-default",
+                                   "--ckpt", BENCH_CKPT, "--count", "256", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_GENERATE_SHA256
 
 
 # SHA-256 of the three checkpoints ``pipeline_train`` writes for ``tiny_config()``
