@@ -75,6 +75,14 @@ def objective_value(spec: ObjectiveSpec, pred):
     return j.item() if j.size == 1 else j
 
 
+# A gradient row whose norm is below the floor is multiplied by the rescale
+# before it is normalized: a subnormal entry (down to 2**-1074) lands at
+# 2**-474 or above and a largest entry (below 2**-500) below 2**100, so no
+# square underflows or overflows. Rows at or above the floor keep their bits.
+_NORM_FLOOR = 2.0 ** -500
+_NORM_RESCALE = 2.0 ** 600
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (B, ...) array, bit-identical to
     ``np.linalg.norm(x[b])``: a (1, n) @ (n, 1) matmul is the same BLAS dot
@@ -118,6 +126,10 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
     # Rows left alone are divided or multiplied by exactly 1.0, which keeps their bits.
     if normalize:
         norm = _row_norms(g)
+        tiny = norm < _NORM_FLOOR
+        if tiny.any():  # their squares may underflow: rescale, exactly, by a power of two
+            g[tiny] *= _NORM_RESCALE
+            norm[tiny] = _row_norms(g[tiny])
         g /= np.where(norm > 0, norm, 1.0)[:, None, None]
     if clip_norm is not None:
         norm = _row_norms(g)

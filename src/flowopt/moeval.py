@@ -100,15 +100,27 @@ def hypervolume_2d_rows(points, present, ref) -> np.ndarray:
     before it (r1 for the first). The terms are summed left to right along
     the row with an exact zero for every other point, so each value is
     bit-identical to the sequential sum over that row's front alone.
+
+    With more than one row, the points no row's front can hold are dropped
+    first: those outside the reference box, and those weakly dominated by, or
+    equal to and listed after, a point every row holds. Such a point sorts
+    after that point, so it never raises a row's running max of y, and its
+    term is an exact zero; the sum has the same bits without it (Emmerich,
+    Giannakoglou & Naujoks, 2006). A single row's front is found by the one
+    sweep either way, so it skips the pruning.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != 2:
         raise UnsupportedDimensionError("hypervolume is implemented for exactly 2 objectives")
-    present = np.atleast_2d(np.asarray(present, dtype=bool))
-    if len(pts) == 0:
-        return np.zeros(len(present))
     t, r = _to_max(pts), _to_max(ref)
-    order, front, before = _sweep_2d(t, present & np.all(t > r, axis=1))
+    present = np.atleast_2d(np.asarray(present, dtype=bool)) & np.all(t > r, axis=1)
+    if len(present) > 1:
+        order, _, before = _sweep_2d(t, present.all(axis=0, keepdims=True))
+        cols = order[present.any(axis=0)[order] & (t[order, 1] > before[0])]
+        t, present = t[cols], present[:, cols]
+    if len(t) == 0:
+        return np.zeros(len(present))
+    order, front, before = _sweep_2d(t, present)
     x, y = t[order, 0], t[order, 1]
     terms = np.where(front, (x - r[0]) * (y - np.maximum(before, r[1])), 0.0)
     return np.add.accumulate(terms, axis=1)[:, -1]

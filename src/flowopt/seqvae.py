@@ -26,6 +26,13 @@ stages run on arrays: ``SeqVae.forward`` computes a batch's loss and
 ``SeqVae.backward`` pulls it back with the ops, in the order, of a tape over
 that forward (the tests' ``tests/tape.py``), so the gradients have the tape's
 bits without a tape.
+
+Greedy decoding (``SeqVae.decode_greedy_batch``) computes each step on the
+rows that have not emitted EOS, not on the whole batch. At the toy-default
+widths it gives the tokens, and the logits' bits, of computing every row at
+every step, because OpenBLAS gives a row of the decoder's two products the
+same bits at any row count from 2 up; a one-row product (gemv) sums in another
+order, so a batch never drops below two computed rows.
 """
 
 from __future__ import annotations
@@ -347,7 +354,19 @@ class SeqVae:
         """Greedy autoregressive decoding of a (B, K, d) batch; deterministic in z.
 
         Runs ``forward``'s split first layer: the z term once per batch, then
-        ``embed_dim`` input columns per step.
+        ``embed_dim`` input columns per step. Each step computes only the rows
+        still decoding, the ones that have not emitted EOS. A finished row's
+        logits are never read, and dropping it leaves the other rows' bits:
+        OpenBLAS (0.3.31, Haswell kernels, 1 or 2 threads) sums each row of
+        the decoder's two products, ``(B, embed_dim) @ (embed_dim, H)`` and
+        ``(B, H) @ (H, V)``, in the same order for any row count from 2 up.
+        That was checked for every row count from 2 to 512, and for random row
+        subsets, at the toy-default (32 -> 192 -> 32) and small-test
+        (8 -> 16 -> 32) widths; it does not hold for every width (output
+        widths of 1 to 3 mod 8 differ, for one). A one-row product goes to
+        gemv, which sums in another order, so while B >= 2 a finished row
+        rides along once a single row is left. A B = 1 decode takes gemv at
+        every step, as it always did.
         """
         c = self.config
         B, E = Z.shape[0], c.embed_dim
@@ -358,20 +377,26 @@ class SeqVae:
         w_e, zh = w1[:E], Z.reshape(B, c.K * c.d) @ w1[E:] + b1
         tokens = np.empty((B, toyset.MAX_LEN), dtype=np.int64)
         lengths = np.full(B, toyset.MAX_LEN)
-        done = np.zeros(B, dtype=bool)
+        # The rows computed at a step: the ``live`` ones still decoding, then a rider.
+        rows, live = np.arange(B), B
         prev = np.full(B, bos, dtype=np.int64)
         for pos in range(toyset.MAX_LEN):
+            if not live:
+                break
             logits = np.tanh((tok_emb[prev] + pos_emb[pos]) @ w_e + zh) @ w2 + b2
             logits[:, pad] = -np.inf
             logits[:, bos] = -np.inf
-            nxt = logits.argmax(axis=1)
-            tokens[:, pos] = nxt
-            ended = ~done & (nxt == eos)
-            lengths[ended] = pos
-            done |= ended
-            if done.all():
-                break
-            prev = np.where(done, eos, nxt)
+            prev = logits.argmax(axis=1)
+            tokens[rows, pos] = prev  # a rider's token lies past its length
+            ended = prev[:live] == eos
+            n_ended = np.count_nonzero(ended)
+            if n_ended:
+                lengths[rows[:live][ended]] = pos
+                finished = np.ones(len(rows), dtype=bool)
+                finished[:live] = ended
+                live -= n_ended
+                keep = np.argsort(finished, kind="stable")[:max(live, 2)]
+                rows, prev, zh = rows[keep], prev[keep], zh[keep]
         return [tuple(toyset.VOCAB[t] for t in row[:n]) for row, n in zip(tokens, lengths)]
 
     # -- checkpointing ----------------------------------------------------

@@ -56,6 +56,36 @@ def loop_postprocess(g, normalize, clip_norm):
     return g
 
 
+def all_rows_decode_greedy(vae, Z):
+    """The greedy decoder that computes every row at every step: the split
+    first layer, as ``SeqVae.decode_greedy_batch``, but finished rows keep
+    decoding (fed EOS) until all rows have emitted it."""
+    c = vae.config
+    B, E = Z.shape[0], c.embed_dim
+    pad, bos, eos = (toyset.TOKEN_ID[t] for t in (toyset.PAD, toyset.BOS, toyset.EOS))
+    tok_emb, pos_emb = vae.p["tok_emb"].data, vae.p["pos_emb"].data
+    w1, b1 = vae.p["dec_w1"].data, vae.p["dec_b1"].data
+    w2, b2 = vae.p["dec_w2"].data, vae.p["dec_b2"].data
+    w_e, zh = w1[:E], Z.reshape(B, c.K * c.d) @ w1[E:] + b1
+    tokens = np.empty((B, toyset.MAX_LEN), dtype=np.int64)
+    lengths = np.full(B, toyset.MAX_LEN)
+    done = np.zeros(B, dtype=bool)
+    prev = np.full(B, bos, dtype=np.int64)
+    for pos in range(toyset.MAX_LEN):
+        logits = np.tanh((tok_emb[prev] + pos_emb[pos]) @ w_e + zh) @ w2 + b2
+        logits[:, pad] = -np.inf
+        logits[:, bos] = -np.inf
+        nxt = logits.argmax(axis=1)
+        tokens[:, pos] = nxt
+        ended = ~done & (nxt == eos)
+        lengths[ended] = pos
+        done |= ended
+        if done.all():
+            break
+        prev = np.where(done, eos, nxt)
+    return [tuple(toyset.VOCAB[t] for t in row[:n]) for row, n in zip(tokens, lengths)]
+
+
 def _leaf(p) -> Tensor:
     return p if isinstance(p, Tensor) else Tensor(p.data, requires_grad=p.requires_grad)
 

@@ -354,6 +354,40 @@ def test_hypervolume_rows_match_loop(case, data):
         assert moeval.hypervolume_2d_with_warnings(points[row], ref) == (want, outside)
 
 
+def unpruned_hypervolume_2d_rows(points, present, ref):
+    """``moeval.hypervolume_2d_rows`` sweeping every column: no point is
+    dropped before the sort, whether or not a front can hold it."""
+    t, r = moeval._to_max(points), moeval._to_max(ref)
+    present = np.atleast_2d(present)
+    if len(t) == 0:
+        return np.zeros(len(present))
+    order, front, before = moeval._sweep_2d(t, present & np.all(t > r, axis=1))
+    x, y = t[order, 0], t[order, 1]
+    terms = np.where(front, (x - r[0]) * (y - np.maximum(before, r[1])), 0.0)
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets(max_n=40), st.data())
+def test_hypervolume_rows_pruning_keeps_bits(case, data):
+    """Dropping the columns behind a point every row holds (weakly dominated,
+    or equal and listed later) and those outside the reference box leaves
+    every row's bits: R = 1, duplicates, ties in one coordinate and points on
+    or outside the reference included."""
+    points, ref = case
+    n = len(points)
+    if n and data.draw(st.booleans()):  # duplicates of some points, anywhere in the list
+        extra = points[data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))]
+        points = np.vstack([points, extra])[data.draw(st.permutations(range(n + len(extra))))]
+        n = len(points)
+    always = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                              min_size=1, max_size=6))
+    present = np.array(rows, dtype=bool).reshape(len(rows), n) | always
+    got = moeval.hypervolume_2d_rows(points, present, ref)
+    assert got.tobytes() == unpruned_hypervolume_2d_rows(points, present, ref).tobytes()
+
+
 def test_hypervolume_long_front_sums_in_order():
     """200-point staircases: every point is a term, so another summation
     order (a pairwise ``np.sum``, say) shows in the last bits."""

@@ -134,6 +134,47 @@ def test_gradient_zero_stays_zero_under_normalize():
     assert np.array_equal(g, np.zeros((1, K, D)))
 
 
+class FixedGradient:
+    """A surrogate stub whose pullback gives the same (B, d) rows whatever the
+    objective: with one latent token (K = 1) the gradient is exactly those rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.float64)
+
+    def predict_vjp(self, x):
+        return np.zeros((len(x), 2)), lambda g: (self.rows.copy(),)
+
+
+def test_normalize_tiny_rows_gives_unit_norm():
+    """Rows whose squares underflow (norms down to subnormal entries) are
+    rescaled by a power of two first, so each comes out with unit norm."""
+    spec = ObjectiveSpec.maximize_p1_minimize_p2()
+    r = Rng(7)
+    scales = 10.0 ** r.uniform(-320, -140, (200,))
+    rows = r.normal((200, 64)) * scales[:, None]
+    _, g = objective_gradient(spec, FixedGradient(rows), np.zeros((200, 1, 64)), normalize=True)
+    norms = np.array([np.linalg.norm(row) for row in g])
+    assert np.all(np.abs(norms - 1.0) <= 8 * np.finfo(float).eps), norms
+    assert np.array_equal(np.sign(g[:, 0]), np.sign(rows))
+    # A row whose every square underflows no longer keeps its raw values.
+    _, g = objective_gradient(spec, FixedGradient(np.full((1, 64), 1e-170)),
+                              np.zeros((1, 1, 64)), normalize=True)
+    assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_normalize_rows_above_floor_keep_their_bits():
+    """Rows at or above the rescale floor are divided by their own norm, as
+    before; a zero row next to them stays zero."""
+    spec = ObjectiveSpec.maximize_p1_minimize_p2()
+    r = Rng(8)
+    rows = r.normal((41, 64)) * (10.0 ** np.linspace(-150, 150, 41))[:, None]
+    rows[0] = 2.0 ** -500 / 8.0  # 64 equal entries: a norm at the floor itself
+    rows[20] = 0.0
+    _, g = objective_gradient(spec, FixedGradient(rows), np.zeros((41, 1, 64)), normalize=True)
+    norm = np.array([np.linalg.norm(row) for row in rows])
+    assert np.array_equal(g[:, 0], rows / np.where(norm > 0, norm, 1.0)[:, None])
+
+
 def test_gradient_nonfinite_raises():
     model = LinearSurrogate(np.full((D, 2), np.inf))
     spec = ObjectiveSpec.maximize_p1_minimize_p2()

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -340,6 +343,52 @@ def test_greedy_decode_equals_concat_loop_on_bench_means():
     ds = toyset.generate_dataset(d.seed, d.count, d.min_len, d.max_len)
     mu = vae.encode_batch([tokens for tokens, _ in ds.subset("train")]).mu
     assert vae.decode_greedy_batch(mu) == concat_decode_greedy(vae, mu)
+
+
+# Greedy decoding of the benchmark checkpoint, checked against the loop that
+# computes every row at every step (``conftest.all_rows_decode_greedy``). Z
+# scales up to 16 give rows that emit EOS at step 0 and rows that reach
+# MAX_LEN; the fixed B = 2 batches leave one row live after step 0, so a
+# finished row rides along.
+DECODE_ROWS = """
+import sys
+from hypothesis import given, settings, strategies as st
+from conftest import all_rows_decode_greedy
+from flowopt import harness, toyset
+from flowopt.rng import Rng
+vae = harness.Pipeline.load(sys.argv[1]).vae
+K, d = vae.config.K, vae.config.d
+
+def check(Z):
+    assert vae.decode_greedy_batch(Z) == all_rows_decode_greedy(vae, Z)
+
+Z = Rng(0).normal((70, K, d)) * 8.0
+lengths = [len(s) for s in all_rows_decode_greedy(vae, Z)]
+assert 0 in lengths and toyset.MAX_LEN in lengths
+check(Z)
+empty, longer = lengths.index(0), next(i for i, n in enumerate(lengths) if n > 1)
+check(Z[[empty, longer]])
+check(Z[[longer, empty]])
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 70), st.floats(0.3, 16.0), st.integers(0, 2 ** 32 - 1))
+def batches(B, scale, seed):
+    check(Rng(seed).normal((B, K, d)) * scale)
+
+batches()
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_decode_live_rows_equals_all_rows_loop(threads):
+    tests = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, (str(tests.parent / "src"), str(tests),
+                                                        os.environ.get("PYTHONPATH")))))
+    res = subprocess.run([sys.executable, "-c", DECODE_ROWS, str(tests.parent / "bench" / "ckpt")],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_checkpoint_round_trip_bit_exact(model, tmp_path):
