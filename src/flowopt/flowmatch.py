@@ -115,7 +115,7 @@ def interpolate(z0: np.ndarray, z1: np.ndarray, t) -> tuple:
 def fm_loss(field: FlowField, z0: np.ndarray, z1: np.ndarray, t: np.ndarray) -> tuple:
     """Mean squared regression of the field onto the path derivative: the
     float loss ``mean(sum((v - target) ** 2, axis=1))`` and, in a tape's ops,
-    its gradient for each of ``field.params()`` (None if frozen). A
+    its gradient for each of ``field.params()``; the input's is not taken. A
     non-finite loss raises NumericFailure."""
     n = len(z0)
     if n == 0:

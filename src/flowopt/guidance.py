@@ -96,7 +96,7 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
                        normalize: bool = False, clip_norm: float = None) -> tuple:
     """J (B,) and its exact reverse-mode gradient (B, K, d) for each row of a
     (B, K, d) latent batch, both from one array pass of the surrogate and its
-    pullback (``surrogate.predict_vjp``).
+    pullback (``surrogate.predict_vjp``), which takes no parameter gradient.
 
     J equals ``objective_value(spec, surrogate.predict(mean_pool(z)))`` and the
     gradient that of a tape over J summed over rows, bit for bit; rows never
@@ -105,7 +105,7 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
     norm clipping. Scaling by gamma is the integrator's job.
     """
     z = np.asarray(z, dtype=np.float64)
-    pred, pullback = surrogate.predict_vjp(mean_pool(z))
+    pred, pullback = surrogate.predict_vjp(mean_pool(z), wrt_params=False)
     # J in ``objective_value``'s ops; its pullback in those of a tape over
     # ``sum(w * diff * diff)`` (the first factor's share, then the second's)
     # or ``-sum(signs * pred)``.

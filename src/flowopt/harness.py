@@ -48,16 +48,19 @@ class Pipeline:
 
     @classmethod
     def load(cls, ckpt_dir) -> "Pipeline":
+        """The models of ``ckpt_dir`` as training wrote them. A surrogate or a
+        flow over other latents than the VAE's is an I/O error naming its file."""
         def finetuned(arrays, meta):
             return (seqvae.SeqVae.from_checkpoint(arrays, meta),
                     surrogate_mod.Surrogate.from_checkpoint(arrays, meta["surrogate"]))
 
-        vae, sur = _load_model(os.path.join(ckpt_dir, FINETUNE_CKPT), finetuned)
-        flow = _load_model(os.path.join(ckpt_dir, FLOW_CKPT), flowmatch.FlowField.from_checkpoint)
-        # Nothing trains after loading: frozen parameters get no gradient, so
-        # guidance's pullbacks compute the guided latent's alone.
-        for p in vae.params() + sur.params() + flow.params():
-            p.requires_grad = False
+        ft_path, flow_path = (os.path.join(ckpt_dir, name) for name in (FINETUNE_CKPT, FLOW_CKPT))
+        vae, sur = _load_model(ft_path, finetuned)
+        flow = _load_model(flow_path, flowmatch.FlowField.from_checkpoint)
+        c = vae.config
+        _check_latents(ft_path, (sur.config.latent_dim,), (c.d,), ArtifactIOError, "its VAE")
+        _check_latents(flow_path, (flow.config.K, flow.config.d), (c.K, c.d), ArtifactIOError,
+                       ft_path)
         return cls(vae=vae, surrogate=sur, flow=flow)
 
 
@@ -77,6 +80,13 @@ def _load_model(path, build):
         raise ArtifactIOError(f"{path} has a malformed config: {e}") from e
 
 
+def _check_latents(path, got: tuple, want: tuple, error, source) -> None:
+    """Raise ``error`` naming ``path`` if its model's latent shape is not
+    ``want``, that of ``source``."""
+    if got != want:
+        raise error(f"{path} holds a model over latents of shape {got}, but {source} has {want}")
+
+
 def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
                    stages=("vae", "finetune", "flow")) -> dict:
     """Run the staged protocol; each stage writes one checkpoint.
@@ -89,6 +99,7 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
         nonempty_split(dataset, "val")  # both keep their best validation epoch
     os.makedirs(out_dir, exist_ok=True)
     rng = Rng(config.seed)
+    latents = (config.vae.K, config.vae.d)  # of the VAE that fine-tuning and flow training load
     paths = {}
 
     if "vae" in stages:
@@ -104,6 +115,7 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
         if not os.path.exists(src):
             raise ConfigError("finetune stage requires the pretrained VAE checkpoint")
         vae = _load_model(src, seqvae.SeqVae.from_checkpoint)
+        _check_latents(src, (vae.config.K, vae.config.d), latents, ConfigError, "the config")
         sur = surrogate_mod.Surrogate(config.surrogate, rng.split("surrogate"))
         seqvae.finetune(vae, sur, dataset, rng.split("finetune"))
         # Refit report: fidelity of the jointly trained surrogate on held-out
@@ -122,8 +134,9 @@ def pipeline_train(config: RunConfig, dataset: toyset.Dataset, out_dir,
         if not os.path.exists(src):
             raise ConfigError("flow stage requires the fine-tuned encoder checkpoint")
         vae = _load_model(src, seqvae.SeqVae.from_checkpoint)
+        _check_latents(src, (vae.config.K, vae.config.d), latents, ConfigError, "the config")
         field_model = flowmatch.FlowField(config.flow, rng.split("flow"))
-        # The encoder is frozen here: encode the train split once, gather per
+        # The encoder does not train here: encode the train split once, gather per
         # step. A row's encoding does not depend on its padding or on the other
         # rows, but its last bits do depend on the batch's row count (BLAS picks
         # its kernel by the shape of the scores product), so these are the bits

@@ -7,9 +7,9 @@ frequencies over [1, 1e4] — recorded in every checkpoint header), an
 adaptive-moment optimizer with decoupled weight decay over one flat buffer
 per parameter list, global-norm gradient clipping, a self-describing JSON
 checkpoint container with bit-exact round-trips, and the one rule by which
-stored configs are decoded. Parameters are ``autodiff.Tensor`` holders, whose
-``requires_grad`` flag freezes them. The pullbacks take the ops, in the order,
-of the reverse-mode tape in ``tests/tape.py``, the tests' reference.
+stored configs are decoded. Parameters are ``autodiff.Tensor`` holders. A
+pullback computes the gradients its caller asks for (input, parameters or
+both) in the ops and order of the reverse-mode tape in ``tests/tape.py``.
 """
 
 from __future__ import annotations
@@ -112,25 +112,23 @@ class Mlp:
             acts.append(x)
         return acts
 
-    def backward(self, acts: list, g: np.ndarray, wrt_input: bool = True) -> tuple:
+    def backward(self, acts: list, g: np.ndarray, wrt_input=True, wrt_params=True) -> tuple:
         """Gradients ``(input, *params())`` of ``sum(g * out)`` through the
         activations ``forward`` returned, in a per-layer tape's ops and order:
         ``acts[i].T @ g``, ``g.sum(axis=0)``, ``g @ w.T``. The input's is None
-        unless ``wrt_input``, a frozen parameter's is None, and no layer below
-        the lowest wanted gradient is visited."""
+        unless ``wrt_input``, the parameters' unless ``wrt_params``, and only
+        the input's takes the first layer's ``g @ w.T``."""
         back = _ACTIVATIONS[self.activation][1]
         n = len(self.weights)
-        stop = 0 if wrt_input else next(
-            (i // 2 for i, p in enumerate(self.params()) if p.requires_grad), n)
         grads = [None] * (2 * n)
-        for i in reversed(range(stop, n)):
+        for i in reversed(range(n)):
             if i < n - 1:
                 g = back(g, acts[i + 1])
-            w, b = self.weights[i], self.biases[i]
-            grads[2 * i] = acts[i].T @ g if w.requires_grad else None
-            grads[2 * i + 1] = g.sum(axis=0) if b.requires_grad else None
-            if i > stop or wrt_input:
-                g = g @ w.data.T
+            if wrt_params:
+                grads[2 * i] = acts[i].T @ g
+                grads[2 * i + 1] = g.sum(axis=0)
+            if i or wrt_input:
+                g = g @ self.weights[i].data.T
         return (g if wrt_input else None, *grads)
 
 

@@ -3,8 +3,9 @@
 Two bounded heads, sigmoids scaled to ``toyset.P1_BOUNDS`` and
 ``toyset.P2_BOUNDS``; bounds hold for arbitrarily large inputs by
 construction. One array forward and pullback, ``predict_vjp``, serves
-frozen inference, guidance and the surrogate's share of joint fine-tuning,
-whose loss is unweighted MSE; objective weights only enter at guidance time.
+inference, guidance, whose pullback takes the latent's gradient alone, and
+the surrogate's share of joint fine-tuning, whose loss is unweighted MSE;
+objective weights only enter at guidance time.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ class Surrogate:
     def params(self) -> list:
         return self.net.params()
 
-    def predict_vjp(self, pooled: np.ndarray) -> tuple:
+    def predict_vjp(self, pooled: np.ndarray, wrt_params: bool = True) -> tuple:
         """Predictions (B, 2) for pooled latents (B, d) and their pullback:
         ``pullback(g)`` is ``(d pooled, *d params())`` of ``sum(g * pred)``,
-        None for a frozen parameter.
+        with None for each parameter unless ``wrt_params``.
 
         The net's ``forward``/``backward`` and the head's ops in the order of
         a tape (``tests/tape.py``): ``sigmoid(out) * span + lo``, pulled back as
@@ -59,7 +60,7 @@ class Surrogate:
         y = sigmoid(acts[-1])
 
         def pullback(g):
-            return self.net.backward(acts, g * _SPAN * y * (1.0 - y))
+            return self.net.backward(acts, g * _SPAN * y * (1.0 - y), wrt_params=wrt_params)
 
         return y * _SPAN + _LO, pullback
 

@@ -101,7 +101,8 @@ class Structure:
 
 
 def _parse(tokens) -> list:
-    """Apply the robustness rules; returns the root chain of units."""
+    """Apply the robustness rules; returns the root chain of units, whose
+    branches may be empty."""
     root: list = []
     stack = [root]
     for tok in tokens:
@@ -129,48 +130,48 @@ def _parse(tokens) -> list:
                     chain[-1].sides.append(tok)
         else:
             raise ContractViolation(f"unknown token {tok!r}")
-    _prune_empty(root)
     return root
 
 
-def _prune_empty(chain) -> None:
-    for unit in chain:
-        for b in unit.branches:
-            _prune_empty(b)
-        unit.branches = [b for b in unit.branches if b]
+def _walk(chain, canon: list, skel: list, depth: int = 0) -> tuple:
+    """Append the canonical and skeleton tokens of a parsed chain and count
+    its backbone units, rings, side groups and deepest branch, in one pass.
 
-
-def _serialize(chain, canon: list, skel: list) -> None:
-    """Append the canonical and skeleton tokens of a pruned chain in one pass.
-
-    The skeleton is the canonical form without side groups. Pruning leaves
-    no empty branch, and dropping side groups empties none, so the skeleton
-    keeps every branch the canonical form has.
+    An empty branch is skipped, as if pruned: sub-branches hang only on a
+    branch's own units, so a branch is empty exactly when it has no unit.
+    The skeleton, the canonical form without side groups, keeps every branch.
     """
+    nb, rings, sides, max_depth = len(chain), 0, 0, depth
     for unit in chain:
         head = [unit.atom] + [RING] * unit.rings
         canon.extend(head)
         canon.extend(sorted(unit.sides))
         skel.extend(head)
+        rings += unit.rings
+        sides += len(unit.sides)
         for b in unit.branches:
+            if not b:
+                continue
             canon.append(OPEN)
             skel.append(OPEN)
-            _serialize(b, canon, skel)
+            b_nb, b_rings, b_sides, b_depth = _walk(b, canon, skel, depth + 1)
             canon.append(CLOSE)
             skel.append(CLOSE)
+            nb += b_nb
+            rings += b_rings
+            sides += b_sides
+            max_depth = max(max_depth, b_depth)
+    return nb, rings, sides, max_depth
 
 
 def decode(tokens) -> Structure:
     """Total decode: every token sequence yields a valid Structure.
 
-    The one parse of ``tokens`` gives the canonical and skeleton tokens and
-    the stats, so the oracle needs no parse of its own.
+    One parse of ``tokens`` and one walk of the tree give the canonical and
+    skeleton tokens and the stats, so the oracle needs no parse of its own.
     """
-    chain = _parse(tokens)
-    canon: list = []
-    skel: list = []
-    _serialize(chain, canon, skel)
-    nb, rings, sides, depth = _stats(chain)
+    canon, skel = [], []
+    nb, rings, sides, depth = _walk(_parse(tokens), canon, skel)
     return Structure(
         canonical_key=" ".join(canon) if canon else EMPTY_KEY,
         skeleton_key=" ".join(skel) if skel else EMPTY_KEY,
@@ -178,22 +179,6 @@ def decode(tokens) -> Structure:
         stats=Stats(length=len(canon), backbone=nb, rings=rings, side_groups=sides,
                     branch_depth=depth, skeleton_length=len(skel)),
     )
-
-
-def _stats(chain, depth=0):
-    nb = rings = sides = 0
-    max_depth = depth
-    for unit in chain:
-        nb += 1
-        rings += unit.rings
-        sides += len(unit.sides)
-        for b in unit.branches:
-            b_nb, b_rings, b_sides, b_depth = _stats(b, depth + 1)
-            nb += b_nb
-            rings += b_rings
-            sides += b_sides
-            max_depth = max(max_depth, b_depth)
-    return nb, rings, sides, max_depth
 
 
 def oracle_properties(s: Structure) -> Properties:
@@ -334,8 +319,8 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
 def read_split(path) -> list:
     """Read one split file back as (tokens, Properties) pairs.
 
-    A line that is not ``tokens<TAB>p1<TAB>p2`` with finite numeric
-    properties raises ArtifactIOError naming the file and line.
+    A line that is not ``tokens<TAB>p1<TAB>p2`` with tokens of ``VOCAB`` and
+    finite numeric properties raises ArtifactIOError naming the file and line.
     """
     out = []
     with open(path) as fh:
@@ -347,5 +332,9 @@ def read_split(path) -> list:
                 raise ArtifactIOError(f"{path}:{lineno}: malformed split line ({e})") from e
             if not (math.isfinite(props.p1) and math.isfinite(props.p2)):
                 raise ArtifactIOError(f"{path}:{lineno}: non-finite property in split line")
-            out.append((tuple(text.split()), props))
+            tokens = tuple(text.split())
+            unknown = [t for t in tokens if t not in TOKEN_ID]
+            if unknown:
+                raise ArtifactIOError(f"{path}:{lineno}: unknown token {unknown[0]!r}")
+            out.append((tokens, props))
     return out

@@ -42,11 +42,16 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def loop_postprocess(g, normalize, clip_norm):
-    """The per-row normalize-then-clip loop the row-wise post-processing replaced."""
+    """The per-row normalize-then-clip loop the row-wise post-processing
+    replaced, with its documented rescale: a row whose norm is below 2**-500
+    is first multiplied by 2**600, exactly, so its squares do not underflow."""
     g = g.copy()
     for b in range(len(g)):
         if normalize:
             norm = np.linalg.norm(g[b])
+            if norm < 2.0 ** -500:
+                g[b] = g[b] * 2.0 ** 600
+                norm = np.linalg.norm(g[b])
             if norm > 0:
                 g[b] = g[b] / norm
         if clip_norm is not None:
@@ -87,15 +92,15 @@ def all_rows_decode_greedy(vae, Z):
 
 
 def _leaf(p) -> Tensor:
-    return p if isinstance(p, Tensor) else Tensor(p.data, requires_grad=p.requires_grad)
+    return p if isinstance(p, Tensor) else Tensor(p.data, requires_grad=True)
 
 
 def on_tape(model):
     """A shallow copy of an ``Mlp``, ``Surrogate``, ``FlowField`` or ``SeqVae``
-    whose parameters are tape leaves on the model's own arrays, with the same
-    ``requires_grad`` flags; a parameter that is already a leaf is kept, so
-    lifting a lifted model gives the same leaves. A test that takes parameter
-    gradients lifts once and asks for those of ``lifted.params()``."""
+    whose parameters are trainable tape leaves on the model's own arrays; a
+    parameter that is already a leaf is kept, so lifting a lifted model gives
+    the same leaves. A test that takes parameter gradients lifts once and
+    asks for those of ``lifted.params()``."""
     lifted = copy.copy(model)
     if isinstance(model, Mlp):
         lifted.weights = [_leaf(w) for w in model.weights]

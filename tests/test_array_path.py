@@ -63,33 +63,32 @@ def small_models(seed, K, d, hidden, layers):
 
 @settings(max_examples=80, deadline=None)
 @given(rows, st.lists(widths, min_size=2, max_size=5), activations, seeds, st.booleans(),
-       st.lists(st.booleans(), min_size=8, max_size=8))
-def test_mlp_forward_and_backward_equal_tape(B, sizes, activation, seed, wrt_input, frozen):
+       st.booleans())
+def test_mlp_forward_and_backward_equal_tape(B, sizes, activation, seed, wrt_input, wrt_params):
     """``backward`` gives the reference tape's input gradient (None unless
-    ``wrt_input``) and each trainable parameter's gradient (None for a frozen
-    one), and a one-node tape over ``forward``/``backward`` gives the same."""
+    ``wrt_input``) and every parameter's gradient (each None unless
+    ``wrt_params``), and a one-node tape over ``forward``/``backward`` gives
+    the same."""
     mlp = jittered_mlp(sizes, activation, seed)
-    params = mlp.params()
-    for p, off in zip(params, frozen):
-        p.requires_grad = not off
     lifted = on_tape(mlp)
-    trainable = [p for p in lifted.params() if p.requires_grad]
     x = Rng(seed).split("x").normal((B, sizes[0])) * 2.0
     g = Rng(seed).split("g").normal((B, sizes[-1]))
     xt = Tensor(x, requires_grad=wrt_input)
     out = tape_mlp(lifted, xt)
-    want = ad.gradients((out * Tensor(g)).sum(), trainable + [xt])
+    want = ad.gradients((out * Tensor(g)).sum(), lifted.params() + [xt])
     acts = mlp.forward(x)
     assert len(acts) == len(sizes)
     assert np.array_equal(acts[-1], out.data)
-    gx, *grads = mlp.backward(acts, g, wrt_input=wrt_input)
+    gx, *grads = mlp.backward(acts, g, wrt_input=wrt_input, wrt_params=wrt_params)
     assert np.array_equal(gx, want[-1]) if wrt_input else gx is None
-    got = [gp for p, gp in zip(params, grads) if p.requires_grad]
-    assert all(gp is None for p, gp in zip(params, grads) if not p.requires_grad)
-    assert len(got) == len(trainable) and all(map(np.array_equal, got, want))
+    assert len(grads) == len(mlp.params())
+    if wrt_params:
+        assert all(map(np.array_equal, grads, want))
+    else:
+        assert all(gp is None for gp in grads)
     node = mlp_node(lifted, xt)
     assert node.op == "mlp" and np.array_equal(node.data, out.data)
-    on_node = ad.gradients((node * Tensor(g)).sum(), trainable + [xt])
+    on_node = ad.gradients((node * Tensor(g)).sum(), lifted.params() + [xt])
     assert all(map(np.array_equal, on_node[:-1], want[:-1]))
     assert not wrt_input or np.array_equal(on_node[-1], want[-1])
 
@@ -148,16 +147,39 @@ def test_predict_vjp_equals_tape(B, d, seed, scale):
     pred, pullback = sur.predict_vjp(pooled)
     assert np.array_equal(pred, out.data)
     assert [a.tobytes() for a in pullback(g)] == [w.tobytes() for w in want]
+    pred, pullback = sur.predict_vjp(pooled, wrt_params=False)
+    gx, *grads = pullback(g)
+    assert np.array_equal(pred, out.data) and gx.tobytes() == want[0].tobytes()
+    assert len(grads) == len(sur.params()) and all(gp is None for gp in grads)
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows, st.integers(1, 4), widths, seeds, specs, st.booleans(), clips)
+# A subnormal weight: the latent's gradient row has a norm whose square underflows.
+@example(1, 1, 1, 0, ObjectiveSpec(mode="target", weights=(0.0, 2.225073858507e-311),
+                                   targets=(0.0, 0.0)), True, None)
 def test_objective_gradient_equals_tape(B, K, d, seed, spec, normalize, clip):
     _, sur = small_models(seed, K, d, 8, 3)
     z = Rng(seed).split("z").normal((B, K, d)) * 2.0
     j, g = objective_gradient(spec, sur, z, normalize=normalize, clip_norm=clip)
     want_j, want_g = tape_objective_gradient(spec, sur, z, normalize, clip)
     assert np.array_equal(j, want_j) and np.array_equal(g, want_g)
+
+
+def test_objective_gradient_takes_no_parameter_gradient(monkeypatch):
+    """Guidance pulls back through the surrogate for the latent's gradient
+    alone: the net's pullback is asked for no parameter gradient."""
+    _, sur = small_models(3, 2, 3, 8, 3)
+    backward, pulled = Mlp.backward, []
+
+    def spy(self, acts, g, **kwargs):
+        pulled.append(backward(self, acts, g, **kwargs))
+        return pulled[-1]
+
+    monkeypatch.setattr(Mlp, "backward", spy)
+    objective_gradient(ObjectiveSpec.maximize_p1_minimize_p2(), sur, Rng(3).normal((5, 2, 3)))
+    assert len(pulled) == 1 and pulled[0][0].shape == (5, 3)
+    assert len(pulled[0]) == 1 + len(sur.params()) and all(gp is None for gp in pulled[0][1:])
 
 
 def test_frozen_inference_builds_no_tape(monkeypatch):
@@ -261,8 +283,8 @@ def test_training_builds_no_tape(monkeypatch):
 
 
 def test_on_tape_lifts_onto_the_models_own_arrays():
-    """``on_tape`` of each model kind gives leaves on the model's own arrays
-    with its flags, and the same leaves when lifted again; a parameter changed
+    """``on_tape`` of each model kind gives trainable leaves on the model's own
+    arrays, and the same leaves when lifted again; a parameter changed
     in place through the model shows up in the reference. A copying lift would
     pass every ``==`` test above, since a copy has equal values."""
     field, sur = small_models(0, 2, 3, 8, 3)
@@ -281,12 +303,11 @@ def test_on_tape_lifts_onto_the_models_own_arrays():
                 lambda lifted: tape_encode(lifted, enc, valid)[0].data),
     }
     for name, (model, program, reference) in models.items():
-        model.params()[1].requires_grad = False
         lifted = on_tape(model)
         pairs = list(zip(model.params(), lifted.params()))
         assert len(pairs) == len(model.params()) > 1, name
-        assert all(isinstance(q, Tensor) and q.data is p.data
-                   and q.requires_grad == p.requires_grad for p, q in pairs), name
+        assert all(isinstance(q, Tensor) and q.data is p.data and q.requires_grad
+                   for p, q in pairs), name
         assert all(a is b for a, b in zip(on_tape(lifted).params(), lifted.params())), name
         for p in model.params():
             p.data *= 1.5

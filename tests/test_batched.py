@@ -153,7 +153,7 @@ class RowScaledSurrogate:
     def __init__(self, scale, w):
         self.scale, self.w = scale, w
 
-    def predict_vjp(self, pooled):
+    def predict_vjp(self, pooled, wrt_params=True):
         return (pooled * self.scale) @ self.w, lambda g: ((g @ self.w.T) * self.scale,)
 
 

@@ -25,8 +25,8 @@ class LinearSurrogate:
     def predict(self, x):
         return x @ self.w + self.b
 
-    def predict_vjp(self, x):
-        # Its weights are fixed, so the pullback gives the input's gradient alone.
+    def predict_vjp(self, x, wrt_params=True):
+        # It has no parameters, so the pullback gives the input's gradient alone.
         return self.predict(x), lambda g: (g @ self.w.T,)
 
 
@@ -141,7 +141,7 @@ class FixedGradient:
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=np.float64)
 
-    def predict_vjp(self, x):
+    def predict_vjp(self, x, wrt_params=True):
         return np.zeros((len(x), 2)), lambda g: (self.rows.copy(),)
 
 

@@ -437,9 +437,9 @@ def test_flow_stage_matches_per_step_encoding(tiny_run, tmp_path, monkeypatch):
 
 
 def test_finetune_stage_trains_every_parameter(tiny_run, tmp_path):
-    """Loaded models are frozen, but the fine-tune stage loads its source
-    trainable: it updates every VAE parameter and writes, bit for bit, what
-    fine-tuning a model built straight from the pretrain checkpoint gives."""
+    """The fine-tune stage updates every VAE parameter it loads and writes,
+    bit for bit, what fine-tuning a model built straight from the pretrain
+    checkpoint gives."""
     cfg, ds = tiny_run["cfg"], tiny_run["ds"]
     shutil.copy(os.path.join(tiny_run["ckpt_dir"], harness.VAE_CKPT), tmp_path)
     harness.pipeline_train(cfg, ds, tmp_path, ("finetune",))
@@ -581,15 +581,21 @@ def test_cli_missing_data_exit_4(runner, tiny_run):
 
 
 def test_cli_malformed_split_exit_4(runner, tiny_run, tmp_path):
-    data = tmp_path / "data"
-    shutil.copytree(tiny_run["data_dir"], data)
-    lines = (data / "train.tsv").read_text().splitlines()
-    lines[2] = "A B\t0.5"
-    (data / "train.tsv").write_text("\n".join(lines) + "\n")
-    res = runner.invoke(cli.main, ["train", "--seed", "1", "--config", tiny_run["cfg_path"],
-                                   "--data", str(data), "--out", str(tmp_path / "ckpt")])
-    assert res.exit_code == 4, res.output
-    assert "train.tsv:3" in res.output
+    """A line missing a field, or holding a token outside the vocabulary, is an
+    I/O error naming its line."""
+    for i, (bad, command) in enumerate([
+            ("A B\t0.5", ["train", "--out", str(tmp_path / "ckpt")]),
+            ("A Z B\t0.5\t2.0", ["budgeted", "--ckpt", tiny_run["ckpt_dir"],
+                                  "--out", str(tmp_path / "run")])]):
+        data = tmp_path / f"data{i}"
+        shutil.copytree(tiny_run["data_dir"], data)
+        lines = (data / "train.tsv").read_text().splitlines()
+        lines[2] = bad
+        (data / "train.tsv").write_text("\n".join(lines) + "\n")
+        res = runner.invoke(cli.main, [command[0], "--seed", "1", "--config", tiny_run["cfg_path"],
+                                       "--data", str(data), *command[1:]])
+        assert res.exit_code == 4, res.output
+        assert "train.tsv:3" in res.output
 
 
 @pytest.mark.parametrize("line", [0, 3])
@@ -675,11 +681,24 @@ def _drop_queries(doc):
     del doc["data"]["vae.queries"]
 
 
+def _bench(name, as_name=None):
+    """A corruption replacing checkpoint ``as_name`` (default ``name``) with the
+    benchmark's ``name``, whose latents are (K, d) = (4, 16), not (2, 8)."""
+    def corrupt(ckpt):
+        shutil.copy(os.path.join(BENCH_CKPT, name), ckpt / (as_name or name))
+        return as_name or name
+    return corrupt
+
+
+def _surrogate_latent_dim(doc):
+    doc["header"]["meta"]["surrogate"]["config"]["latent_dim"] = 4
+
+
 def _cli_args(command, tiny_run, ckpt):
     common = ["--config", tiny_run["cfg_path"]]
-    if command == "train-finetune":
+    if command.startswith("train-"):
         return ["train", "--seed", "1", *common, "--data", tiny_run["data_dir"],
-                "--out", str(ckpt), "--stage", "finetune"]
+                "--out", str(ckpt), "--stage", command[len("train-"):]]
     if command == "optimize":
         return ["optimize", "--seed", "3", *common, "--ckpt", str(ckpt), "--tokens", "A B R i"]
     return ["generate", "--seed", "2", *common, "--ckpt", str(ckpt), "--count", "2"]
@@ -692,14 +711,36 @@ def _cli_args(command, tiny_run, ckpt):
                  id="_pretrain_without_queries"),
     pytest.param(_edit(harness.FINETUNE_CKPT, _drop_queries), "optimize",
                  id="_finetune_without_queries"),
+    pytest.param(_bench(harness.FLOW_CKPT), "generate", id="_flow_of_other_latents"),
+    pytest.param(_bench(harness.FINETUNE_CKPT), "optimize", id="_vae_of_other_latents"),
+    pytest.param(_edit(harness.FINETUNE_CKPT, _surrogate_latent_dim), "generate",
+                 id="_surrogate_of_other_latents"),
 ])
 def test_cli_checkpoint_missing_entry_exit_4(runner, tiny_run, tmp_path, corrupt, command):
-    """A checkpoint consistent with its own header but lacking what the model needs."""
+    """A checkpoint consistent with its own header but lacking what the model
+    needs, or holding a model over latents of another shape than the VAE's."""
     ckpt = tmp_path / "ckpt"
     shutil.copytree(tiny_run["ckpt_dir"], ckpt)
     name = corrupt(ckpt)
     res = runner.invoke(cli.main, _cli_args(command, tiny_run, ckpt))
     assert res.exit_code == 4, res.output
+    assert name in res.output
+
+
+@pytest.mark.parametrize("corrupt, command", [
+    pytest.param(_bench(harness.FINETUNE_CKPT, harness.VAE_CKPT), "train-finetune",
+                 id="finetune"),
+    pytest.param(_bench(harness.FINETUNE_CKPT), "train-flow", id="flow"),
+])
+def test_cli_train_on_encoder_of_other_latents_exit_2(runner, tiny_run, tmp_path, corrupt,
+                                                      command):
+    """A stage that trains on a checkpoint whose VAE does not have the config's
+    (K, d) is a config error naming the checkpoint."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(tiny_run["ckpt_dir"], ckpt)
+    name = corrupt(ckpt)
+    res = runner.invoke(cli.main, _cli_args(command, tiny_run, ckpt))
+    assert res.exit_code == 2, res.output
     assert name in res.output
 
 
@@ -756,10 +797,21 @@ def test_committed_bench_checkpoint_loads():
     assert len(decoded) == 2 and all(t in toyset.VOCAB for row in decoded for t in row)
 
 
-def test_loaded_models_are_frozen():
+def test_loaded_models_fine_tune():
+    """``Pipeline.load`` gives the arrays training wrote and sets no mode on
+    them: one joint fine-tune epoch runs on the loaded VAE and surrogate and
+    updates every VAE parameter."""
     models = harness.Pipeline.load(BENCH_CKPT)
-    params = models.vae.params() + models.surrogate.params() + models.flow.params()
-    assert params and not any(p.requires_grad for p in params)
+    stored, _ = load_checkpoint(os.path.join(BENCH_CKPT, harness.FINETUNE_CKPT))
+    loaded = {**models.vae.arrays(), **models.surrogate.arrays()}
+    assert sorted(loaded) == sorted(stored)
+    assert all(np.array_equal(loaded[name], stored[name]) for name in stored)
+    models.vae.config = dataclasses.replace(models.vae.config, finetune_epochs=1)
+    hist = seqvae.finetune(models.vae, models.surrogate, toyset.generate_dataset(3, 80, 3, 14),
+                           Rng(0))
+    assert hist.best_epoch == 0
+    for name in seqvae.PARAM_NAMES:
+        assert not np.array_equal(models.vae.p[name].data, stored[f"vae.{name}"]), name
 
 
 @pytest.mark.parametrize("spec", [ObjectiveSpec.maximize_p1_minimize_p2(),
@@ -767,17 +819,15 @@ def test_loaded_models_are_frozen():
                                                 targets=(0.8, 2.5))])
 @pytest.mark.parametrize("normalize, clip_norm", [(False, None), (True, 5.0)])
 def test_frozen_objective_gradient_equals_trainable(spec, normalize, clip_norm):
-    """On the benchmark checkpoint, the array path over the frozen surrogate
-    gives the J and latent gradient of a tape over the all-trainable one, bit
-    for bit."""
+    """On the benchmark checkpoint, the array path, which takes no parameter
+    gradient, gives the J and latent gradient of a tape over the surrogate
+    with every parameter trainable, bit for bit."""
     models = harness.Pipeline.load(BENCH_CKPT)
     g = config.toy_default(0).guidance
     xs = [tokens for tokens, _ in toyset.generate_dataset(3, 16, 3, 14).entries]
     z = guidance.prepare_optimization(models.vae.encode_batch(xs).mu, g.sigma,
                                       [Rng(0).split(i) for i in range(len(xs))])
     frozen = guidance.objective_gradient(spec, models.surrogate, z, normalize, clip_norm)
-    for p in models.surrogate.params():
-        p.requires_grad = True
     full = tape_objective_gradient(spec, models.surrogate, z, normalize, clip_norm)
     assert np.array_equal(frozen[0], full[0]) and np.array_equal(frozen[1], full[1])
 

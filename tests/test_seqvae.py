@@ -391,6 +391,30 @@ def test_decode_live_rows_equals_all_rows_loop(threads):
     assert res.returncode == 0, res.stderr
 
 
+def test_decode_rider_keeps_products_off_one_row():
+    """While a batch has two rows or more, no decoder product has one row: once
+    a single row is live, a finished one rides along, so the product sums in
+    the order of the larger batches, not in gemv's. Six rows of the benchmark
+    checkpoint that end at steps 3 to 5 give products of 6, 4 and 2 rows."""
+    vae = harness.Pipeline.load(Path(__file__).parent.parent / "bench" / "ckpt").vae
+    rows = []
+
+    class NotesRows(np.ndarray):
+        """Notes the row count of the left operand of each product it is in."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                rows.append(len(inputs[0]))
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    Z = Rng(0).normal((6, vae.config.K, vae.config.d))
+    want = vae.decode_greedy_batch(Z)
+    assert [len(s) for s in want] == [4, 3, 3, 4, 4, 5]
+    vae.p["dec_w2"].data = vae.p["dec_w2"].data.view(NotesRows)
+    assert vae.decode_greedy_batch(Z) == want
+    assert rows == [6, 6, 6, 6, 4, 2]
+
+
 def test_checkpoint_round_trip_bit_exact(model, tmp_path):
     path = tmp_path / "vae.ckpt"
     save_checkpoint(path, model.arrays(), model.meta("pretrain"))

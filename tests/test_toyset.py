@@ -202,6 +202,15 @@ def test_toy_default_dataset_matches_recorded_bytes(tmp_path):
 # more for its skeleton key, and the skeleton was serialized from a stripped
 # copy of the tree. The one-pass code must reproduce all of it exactly.
 
+def reference_prune(chain) -> list:
+    """Drop every empty branch, deepest first, in place."""
+    for unit in chain:
+        for b in unit.branches:
+            reference_prune(b)
+        unit.branches = [b for b in unit.branches if b]
+    return chain
+
+
 def reference_serialize(chain) -> list:
     out = []
     for unit in chain:
@@ -238,7 +247,7 @@ def reference_stats(canon, skel) -> toyset.Stats:
 
 
 def reference_decode(tokens) -> toyset.Structure:
-    chain = toyset._parse(tokens)
+    chain = reference_prune(toyset._parse(tokens))
     canon = reference_serialize(chain)
     skel = reference_serialize(reference_strip_sides(chain))
     return toyset.Structure(
