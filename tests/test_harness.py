@@ -1158,6 +1158,29 @@ def test_budgeted_outputs_match_recorded_bytes(runner, toy_data, tmp_path):
         assert _bundle_digests(res.output, want) == want, proposer
 
 
+# The same under ``--profile paper-tuned``, whose guidance normalizes each
+# gradient row to unit norm (toy-default steps on the raw rows): the guided-flow
+# bundle's trace and run record, and the trajectory ``flowopt optimize --seed 0``
+# prints for a start drawn from the test split.
+RECORDED_PAPER_TUNED_SHA256 = {
+    "hvi_trace.csv": "4a3393fed442e01312c27a969e163e3c54dd391db4130657015a2423908d2b7d",
+    "run.json": "37b86462f1525af768969fb87f1dd8c48c8049a4d0bb7a35cc755f52ff615948",
+    "optimize": "4c6ea3615ba578e2e68d7fd060c26be5eb1e405511b7eb8ae3bd443f62f74813",
+}
+
+
+def test_paper_tuned_outputs_match_recorded_bytes(runner, toy_data, tmp_path):
+    common = ["--seed", "0", "--profile", "paper-tuned", "--ckpt", BENCH_CKPT, "--data", toy_data]
+    res = runner.invoke(cli.main, ["budgeted", *common, "--proposer", "guided-flow",
+                                   "--out", str(tmp_path / "runs")])
+    assert res.exit_code == 0, res.output
+    got = _bundle_digests(res.output, ["hvi_trace.csv", "run.json"])
+    res = runner.invoke(cli.main, ["optimize", *common])
+    assert res.exit_code == 0, res.output
+    got["optimize"] = hashlib.sha256(res.output.encode()).hexdigest()
+    assert got == RECORDED_PAPER_TUNED_SHA256
+
+
 # The same for ``flowopt gamma-sweep --profile toy-default --seed 0``: the 7-gamma
 # grid, 3 seeds of 64 candidates each, decoded and bootstrapped per cell.
 RECORDED_SWEEP_SHA256 = {
