@@ -58,20 +58,6 @@ def _load_config(path, profile, seed) -> config_mod.RunConfig:
     return cfg
 
 
-def _load_dataset(data_dir) -> toyset.Dataset:
-    entries, idx = [], {}
-    for which in ("train", "val", "test"):
-        path = os.path.join(data_dir, f"{which}.tsv")
-        if not os.path.exists(path):
-            raise ArtifactIOError(f"missing dataset split {path}")
-        split = toyset.read_split(path)
-        start = len(entries)
-        entries.extend(split)
-        idx[which] = list(range(start, len(entries)))
-    return toyset.Dataset(entries=entries, train_idx=idx["train"],
-                          val_idx=idx["val"], test_idx=idx["test"])
-
-
 def _parse_list(text, convert, flag) -> list:
     """Comma-separated option values; one that ``convert`` rejects is a ConfigError."""
     values = []
@@ -139,7 +125,7 @@ def gen_data(seed, count, min_len, max_len, out_dir):
 def train(config_path, profile, seed, data_dir, out_dir, stages):
     """Run the staged training pipeline, writing one checkpoint per stage."""
     cfg = _load_config(config_path, profile, seed)
-    ds = _load_dataset(data_dir)
+    ds = toyset.read_dataset(data_dir)
     stages = stages or ("vae", "finetune", "flow")
     paths = harness.pipeline_train(cfg, ds, out_dir, stages=stages)
     for stage, path in paths.items():
@@ -194,7 +180,7 @@ def optimize(config_path, profile, seed, ckpt_dir, tokens, data_dir):
     else:
         if data_dir is None:
             raise ConfigError("provide --tokens or --data to choose a start structure")
-        test = harness.nonempty_split(_load_dataset(data_dir), "test")
+        test = harness.nonempty_split(toyset.read_dataset(data_dir), "test")
         start = test[int(rng.integers(0, len(test)))][0]
     g = cfg.guidance
     z0 = guidance.prepare_optimization(models.vae.encode_batch([start]).mu, g.sigma,
@@ -230,7 +216,7 @@ def budgeted(config_path, profile, seed, ckpt_dir, data_dir, proposer, free_init
     if free_init:
         cfg.budget.free_init = True
     models = harness.Pipeline.load(ckpt_dir)
-    ds = _load_dataset(data_dir)
+    ds = toyset.read_dataset(data_dir)
     result = harness.budgeted_run(models, ds, cfg, proposer, seed)
     run_dir = _run_dir(out_dir, f"budgeted-{proposer}-seed{seed}")
     harness.run_report(run_dir, {
@@ -263,7 +249,7 @@ def gamma_sweep(config_path, profile, seed, ckpt_dir, data_dir, grid, sweep_seed
     """Guidance-strength sweep: per-gamma metric table over shared seeds."""
     cfg = _load_config(config_path, profile, seed)
     models = harness.Pipeline.load(ckpt_dir)
-    ds = _load_dataset(data_dir)
+    ds = toyset.read_dataset(data_dir)
     grid_vals = _parse_list(grid, float, "--grid") if grid else None
     seed_vals = _parse_list(sweep_seeds, int, "--sweep-seeds") if sweep_seeds else None
     rows = harness.gamma_sweep(models, ds, cfg, grid=grid_vals, seeds=seed_vals)
@@ -299,7 +285,7 @@ def eval_cmd(config_path, profile, seed, ckpt_dir, data_dir, gen_path, out_dir):
     """Full metric suite for a generated set against the test baseline."""
     cfg = _load_config(config_path, profile, seed)
     models = harness.Pipeline.load(ckpt_dir)
-    ds = _load_dataset(data_dir)
+    ds = toyset.read_dataset(data_dir)
     try:
         with open(gen_path) as fh:
             structures = [toyset.decode(tuple(line.split("\t")[0].split()))

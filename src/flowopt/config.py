@@ -13,7 +13,6 @@ import math
 import typing
 from dataclasses import dataclass, field, asdict
 
-from . import toyset
 from .errors import ConfigError
 from .flowmatch import FlowConfig
 from .guidance import GuidanceConfig, ObjectiveSpec
@@ -81,7 +80,7 @@ class RunConfig:
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
     flow: FlowConfig = field(default_factory=FlowConfig)
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
-    objective: ObjectiveSpec = field(default_factory=ObjectiveSpec.maximize_p1_minimize_p2)
+    objective: ObjectiveSpec = field(default_factory=ObjectiveSpec)
     budget: BudgetConfig = field(default_factory=BudgetConfig)
     evaluation: EvalConfig = field(default_factory=EvalConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
@@ -137,8 +136,7 @@ def toy_default(seed: int = 0) -> RunConfig:
                       beta_max=0.01, pretrain_epochs=30, finetune_epochs=12),
         guidance=GuidanceConfig(gamma=10.0, sigma=0.5, steps=15, t_start=0.7,
                                 normalize_gradient=False),
-        objective=ObjectiveSpec(mode="target", weights=(1.0, 0.5),
-                                targets=(0.8, 2.5), signs=toyset.PROPERTY_SIGNS),
+        objective=ObjectiveSpec(mode="target", weights=(1.0, 0.5), targets=(0.8, 2.5)),
     )
 
 
@@ -147,8 +145,8 @@ def paper_tuned(seed: int = 0) -> RunConfig:
     cfg = toy_default(seed)
     cfg.vae = dataclasses.replace(cfg.vae, beta_max=0.1)
     cfg.guidance = GuidanceConfig(gamma=36.07, sigma=0.80, steps=12, t_start=0.89,
-                                  clip_norm=5.0, normalize_gradient=True)
-    cfg.objective = ObjectiveSpec.maximize_p1_minimize_p2()
+                                  normalize_gradient=True)
+    cfg.objective = ObjectiveSpec(mode="directional")
     return cfg
 
 

@@ -2,13 +2,14 @@
 
 The scalar objective J is always minimized. Target mode is a weighted
 squared error to per-property targets; directional mode is the negated
-signed sum of predictions (sign +1 maximizes a property, -1 minimizes it).
+sum of predictions times ``toyset.PROPERTY_SIGNS``, the orientation the
+evaluation's fronts use: raise p1, lower p2.
 
 Guided integration runs explicit Euler on dz/dt = v(z, t) - gamma * g(z),
 where g is the objective gradient through mean pooling and the surrogate.
-Gradient post-processing order is fixed: normalize to unit global norm
-first, then clip, then scale by gamma inside the integrator. Exploration
-noise is injected once at preparation time, never per step.
+The integrator alone post-processes each gradient row: normalize, or clip
+raw rows to ``CLIP_NORM``; it then scales by gamma. Exploration noise is
+injected once at preparation time, never per step.
 """
 
 from __future__ import annotations
@@ -26,21 +27,23 @@ from .rng import normal_rows
 GA_ETA = 0.3
 GA_STEPS = 10
 GA_SIGMA = 0.2
+# The norm a raw guidance gradient row is clipped to when rows are not normalized.
+CLIP_NORM = 5.0
+_SIGNS = np.asarray(toyset.PROPERTY_SIGNS, dtype=np.float64)
 
 
 @dataclass
 class ObjectiveSpec:
-    """Either target mode (weights + targets) or directional mode (signs)."""
+    """Either target mode (weights + targets) or directional mode (raise p1, lower p2)."""
 
-    mode: str  # "target" | "directional"
+    mode: str = "directional"  # or "target"
     weights: tuple = (1.0, 1.0)
     targets: tuple = None
-    signs: tuple = None
 
     def __post_init__(self):
         if self.mode not in ("target", "directional"):
             raise ContractViolation(f"unknown objective mode {self.mode!r}")
-        for name in ("weights", "targets", "signs"):
+        for name in ("weights", "targets"):
             value = getattr(self, name)
             if value is not None and np.shape(value) != np.shape(toyset.PROPERTY_SIGNS):
                 raise ContractViolation(f"{name} needs one entry per property "
@@ -51,14 +54,6 @@ class ObjectiveSpec:
             raise ContractViolation("target mode requires targets")
         if self.targets is not None and not np.isfinite(self.targets).all():
             raise ContractViolation(f"targets must be finite, not {self.targets!r}")
-        if self.mode == "directional":
-            if self.signs is None or any(s not in (-1, 1) for s in self.signs):
-                raise ContractViolation("directional mode requires signs in {+1, -1}")
-
-    @classmethod
-    def maximize_p1_minimize_p2(cls) -> "ObjectiveSpec":
-        """The default two-property setting: raise p1, lower p2."""
-        return cls(mode="directional", signs=toyset.PROPERTY_SIGNS)
 
 
 def objective_value(spec: ObjectiveSpec, pred):
@@ -67,11 +62,9 @@ def objective_value(spec: ObjectiveSpec, pred):
     B == 1), so a finite-difference check can treat it as a scalar function."""
     pred = np.asarray(pred, dtype=np.float64)
     if spec.mode == "target":
-        w = np.asarray(spec.weights)
-        c = np.asarray(spec.targets)
-        j = (w * (pred - c) ** 2).sum(axis=-1)
+        j = (np.asarray(spec.weights) * (pred - np.asarray(spec.targets)) ** 2).sum(axis=-1)
     else:
-        j = -(np.asarray(spec.signs) * pred).sum(axis=-1)
+        j = -(_SIGNS * pred).sum(axis=-1)
     return j.item() if j.size == 1 else j
 
 
@@ -92,51 +85,35 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((f[:, None, :] @ f[:, :, None])[:, 0, 0])
 
 
-def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray,
-                       normalize: bool = False, clip_norm: float = None) -> tuple:
+def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray) -> tuple:
     """J (B,) and its exact reverse-mode gradient (B, K, d) for each row of a
     (B, K, d) latent batch, both from one array pass of the surrogate and its
     pullback (``surrogate.predict_vjp``), which takes no parameter gradient.
 
     J equals ``objective_value(spec, surrogate.predict(mean_pool(z)))`` and the
     gradient that of a tape over J summed over rows, bit for bit; rows never
-    mix, so row b of the gradient is that of row b's own J. Post-processing
-    acts on each row: unit-norm rescaling first (a zero row stays zero), then
-    norm clipping. Scaling by gamma is the integrator's job.
+    mix, so row b of the gradient is that of row b's own J. The gradient is
+    raw: ``guided_integrate`` post-processes it, and the gradient-ascent
+    baseline steps on it as it is.
     """
     z = np.asarray(z, dtype=np.float64)
     pred, pullback = surrogate.predict_vjp(mean_pool(z), wrt_params=False)
     # J in ``objective_value``'s ops; its pullback in those of a tape over
     # ``sum(w * diff * diff)`` (the first factor's share, then the second's)
-    # or ``-sum(signs * pred)``.
+    # or ``-sum(_SIGNS * pred)``.
     if spec.mode == "target":
         w = np.asarray(spec.weights, dtype=np.float64)
         diff = pred - np.asarray(spec.targets, dtype=np.float64)
         j = (w * diff ** 2).sum(axis=-1)
         dj = w * diff + diff * w
     else:
-        signs = np.asarray(spec.signs, dtype=np.float64)
-        j = -(signs * pred).sum(axis=-1)
-        dj = np.broadcast_to(-signs, pred.shape)
+        j = -(_SIGNS * pred).sum(axis=-1)
+        dj = np.broadcast_to(-_SIGNS, pred.shape)
     # Mean pooling's pullback: times 1/K, then spread over the K tokens.
     g_pooled = pullback(dj)[0] * (1.0 / z.shape[-2])
     if not (np.isfinite(j).all() and np.isfinite(g_pooled).all()):
         raise NumericFailure("non-finite objective or objective gradient")
-    g = np.repeat(g_pooled[..., None, :], z.shape[-2], axis=-2)
-    # Rows left alone are divided or multiplied by exactly 1.0, which keeps their bits.
-    if normalize:
-        norm = _row_norms(g)
-        tiny = norm < _NORM_FLOOR
-        if tiny.any():  # their squares may underflow: rescale, exactly, by a power of two
-            g[tiny] *= _NORM_RESCALE
-            norm[tiny] = _row_norms(g[tiny])
-        g /= np.where(norm > 0, norm, 1.0)[:, None, None]
-    if clip_norm is not None:
-        norm = _row_norms(g)
-        over = norm > clip_norm
-        if over.any():
-            g *= np.divide(clip_norm, norm, out=np.ones_like(norm), where=over)[:, None, None]
-    return j, g
+    return j, np.repeat(g_pooled[..., None, :], z.shape[-2], axis=-2)
 
 
 @dataclass
@@ -145,8 +122,7 @@ class GuidanceConfig:
     sigma: float = 0.80
     steps: int = 12
     t_start: float = 0.89
-    clip_norm: float = 5.0  # None disables clipping
-    normalize_gradient: bool = True
+    normalize_gradient: bool = True  # else raw rows are clipped to CLIP_NORM
 
     def __post_init__(self):
         for name in ("gamma", "sigma"):
@@ -157,9 +133,6 @@ class GuidanceConfig:
             raise ContractViolation("steps must be >= 1")
         if not (0.0 <= self.t_start < 1.0):
             raise ContractViolation("t_start must lie in [0, 1)")
-        if self.clip_norm is not None and not (np.isfinite(self.clip_norm) and self.clip_norm > 0):
-            raise ContractViolation(f"clip_norm must be finite and positive when set, "
-                                    f"not {self.clip_norm!r}")
 
 
 @dataclass
@@ -199,9 +172,20 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
         if g is None:
             z = z + dt * v[step]
         else:
-            j, g[step] = objective_gradient(spec, surrogate, z,
-                                            normalize=cfg.normalize_gradient,
-                                            clip_norm=cfg.clip_norm)
+            j, gs = objective_gradient(spec, surrogate, z)
+            # Normalize each row, or clip a raw row to CLIP_NORM. Rows left alone
+            # are divided or multiplied by exactly 1.0, which keeps their bits.
+            norm = _row_norms(gs)
+            if cfg.normalize_gradient:
+                tiny = norm < _NORM_FLOOR
+                if tiny.any():  # their squares may underflow: rescale, exactly, by a power of two
+                    gs[tiny] *= _NORM_RESCALE
+                    norm[tiny] = _row_norms(gs[tiny])
+                gs /= np.where(norm > 0, norm, 1.0)[:, None, None]
+            elif (norm > CLIP_NORM).any():
+                gs *= np.divide(CLIP_NORM, norm, out=np.ones_like(norm),
+                                where=norm > CLIP_NORM)[:, None, None]
+            g[step] = gs
             if step:  # J at the state the previous step reached
                 objective[step - 1] = j
             z = z + dt * (v[step] - cfg.gamma * g[step])
@@ -235,7 +219,8 @@ def prepare_optimization(mu: np.ndarray, sigma: float, rngs) -> np.ndarray:
 
 def gradient_ascent_baseline(surrogate, spec: ObjectiveSpec, z: np.ndarray,
                              eta: float, steps: int) -> np.ndarray:
-    """No-flow ablation on a (B, K, d) batch: plain descent on J from ``z``."""
+    """No-flow ablation on a (B, K, d) batch: plain descent on J from ``z``,
+    along the raw gradient."""
     if eta <= 0:
         raise ContractViolation("eta must be > 0")
     for step in range(steps):

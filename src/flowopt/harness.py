@@ -67,9 +67,10 @@ class Pipeline:
 def _load_model(path, build):
     """``build(arrays, meta)`` on the checkpoint at ``path``.
 
-    A checkpoint that lacks an array or a metadata entry the model needs, or
-    whose stored config is malformed, is an I/O error naming the file, like
-    one that does not parse.
+    A checkpoint that lacks an array or a metadata entry the model needs,
+    whose stored config is malformed, or which holds an array of another shape
+    than its stored config gives, is an I/O error naming the file, like one
+    that does not parse.
     """
     arrays, meta = load_checkpoint(path)
     try:
@@ -78,6 +79,8 @@ def _load_model(path, build):
         raise ArtifactIOError(f"{path} lacks {e.args[0]!r}") from e
     except TypeError as e:
         raise ArtifactIOError(f"{path} has a malformed config: {e}") from e
+    except ArtifactIOError as e:
+        raise ArtifactIOError(f"{path} {e}") from e
 
 
 def _check_latents(path, got: tuple, want: tuple, error, source) -> None:
@@ -249,14 +252,12 @@ def _propose(proposer: str, models: Pipeline, cfg: RunConfig,
     spec = cfg.objective
     if proposer == "random":
         final = rng.split("noise").normal((1, cfg.vae.K, cfg.vae.d))
-    elif proposer in ("guided-flow", "gradient-ascent"):
-        if proposer == "guided-flow":
-            z0 = guidance.prepare_optimization(mu, cfg.guidance.sigma, [rng.split("noise")])
-            _, final = guidance.guided_integrate(flow, sur, spec, cfg.guidance, z0)
-        else:
-            z0 = guidance.prepare_optimization(mu, guidance.GA_SIGMA, [rng.split("noise")])
-            final = guidance.gradient_ascent_baseline(sur, spec, z0, guidance.GA_ETA,
-                                                      guidance.GA_STEPS)
+    elif proposer == "guided-flow":
+        z0 = guidance.prepare_optimization(mu, cfg.guidance.sigma, [rng.split("noise")])
+        _, final = guidance.guided_integrate(flow, sur, spec, cfg.guidance, z0)
+    elif proposer == "gradient-ascent":
+        z0 = guidance.prepare_optimization(mu, guidance.GA_SIGMA, [rng.split("noise")])
+        final = guidance.gradient_ascent_baseline(sur, spec, z0, guidance.GA_ETA, guidance.GA_STEPS)
     else:
         raise ConfigError(f"unknown proposer {proposer!r}")
     (tokens,) = vae.decode_greedy_batch(final)

@@ -330,10 +330,21 @@ def mlp_arrays(prefix: str, mlp: Mlp) -> dict:
     return out
 
 
+def stored_param(arrays: dict, name: str, shape: tuple) -> Tensor:
+    """The parameter ``arrays[name]`` of a loaded checkpoint. A missing array
+    raises KeyError, and one whose shape is not ``shape``, the one its stored
+    config gives, ArtifactIOError; the caller names the file."""
+    data = arrays[name]
+    if data.shape != shape:
+        raise ArtifactIOError(f"holds {name!r} of shape {data.shape}, "
+                              f"where its config gives {shape}")
+    return Tensor(data)
+
+
 def mlp_from_arrays(prefix: str, arrays: dict, meta: dict) -> Mlp:
-    n = len(meta["sizes"]) - 1
+    layers = list(enumerate(zip(meta["sizes"][:-1], meta["sizes"][1:])))
     return Mlp(
-        weights=[Tensor(arrays[f"{prefix}.w{i}"]) for i in range(n)],
-        biases=[Tensor(arrays[f"{prefix}.b{i}"]) for i in range(n)],
+        weights=[stored_param(arrays, f"{prefix}.w{i}", (m, n)) for i, (m, n) in layers],
+        biases=[stored_param(arrays, f"{prefix}.b{i}", (n,)) for i, (_, n) in layers],
         activation=meta["activation"],
     )

@@ -45,7 +45,8 @@ import numpy as np
 from . import toyset
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericFailure
-from .nn import GRAD_CLIP_NORM, AdamState, clip_grad_norm, config_from_dict, optimizer_step
+from .nn import (GRAD_CLIP_NORM, AdamState, clip_grad_norm, config_from_dict, optimizer_step,
+                 stored_param)
 from .rng import Rng
 
 LOG_SIGMA_CLAMP = (-8.0, 4.0)
@@ -102,8 +103,22 @@ def _gather_pullback(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
                        minlength=n_rows * width).reshape(n_rows, width)
 
 
-PARAM_NAMES = ("tok_emb", "pos_emb", "enc_w", "enc_b", "mu_w", "mu_b", "ls_w", "ls_b",
-               "dec_w1", "dec_b1", "dec_w2", "dec_b2", "queries")
+# Each parameter's initializer, in the order of its shape in ``_param_shapes``:
+# a bias is filled with its constant, any other array is a normal draw from its
+# stream ``key`` times ``scale`` (None: sqrt(2 / (fan_in + fan_out))).
+_INIT = {"tok_emb": ("tok", 0.1), "pos_emb": ("pos", 0.1), "enc_w": ("encw", None),
+         "enc_b": 0.0, "mu_w": ("muw", None), "mu_b": 0.0, "ls_w": ("lsw", None), "ls_b": -1.0,
+         "dec_w1": ("dw1", None), "dec_b1": 0.0, "dec_w2": ("dw2", None), "dec_b2": 0.0,
+         "queries": ("attq", 0.5)}
+PARAM_NAMES = tuple(_INIT)
+
+
+def _param_shapes(c: VaeConfig) -> dict:
+    """The shape of each parameter, in ``PARAM_NAMES`` order, under config ``c``."""
+    V, E, H = len(toyset.VOCAB), c.embed_dim, c.enc_hidden
+    return dict(zip(PARAM_NAMES, [(V, E), (toyset.MAX_LEN + 1, E), (E, H), (H,), (H, c.d),
+                                  (c.d,), (H, c.d), (c.d,), (E + c.K * c.d, c.dec_hidden),
+                                  (c.dec_hidden,), (c.dec_hidden, V), (V,), (c.K, H)]))
 
 
 class SeqVae:
@@ -111,28 +126,16 @@ class SeqVae:
 
     def __init__(self, config: VaeConfig, rng: Rng):
         self.config = config
-        c = config
-        V = len(toyset.VOCAB)
         r = rng.split("vae-init")
-        def init(shape, key, scale=None):
-            s = scale if scale is not None else (2.0 / (shape[0] + shape[-1])) ** 0.5
-            return Tensor(r.split(key).normal(shape) * s)
-
-        self.p = {
-            "tok_emb": init((V, c.embed_dim), "tok", 0.1),
-            "pos_emb": init((toyset.MAX_LEN + 1, c.embed_dim), "pos", 0.1),
-            "enc_w": init((c.embed_dim, c.enc_hidden), "encw"),
-            "enc_b": Tensor(np.zeros(c.enc_hidden)),
-            "mu_w": init((c.enc_hidden, c.d), "muw"),
-            "mu_b": Tensor(np.zeros(c.d)),
-            "ls_w": init((c.enc_hidden, c.d), "lsw"),
-            "ls_b": Tensor(np.zeros(c.d) - 1.0),
-            "dec_w1": init((c.embed_dim + c.K * c.d, c.dec_hidden), "dw1"),
-            "dec_b1": Tensor(np.zeros(c.dec_hidden)),
-            "dec_w2": init((c.dec_hidden, V), "dw2"),
-            "dec_b2": Tensor(np.zeros(V)),
-            "queries": init((c.K, c.enc_hidden), "attq", 0.5),
-        }
+        self.p = {}
+        for name, shape in _param_shapes(config).items():
+            init = _INIT[name]
+            if isinstance(init, float):
+                self.p[name] = Tensor(np.full(shape, init))
+            else:
+                key, scale = init
+                scale = scale or (2.0 / (shape[0] + shape[-1])) ** 0.5
+                self.p[name] = Tensor(r.split(key).normal(shape) * scale)
 
     def params(self) -> list:
         return [self.p[k] for k in sorted(self.p)]
@@ -415,14 +418,15 @@ class SeqVae:
 
     @classmethod
     def from_checkpoint(cls, arrays: dict, meta: dict) -> "SeqVae":
-        """The model a checkpoint holds; a missing parameter raises KeyError."""
+        """The model a checkpoint holds, checked by ``nn.stored_param``
+        against the shapes its config gives (so a position table of another
+        length than MAX_LEN + 1 is refused)."""
         if meta.get("vocab_hash") != toyset.vocab_hash():
             raise ContractViolation("checkpoint vocabulary does not match this build")
         model = cls.__new__(cls)
         model.config = config_from_dict(VaeConfig, meta["config"])
-        model.p = {k: Tensor(arrays[f"vae.{k}"]) for k in PARAM_NAMES}
-        if len(model.p["pos_emb"].data) != toyset.MAX_LEN + 1:
-            raise ContractViolation("checkpoint position table does not match MAX_LEN")
+        model.p = {k: stored_param(arrays, f"vae.{k}", shape)
+                   for k, shape in _param_shapes(model.config).items()}
         return model
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -307,8 +308,6 @@ def generate_dataset(seed: int, count: int, min_len: int = 4, max_len: int = 40)
 
 def write_dataset(dataset: Dataset, out_dir) -> None:
     """One TSV per split: ``tokens<TAB>p1<TAB>p2`` with space-joined tokens."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     for which in ("train", "val", "test"):
         with open(os.path.join(out_dir, f"{which}.tsv"), "w") as fh:
@@ -338,3 +337,17 @@ def read_split(path) -> list:
                 raise ArtifactIOError(f"{path}:{lineno}: unknown token {unknown[0]!r}")
             out.append((tokens, props))
     return out
+
+
+def read_dataset(data_dir) -> Dataset:
+    """The dataset ``write_dataset`` wrote to ``data_dir``, splits in file
+    order. A missing split, like a malformed line, raises ArtifactIOError."""
+    entries, idx = [], {}
+    for which in ("train", "val", "test"):
+        path = os.path.join(data_dir, f"{which}.tsv")
+        if not os.path.exists(path):
+            raise ArtifactIOError(f"missing dataset split {path}")
+        start = len(entries)
+        entries.extend(read_split(path))
+        idx[which] = list(range(start, len(entries)))
+    return Dataset(entries, idx["train"], idx["val"], idx["test"])

@@ -5,7 +5,8 @@ import pytest
 
 from flowopt import toyset
 from flowopt.flowmatch import interpolate
-from flowopt.guidance import objective_value
+from flowopt.guidance import (CLIP_NORM, GuidanceConfig, ObjectiveSpec, guided_integrate,
+                              objective_value)
 from flowopt.nn import Mlp, time_embed
 from flowopt.rng import Rng
 from flowopt.seqvae import LOG_SIGMA_CLAMP, SeqVae
@@ -41,24 +42,54 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / denom)
 
 
-def loop_postprocess(g, normalize, clip_norm):
-    """The per-row normalize-then-clip loop the row-wise post-processing
-    replaced, with its documented rescale: a row whose norm is below 2**-500
-    is first multiplied by 2**600, exactly, so its squares do not underflow."""
+def loop_postprocess(g, normalize):
+    """The per-row loop the integrator's row-wise post-processing replaced:
+    normalize each row, or clip a raw row to ``CLIP_NORM``. Normalizing has
+    its documented rescale: a row whose norm is below 2**-500 is first
+    multiplied by 2**600, exactly, so its squares do not underflow."""
     g = g.copy()
     for b in range(len(g)):
+        norm = np.linalg.norm(g[b])
         if normalize:
-            norm = np.linalg.norm(g[b])
             if norm < 2.0 ** -500:
                 g[b] = g[b] * 2.0 ** 600
                 norm = np.linalg.norm(g[b])
             if norm > 0:
                 g[b] = g[b] / norm
-        if clip_norm is not None:
-            norm = np.linalg.norm(g[b])
-            if norm > clip_norm:
-                g[b] = g[b] * (clip_norm / norm)
+        elif norm > CLIP_NORM:
+            g[b] = g[b] * (CLIP_NORM / norm)
     return g
+
+
+class FixedGradient:
+    """A surrogate stub that predicts zeros and whose pullback gives the same
+    (B, n) rows whatever the objective: with one latent token (K = 1) the
+    objective gradient is exactly those rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.float64)
+
+    def predict(self, x):
+        return np.zeros((len(x), 2))
+
+    def predict_vjp(self, x, wrt_params=True):
+        return self.predict(x), lambda g: (self.rows.copy(),)
+
+
+class ZeroField:
+    def velocity(self, z, t):
+        return np.zeros_like(z)
+
+
+def guided_rows(rows, normalize):
+    """The post-processed rows ``guided_integrate`` steps along when the
+    objective gradient is the (B, n) ``rows``: one Euler step of length 1 with
+    gamma 1 from z = 0 on a zero field ends at exactly minus them."""
+    cfg = GuidanceConfig(gamma=1.0, sigma=0.0, steps=1, t_start=0.0, normalize_gradient=normalize)
+    rows = np.asarray(rows, dtype=np.float64)
+    _, z = guided_integrate(ZeroField(), FixedGradient(rows), ObjectiveSpec(mode="directional"),
+                            cfg, np.zeros((len(rows), 1, rows.shape[1])))
+    return -z[:, 0]
 
 
 def all_rows_decode_greedy(vae, Z):
@@ -163,19 +194,19 @@ def tape_predict(surrogate, pooled: Tensor) -> Tensor:
     return tape_mlp(surrogate.net, pooled).sigmoid() * Tensor(_SPAN) + Tensor(_LO)
 
 
-def tape_objective_gradient(spec, surrogate, z, normalize=False, clip_norm=None):
-    """J (B,) and the (B, K, d) latent gradient from a tape over J summed over
-    rows over the reference net, post-processed by the per-row loop: the
-    reference the array path of ``guidance.objective_gradient`` must equal."""
+def tape_objective_gradient(spec, surrogate, z):
+    """J (B,) and the raw (B, K, d) latent gradient from a tape over J summed
+    over rows over the reference net: the reference the array path of
+    ``guidance.objective_gradient`` must equal."""
     zt = Tensor(z, requires_grad=True)
     pred = tape_predict(surrogate, tape_mean_pool(zt))
     if spec.mode == "target":
         diff = pred - Tensor(np.asarray(spec.targets))
         total = (Tensor(np.asarray(spec.weights)) * diff * diff).sum()
     else:
-        total = -(Tensor(np.asarray(spec.signs, dtype=np.float64)) * pred).sum()
+        total = -(Tensor(np.asarray(toyset.PROPERTY_SIGNS, dtype=np.float64)) * pred).sum()
     (g,) = ad.gradients(total, [zt])
-    return np.atleast_1d(objective_value(spec, pred.data)), loop_postprocess(g, normalize, clip_norm)
+    return np.atleast_1d(objective_value(spec, pred.data)), g
 
 
 # -- the VAE on the tape ------------------------------------------------------

@@ -175,7 +175,7 @@ def test_gamma_zero_is_unconditional_sampling():
     field = FlowField(fcfg, rng.split("f"))
     sur = Surrogate(SurrogateConfig(latent_dim=6, hidden=16, layers=2),
                     rng.split("s"))
-    spec = guidance.ObjectiveSpec.maximize_p1_minimize_p2()
+    spec = guidance.ObjectiveSpec(mode="directional")
     gcfg = guidance.GuidanceConfig(gamma=0.0, sigma=0.0, steps=9, t_start=0.25)
     z0 = rng.split("z").normal((1, 2, 6))
     _, out = guidance.guided_integrate(field, sur, spec, gcfg, z0.copy())
@@ -196,7 +196,7 @@ def test_guidance_gradient_matches_finite_differences():
             spec = guidance.ObjectiveSpec(mode="target", weights=(1.0, 0.5),
                                           targets=(0.8, 2.5))
         else:
-            spec = guidance.ObjectiveSpec.maximize_p1_minimize_p2()
+            spec = guidance.ObjectiveSpec(mode="directional")
         z = rng.normal((1, K, d))
 
         def f(zv):

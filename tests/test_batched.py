@@ -5,9 +5,9 @@ must equal the same routine run on row b alone, within 1e-12; that holds
 across the chunks ``encode_batch`` splits a long batch into. The vector time
 embedding and the batched evaluation layer (one front/hypervolume sweep over
 an (R, n) presence mask, one bootstrap over an (R, n) index matrix), the
-row-wise gradient normalize/clip and the row-wise objective must equal the
-per-scalar, per-point and per-row loops written out below (the normalize/clip
-loop in ``conftest``) exactly, compared with ``==``.
+integrator's row-wise gradient normalize-or-clip and the row-wise objective
+must equal the per-scalar, per-point and per-row loops written out below (the
+normalize-or-clip loop in ``conftest``) exactly, compared with ``==``.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from flowopt import harness, moeval, toyset
 from flowopt.errors import ContractViolation
 from flowopt.flowmatch import FlowConfig, FlowField, sample_prior
-from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, _row_norms,
+from flowopt.guidance import (CLIP_NORM, GuidanceConfig, ObjectiveSpec, _row_norms,
                               gradient_ascent_baseline, guided_integrate, objective_gradient,
                               objective_value, prepare_optimization)
 from flowopt.nn import TIME_EMBED_FREQ_RANGE, time_embed
@@ -28,19 +28,18 @@ from flowopt.rng import Rng
 from flowopt.seqvae import ENCODE_CHUNK, SeqVae, VaeConfig, mean_pool
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
-from conftest import loop_postprocess, tape_mean_pool, tape_velocity
+from conftest import guided_rows, loop_postprocess, tape_mean_pool, tape_velocity
 from tape import Tensor
 from test_harness import tiny_config
 
 SPECS = (ObjectiveSpec(mode="target", weights=(1.0, 0.5), targets=(0.8, 2.5)),
-         ObjectiveSpec.maximize_p1_minimize_p2())
+         ObjectiveSpec(mode="directional"))
 
 batch = st.integers(1, 6)
 tokens_k = st.integers(1, 3)
 dims = st.integers(1, 4)
 seeds = st.integers(0, 2 ** 16)
 gammas = st.sampled_from([0.0, 0.5, 5.0])
-clips = st.sampled_from([None, 0.05, 5.0])
 specs = st.sampled_from(SPECS)
 
 
@@ -62,10 +61,10 @@ def streams(seed, B):
 
 
 @settings(max_examples=40, deadline=None)
-@given(batch, tokens_k, dims, seeds, gammas, st.booleans(), clips, specs)
-def test_guided_integrate_rows_match_single(B, K, d, seed, gamma, normalize, clip, spec):
+@given(batch, tokens_k, dims, seeds, gammas, st.booleans(), specs)
+def test_guided_integrate_rows_match_single(B, K, d, seed, gamma, normalize, spec):
     field, sur = models(seed, K, d)
-    cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=3, t_start=0.4, clip_norm=clip,
+    cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=3, t_start=0.4,
                          normalize_gradient=normalize)
     z0 = Rng(seed).split("z").normal((B, K, d)) * 2.0
     traj, out = guided_integrate(field, sur, spec, cfg, z0)
@@ -81,16 +80,16 @@ def test_guided_integrate_rows_match_single(B, K, d, seed, gamma, normalize, cli
 
 @settings(max_examples=40, deadline=None)
 @given(batch, st.integers(1, 5), dims, seeds, st.sampled_from([0.0, 5.0]), st.booleans(),
-       clips, specs, st.integers(1, 4))
-def test_trajectory_objective_is_that_of_each_state(B, K, d, seed, gamma, normalize, clip,
-                                                     spec, steps):
+       specs, st.integers(1, 4))
+def test_trajectory_objective_is_that_of_each_state(B, K, d, seed, gamma, normalize, spec,
+                                                     steps):
     """Row s of ``Trajectory.objective`` is J of the state step s reached, and
     rows s of ``grad_norm`` and ``velocity_norm`` the norms of step s's g and
     v. The guided branch takes J from the next step's gradient pass and the
     norms in bulk after its loop, so all come from the Euler loop written out
-    here."""
+    here, with the per-row post-processing loop."""
     field, sur = models(seed, K, d)
-    cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=steps, t_start=0.4, clip_norm=clip,
+    cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=steps, t_start=0.4,
                          normalize_gradient=normalize)
     z = Rng(seed).split("z").normal((B, K, d)) * 2.0
     traj, out = guided_integrate(field, sur, spec, cfg, z)
@@ -100,7 +99,7 @@ def test_trajectory_objective_is_that_of_each_state(B, K, d, seed, gamma, normal
         v = tape_velocity(field, z, t).data.reshape(B, K, d)
         g = np.zeros_like(z)
         if gamma:
-            g = objective_gradient(spec, sur, z, normalize=normalize, clip_norm=clip)[1]
+            g = loop_postprocess(objective_gradient(spec, sur, z)[1], normalize)
         assert np.array_equal(traj.velocity_norm[s], _row_norms(v))
         assert np.array_equal(traj.grad_norm[s], _row_norms(g))
         z = z + dt * (v - gamma * g)
@@ -134,49 +133,39 @@ def test_mean_pool_equals_tape(B, K, d, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(batch, tokens_k, dims, seeds, st.booleans(), clips, specs)
-def test_objective_gradient_rows_match_single(B, K, d, seed, normalize, clip, spec):
+@given(batch, tokens_k, dims, seeds, specs)
+def test_objective_gradient_rows_match_single(B, K, d, seed, spec):
     _, sur = models(seed, K, d)
     z = Rng(seed).split("z").normal((B, K, d)) * 2.0
-    _, g = objective_gradient(spec, sur, z, normalize=normalize, clip_norm=clip)
+    _, g = objective_gradient(spec, sur, z)
     assert g.shape == (B, K, d)
     for b in range(B):
-        _, one = objective_gradient(spec, sur, z[b:b + 1], normalize=normalize, clip_norm=clip)
+        _, one = objective_gradient(spec, sur, z[b:b + 1])
         close(g[b], one[0])
 
 
-class RowScaledSurrogate:
-    """pred[b] = (pooled[b] * scale[b]) @ W, so a zero row of ``scale`` gives a zero
-    gradient row and the others spread over many norms. It has no parameters,
-    so its pullback gives the input's gradient alone."""
-
-    def __init__(self, scale, w):
-        self.scale, self.w = scale, w
-
-    def predict_vjp(self, pooled, wrt_params=True):
-        return (pooled * self.scale) @ self.w, lambda g: ((g @ self.w.T) * self.scale,)
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 64), tokens_k, dims, seeds, st.booleans(),
-       st.sampled_from(["none", "drawn", "at-row"]), st.floats(1e-3, 1e3), specs)
-def test_gradient_postprocessing_equals_row_loop(B, K, d, seed, normalize, clip, clip_value,
-                                                 spec):
+@given(st.integers(1, 64), tokens_k, dims, seeds, st.booleans())
+def test_gradient_postprocessing_equals_row_loop(B, K, d, seed, normalize):
+    """The rows ``guided_integrate`` steps along, drawn around ``CLIP_NORM``:
+    at 10**-3 to 10**3 times it, zero, tiny (their squares underflow), or
+    exactly on it (one entry of +-CLIP_NORM, which the clip keeps as is) or
+    one ulp above it."""
     r = Rng(seed)
-    scale = r.split("scale").normal((B, d)) * 10.0 ** r.split("mag").integers(-3, 4, (B, 1))
-    scale[r.split("zero").uniform(0.0, 1.0, B) < 0.25] = 0.0
-    sur = RowScaledSurrogate(scale, r.split("w").normal((d, 2)))
-    z = r.split("z").normal((B, K, d))
-    _, raw = objective_gradient(spec, sur, z)
-    clip_norm = {"none": None, "drawn": clip_value}.get(clip)
-    if clip == "at-row":
-        # the median row's norm: rows above it are clipped, a row exactly at
-        # clip_norm sits on the boundary and is kept as is
-        norms = sorted(n for n in map(np.linalg.norm, loop_postprocess(raw, normalize, None))
-                       if n > 0)
-        clip_norm = norms[len(norms) // 2] if norms else None
-    _, got = objective_gradient(spec, sur, z, normalize=normalize, clip_norm=clip_norm)
-    assert np.array_equal(got, loop_postprocess(raw, normalize, clip_norm))
+    g = r.split("g").normal((B, K, d))
+    g /= np.array([np.linalg.norm(row) for row in g])[:, None, None]
+    g *= (CLIP_NORM * 10.0 ** r.split("mag").uniform(-3.0, 3.0, B))[:, None, None]
+    kind = r.split("kind").integers(0, 6, B)
+    g[kind == 1] = 0.0
+    g[kind == 2] *= 1e-300
+    edge = (kind == 3) | (kind == 4)
+    g[edge] = 0.0
+    g[edge, 0, 0] = np.where(kind[edge] == 3, CLIP_NORM, np.nextafter(CLIP_NORM, np.inf))
+    g[edge, 0, 0] *= np.sign(r.split("sign").uniform(-1.0, 1.0, int(edge.sum())))
+    got = guided_rows(g.reshape(B, -1), normalize)
+    assert np.array_equal(got, loop_postprocess(g, normalize).reshape(B, -1))
+    if not normalize:
+        assert np.array_equal(got[kind == 3], g[kind == 3].reshape(-1, K * d))
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,14 +3,14 @@ import pytest
 
 from flowopt.errors import ContractViolation, NumericFailure
 from flowopt.flowmatch import FlowConfig, FlowField, integrate, sample_prior
-from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
-                              guided_integrate, objective_gradient, objective_value,
-                              prepare_optimization)
+from flowopt.guidance import (CLIP_NORM, GuidanceConfig, ObjectiveSpec,
+                              gradient_ascent_baseline, guided_integrate, objective_gradient,
+                              objective_value, prepare_optimization)
 from flowopt.rng import Rng
 from flowopt.seqvae import PosteriorParams, SeqVae, VaeConfig, mean_pool, reparameterize
 from flowopt.surrogate import Surrogate, SurrogateConfig
 
-from conftest import finite_difference, rel_err
+from conftest import finite_difference, guided_rows, rel_err
 
 K, D = 2, 3
 
@@ -50,17 +50,15 @@ def test_objective_spec_validation():
     with pytest.raises(ContractViolation):
         ObjectiveSpec(mode="target")  # targets missing
     with pytest.raises(ContractViolation):
-        ObjectiveSpec(mode="directional", signs=(2, -1))
-    with pytest.raises(ContractViolation):
         ObjectiveSpec(mode="target", targets=(0.5, 5.0), weights=(-1.0, 1.0))
 
 
 @pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("name", ["weights", "targets", "signs"])
+@pytest.mark.parametrize("name", ["weights", "targets"])
 def test_objective_spec_needs_one_entry_per_property(name, n):
     """A vector of the wrong length is refused, not broadcast over the properties."""
-    good = {"weights": (1.0, 1.0), "targets": (0.5, 3.0), "signs": (1, -1)}
-    bad = {"weights": (1.0,) * n, "targets": (0.5,) * n, "signs": (1,) * n}[name]
+    good = {"weights": (1.0, 1.0), "targets": (0.5, 3.0)}
+    bad = {"weights": (1.0,) * n, "targets": (0.5,) * n}[name]
     for mode in ("target", "directional"):
         with pytest.raises(ContractViolation, match=f"{name} needs one entry per property"):
             ObjectiveSpec(mode=mode, **{**good, name: bad})
@@ -73,7 +71,7 @@ def test_objective_value_target_mode_analytic():
 
 
 def test_objective_value_directional_analytic():
-    spec = ObjectiveSpec.maximize_p1_minimize_p2()
+    spec = ObjectiveSpec(mode="directional")
     # improving p1 lowers J, improving (lowering) p2 lowers J
     assert objective_value(spec, [0.9, 2.0]) < objective_value(spec, [0.1, 2.0])
     assert objective_value(spec, [0.5, 2.0]) < objective_value(spec, [0.5, 8.0])
@@ -83,7 +81,7 @@ def test_objective_value_directional_analytic():
 
 def test_gradient_matches_fd_both_modes(rng):
     specs = [ObjectiveSpec(mode="target", weights=(1.0, 0.5), targets=(0.8, 2.5)),
-             ObjectiveSpec.maximize_p1_minimize_p2()]
+             ObjectiveSpec(mode="directional")]
     for case in range(50):
         r = rng.split(case)
         model = Surrogate(SurrogateConfig(latent_dim=D, hidden=12, layers=2),
@@ -101,7 +99,7 @@ def test_gradient_matches_fd_both_modes(rng):
 def test_gradient_linear_surrogate_exact():
     w = np.array([[0.3, -0.2], [0.1, 0.4], [-0.5, 0.2]])
     model = LinearSurrogate(w)
-    spec = ObjectiveSpec.maximize_p1_minimize_p2()
+    spec = ObjectiveSpec(mode="directional")
     z = Rng(3).normal((1, K, D))
     # J = -(pred1 - pred2) => dJ/dpooled = -(w[:,0] - w[:,1]); pooling averages
     expected = np.tile(-(w[:, 0] - w[:, 1]) / K, (1, K, 1))
@@ -109,75 +107,59 @@ def test_gradient_linear_surrogate_exact():
     assert np.allclose(g, expected, atol=1e-12)
 
 
-def test_gradient_normalize_then_clip_order():
+def test_gradient_normalize_or_clip():
+    """The integrator scales each raw row to unit norm, or clips it to
+    ``CLIP_NORM``: a normalized row is never clipped, and either keeps its
+    direction."""
     w = np.array([[30.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    model = LinearSurrogate(w)
-    spec = ObjectiveSpec.maximize_p1_minimize_p2()
-    z = Rng(5).normal((1, K, D))
-    _, raw = objective_gradient(spec, model, z)
-    assert np.linalg.norm(raw) > 1.0
-    _, unit = objective_gradient(spec, model, z, normalize=True)
+    _, raw = objective_gradient(ObjectiveSpec(mode="directional"), LinearSurrogate(w),
+                                Rng(5).normal((1, K, D)))
+    raw = raw.reshape(1, -1)
+    assert np.linalg.norm(raw) > CLIP_NORM
+    unit, clipped = guided_rows(raw, normalize=True), guided_rows(raw, normalize=False)
     assert np.linalg.norm(unit) == pytest.approx(1.0)
-    # clip below 1 bites after normalization; clip above 1 does not
-    _, half = objective_gradient(spec, model, z, normalize=True, clip_norm=0.5)
-    assert np.linalg.norm(half) == pytest.approx(0.5)
-    _, same = objective_gradient(spec, model, z, normalize=True, clip_norm=2.0)
-    assert np.allclose(same, unit)
-    # direction is preserved throughout
-    assert np.allclose(half / np.linalg.norm(half), raw / np.linalg.norm(raw))
+    assert np.linalg.norm(clipped) == pytest.approx(CLIP_NORM)
+    for g in (unit, clipped):
+        assert np.allclose(g / np.linalg.norm(g), raw / np.linalg.norm(raw))
+    # a raw row inside the clip keeps its bits
+    small = raw * (0.5 / np.linalg.norm(raw))
+    assert np.array_equal(guided_rows(small, normalize=False), small)
 
 
 def test_gradient_zero_stays_zero_under_normalize():
-    spec = ObjectiveSpec(mode="target", weights=(0.0, 0.0), targets=(0.5, 5.0))
-    model = LinearSurrogate(np.ones((D, 2)))
-    _, g = objective_gradient(spec, model, Rng(1).normal((1, K, D)), normalize=True)
-    assert np.array_equal(g, np.zeros((1, K, D)))
-
-
-class FixedGradient:
-    """A surrogate stub whose pullback gives the same (B, d) rows whatever the
-    objective: with one latent token (K = 1) the gradient is exactly those rows."""
-
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=np.float64)
-
-    def predict_vjp(self, x, wrt_params=True):
-        return np.zeros((len(x), 2)), lambda g: (self.rows.copy(),)
+    assert np.array_equal(guided_rows(np.zeros((1, K * D)), normalize=True), np.zeros((1, K * D)))
 
 
 def test_normalize_tiny_rows_gives_unit_norm():
     """Rows whose squares underflow (norms down to subnormal entries) are
     rescaled by a power of two first, so each comes out with unit norm."""
-    spec = ObjectiveSpec.maximize_p1_minimize_p2()
     r = Rng(7)
     scales = 10.0 ** r.uniform(-320, -140, (200,))
     rows = r.normal((200, 64)) * scales[:, None]
-    _, g = objective_gradient(spec, FixedGradient(rows), np.zeros((200, 1, 64)), normalize=True)
+    g = guided_rows(rows, normalize=True)
     norms = np.array([np.linalg.norm(row) for row in g])
     assert np.all(np.abs(norms - 1.0) <= 8 * np.finfo(float).eps), norms
-    assert np.array_equal(np.sign(g[:, 0]), np.sign(rows))
+    assert np.array_equal(np.sign(g), np.sign(rows))
     # A row whose every square underflows no longer keeps its raw values.
-    _, g = objective_gradient(spec, FixedGradient(np.full((1, 64), 1e-170)),
-                              np.zeros((1, 1, 64)), normalize=True)
+    g = guided_rows(np.full((1, 64), 1e-170), normalize=True)
     assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_normalize_rows_above_floor_keep_their_bits():
     """Rows at or above the rescale floor are divided by their own norm, as
     before; a zero row next to them stays zero."""
-    spec = ObjectiveSpec.maximize_p1_minimize_p2()
     r = Rng(8)
     rows = r.normal((41, 64)) * (10.0 ** np.linspace(-150, 150, 41))[:, None]
     rows[0] = 2.0 ** -500 / 8.0  # 64 equal entries: a norm at the floor itself
     rows[20] = 0.0
-    _, g = objective_gradient(spec, FixedGradient(rows), np.zeros((41, 1, 64)), normalize=True)
     norm = np.array([np.linalg.norm(row) for row in rows])
-    assert np.array_equal(g[:, 0], rows / np.where(norm > 0, norm, 1.0)[:, None])
+    assert np.array_equal(guided_rows(rows, normalize=True),
+                          rows / np.where(norm > 0, norm, 1.0)[:, None])
 
 
 def test_gradient_nonfinite_raises():
     model = LinearSurrogate(np.full((D, 2), np.inf))
-    spec = ObjectiveSpec.maximize_p1_minimize_p2()
+    spec = ObjectiveSpec(mode="directional")
     with pytest.raises(NumericFailure):
         objective_gradient(spec, model, Rng(1).normal((1, K, D)))
 
@@ -191,16 +173,13 @@ def test_guidance_config_validation():
         GuidanceConfig(steps=0)
     with pytest.raises(ContractViolation):
         GuidanceConfig(t_start=1.0)
-    with pytest.raises(ContractViolation):
-        GuidanceConfig(clip_norm=0.0)
 
 
 @pytest.mark.parametrize("build", [
     lambda bad: GuidanceConfig(gamma=bad),
     lambda bad: GuidanceConfig(sigma=bad),
-    lambda bad: GuidanceConfig(clip_norm=bad),
     lambda bad: ObjectiveSpec(mode="target", targets=(0.5, bad)),
-], ids=["gamma", "sigma", "clip_norm", "targets"])
+], ids=["gamma", "sigma", "targets"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_guidance_values_rejected(build, bad):
     with pytest.raises(ContractViolation, match=str(bad)):
@@ -210,7 +189,7 @@ def test_non_finite_guidance_values_rejected(build, bad):
 # -- guided integration ---------------------------------------------------
 
 def test_gamma_zero_bit_identical_to_unconditional(field, surrogate):
-    spec = ObjectiveSpec.maximize_p1_minimize_p2()
+    spec = ObjectiveSpec(mode="directional")
     cfg = GuidanceConfig(gamma=0.0, sigma=0.0, steps=7, t_start=0.3)
     z0 = Rng(11).normal((1, K, D))
     _, out = guided_integrate(field, surrogate, spec, cfg, z0.copy())
@@ -219,7 +198,7 @@ def test_gamma_zero_bit_identical_to_unconditional(field, surrogate):
 
 
 def test_guided_trajectory_records(field, surrogate):
-    spec = ObjectiveSpec.maximize_p1_minimize_p2()
+    spec = ObjectiveSpec(mode="directional")
     cfg = GuidanceConfig(gamma=2.0, sigma=0.0, steps=6, t_start=0.4,
                          normalize_gradient=True)
     z0 = Rng(2).normal((3, K, D))
@@ -229,7 +208,7 @@ def test_guided_trajectory_records(field, surrogate):
     assert np.all(np.diff(traj.t) > 0)
     for stat in (traj.objective, traj.grad_norm, traj.velocity_norm):
         assert stat.shape == (cfg.steps, 3) and np.isfinite(stat).all()
-    # normalized gradients have unit norm, which the clip at 5 leaves alone
+    # normalized gradients have unit norm
     np.testing.assert_allclose(traj.grad_norm, 1.0, rtol=1e-12)
     # the last row's J is that of the final state
     np.testing.assert_array_equal(
@@ -237,7 +216,7 @@ def test_guided_trajectory_records(field, surrogate):
 
 
 def test_guided_gamma_changes_trajectory(field, surrogate):
-    spec = ObjectiveSpec.maximize_p1_minimize_p2()
+    spec = ObjectiveSpec(mode="directional")
     z0 = Rng(4).normal((1, K, D))
     outs = []
     for gamma in (0.0, 5.0):
@@ -281,7 +260,7 @@ def test_gradient_ascent_descends_convex_objective():
 
 
 def test_gradient_ascent_deterministic_and_contracts(surrogate):
-    spec = ObjectiveSpec.maximize_p1_minimize_p2()
+    spec = ObjectiveSpec(mode="directional")
     z0 = Rng(8).normal((1, K, D))
     a = gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5)
     b = gradient_ascent_baseline(surrogate, spec, z0, 0.3, 5)
@@ -298,7 +277,7 @@ def test_latent_routines_return_arrays(field, surrogate):
     mu = Rng(5).normal((B, K, D))
     rngs = [Rng(5).split(i) for i in range(B)]
     cfg = GuidanceConfig(gamma=1.0, sigma=0.3, steps=2, t_start=0.5)
-    spec = ObjectiveSpec.maximize_p1_minimize_p2()
+    spec = ObjectiveSpec(mode="directional")
     outs = {
         "reparameterize": reparameterize(PosteriorParams(mu=mu, log_sigma=mu * 0.1), Rng(1)),
         "sample_prior": sample_prior(field, rngs, steps=2),

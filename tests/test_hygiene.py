@@ -41,7 +41,6 @@ DEAD_PARAMETER_ALLOWLIST = {
 }
 DEAD_CONFIG_ALLOWLIST = {
     "DataConfig.min_len": "read by bench/workloads.py and as `flowopt gen-data`'s default",
-    "GuidanceConfig.clip_norm": "serialized into every report's config_echo",
     "SurrogateConfig.epochs": "read by nothing, and kept while bench/test_smoke.py sets it",
     "VaeConfig.lr": "set by no profile, but written into every checkpoint header, whose "
                     "digests are pinned; retired with the re-record of bench/ckpt",
