@@ -103,9 +103,9 @@ def _gather_pullback(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
                        minlength=n_rows * width).reshape(n_rows, width)
 
 
-# Each parameter's initializer, in the order of its shape in ``_param_shapes``:
-# a bias is filled with its constant, any other array is a normal draw from its
-# stream ``key`` times ``scale`` (None: sqrt(2 / (fan_in + fan_out))).
+# Each parameter's initializer, in ``PARAM_NAMES`` order: a bias is filled with
+# its constant, any other array is a normal draw from its stream ``key`` times
+# ``scale`` (None: sqrt(2 / (fan_in + fan_out))).
 _INIT = {"tok_emb": ("tok", 0.1), "pos_emb": ("pos", 0.1), "enc_w": ("encw", None),
          "enc_b": 0.0, "mu_w": ("muw", None), "mu_b": 0.0, "ls_w": ("lsw", None), "ls_b": -1.0,
          "dec_w1": ("dw1", None), "dec_b1": 0.0, "dec_w2": ("dw2", None), "dec_b2": 0.0,
