@@ -66,12 +66,12 @@ class FlowField:
     def inputs(self, z: np.ndarray, t) -> np.ndarray:
         """The net's (B, K*d + E) input: B latents, flat or (B, K, d), each
         followed by the embedding of its time, from t (B,) or one shared time."""
-        flat = np.reshape(z, (len(z), -1))
-        E = self.config.time_embed_dim
-        rows = _time_row(float(t), E) if np.ndim(t) == 0 else time_embed(t, E)
-        x = np.empty((len(z), flat.shape[1] + E))
-        x[:, :flat.shape[1]] = flat
-        x[:, flat.shape[1]:] = rows
+        flat = np.asarray(z).reshape(len(z), -1)
+        D, E = flat.shape[1], self.config.time_embed_dim
+        x = np.empty((len(z), D + E))
+        x[:, :D] = flat
+        x[:, D:] = (_time_row(float(t), E) if isinstance(t, float) or np.ndim(t) == 0
+                    else time_embed(t, E))
         return x
 
     def velocity(self, z: np.ndarray, t) -> np.ndarray:

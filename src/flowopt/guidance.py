@@ -15,6 +15,7 @@ injected once at preparation time, never per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,11 +31,15 @@ GA_SIGMA = 0.2
 # The norm a raw guidance gradient row is clipped to when rows are not normalized.
 CLIP_NORM = 5.0
 _SIGNS = np.asarray(toyset.PROPERTY_SIGNS, dtype=np.float64)
+_NEG_SIGNS = -_SIGNS
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectiveSpec:
-    """Either target mode (weights + targets) or directional mode (raise p1, lower p2)."""
+    """Either target mode (weights + targets) or directional mode (raise p1, lower p2).
+
+    Frozen, so the float arrays of its weights and targets, built once here,
+    stay those of its fields."""
 
     mode: str = "directional"  # or "target"
     weights: tuple = (1.0, 1.0)
@@ -54,18 +59,23 @@ class ObjectiveSpec:
             raise ContractViolation("target mode requires targets")
         if self.targets is not None and not np.isfinite(self.targets).all():
             raise ContractViolation(f"targets must be finite, not {self.targets!r}")
+        object.__setattr__(self, "_w", np.asarray(self.weights, dtype=np.float64))
+        object.__setattr__(self, "_t", None if self.targets is None
+                           else np.asarray(self.targets, dtype=np.float64))
 
 
 def objective_value(spec: ObjectiveSpec, pred):
     """J, minimized by the guided dynamics, of each row of a (B, P) prediction
     matrix: a (B,) array, or a float when there is one row (a (P,) vector or
     B == 1), so a finite-difference check can treat it as a scalar function."""
-    pred = np.asarray(pred, dtype=np.float64)
-    if spec.mode == "target":
-        j = (np.asarray(spec.weights) * (pred - np.asarray(spec.targets)) ** 2).sum(axis=-1)
-    else:
-        j = -(_SIGNS * pred).sum(axis=-1)
+    j = _objective_rows(spec, np.asarray(pred, dtype=np.float64))
     return j.item() if j.size == 1 else j
+
+
+def _objective_rows(spec: ObjectiveSpec, pred: np.ndarray) -> np.ndarray:
+    if spec.mode == "target":
+        return (spec._w * (pred - spec._t) ** 2).sum(axis=-1)
+    return -(_SIGNS * pred).sum(axis=-1)
 
 
 # A gradient row whose norm is below the floor is multiplied by the rescale
@@ -96,24 +106,31 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray) -> tuple:
     raw: ``guided_integrate`` post-processes it, and the gradient-ascent
     baseline steps on it as it is.
     """
-    z = np.asarray(z, dtype=np.float64)
+    pred, g = _predict_and_gradient(spec, surrogate, np.asarray(z, dtype=np.float64))
+    j = _objective_rows(spec, pred)
+    if not (np.isfinite(j).all() and np.isfinite(g).all()):
+        raise NumericFailure("non-finite objective or objective gradient")
+    return j, g
+
+
+def _predict_and_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray) -> tuple:
+    """The surrogate's predictions (B, P) of a (B, K, d) batch and the raw
+    gradient (B, K, d) of J, unchecked: ``objective_gradient`` checks both,
+    and the guided integrator the state the gradient moves, which a
+    non-finite row makes non-finite whether it is clipped or normalized. Both
+    take J from those predictions."""
     pred, pullback = surrogate.predict_vjp(mean_pool(z), wrt_params=False)
-    # J in ``objective_value``'s ops; its pullback in those of a tape over
-    # ``sum(w * diff * diff)`` (the first factor's share, then the second's)
-    # or ``-sum(_SIGNS * pred)``.
+    # J's pullback in the ops of a tape over ``sum(w * diff * diff)`` (the
+    # first factor's share, then the second's) or ``-sum(_SIGNS * pred)``.
     if spec.mode == "target":
-        w = np.asarray(spec.weights, dtype=np.float64)
-        diff = pred - np.asarray(spec.targets, dtype=np.float64)
-        j = (w * diff ** 2).sum(axis=-1)
-        dj = w * diff + diff * w
+        diff = pred - spec._t
+        dj = spec._w * diff
+        dj += diff * spec._w
     else:
-        j = -(_SIGNS * pred).sum(axis=-1)
-        dj = np.broadcast_to(-_SIGNS, pred.shape)
+        dj = np.broadcast_to(_NEG_SIGNS, pred.shape)
     # Mean pooling's pullback: times 1/K, then spread over the K tokens.
     g_pooled = pullback(dj)[0] * (1.0 / z.shape[-2])
-    if not (np.isfinite(j).all() and np.isfinite(g_pooled).all()):
-        raise NumericFailure("non-finite objective or objective gradient")
-    return j, np.repeat(g_pooled[..., None, :], z.shape[-2], axis=-2)
+    return pred, g_pooled[..., None, :].repeat(z.shape[-2], axis=-2)
 
 
 @dataclass
@@ -135,18 +152,44 @@ class GuidanceConfig:
             raise ContractViolation("t_start must lie in [0, 1)")
 
 
-@dataclass
 class Trajectory:
     """Per-step statistics of a guided integration over a batch of B rows.
 
     ``t`` (steps,) is the time after each step; ``objective`` (J at the new
-    state), ``grad_norm`` and ``velocity_norm`` are (steps, B).
+    state), ``grad_norm`` and ``velocity_norm`` are (steps, B). Each is
+    computed when first read, from what the integration kept: every step's
+    v and post-processed g, the predictions each gradient pass made and the
+    states it reached. So an integration whose statistics nobody reads pays
+    for no norm and no surrogate pass beyond its steps' own.
     """
 
-    t: np.ndarray
-    objective: np.ndarray
-    grad_norm: np.ndarray
-    velocity_norm: np.ndarray
+    def __init__(self, times, velocities, grads, objective):
+        self._times, self._velocities, self._grads = times, velocities, grads
+        self._objective = objective  # () -> the (steps, B) array
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return np.array(self._times)
+
+    @cached_property
+    def objective(self) -> np.ndarray:
+        return self._objective()
+
+    @cached_property
+    def grad_norm(self) -> np.ndarray:
+        if not self._grads:
+            return np.zeros((len(self._times), len(self._velocities[0])))
+        return _stacked_norms(self._grads)
+
+    @cached_property
+    def velocity_norm(self) -> np.ndarray:
+        return _stacked_norms(self._velocities)
+
+
+def _stacked_norms(rows: list) -> np.ndarray:
+    """The (steps, B) row norms of a list of ``steps`` (B, K, d) arrays."""
+    x = np.stack(rows)
+    return _row_norms(x.reshape(len(x) * x.shape[1], -1)).reshape(x.shape[:2])
 
 
 def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
@@ -156,51 +199,62 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
     ``z`` is a (B, K, d) batch. Returns (Trajectory, final (B, K, d)
     latents). With gamma == 0 the update is bit for bit that of
     ``flowmatch.integrate`` from cfg.t_start. A guided step runs one
-    surrogate pass: the J its gradient pass yields is that of the state the
-    previous step reached, and one ``predict`` gives the last step's.
+    surrogate pass, and the integration no other: its gradient pass predicts
+    the state the previous step reached, and the ``Trajectory`` predicts the
+    last state only when its ``objective`` is read. It keeps each step's v
+    and g as ``field.velocity`` and the surrogate's pullback returned them,
+    so neither may hand out an array it writes to again.
     """
     z = np.asarray(z, dtype=np.float64)
-    steps, B = cfg.steps, len(z)
+    steps, gamma = cfg.steps, cfg.gamma
     dt = (1.0 - cfg.t_start) / steps
-    t = [cfg.t_start] + [cfg.t_start + (step + 1) * dt for step in range(steps)]
-    objective = np.empty((steps, B))
-    # Each step's v and g, kept for the norms taken in bulk after the loop.
-    v = np.empty((steps,) + z.shape)
-    g = np.empty((steps,) + z.shape) if cfg.gamma != 0.0 else None
+    times = [cfg.t_start + (step + 1) * dt for step in range(steps)]
+    velocities, grads = [], []
+    preds = []  # the surrogate's predictions at the state before each guided step
+    states = []  # the states of an unguided integration, which no gradient pass saw
     for step in range(steps):
-        v[step] = field.velocity(z, t[step])
-        if g is None:
-            z = z + dt * v[step]
+        v = field.velocity(z, times[step - 1] if step else cfg.t_start)
+        velocities.append(v)
+        if gamma == 0.0:
+            z = z + dt * v
+            states.append(z)
         else:
-            j, gs = objective_gradient(spec, surrogate, z)
+            pred, g = _predict_and_gradient(spec, surrogate, z)
             # Normalize each row, or clip a raw row to CLIP_NORM. Rows left alone
             # are divided or multiplied by exactly 1.0, which keeps their bits.
-            norm = _row_norms(gs)
+            norm = _row_norms(g)
             if cfg.normalize_gradient:
                 tiny = norm < _NORM_FLOOR
                 if tiny.any():  # their squares may underflow: rescale, exactly, by a power of two
-                    gs[tiny] *= _NORM_RESCALE
-                    norm[tiny] = _row_norms(gs[tiny])
-                gs /= np.where(norm > 0, norm, 1.0)[:, None, None]
+                    g[tiny] *= _NORM_RESCALE
+                    norm[tiny] = _row_norms(g[tiny])
+                g /= np.where(norm > 0, norm, 1.0)[:, None, None]
             elif (norm > CLIP_NORM).any():
-                gs *= np.divide(CLIP_NORM, norm, out=np.ones_like(norm),
-                                where=norm > CLIP_NORM)[:, None, None]
-            g[step] = gs
-            if step:  # J at the state the previous step reached
-                objective[step - 1] = j
-            z = z + dt * (v[step] - cfg.gamma * g[step])
+                g *= np.divide(CLIP_NORM, norm, out=np.ones_like(norm),
+                               where=norm > CLIP_NORM)[:, None, None]
+            grads.append(g)
+            preds.append(pred)
+            # z + dt * (v - gamma * g), in one temporary.
+            step_z = gamma * g
+            np.subtract(v, step_z, out=step_z)
+            step_z *= dt
+            z = np.add(z, step_z, out=step_z)
         if not np.isfinite(z).all():
             raise NumericFailure("non-finite state during guided integration",
                                  where=f"step={step}")
-        if g is None or step == steps - 1:
-            objective[step] = objective_value(spec, surrogate.predict(mean_pool(z)))
 
-    def norms(x):
-        return _row_norms(x.reshape(steps * B, -1)).reshape(steps, B)
+    def objective_after_each_step():
+        out = np.empty((steps, len(z)))
+        for step in range(steps):
+            if step + 1 < len(preds):  # the next gradient pass predicted this state
+                out[step] = objective_value(spec, preds[step + 1])
+            else:
+                state = states[step] if states else z
+                out[step] = objective_value(spec, surrogate.predict(mean_pool(state)))
+        return out
 
-    return Trajectory(t=np.array(t[1:]), objective=objective,
-                      grad_norm=np.zeros((steps, B)) if g is None else norms(g),
-                      velocity_norm=norms(v)), z
+    # The caller gets a copy: the trajectory may still read the last state.
+    return Trajectory(times, velocities, grads, objective_after_each_step), z.copy()
 
 
 def prepare_optimization(mu: np.ndarray, sigma: float, rngs) -> np.ndarray:

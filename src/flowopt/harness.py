@@ -34,6 +34,7 @@ DIVERSITY_PENALTY = 2.0
 PARETO_WEIGHT = 2.0
 HISTORY_WINDOW = 10
 SELECT_ATOL = float(np.sqrt(np.finfo(np.float64).eps))  # Generator.choice's bound on |sum p - 1|
+_SIGNS = np.asarray(toyset.PROPERTY_SIGNS, dtype=np.float64)  # maximizes both properties
 
 
 # -- staged training ------------------------------------------------------
@@ -195,10 +196,61 @@ def nonempty_split(dataset: toyset.Dataset, which: str) -> list:
     return entries
 
 
-def pareto_flags(points: np.ndarray) -> np.ndarray:
-    """Whether each of the (n, 2) points is on their front (duplicates too)."""
-    front = moeval.pareto_front(points).points
-    return (points[:, None, :] == front[None, :, :]).all(axis=2).any(axis=1)
+class SelectionState:
+    """What the selection law reads, carried over a pool that grows by one row at a time.
+
+    ``points`` (capacity, 2) and ``bits`` (capacity, FEATURE_BITS) are the
+    pool's arrays, which their owner fills in order; ``add()`` takes their
+    next row in. ``remember(bitset)`` appends a 0/1 bitset to the history,
+    of which the last ``window`` count. Each update is one row or one column:
+    ``add`` compares the new point with the pool's for the Pareto flags and
+    counts the bits the new row shares with each history bitset;
+    ``remember`` counts those the new bitset shares with each pool row, one
+    (n, FEATURE_BITS) product. The counts are exact integers, so the order of
+    the updates leaves every value.
+    """
+
+    def __init__(self, points: np.ndarray, bits: np.ndarray, window: int):
+        self.points, self.bits, self.window = points, bits, window
+        self.n = self.remembered = 0
+        self.on_front = np.zeros(len(points), dtype=bool)
+        self.sizes = np.zeros(len(points))  # each pool row's bit count
+        self.history = np.zeros((window, bits.shape[1]))  # a ring of the last bitsets
+        self.history_sizes = np.zeros(window)
+        self.shared = np.zeros((len(points), window))  # pool row x history slot
+
+    def add(self) -> None:
+        n = self.n
+        t = self.points[:n + 1] * _SIGNS  # both properties maximized
+        ge, le = (t[:n] >= t[n]).all(axis=1), (t[:n] <= t[n]).all(axis=1)
+        self.on_front[n] = not (ge & ~le).any()  # no pool point dominates it
+        self.on_front[:n] &= ~le | ge  # nor does it dominate a point left flagged
+        self.sizes[n] = self.bits[n].sum()
+        k = min(self.remembered, self.window)
+        self.shared[n, :k] = self.history[:k] @ self.bits[n]
+        self.n = n + 1
+
+    def remember(self, bitset: np.ndarray) -> None:
+        slot = self.remembered % self.window
+        self.history[slot] = bitset
+        self.history_sizes[slot] = self.history[slot].sum()
+        self.shared[:self.n, slot] = self.bits[:self.n] @ self.history[slot]
+        self.remembered += 1
+
+    def probabilities(self) -> np.ndarray:
+        """Each pool member's probability under the selection law stated with
+        DIVERSITY_PENALTY."""
+        n, k = self.n, min(self.remembered, self.window)
+        w = np.where(self.on_front[:n], PARETO_WEIGHT, 1.0)
+        if k:
+            # Jaccard from the counts; a pair of empty bitsets has similarity 1.
+            inter = self.shared[:n, :k]
+            union = self.sizes[:n, None] + self.history_sizes[:k] - inter
+            sims = np.where(union > 0, inter / np.maximum(union, 1), 1.0).max(axis=1)
+        else:
+            sims = np.zeros(n)
+        p = w * np.exp(-DIVERSITY_PENALTY * sims)
+        return p / p.sum()
 
 
 def selection_probabilities(points: np.ndarray, bits: np.ndarray, history) -> np.ndarray:
@@ -206,19 +258,17 @@ def selection_probabilities(points: np.ndarray, bits: np.ndarray, history) -> np
 
     ``points`` and ``bits`` are the pool's (n, 2) points and (n, FEATURE_BITS)
     0/1 float bitsets; ``history`` holds the recently optimized bitsets, one
-    row each.
+    row each. The law is that of a ``SelectionState`` that remembered the
+    history and took the pool in row by row, as a budgeted run's does.
     """
-    w = np.where(pareto_flags(points), PARETO_WEIGHT, 1.0)
-    if len(history):
-        # Jaccard from one count product on 0/1 floats: every count is an exact integer.
-        hist = np.asarray(history, dtype=np.float64)
-        inter = bits @ hist.T
-        union = bits.sum(axis=1)[:, None] + hist.sum(axis=1) - inter
-        sims = np.where(union > 0, inter / np.maximum(union, 1), 1.0).max(axis=1)
-    else:
-        sims = np.zeros(len(points))
-    p = w * np.exp(-DIVERSITY_PENALTY * sims)
-    return p / p.sum()
+    points, bits = np.asarray(points, dtype=np.float64), np.asarray(bits, dtype=np.float64)
+    history = np.asarray(history, dtype=np.float64).reshape(-1, bits.shape[1])
+    state = SelectionState(points, bits, max(len(history), 1))
+    for bitset in history:
+        state.remember(bitset)
+    for _ in points:
+        state.add()
+    return state.probabilities()
 
 
 def select_seed(probs: np.ndarray, rng: Rng) -> int:
@@ -285,8 +335,10 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     bitsets in arrays sized for the largest pool a run can reach; each row is
     written once, when its oracle value arrives. The first ``n_init`` rows are
     the initial pool and the rest the optimized structures, in order. A
-    row's posterior mean is encoded when it is first selected, and kept.
-    ``random`` reads no seed, so it draws none. The pool's hypervolume is
+    ``SelectionState`` over those arrays carries the selection law's flags
+    and counts from one oracle call to the next. A row's posterior mean is
+    encoded when it is first selected, and kept. ``random`` reads no seed,
+    so it draws none and carries no selection state. The pool's hypervolume is
     carried while the front stands: a point outside the reference box or
     weakly dominated by the pool keeps its bits. Each structure is parsed
     once, by the decode that makes it; the oracle and the report read the
@@ -301,12 +353,16 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     structures = []
     points = np.empty((size, 2))
     bits = np.empty((size, toyset.FEATURE_BITS))
+    # The selection law's state; random reads no seed, so it carries none.
+    law = None if proposer == "random" else SelectionState(points, bits, HISTORY_WINDOW)
     means = {}  # pool row -> its (1, K, d) posterior mean
 
     def add(structure, props):
         points[len(structures)] = props
         bits[len(structures)] = structure.features
         structures.append(structure)
+        if law is not None:
+            law.add()
 
     complete = True
     init_rng = rng.split("init")
@@ -328,16 +384,15 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
         n = len(structures)
         srng = rng.split(("step", n - n_init))
         mu = None  # random reads no seed, so it draws none
-        if proposer != "random":
-            # The history is the last HISTORY_WINDOW optimized bitsets.
-            probs = selection_probabilities(points[:n], bits[:n],
-                                            bits[max(n_init, n - HISTORY_WINDOW):n])
-            i = select_seed(probs, srng.split("select"))
+        if law is not None:
+            i = select_seed(law.probabilities(), srng.split("select"))
             if i not in means:
                 means[i] = models.vae.encode_batch([structures[i].canonical_tokens]).mu
             mu = means[i]
         proposed = _propose(proposer, models, cfg, mu, srng.split("propose"))
         add(proposed, oracle(proposed))
+        if law is not None:  # the history is the last HISTORY_WINDOW optimized bitsets
+            law.remember(bits[n])
         # The pool is the baseline followed by the optimized points.
         if moeval.adds_hypervolume(points[:n], points[n], ref):
             hv = moeval.hypervolume_2d(points[:n + 1], ref)

@@ -59,15 +59,28 @@ def time_embed(t, dim: int) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function as ``Tensor.sigmoid`` of ``tests/tape.py`` computes it."""
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+    """Logistic function as ``Tensor.sigmoid`` of ``tests/tape.py`` computes it,
+    ``0.5 * (tanh(0.5 * x) + 1.0)``, in one temporary."""
+    s = 0.5 * x
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
+
+
+def _tanh_back(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``g * (1.0 - y * y)`` in one temporary."""
+    d = y * y
+    np.subtract(1.0, d, out=d)
+    return np.multiply(g, d, out=d)
 
 
 # The activations of the tape in ``tests/tape.py``: name -> (forward of the
-# pre-activation, pullback of an upstream gradient g through the output y).
-# Each is the tape's expression, so the array path has its bits.
+# pre-activation, which it may overwrite, and pullback of an upstream gradient
+# g through the output y). Each is the tape's expression, so the array path
+# has its bits.
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
+    "tanh": (lambda x: np.tanh(x, out=x), _tanh_back),
     "relu": (lambda x: np.where(x > 0, x, 0.0), lambda g, y: g * (y > 0)),
     "sigmoid": (sigmoid, lambda g, y: g * y * (1.0 - y)),
 }
@@ -104,10 +117,12 @@ class Mlp:
                 f"input shape {x.shape} does not match first layer "
                 f"({self.weights[0].data.shape[0]} features expected)")
         act = _ACTIVATIONS[self.activation][0]
+        last = self.weights[-1]
         acts = [x]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w.data + b.data
-            if i < len(self.weights) - 1:
+        for w, b in zip(self.weights, self.biases):
+            x = np.dot(x, w.data)  # the bits of ``x @ w``, with less overhead
+            x += b.data
+            if w is not last:
                 x = act(x)
             acts.append(x)
         return acts
@@ -119,17 +134,20 @@ class Mlp:
         unless ``wrt_input``, the parameters' unless ``wrt_params``, and only
         the input's takes the first layer's ``g @ w.T``."""
         back = _ACTIVATIONS[self.activation][1]
-        n = len(self.weights)
-        grads = [None] * (2 * n)
-        for i in reversed(range(n)):
-            if i < n - 1:
-                g = back(g, acts[i + 1])
+        weights = self.weights
+        grads = []  # from the last layer's bias back to the first layer's weights
+        for i in range(len(weights) - 1, -1, -1):
             if wrt_params:
-                grads[2 * i] = acts[i].T @ g
-                grads[2 * i + 1] = g.sum(axis=0)
-            if i or wrt_input:
-                g = g @ self.weights[i].data.T
-        return (g if wrt_input else None, *grads)
+                grads += g.sum(axis=0), acts[i].T @ g
+            if i:
+                g = back(g @ weights[i].data.T, acts[i])
+            elif wrt_input:
+                g = g @ weights[0].data.T
+        gx = g if wrt_input else None
+        if not wrt_params:
+            return (gx,) + (None,) * (2 * len(weights))
+        grads.reverse()
+        return (gx, *grads)
 
 
 _ALIGN = 8  # float64s per 64 bytes: where each optimizer segment starts

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import toyset
 from .autodiff import Tensor
-from .errors import ContractViolation, NumericFailure
+from .errors import ArtifactIOError, ContractViolation, NumericFailure
 from .nn import (GRAD_CLIP_NORM, AdamState, clip_grad_norm, config_from_dict, optimizer_step,
                  stored_param)
 from .rng import Rng
@@ -53,6 +53,7 @@ LOG_SIGMA_CLAMP = (-8.0, 4.0)
 ENCODE_CHUNK = 256  # rows per encode_batch pass; fixes the batch shapes, so the bits
 KL_WARMUP_FRAC = 0.35  # share of pretraining over which the KL weight ramps to beta_max
 FINETUNE_LR = 1e-3
+_PAD, _BOS, _EOS = (toyset.TOKEN_ID[t] for t in (toyset.PAD, toyset.BOS, toyset.EOS))
 
 
 @dataclass
@@ -149,28 +150,30 @@ class SeqVae:
         into the (B, L) grid of positions 0 to len of each row, in row-major
         order: the decoder's targets, every token and EOS.
         """
-        full = np.array([len(s) for s in sequences], dtype=np.int64)
+        full = [len(s) for s in sequences]
         flat = itertools.chain.from_iterable(sequences)
         try:
-            ids = np.fromiter(map(toyset.TOKEN_ID.__getitem__, flat), np.int64, int(full.sum()))
+            ids = np.fromiter(map(toyset.TOKEN_ID.__getitem__, flat), np.int64, sum(full))
         except KeyError as e:
             raise ContractViolation(f"unknown token {e.args[0]!r}") from None
-        lengths = np.minimum(full, toyset.MAX_LEN - 1)
-        if (lengths < full).any():  # keep each row's first MAX_LEN - 1 tokens
-            in_row = np.arange(len(ids)) - np.repeat(np.cumsum(full) - full, full)
+        lengths = np.array(full, dtype=np.int64)
+        longest = max(full)
+        if longest > toyset.MAX_LEN - 1:  # keep each row's first MAX_LEN - 1 tokens
+            in_row = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
             ids = ids[in_row < toyset.MAX_LEN - 1]
-        L = int(lengths.max()) + 1  # room for EOS
-        pad, bos, eos = (toyset.TOKEN_ID[t] for t in (toyset.PAD, toyset.BOS, toyset.EOS))
-        tokens = np.arange(L) < lengths[:, None]  # the cells that hold a token
-        enc = np.full((len(full), L), pad, dtype=np.int64)
+            lengths = np.minimum(lengths, toyset.MAX_LEN - 1)
+            longest = toyset.MAX_LEN - 1
+        cols = np.arange(longest + 1)  # room for EOS
+        # The cells that hold a token, and those plus each row's EOS cell.
+        tokens, valid = cols < lengths[:, None], cols <= lengths[:, None]
+        enc = np.full(tokens.shape, _PAD, dtype=np.int64)
         enc[tokens] = ids
-        dec_in = np.full_like(enc, pad)
-        dec_in[:, 0] = bos
-        dec_in[:, 1:][tokens[:, :-1]] = ids
+        dec_in = np.empty_like(enc)  # BOS, then the tokens shifted one cell right
+        dec_in[:, 0] = _BOS
+        dec_in[:, 1:] = enc[:, :-1]
         tgt = enc.copy()
-        tgt[np.arange(len(full)), lengths] = eos
-        valid = np.flatnonzero(np.arange(L) <= lengths[:, None])
-        return enc, dec_in, tgt, valid
+        tgt[tokens ^ valid] = _EOS
+        return enc, dec_in, tgt, valid.ravel().nonzero()[0]
 
     # -- array forward and pullback -----------------------------------------
     def _encode(self, enc_ids: np.ndarray, valid: np.ndarray) -> dict:
@@ -373,25 +376,29 @@ class SeqVae:
         """
         c = self.config
         B, E = Z.shape[0], c.embed_dim
-        pad, bos, eos = (toyset.TOKEN_ID[t] for t in (toyset.PAD, toyset.BOS, toyset.EOS))
         tok_emb, pos_emb = self.p["tok_emb"].data, self.p["pos_emb"].data
         w1, b1 = self.p["dec_w1"].data, self.p["dec_b1"].data
-        w2, b2 = self.p["dec_w2"].data, self.p["dec_b2"].data
+        w2 = self.p["dec_w2"].data
+        # The output bias with -inf at pad and bos, which are never emitted: a
+        # finite logit plus -inf is -inf, and every other column keeps its bits.
+        b2 = self.p["dec_b2"].data.copy()
+        b2[[_PAD, _BOS]] = -np.inf
         w_e, zh = w1[:E], Z.reshape(B, c.K * c.d) @ w1[E:] + b1
         tokens = np.empty((B, toyset.MAX_LEN), dtype=np.int64)
         lengths = np.full(B, toyset.MAX_LEN)
         # The rows computed at a step: the ``live`` ones still decoding, then a rider.
         rows, live = np.arange(B), B
-        prev = np.full(B, bos, dtype=np.int64)
+        prev = np.full(B, _BOS, dtype=np.int64)
         for pos in range(toyset.MAX_LEN):
             if not live:
                 break
-            logits = np.tanh((tok_emb[prev] + pos_emb[pos]) @ w_e + zh) @ w2 + b2
-            logits[:, pad] = -np.inf
-            logits[:, bos] = -np.inf
+            h = (tok_emb[prev] + pos_emb[pos]) @ w_e
+            h += zh
+            logits = np.tanh(h, out=h) @ w2
+            logits += b2
             prev = logits.argmax(axis=1)
             tokens[rows, pos] = prev  # a rider's token lies past its length
-            ended = prev[:live] == eos
+            ended = prev[:live] == _EOS
             n_ended = np.count_nonzero(ended)
             if n_ended:
                 lengths[rows[:live][ended]] = pos
@@ -400,7 +407,8 @@ class SeqVae:
                 live -= n_ended
                 keep = np.argsort(finished, kind="stable")[:max(live, 2)]
                 rows, prev, zh = rows[keep], prev[keep], zh[keep]
-        return [tuple(toyset.VOCAB[t] for t in row[:n]) for row, n in zip(tokens, lengths)]
+        vocab = toyset.VOCAB
+        return [tuple([vocab[t] for t in row[:n]]) for row, n in zip(tokens.tolist(), lengths)]
 
     # -- checkpointing ----------------------------------------------------
     def arrays(self) -> dict:
@@ -420,9 +428,10 @@ class SeqVae:
     def from_checkpoint(cls, arrays: dict, meta: dict) -> "SeqVae":
         """The model a checkpoint holds, checked by ``nn.stored_param``
         against the shapes its config gives (so a position table of another
-        length than MAX_LEN + 1 is refused)."""
+        length than MAX_LEN + 1 is refused). A checkpoint written for another
+        vocabulary raises ArtifactIOError; the caller names the file."""
         if meta.get("vocab_hash") != toyset.vocab_hash():
-            raise ContractViolation("checkpoint vocabulary does not match this build")
+            raise ArtifactIOError("was written for another vocabulary than this build's")
         model = cls.__new__(cls)
         model.config = config_from_dict(VaeConfig, meta["config"])
         model.p = {k: stored_param(arrays, f"vae.{k}", shape)

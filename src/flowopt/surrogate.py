@@ -60,9 +60,14 @@ class Surrogate:
         y = sigmoid(acts[-1])
 
         def pullback(g):
-            return self.net.backward(acts, g * _SPAN * y * (1.0 - y), wrt_params=wrt_params)
+            g = g * _SPAN
+            g *= y
+            g *= 1.0 - y
+            return self.net.backward(acts, g, wrt_params=wrt_params)
 
-        return y * _SPAN + _LO, pullback
+        pred = y * _SPAN
+        pred += _LO
+        return pred, pullback
 
     def predict(self, pooled: np.ndarray) -> np.ndarray:
         """Predictions (B, 2) for pooled latents (B, d)."""

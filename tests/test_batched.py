@@ -108,6 +108,56 @@ def test_trajectory_objective_is_that_of_each_state(B, K, d, seed, gamma, normal
     assert np.array_equal(z, out)
 
 
+def eager_guided_integrate(field, sur, spec, cfg, z):
+    """The integrator that filled every ``Trajectory`` array as it stepped:
+    it copied each step's v and g into (steps, B, K, d) arrays, took their
+    norms in bulk after the loop, and predicted J of the last state (of every
+    state when gamma == 0) at once."""
+    steps, B = cfg.steps, len(z)
+    dt = (1.0 - cfg.t_start) / steps
+    t = [cfg.t_start] + [cfg.t_start + (step + 1) * dt for step in range(steps)]
+    objective = np.empty((steps, B))
+    v = np.empty((steps,) + z.shape)
+    g = np.empty((steps,) + z.shape) if cfg.gamma != 0.0 else None
+    for step in range(steps):
+        v[step] = field.velocity(z, t[step])
+        if g is None:
+            z = z + dt * v[step]
+        else:
+            j, gs = objective_gradient(spec, sur, z)
+            g[step] = loop_postprocess(gs, cfg.normalize_gradient)
+            if step:
+                objective[step - 1] = j
+            z = z + dt * (v[step] - cfg.gamma * g[step])
+        if g is None or step == steps - 1:
+            objective[step] = objective_value(spec, sur.predict(mean_pool(z)))
+
+    def norms(x):
+        return _row_norms(x.reshape(steps * B, -1)).reshape(steps, B)
+
+    return (np.array(t[1:]), objective, np.zeros((steps, B)) if g is None else norms(g),
+            norms(v)), z
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch, tokens_k, dims, seeds, gammas, st.booleans(), specs, st.integers(1, 4))
+def test_trajectory_read_afterwards_equals_eager_one(B, K, d, seed, gamma, normalize, spec,
+                                                     steps):
+    """Each ``Trajectory`` array, read after the integration returned and
+    after its caller overwrote the final latents, equals ``==`` the one the
+    eager integrator filled as it stepped, as do the final latents."""
+    field, sur = models(seed, K, d)
+    cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=steps, t_start=0.4,
+                         normalize_gradient=normalize)
+    z = Rng(seed).split("z").normal((B, K, d)) * 2.0
+    want, want_z = eager_guided_integrate(field, sur, spec, cfg, z)
+    traj, out = guided_integrate(field, sur, spec, cfg, z)
+    assert np.array_equal(out, want_z)
+    out[...] = np.nan
+    got = (traj.t, traj.objective, traj.grad_norm, traj.velocity_norm)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 64), st.lists(st.integers(1, 9), min_size=1, max_size=3), seeds)
 def test_row_norms_of_stacked_rows_equal_each_row(N, shape, seed):

@@ -94,6 +94,14 @@ def _pool_state(rng, n, with_history=False):
     return points, bits, bits[[0, -1]] if with_history else bits[:0]
 
 
+def pareto_flags(points):
+    """The front flags of a ``SelectionState`` that took in ``points`` one by one."""
+    state = harness.SelectionState(points, np.zeros((len(points), toyset.FEATURE_BITS)), 1)
+    for _ in points:
+        state.add()
+    return state.on_front[:len(points)]
+
+
 def test_selection_probabilities_normalized_and_weighted(rng):
     points, bits, history = _pool_state(rng.split("a"), 12, with_history=True)
     p = harness.selection_probabilities(points, bits, history)
@@ -101,7 +109,7 @@ def test_selection_probabilities_normalized_and_weighted(rng):
     assert p.sum() == pytest.approx(1.0)
     assert (p > 0).all()
     # the closed form is reproduced exactly
-    w = np.where(harness.pareto_flags(points), 2.0, 1.0)
+    w = np.where(pareto_flags(points), 2.0, 1.0)
     sims = np.array([max(toyset.tanimoto(b > 0, h > 0) for h in history) for b in bits])
     expected = w * np.exp(-2.0 * sims)
     assert np.allclose(p, expected / expected.sum())
@@ -131,7 +139,7 @@ def test_selection_similarities_equal_broadcast_formula(n, h, seed, density, coa
     sims = np.where(union > 0, inter / np.maximum(union, 1), 1.0).max(axis=1)
     front = {tuple(p) for p in moeval.pareto_front(points).points}
     flags = np.array([tuple(p) in front for p in points])
-    assert np.array_equal(harness.pareto_flags(points), flags)
+    assert np.array_equal(pareto_flags(points), flags)
     p = np.where(flags, harness.PARETO_WEIGHT, 1.0) * np.exp(-harness.DIVERSITY_PENALTY * sims)
     assert np.array_equal(harness.selection_probabilities(points, feats.astype(np.float64), hist),
                           p / p.sum())
@@ -199,37 +207,100 @@ def test_select_seed_rejects_invalid_probabilities(probs):
 
 
 def test_pareto_flags_hand_case():
-    flags = harness.pareto_flags(np.array([(0.9, 2.0), (0.5, 5.0), (0.9, 2.0), (0.2, 1.0)]))
+    flags = pareto_flags(np.array([(0.9, 2.0), (0.5, 5.0), (0.9, 2.0), (0.2, 1.0)]))
     # (0.5, 5.0) is dominated; the duplicate front point is flagged twice
     assert list(flags) == [True, False, True, True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 16), st.sampled_from([0.0, 0.05, 0.5]),
+       st.booleans())
+def test_selection_state_equals_law_from_scratch(n, seed, density, coarse):
+    """A ``SelectionState`` fed a run's appends, one pool row each and, after
+    the initial pool, one history bitset each, gives ``selection_probabilities``
+    of the pool so far and its last HISTORY_WINDOW optimized bitsets, ``==``,
+    after every append: with an empty history (the initial pool), windows past
+    HISTORY_WINDOW, empty bitsets, and on a coarse grid duplicate points and
+    ties in one coordinate."""
+    rng = Rng(seed)
+    if coarse:
+        points = rng.split("grid").gen.integers(0, 3, (n, 2)) * [0.25, 1.5] + [0.0, 1.0]
+    else:
+        points = rng.split("points").uniform(0.0, 1.0, (n, 2))
+    bits = rng.split("bits").uniform(0.0, 1.0, (n, toyset.FEATURE_BITS)) < density
+    bits[rng.split("empty").uniform(0.0, 1.0, n) < 0.3] = False
+    bits = bits.astype(np.float64)
+    n_init = int(rng.split("init").integers(1, n + 1))
+    pool_points, pool_bits = np.empty((n, 2)), np.empty((n, toyset.FEATURE_BITS))
+    state = harness.SelectionState(pool_points, pool_bits, harness.HISTORY_WINDOW)
+    for i in range(n):
+        pool_points[i], pool_bits[i] = points[i], bits[i]
+        state.add()
+        if i >= n_init:
+            state.remember(pool_bits[i])
+        history = bits[max(n_init, i + 1 - harness.HISTORY_WINDOW):i + 1]
+        assert np.array_equal(state.probabilities(),
+                              harness.selection_probabilities(points[:i + 1], bits[:i + 1],
+                                                              history)), i
+
+
+def test_guided_proposal_makes_one_surrogate_pass_per_step(tiny_run, monkeypatch):
+    """A guided proposal at gamma > 0 runs the surrogate once per Euler step,
+    since ``_propose`` never reads the trajectory. Reading its objective adds
+    one pass, for the last state, and only the first time; an unguided
+    integration runs none until then."""
+    cfg, models = tiny_config(), tiny_run["models"]
+    sur, steps = models.surrogate, cfg.guidance.steps
+    passes = []
+    predict_vjp = sur.predict_vjp  # ``predict`` runs through it too
+    monkeypatch.setattr(sur, "predict_vjp", lambda *a, **k: passes.append(1) or predict_vjp(*a, **k))
+    mu = models.vae.encode_batch([tokens for tokens, _ in tiny_run["ds"].subset("train")[:1]]).mu
+    assert cfg.guidance.gamma > 0
+    harness._propose("guided-flow", models, cfg, mu, Rng(3))
+    assert len(passes) == steps
+    for gamma, before, after in ((cfg.guidance.gamma, steps, steps + 1), (0.0, 0, steps)):
+        passes.clear()
+        gcfg = dataclasses.replace(cfg.guidance, gamma=gamma)
+        traj, _ = guidance.guided_integrate(models.flow, sur, cfg.objective, gcfg, mu)
+        traj.t, traj.grad_norm, traj.velocity_norm
+        assert len(passes) == before
+        traj.objective, traj.objective
+        assert len(passes) == after
 
 
 # -- budgeted runs --------------------------------------------------------
 
 def test_history_window_slides(tiny_run, monkeypatch):
     """Each step's history is the bitsets of the last HISTORY_WINDOW
-    proposals, oldest first, and never a member of the initial pool."""
+    proposals, oldest first, and never a member of the initial pool; the law
+    the run draws from is ``selection_probabilities`` of its pool and that
+    history."""
     cfg = tiny_config()
     cfg.budget = dataclasses.replace(cfg.budget, budget=cfg.budget.init_size
                                      + harness.HISTORY_WINDOW + 4)
-    histories, proposals = [], []
-    law, propose = harness.selection_probabilities, harness._propose
+    histories, pools, laws, proposals = [], [], [], []
+    law, propose = harness.SelectionState.probabilities, harness._propose
 
-    def record_law(points, bits, history):
-        histories.append(np.array(history))
-        return law(points, bits, history)
+    def record_law(state):
+        k = min(state.remembered, state.window)  # the ring's slots, oldest first
+        histories.append(state.history[(np.arange(k) + state.remembered - k) % state.window])
+        pools.append((state.points[:state.n].copy(), state.bits[:state.n].copy()))
+        laws.append(law(state))
+        return laws[-1]
 
-    monkeypatch.setattr(harness, "selection_probabilities", record_law)
+    monkeypatch.setattr(harness.SelectionState, "probabilities", record_law)
     monkeypatch.setattr(harness, "_propose",
                         lambda *args: proposals.append(propose(*args)) or proposals[-1])
     result = harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg, "gradient-ascent",
                                   seed=6)
+    monkeypatch.undo()
     steps = cfg.budget.budget - cfg.budget.init_size
     assert result.complete and len(histories) == len(proposals) == steps
     for k, history in enumerate(histories):
         window = proposals[max(0, k - harness.HISTORY_WINDOW):k]
         want = np.reshape([s.features for s in window], (-1, toyset.FEATURE_BITS))
         assert np.array_equal(history, want), k
+        assert np.array_equal(laws[k], harness.selection_probabilities(*pools[k], history)), k
 
 
 def test_budgeted_run_budget_exact(tiny_run):
@@ -656,17 +727,28 @@ def _flow_w0_of_other_shape(text):
     return json.dumps(doc)
 
 
+def _zero_vocab_hash(text):
+    doc = json.loads(text)
+    doc["header"]["meta"]["vocab_hash"] = "0" * 16
+    return json.dumps(doc)
+
+
+# The checkpoint a corruption below applies to, where it is not the flow's.
+_CORRUPTED_FILE = {_zero_vocab_hash: harness.FINETUNE_CKPT}
+
+
 @pytest.mark.parametrize("corrupt", [_truncate, _drop_array, _wrong_shape, _header_not_a_mapping,
-                                     _flow_w0_of_other_shape])
+                                     _flow_w0_of_other_shape, _zero_vocab_hash])
 def test_cli_broken_checkpoint_exit_4(runner, tiny_run, tmp_path, corrupt):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(tiny_run["ckpt_dir"], ckpt)
-    flow = ckpt / harness.FLOW_CKPT
-    flow.write_text(corrupt(flow.read_text()))
+    name = _CORRUPTED_FILE.get(corrupt, harness.FLOW_CKPT)
+    path = ckpt / name
+    path.write_text(corrupt(path.read_text()))
     res = runner.invoke(cli.main, ["generate", "--seed", "2", "--config", tiny_run["cfg_path"],
                                    "--ckpt", str(ckpt), "--count", "2"])
     assert res.exit_code == 4, res.output
-    assert "flow.ckpt" in res.output
+    assert name in res.output
 
 
 def _drop_flow_w1(ckpt):

@@ -430,7 +430,7 @@ def test_checkpoint_round_trip_bit_exact(model, tmp_path):
 def test_checkpoint_vocab_mismatch_rejected(model, tmp_path):
     meta = model.meta("pretrain")
     meta["vocab_hash"] = "0" * 16
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ArtifactIOError, match="another vocabulary"):
         SeqVae.from_checkpoint(model.arrays(), meta)
 
 
