@@ -208,12 +208,12 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
     z = np.asarray(z, dtype=np.float64)
     steps, gamma = cfg.steps, cfg.gamma
     dt = (1.0 - cfg.t_start) / steps
-    times = [cfg.t_start + (step + 1) * dt for step in range(steps)]
+    t = [cfg.t_start] + [cfg.t_start + (step + 1) * dt for step in range(steps)]
     velocities, grads = [], []
     preds = []  # the surrogate's predictions at the state before each guided step
     states = []  # the states of an unguided integration, which no gradient pass saw
     for step in range(steps):
-        v = field.velocity(z, times[step - 1] if step else cfg.t_start)
+        v = field.velocity(z, t[step])
         velocities.append(v)
         if gamma == 0.0:
             z = z + dt * v
@@ -254,7 +254,7 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
         return out
 
     # The caller gets a copy: the trajectory may still read the last state.
-    return Trajectory(times, velocities, grads, objective_after_each_step), z.copy()
+    return Trajectory(t[1:], velocities, grads, objective_after_each_step), z.copy()
 
 
 def prepare_optimization(mu: np.ndarray, sigma: float, rngs) -> np.ndarray:

@@ -69,10 +69,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _tanh_back(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``g * (1.0 - y * y)`` in one temporary."""
+    """``g * (1.0 - y * y)`` in one temporary (a product's bits do not depend
+    on its operands' order)."""
     d = y * y
     np.subtract(1.0, d, out=d)
-    return np.multiply(g, d, out=d)
+    d *= g
+    return d
 
 
 # The activations of the tape in ``tests/tape.py``: name -> (forward of the
