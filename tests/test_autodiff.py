@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flowopt.errors import ContractViolation, NumericFailure
@@ -273,8 +273,19 @@ def test_nan_check_agrees_with_isnan_any(a):
     assert ad._has_nan(a) == bool(np.isnan(a).any())
 
 
+def relu_kink_margin(mlp, x):
+    """The smallest |pre-activation| of a hidden unit of a relu ``mlp`` on x."""
+    margin = np.inf
+    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+        pre = x @ w.data + b.data
+        margin = min(margin, np.abs(pre).min())
+        x = np.maximum(pre, 0.0)
+    return margin
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
+@example(752)
 def test_mlp_gradient_matches_fd_random_configs(seed):
     rng = Rng(seed)
     gen = rng.gen
@@ -288,6 +299,10 @@ def test_mlp_gradient_matches_fd_random_configs(seed):
     # every sampled configuration at a generic differentiable point
     for pi, p in enumerate(mlp.params()):
         p.data = p.data + 0.05 + 0.1 * rng.split(("jitter", pi)).normal(p.data.shape)
+    # the jitter can still leave a relu pre-activation within a step of the
+    # kink (seed 752: 8.7e-6 against eps 1e-5), where the central difference
+    # straddles it and is no reference for the gradient
+    assume(activation != "relu" or relu_kink_margin(mlp, x) > 1e-3)
     mlp = on_tape(mlp)
     params = mlp.params()
 
