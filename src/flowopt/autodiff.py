@@ -1,12 +1,10 @@
-"""The parameter holder.
+"""A retired parameter holder, imported by nothing in ``flowopt``.
 
-The program trains and infers on arrays. ``Tensor`` holds one parameter
-array, ``data``; which gradients a pullback computes is its caller's
-argument, not a flag on the parameter. ``AdamState.create`` rebinds ``data``
-to the parameter's view of the optimizer's flat buffer.
-
-The pullbacks take the ops, in the order, of the reverse-mode tape in the
-tests' ``tests/tape.py``, which the property tests compare them against.
+Model parameters are plain float64 arrays. ``Tensor`` stays only because the
+benchmark's tracer (``bench/tracer.py``) and its smoke test import this module
+and patch ``Tensor.__init__`` for the ``autodiff.tensors`` count, which now
+reads 0; the module goes when that metric retires. The reverse-mode tape the
+array pullbacks are compared against is the tests' ``tests/tape.py``.
 """
 
 import numpy as np

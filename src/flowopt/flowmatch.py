@@ -89,8 +89,7 @@ class FlowField:
         cfg = config_from_dict(FlowConfig, meta["config"])
         model = cls.__new__(cls)
         model.config = cfg
-        model.net = mlp_from_arrays("flow", arrays,
-                                    {"sizes": cls._sizes(cfg), "activation": "tanh"})
+        model.net = mlp_from_arrays("flow", arrays, cls._sizes(cfg), "tanh")
         return model
 
 
@@ -140,8 +139,8 @@ def train_flow(field: FlowField, z1_sampler, rng: Rng) -> list:
     Returns the per-step loss history.
     """
     c = field.config
-    params = field.params()
-    opt = AdamState.create(params, lr=LR, weight_decay=0.0)
+    opt = AdamState.create(field.params(), lr=LR, weight_decay=0.0)
+    field.net.adopt(opt.views)
     history = []
     for step in range(c.steps):
         srng = rng.split(("fm", step))
@@ -150,7 +149,7 @@ def train_flow(field: FlowField, z1_sampler, rng: Rng) -> list:
         t = srng.split("t").uniform(0.0, 1.0, (c.batch_size,))
         loss, grads = fm_loss(field, z0, z1, t)
         grads, _ = clip_grad_norm(grads, GRAD_CLIP_NORM)
-        optimizer_step(opt, params, grads)
+        optimizer_step(opt, grads)
         history.append(loss)
     return history
 

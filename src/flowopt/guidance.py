@@ -103,8 +103,8 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray) -> tuple:
     J equals ``objective_value(spec, surrogate.predict(mean_pool(z)))`` and the
     gradient that of a tape over J summed over rows, bit for bit; rows never
     mix, so row b of the gradient is that of row b's own J. The gradient is
-    raw: ``guided_integrate`` post-processes it, and the gradient-ascent
-    baseline steps on it as it is.
+    raw; a non-finite J or gradient raises NumericFailure. The program's own
+    steps take the unchecked ``_predict_and_gradient`` instead.
     """
     pred, g = _predict_and_gradient(spec, surrogate, np.asarray(z, dtype=np.float64))
     j = _objective_rows(spec, pred)
@@ -116,9 +116,9 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray) -> tuple:
 def _predict_and_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray) -> tuple:
     """The surrogate's predictions (B, P) of a (B, K, d) batch and the raw
     gradient (B, K, d) of J, unchecked: ``objective_gradient`` checks both,
-    and the guided integrator the state the gradient moves, which a
-    non-finite row makes non-finite whether it is clipped or normalized. Both
-    take J from those predictions."""
+    and the guided integrator and the gradient ascent the state the gradient
+    moves, which a non-finite row makes non-finite, clipped, normalized or
+    raw. The integrator takes J from those predictions."""
     pred, pullback = surrogate.predict_vjp(mean_pool(z), wrt_params=False)
     # J's pullback in the ops of a tape over ``sum(w * diff * diff)`` (the
     # first factor's share, then the second's) or ``-sum(_SIGNS * pred)``.
@@ -274,11 +274,12 @@ def prepare_optimization(mu: np.ndarray, sigma: float, rngs) -> np.ndarray:
 def gradient_ascent_baseline(surrogate, spec: ObjectiveSpec, z: np.ndarray,
                              eta: float, steps: int) -> np.ndarray:
     """No-flow ablation on a (B, K, d) batch: plain descent on J from ``z``,
-    along the raw gradient."""
+    along the raw gradient; a non-finite state raises NumericFailure."""
     if eta <= 0:
         raise ContractViolation("eta must be > 0")
+    z = np.asarray(z, dtype=np.float64)
     for step in range(steps):
-        _, g = objective_gradient(spec, surrogate, z)
+        _, g = _predict_and_gradient(spec, surrogate, z)
         z = z - eta * g
         if not np.isfinite(z).all():
             raise NumericFailure("non-finite state in gradient ascent", where=f"step={step}")

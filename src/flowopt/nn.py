@@ -7,7 +7,7 @@ frequencies over [1, 1e4] — recorded in every checkpoint header), an
 adaptive-moment optimizer with decoupled weight decay over one flat buffer
 per parameter list, global-norm gradient clipping, a self-describing JSON
 checkpoint container with bit-exact round-trips, and the one rule by which
-stored configs are decoded. Parameters are ``autodiff.Tensor`` holders. A
+stored configs are decoded. Parameters are plain float64 arrays. A
 pullback computes the gradients its caller asks for (input, parameters or
 both) in the ops and order of the reverse-mode tape in ``tests/tape.py``.
 """
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ArtifactIOError, ContractViolation, NumericFailure
 from .rng import Rng
 
@@ -59,7 +58,7 @@ def time_embed(t, dim: int) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function as ``Tensor.sigmoid`` of ``tests/tape.py`` computes it,
+    """Logistic function as the tape's ``sigmoid`` (``tests/tape.py``) computes it,
     ``0.5 * (tanh(0.5 * x) + 1.0)``, in one temporary."""
     s = 0.5 * x
     np.tanh(s, out=s)
@@ -102,28 +101,32 @@ class Mlp:
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             scale = math.sqrt(2.0 / (fan_in + fan_out))
-            weights.append(Tensor(rng.normal((fan_in, fan_out)) * scale))
-            biases.append(Tensor(np.zeros(fan_out)))
+            weights.append(rng.normal((fan_in, fan_out)) * scale)
+            biases.append(np.zeros(fan_out))
         return cls(weights=weights, biases=biases, activation=activation)
 
     def params(self) -> list:
         return [p for wb in zip(self.weights, self.biases) for p in wb]
+
+    def adopt(self, arrays) -> None:
+        """Take ``arrays``, in ``params()`` order, as the parameters."""
+        self.weights, self.biases = list(arrays[0::2]), list(arrays[1::2])
 
     def forward(self, x: np.ndarray) -> list:
         """Forward of a (B, in) batch: ``[x, h1, ..., out]``, the input, each
         hidden activation and the linear output, which ``backward`` pulls a
         gradient back through."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.weights[0].data.shape[0]:
+        if x.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
             raise ContractViolation(
                 f"input shape {x.shape} does not match first layer "
-                f"({self.weights[0].data.shape[0]} features expected)")
+                f"({self.weights[0].shape[0]} features expected)")
         act = _ACTIVATIONS[self.activation][0]
         last = self.weights[-1]
         acts = [x]
         for w, b in zip(self.weights, self.biases):
-            x = np.dot(x, w.data)  # the bits of ``x @ w``, with less overhead
-            x += b.data
+            x = np.dot(x, w)  # the bits of ``x @ w``, with less overhead
+            x += b
             if w is not last:
                 x = act(x)
             acts.append(x)
@@ -142,9 +145,9 @@ class Mlp:
             if wrt_params:
                 grads += g.sum(axis=0), acts[i].T @ g
             if i:
-                g = back(g @ weights[i].data.T, acts[i])
+                g = back(g @ weights[i].T, acts[i])
             elif wrt_input:
-                g = g @ weights[0].data.T
+                g = g @ weights[0].T
         gx = g if wrt_input else None
         if not wrt_params:
             return (gx,) + (None,) * (2 * len(weights))
@@ -168,18 +171,18 @@ class AdamState:
 
     The parameters, their gradients and both moments live in flat buffers of
     one layout, a 64-byte aligned segment per parameter, zero in between.
-    ``create`` copies each parameter into its segment of ``data`` and rebinds
-    its ``.data`` to that view, so one elementwise pass over the buffers
-    updates every parameter in place. Two more rows of that layout hold a
-    step's intermediates, allocated once.
+    ``create`` copies each parameter into its segment of ``param``, and the
+    model adopts those ``views`` as its parameters, so one elementwise pass
+    over the buffers updates every parameter in place. Two more rows of that
+    layout hold a step's intermediates, allocated once.
     """
 
-    data: np.ndarray
+    param: np.ndarray
     grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
     work: np.ndarray  # (2, size): a step's intermediates
-    views: list   # each parameter's view into ``data``
+    views: list   # each parameter's view into ``param``
     grads: list   # each parameter's view into ``grad``
     step: int = 0
     lr: float = 1e-3
@@ -193,34 +196,31 @@ class AdamState:
         offsets, total = [], 0
         for p in params:
             offsets.append(total)
-            total += -(-p.data.size // _ALIGN) * _ALIGN
+            total += -(-p.size // _ALIGN) * _ALIGN
         buf = _aligned_zeros(6 * total).reshape(6, total)
 
         def views(row):
-            return [row[o:o + p.data.size].reshape(p.data.shape) for o, p in zip(offsets, params)]
+            return [row[o:o + p.size].reshape(p.shape) for o, p in zip(offsets, params)]
 
-        state = cls(data=buf[0], grad=buf[1], m=buf[2], v=buf[3], work=buf[4:],
+        state = cls(param=buf[0], grad=buf[1], m=buf[2], v=buf[3], work=buf[4:],
                     views=views(buf[0]), grads=views(buf[1]), lr=lr, weight_decay=weight_decay)
         for p, view in zip(params, state.views):
-            view[...] = p.data
-            p.data = view
+            view[...] = p
         return state
 
 
-def optimizer_step(state: AdamState, params, grads) -> None:
+def optimizer_step(state: AdamState, grads) -> None:
     """Bias-corrected adaptive-moment update with decoupled weight decay.
 
-    Copies ``grads`` into the state's gradient buffer, updates ``params`` in
-    place through their views and advances the step count. Each entry takes
-    the per-array update's elementwise ops in its order, so the bits are those
-    of ``p - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)``.
+    Copies ``grads`` into the state's gradient buffer, updates the parameter
+    buffer in place and advances the step count. Each entry takes the
+    per-array update's elementwise ops in its order, so the bits are those of
+    ``p - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)``.
     """
-    if len(params) != len(state.views) or len(params) != len(grads):
-        raise ContractViolation("parameter/gradient/state length mismatch")
-    for p, view, dst, g in zip(params, state.views, state.grads, grads):
-        if p.data is not view:
-            raise ContractViolation("parameter rebound outside its optimizer")
-        if g.shape != view.shape:
+    if len(grads) != len(state.grads):
+        raise ContractViolation("gradient/state length mismatch")
+    for dst, g in zip(state.grads, grads):
+        if g.shape != dst.shape:
             raise ContractViolation("gradient shape mismatch")
         dst[...] = g
     state.step += 1
@@ -236,9 +236,9 @@ def optimizer_step(state: AdamState, params, grads) -> None:
     np.divide(m, 1 - b1**t, out=upd)               # mhat / (sqrt(vhat) + eps)
     np.sqrt(np.divide(v, 1 - b2**t, out=tmp), out=tmp)
     upd /= np.add(tmp, state.eps, out=tmp)
-    upd += np.multiply(state.data, state.weight_decay, out=tmp)
+    upd += np.multiply(state.param, state.weight_decay, out=tmp)
     upd *= state.lr
-    state.data -= upd
+    state.param -= upd
 
 
 def clip_grad_norm(grads, max_norm: float):
@@ -343,14 +343,11 @@ def config_from_dict(cls, doc):
 
 
 def mlp_arrays(prefix: str, mlp: Mlp) -> dict:
-    out = {}
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        out[f"{prefix}.w{i}"] = w.data
-        out[f"{prefix}.b{i}"] = b.data
-    return out
+    names = [f"{prefix}.{kind}{i}" for i in range(len(mlp.weights)) for kind in "wb"]
+    return dict(zip(names, mlp.params()))
 
 
-def stored_param(arrays: dict, name: str, shape: tuple) -> Tensor:
+def stored_param(arrays: dict, name: str, shape: tuple) -> np.ndarray:
     """The parameter ``arrays[name]`` of a loaded checkpoint. A missing array
     raises KeyError, and one whose shape is not ``shape``, the one its stored
     config gives, ArtifactIOError; the caller names the file."""
@@ -358,13 +355,13 @@ def stored_param(arrays: dict, name: str, shape: tuple) -> Tensor:
     if data.shape != shape:
         raise ArtifactIOError(f"holds {name!r} of shape {data.shape}, "
                               f"where its config gives {shape}")
-    return Tensor(data)
+    return data
 
 
-def mlp_from_arrays(prefix: str, arrays: dict, meta: dict) -> Mlp:
-    layers = list(enumerate(zip(meta["sizes"][:-1], meta["sizes"][1:])))
+def mlp_from_arrays(prefix: str, arrays: dict, sizes, activation: str) -> Mlp:
+    layers = list(enumerate(zip(sizes[:-1], sizes[1:])))
     return Mlp(
         weights=[stored_param(arrays, f"{prefix}.w{i}", (m, n)) for i, (m, n) in layers],
         biases=[stored_param(arrays, f"{prefix}.b{i}", (n,)) for i, (_, n) in layers],
-        activation=meta["activation"],
+        activation=activation,
     )

@@ -25,7 +25,8 @@ backpropagates through the encoder and reshapes the latent geometry. Both
 stages run on arrays: ``SeqVae.forward`` computes a batch's loss and
 ``SeqVae.backward`` pulls it back with the ops, in the order, of a tape over
 that forward (the tests' ``tests/tape.py``), so the gradients have the tape's
-bits without a tape.
+bits without a tape. The parameters, ``SeqVae.p``, are plain arrays; a stage
+trains them as views of its optimizer's buffer, which the model adopts.
 
 Greedy decoding (``SeqVae.decode_greedy_batch``) computes each step on the
 rows that have not emitted EOS, not on the whole batch. At the toy-default
@@ -43,10 +44,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import toyset
-from .autodiff import Tensor
 from .errors import ArtifactIOError, ContractViolation, NumericFailure
-from .nn import (GRAD_CLIP_NORM, AdamState, clip_grad_norm, config_from_dict, optimizer_step,
-                 stored_param)
+from .nn import (GRAD_CLIP_NORM, AdamState, _tanh_back, clip_grad_norm, config_from_dict,
+                 optimizer_step, stored_param)
 from .rng import Rng
 
 LOG_SIGMA_CLAMP = (-8.0, 4.0)
@@ -132,14 +132,18 @@ class SeqVae:
         for name, shape in _param_shapes(config).items():
             init = _INIT[name]
             if isinstance(init, float):
-                self.p[name] = Tensor(np.full(shape, init))
+                self.p[name] = np.full(shape, init)
             else:
                 key, scale = init
                 scale = scale or (2.0 / (shape[0] + shape[-1])) ** 0.5
-                self.p[name] = Tensor(r.split(key).normal(shape) * scale)
+                self.p[name] = r.split(key).normal(shape) * scale
 
     def params(self) -> list:
         return [self.p[k] for k in sorted(self.p)]
+
+    def adopt(self, arrays) -> None:
+        """Take ``arrays``, in ``params()`` order, as the parameters."""
+        self.p.update(zip(sorted(self.p), arrays))
 
     # -- batching ---------------------------------------------------------
     def prepare_batch(self, sequences):
@@ -191,7 +195,7 @@ class SeqVae:
         scores, and the feature layer of a one-row batch, which the pad cell
         after the tokens fills out (a one-row product takes another BLAS path).
         """
-        c, p = self.config, {k: t.data for k, t in self.p.items()}
+        c, p = self.config, self.p
         B, L = enc_ids.shape
         H = c.enc_hidden
         a = {"valid": valid, "tok_ids": enc_ids.reshape(-1)[valid], "pos_ids": valid % L}
@@ -232,7 +236,7 @@ class SeqVae:
         ``K·d`` rows of ``dec_w1``. Same function and parameters; the sums run
         in another order, so the bits differ from the concat within 1e-12.
         """
-        c, p = self.config, {k: t.data for k, t in self.p.items()}
+        c, p = self.config, self.p
         enc, dec_in, tgt, valid = self.prepare_batch(batch_seqs)
         B, L = dec_in.shape
         E = c.embed_dim
@@ -277,7 +281,7 @@ class SeqVae:
         softmax's ``e`` the quotient's and then the sum's; and the two row
         blocks of ``dec_w1`` each add into zeros.
         """
-        c, p = self.config, {k: t.data for k, t in self.p.items()}
+        c, p = self.config, self.p
         B, K, d = a["mu"].shape
         L, H = len(a["h"]) // B, c.enc_hidden
         E, n = c.embed_dim, len(a["tgt"])
@@ -292,7 +296,7 @@ class SeqVae:
         hd, w1 = a["hd"], p["dec_w1"]
         grads["dec_b2"] = g.sum(axis=0)
         grads["dec_w2"] = hd.T @ g
-        g = (g @ p["dec_w2"].T) * (1.0 - hd * hd)
+        g = _tanh_back(g @ p["dec_w2"].T, hd)
         g_zh = _gather_pullback(g, a["row_ids"], B)
         grads["dec_w1"] = np.zeros_like(w1)
         grads["dec_w1"][:E] += a["xd"].T @ g
@@ -323,8 +327,7 @@ class SeqVae:
         g = ((g_attn / s + g_s) * e).reshape(B * L, K)
         grads["queries"] = (h.T @ g).T
         # The feature layer and the embeddings, on the valid positions.
-        hv = a["hv"]
-        g = (g @ p["queries"] + g_h)[a["valid"]] * (1.0 - hv * hv)
+        g = _tanh_back((g @ p["queries"] + g_h)[a["valid"]], a["hv"])
         grads["enc_b"] = g.sum(axis=0)
         grads["enc_w"] = a["x"].T @ g
         g_x = g @ p["enc_w"].T
@@ -376,12 +379,11 @@ class SeqVae:
         """
         c = self.config
         B, E = Z.shape[0], c.embed_dim
-        tok_emb, pos_emb = self.p["tok_emb"].data, self.p["pos_emb"].data
-        w1, b1 = self.p["dec_w1"].data, self.p["dec_b1"].data
-        w2 = self.p["dec_w2"].data
+        tok_emb, pos_emb = self.p["tok_emb"], self.p["pos_emb"]
+        w1, b1, w2 = self.p["dec_w1"], self.p["dec_b1"], self.p["dec_w2"]
         # The output bias with -inf at pad and bos, which are never emitted: a
         # finite logit plus -inf is -inf, and every other column keeps its bits.
-        b2 = self.p["dec_b2"].data.copy()
+        b2 = self.p["dec_b2"].copy()
         b2[[_PAD, _BOS]] = -np.inf
         w_e, zh = w1[:E], Z.reshape(B, c.K * c.d) @ w1[E:] + b1
         tokens = np.empty((B, toyset.MAX_LEN), dtype=np.int64)
@@ -412,7 +414,7 @@ class SeqVae:
 
     # -- checkpointing ----------------------------------------------------
     def arrays(self) -> dict:
-        return {f"vae.{k}": v.data for k, v in self.p.items()}
+        return {f"vae.{k}": v for k, v in self.p.items()}
 
     def meta(self, stage: str) -> dict:
         return {
@@ -504,8 +506,11 @@ def _train_epochs(model: SeqVae, surrogate, dataset, rng: Rng, lr, epochs, warmu
     c = model.config
     train = dataset.subset("train")
     val = dataset.subset("val")
-    params = model.params() + (surrogate.params() if surrogate is not None else [])
-    opt = AdamState.create(params, lr=lr, weight_decay=1e-5)
+    opt = AdamState.create(model.params() + (surrogate.params() if surrogate is not None else []),
+                           lr=lr, weight_decay=1e-5)
+    model.adopt(opt.views[:len(model.p)])
+    if surrogate is not None:
+        surrogate.net.adopt(opt.views[len(model.p):])
     hist = TrainHistory()
     total_steps = max(1, epochs * ((len(train) + c.batch_size - 1) // c.batch_size))
     best = (np.inf, None)
@@ -521,7 +526,7 @@ def _train_epochs(model: SeqVae, surrogate, dataset, rng: Rng, lr, epochs, warmu
             if not np.isfinite(loss):
                 raise NumericFailure(f"non-finite {stage} training loss", where=f"stage={stage}")
             grads, _ = clip_grad_norm(model.backward(acts), GRAD_CLIP_NORM)
-            optimizer_step(opt, params, grads)
+            optimizer_step(opt, grads)
             losses.append(loss)
             step += 1
             # Drop this batch's activations before the next forward, so peak
@@ -531,8 +536,8 @@ def _train_epochs(model: SeqVae, surrogate, dataset, rng: Rng, lr, epochs, warmu
         v = evaluate_elbo(model, val, c.beta_max, rng.split((prefix + "val", epoch)))
         hist.val_loss.append(v)
         if v < best[0]:
-            best = (v, opt.data.copy())
+            best = (v, opt.param.copy())
             hist.best_epoch = epoch
     if best[1] is not None:
-        opt.data[...] = best[1]  # into the parameters' views
+        opt.param[...] = best[1]  # into the parameters' views
     return hist

@@ -89,8 +89,7 @@ class Surrogate:
         cfg = config_from_dict(SurrogateConfig, meta["config"])
         model = cls.__new__(cls)
         model.config = cfg
-        model.net = mlp_from_arrays("surrogate", arrays,
-                                    {"sizes": cls._sizes(cfg), "activation": "tanh"})
+        model.net = mlp_from_arrays("surrogate", arrays, cls._sizes(cfg), "tanh")
         return model
 
 

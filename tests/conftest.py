@@ -99,9 +99,9 @@ def all_rows_decode_greedy(vae, Z):
     c = vae.config
     B, E = Z.shape[0], c.embed_dim
     pad, bos, eos = (toyset.TOKEN_ID[t] for t in (toyset.PAD, toyset.BOS, toyset.EOS))
-    tok_emb, pos_emb = vae.p["tok_emb"].data, vae.p["pos_emb"].data
-    w1, b1 = vae.p["dec_w1"].data, vae.p["dec_b1"].data
-    w2, b2 = vae.p["dec_w2"].data, vae.p["dec_b2"].data
+    tok_emb, pos_emb = vae.p["tok_emb"], vae.p["pos_emb"]
+    w1, b1 = vae.p["dec_w1"], vae.p["dec_b1"]
+    w2, b2 = vae.p["dec_w2"], vae.p["dec_b2"]
     w_e, zh = w1[:E], Z.reshape(B, c.K * c.d) @ w1[E:] + b1
     tokens = np.empty((B, toyset.MAX_LEN), dtype=np.int64)
     lengths = np.full(B, toyset.MAX_LEN)
@@ -123,7 +123,7 @@ def all_rows_decode_greedy(vae, Z):
 
 
 def _leaf(p) -> Tensor:
-    return p if isinstance(p, Tensor) else Tensor(p.data, requires_grad=True)
+    return p if isinstance(p, Tensor) else Tensor(p, requires_grad=True)
 
 
 def on_tape(model):
@@ -157,11 +157,15 @@ def tape_mlp(mlp, x: Tensor) -> Tensor:
 
 def mlp_node(mlp, x: Tensor) -> Tensor:
     """``mlp`` as one tape node whose value is ``Mlp.forward``'s output and
-    whose pullback is ``Mlp.backward``: array code differentiated on the tape."""
-    mlp = on_tape(mlp)
-    acts = mlp.forward(x.data)
-    return Tensor(acts[-1], _parents=(x, *mlp.params()), op="mlp",
-                  _backward=lambda g: mlp.backward(acts, g, wrt_input=x.requires_grad))
+    whose pullback is ``Mlp.backward``: array code differentiated on the tape.
+    Both run on an array ``Mlp`` over the leaves' arrays, and the leaves of
+    ``on_tape(mlp)`` are the node's parents."""
+    lifted = on_tape(mlp)
+    net = copy.copy(lifted)
+    net.adopt([p.data for p in lifted.params()])
+    acts = net.forward(x.data)
+    return Tensor(acts[-1], _parents=(x, *lifted.params()), op="mlp",
+                  _backward=lambda g: net.backward(acts, g, wrt_input=x.requires_grad))
 
 
 def tape_mean_pool(z: Tensor) -> Tensor:

@@ -106,7 +106,7 @@ def test_autodiff_gradients_match_finite_differences():
         # the kink, where central differences are undefined; generic random
         # offsets keep every configuration at a differentiable point
         for pi, p in enumerate(mlp.params()):
-            p.data = p.data + 0.05 + 0.1 * rng.split(("jitter", pi)).normal(p.data.shape)
+            p[...] = p + 0.05 + 0.1 * rng.split(("jitter", pi)).normal(p.shape)
         mlp = on_tape(mlp)
         params = mlp.params()
 

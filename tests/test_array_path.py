@@ -9,14 +9,14 @@ and every gradient of ``SeqVae.forward``/``backward``, in both training
 stages, and ``encode_batch`` must equal the tape VAE of ``conftest``, byte
 for byte, so signed zeros count. ``conftest.on_tape`` lifts each model onto
 the tape on its own arrays. Guards check that guided inference and training
-build no parameter holder at all.
+build no tape node at all.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flowopt import autodiff, flowmatch, seqvae, toyset
+from flowopt import flowmatch, seqvae, toyset
 from flowopt.flowmatch import FlowConfig, FlowField, integrate
 from flowopt.guidance import (GuidanceConfig, ObjectiveSpec, gradient_ascent_baseline,
                               guided_integrate, objective_gradient)
@@ -47,7 +47,7 @@ def jittered_mlp(sizes, activation, seed):
     r = Rng(seed)
     mlp = Mlp.create(sizes, r.split("init"), activation=activation)
     for i, p in enumerate(mlp.params()):
-        p.data = p.data + 0.3 * r.split(("jitter", i)).normal(p.data.shape)
+        p[...] = p + 0.3 * r.split(("jitter", i)).normal(p.shape)
     return mlp
 
 
@@ -192,16 +192,16 @@ def test_frozen_inference_builds_no_tape(monkeypatch):
     z = Rng(3).normal((5, 2, 3))
 
     def no_tensor(*args, **kwargs):
-        raise AssertionError("frozen inference built an autodiff.Tensor")
+        raise AssertionError("frozen inference built a tape Tensor")
 
-    monkeypatch.setattr(autodiff.Tensor, "__init__", no_tensor)
+    monkeypatch.setattr(Tensor, "__init__", no_tensor)
     for gamma in (0.0, 5.0):
         guided_integrate(field, sur, spec, GuidanceConfig(gamma=gamma, steps=3), z)
     gradient_ascent_baseline(sur, spec, z, 0.3, 3)
     integrate(field, z, 0.0, 3)
     sur.predict(mean_pool(z))
-    with pytest.raises(AssertionError, match="autodiff.Tensor"):
-        autodiff.Tensor(np.zeros(1))
+    with pytest.raises(AssertionError, match="tape Tensor"):
+        Tensor(np.zeros(1))
 
 
 PLAIN = [t for t in toyset.VOCAB if t not in (toyset.PAD, toyset.BOS, toyset.EOS)]
@@ -218,7 +218,7 @@ def small_vae(seed, scale=1.0):
     r = Rng(seed)
     vae = SeqVae(VaeConfig(K=2, d=3, embed_dim=5, enc_hidden=7, dec_hidden=6), r.split("init"))
     for i, p in enumerate(vae.params()):
-        p.data = (p.data + 0.3 * r.split(("jitter", i)).normal(p.data.shape)) * scale
+        p[...] = (p + 0.3 * r.split(("jitter", i)).normal(p.shape)) * scale
     return vae
 
 
@@ -277,9 +277,9 @@ def test_training_builds_no_tape(monkeypatch):
     field.config.steps, field.config.batch_size = 2, 4
 
     def no_tensor(*args, **kwargs):
-        raise AssertionError("training built an autodiff.Tensor")
+        raise AssertionError("training built a tape Tensor")
 
-    monkeypatch.setattr(autodiff.Tensor, "__init__", no_tensor)
+    monkeypatch.setattr(Tensor, "__init__", no_tensor)
     seqvae.train_vae(vae, ds, Rng(3))
     seqvae.finetune(vae, sur, ds, Rng(4))
     flowmatch.train_flow(field, lambda r, n: r.normal((n, 2, 3)), Rng(5))
@@ -309,9 +309,9 @@ def test_on_tape_lifts_onto_the_models_own_arrays():
         lifted = on_tape(model)
         pairs = list(zip(model.params(), lifted.params()))
         assert len(pairs) == len(model.params()) > 1, name
-        assert all(isinstance(q, Tensor) and q.data is p.data and q.requires_grad
+        assert all(isinstance(q, Tensor) and q.data is p and q.requires_grad
                    for p, q in pairs), name
         assert all(a is b for a, b in zip(on_tape(lifted).params(), lifted.params())), name
         for p in model.params():
-            p.data *= 1.5
+            p *= 1.5
         assert np.array_equal(program(model), reference(lifted)), name

@@ -277,7 +277,7 @@ def relu_kink_margin(mlp, x):
     """The smallest |pre-activation| of a hidden unit of a relu ``mlp`` on x."""
     margin = np.inf
     for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
-        pre = x @ w.data + b.data
+        pre = x @ w + b
         margin = min(margin, np.abs(pre).min())
         x = np.maximum(pre, 0.0)
     return margin
@@ -298,7 +298,7 @@ def test_mlp_gradient_matches_fd_random_configs(seed):
     # kink, where central differences are undefined; random offsets keep
     # every sampled configuration at a generic differentiable point
     for pi, p in enumerate(mlp.params()):
-        p.data = p.data + 0.05 + 0.1 * rng.split(("jitter", pi)).normal(p.data.shape)
+        p[...] = p + 0.05 + 0.1 * rng.split(("jitter", pi)).normal(p.shape)
     # the jitter can still leave a relu pre-activation within a step of the
     # kink (seed 752: 8.7e-6 against eps 1e-5), where the central difference
     # straddles it and is no reference for the gradient

@@ -71,7 +71,7 @@ def test_fm_loss_nonnegative(field, rng):
     t = rng.uniform(0, 1, (5,))
     loss, grads = fm_loss(field, z0, z1, t)
     assert isinstance(loss, float) and loss >= 0.0
-    assert [g.shape for g in grads] == [p.data.shape for p in field.params()]
+    assert [g.shape for g in grads] == [p.shape for p in field.params()]
 
 
 def test_fm_loss_empty_batch(field):
@@ -88,7 +88,7 @@ def test_fm_loss_equals_tape(B, K, d, layers, seed):
     r = Rng(seed)
     field = FlowField(small_config(K=K, d=d, layers=layers), r.split("field"))
     for i, p in enumerate(field.params()):
-        p.data = p.data + 0.3 * r.split(("jitter", i)).normal(p.data.shape)
+        p[...] = p + 0.3 * r.split(("jitter", i)).normal(p.shape)
     z0, z1 = r.split("z0").normal((B, K, d)), r.split("z1").normal((B, K, d)) * 2.0
     t = r.split("t").uniform(0.0, 1.0, (B,))
     loss, grads = fm_loss(field, z0, z1, t)
@@ -159,7 +159,7 @@ def test_train_flow_deterministic():
         rng = Rng(21)
         field = FlowField(cfg, rng.split("f"))
         train_flow(field, lambda r, n: r.normal((n, cfg.K, cfg.d)), rng.split("t"))
-        outs.append([p.data.copy() for p in field.params()])
+        outs.append([p.copy() for p in field.params()])
     for a, b in zip(*outs):
         assert np.array_equal(a, b)
 

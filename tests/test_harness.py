@@ -915,7 +915,7 @@ def test_loaded_models_fine_tune():
                            Rng(0))
     assert hist.best_epoch == 0
     for name in seqvae.PARAM_NAMES:
-        assert not np.array_equal(models.vae.p[name].data, stored[f"vae.{name}"]), name
+        assert not np.array_equal(models.vae.p[name], stored[f"vae.{name}"]), name
 
 
 @pytest.mark.parametrize("spec", [ObjectiveSpec(mode="directional"),

@@ -1,6 +1,8 @@
 """Source hygiene: no module under ``src/flowopt`` or ``tests/`` imports a name
 it never uses, no public top-level function or class in ``src/flowopt`` is
 dead, and no defaulted parameter there is left at its default by every caller.
+No module in ``src/flowopt`` imports ``autodiff`` or reads an attribute ``.data``
+other than ``ctypes.data``.
 
 A standard-library ``ast`` scan stands in for a linter. A name counts as used
 when it appears anywhere in the module as a bare name (which includes the root
@@ -37,6 +39,9 @@ DEAD_CODE_ALLOWLIST = {
     "toyset.tanimoto": "reference the selection-law test compares selection_probabilities with",
     "harness.selection_probabilities": "the selection law from scratch, which the acceptance "
                                        "line and the tests check a run's SelectionState against",
+    "guidance.objective_gradient": "J and the latent gradient, checked finite: what the tape "
+                                   "tests and the guidance-gradient acceptance line call; the "
+                                   "program's steps take the unchecked _predict_and_gradient",
 }
 DEAD_PARAMETER_ALLOWLIST = {
     "config.paper_tuned.seed": "every PROFILES entry shares the signature of toy_default(seed)",
@@ -86,6 +91,47 @@ def test_scan_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def holder_remnants(source: str) -> list:
+    """``(line, what)`` for each import of ``autodiff`` and each read of an
+    attribute ``.data`` other than ``ctypes.data``. Parameters are plain arrays,
+    and on numpy 2 ``ndarray.data`` is a memoryview that ``np.dot`` and
+    ``.shape`` accept, so a read left over from the parameter holder would run
+    without error."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            modules = []
+        if any("autodiff" in m.split(".") for m in modules):
+            found.append((node.lineno, "import autodiff"))
+        if (isinstance(node, ast.Attribute) and node.attr == "data"
+                and isinstance(node.ctx, ast.Load)
+                and not (isinstance(node.value, ast.Attribute) and node.value.attr == "ctypes")):
+            found.append((node.lineno, ".data"))
+    return sorted(found)
+
+
+def test_remnant_scan_flags_autodiff_imports_and_data_reads():
+    source = ("from .autodiff import Tensor\n"
+              "from . import autodiff, nn\n"
+              "import flowopt.autodiff\n"
+              "from .nn import data\n"
+              "w.data = 1\n"
+              "x = np.dot(x, w.data) + w.data.shape[0] + raw.ctypes.data\n"
+              "w.data[0] = 0\n")
+    assert holder_remnants(source) == [(1, "import autodiff"), (2, "import autodiff"),
+                                       (3, "import autodiff"), (6, ".data"), (6, ".data"),
+                                       (7, ".data")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_parameter_holder_remnants(path):
+    assert holder_remnants(path.read_text()) == []
 
 
 def _is_click_command(node) -> bool:

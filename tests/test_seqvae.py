@@ -316,7 +316,7 @@ def concat_decode_greedy(vae, Z):
     prev = np.full(B, bos, dtype=np.int64)
     done = np.zeros(B, dtype=bool)
     out = [[] for _ in range(B)]
-    p = {k: v.data for k, v in vae.p.items()}
+    p = vae.p
     for pos in range(toyset.MAX_LEN):
         x = np.concatenate([p["tok_emb"][prev] + p["pos_emb"][pos], zf], axis=1)
         logits = np.tanh(x @ p["dec_w1"] + p["dec_b1"]) @ p["dec_w2"] + p["dec_b2"]
@@ -410,7 +410,7 @@ def test_decode_rider_keeps_products_off_one_row():
     Z = Rng(0).normal((6, vae.config.K, vae.config.d))
     want = vae.decode_greedy_batch(Z)
     assert [len(s) for s in want] == [4, 3, 3, 4, 4, 5]
-    vae.p["dec_w2"].data = vae.p["dec_w2"].data.view(NotesRows)
+    vae.p["dec_w2"] = vae.p["dec_w2"].view(NotesRows)
     assert vae.decode_greedy_batch(Z) == want
     assert rows == [6, 6, 6, 6, 4, 2]
 
@@ -421,7 +421,7 @@ def test_checkpoint_round_trip_bit_exact(model, tmp_path):
     arrays, meta = load_checkpoint(path)
     back = SeqVae.from_checkpoint(arrays, meta)
     for k in model.p:
-        assert np.array_equal(model.p[k].data, back.p[k].data)
+        assert np.array_equal(model.p[k], back.p[k])
     post_a = model.encode_batch([("A", "B")])
     post_b = back.encode_batch([("A", "B")])
     assert np.array_equal(post_a.mu, post_b.mu)
@@ -458,7 +458,7 @@ def test_training_deterministic(tiny_dataset):
         rng = Rng(77)
         model = SeqVae(small_config(), rng.split("m"))
         seqvae.train_vae(model, tiny_dataset, rng.split("t"))
-        outs.append({k: v.data.copy() for k, v in model.p.items()})
+        outs.append({k: v.copy() for k, v in model.p.items()})
     for k in outs[0]:
         assert np.array_equal(outs[0][k], outs[1][k])
 
