@@ -1286,6 +1286,30 @@ def test_paper_tuned_outputs_match_recorded_bytes(runner, toy_data, tmp_path):
     assert got == RECORDED_PAPER_TUNED_SHA256
 
 
+# And what ``flowopt optimize --seed 0`` prints under ``--profile toy-default``,
+# whose guidance clips raw gradient rows, and under a config that differs from it
+# only in ``guidance.gamma = 0``: the unguided integration from the same start.
+RECORDED_OPTIMIZE_SHA256 = {
+    "toy-default": "7d555042438b11cad304f300e8922810bbd0b2fcced98760a58c787e39b4bab7",
+    "gamma-0": "e3350194919eee0e3be989138890e2a3d8a82d4141a1ca939b928864aa51a9af",
+}
+
+
+def test_optimize_outputs_match_recorded_bytes(runner, toy_data, tmp_path):
+    cfg = config.toy_default(0)
+    cfg.guidance = dataclasses.replace(cfg.guidance, gamma=0.0)
+    unguided = tmp_path / "gamma-0.json"
+    unguided.write_text(cfg.to_json())
+    got = {}
+    for name, source in (("toy-default", ["--profile", "toy-default"]),
+                         ("gamma-0", ["--config", str(unguided)])):
+        res = runner.invoke(cli.main, ["optimize", "--seed", "0", *source,
+                                       "--ckpt", BENCH_CKPT, "--data", toy_data])
+        assert res.exit_code == 0, res.output
+        got[name] = hashlib.sha256(res.output.encode()).hexdigest()
+    assert got == RECORDED_OPTIMIZE_SHA256
+
+
 # The same for ``flowopt gamma-sweep --profile toy-default --seed 0``: the 7-gamma
 # grid, 3 seeds of 64 candidates each, decoded and bootstrapped per cell.
 RECORDED_SWEEP_SHA256 = {
