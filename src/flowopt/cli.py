@@ -22,6 +22,7 @@ from . import flowmatch, guidance, harness, moeval, toyset
 from .errors import (ArtifactIOError, ConfigError, ContractViolation,
                      NumericFailure)
 from .rng import Rng
+from .seqvae import mean_pool
 
 
 def _exit_codes(fn):
@@ -182,19 +183,19 @@ def optimize(config_path, profile, seed, ckpt_dir, tokens, data_dir):
             raise ConfigError("provide --tokens or --data to choose a start structure")
         test = harness.nonempty_split(toyset.read_dataset(data_dir), "test")
         start = test[int(rng.integers(0, len(test)))][0]
-    g = cfg.guidance
-    z0 = guidance.prepare_optimization(models.vae.encode_batch([start]).mu, g.sigma,
-                                       [rng.split("noise")])
-    traj, final = guidance.guided_integrate(models.flow, models.surrogate,
-                                            cfg.objective, g, z0)
-    (tokens,) = models.vae.decode_greedy_batch(final)
+    z0 = guidance.prepare_optimization(models.vae.encode_batch([start]).mu,
+                                       cfg.guidance.sigma, [rng.split("noise")])
+    rows = ["step\tt\tJ\t|g|\t|v|"]
+    for step, (t, z, v, g) in enumerate(guidance.guided_steps(
+            models.flow, models.surrogate, cfg.objective, cfg.guidance, z0)):
+        j = guidance.objective_value(cfg.objective, models.surrogate.predict(mean_pool(z)))
+        g_norm = 0.0 if g is None else np.linalg.norm(g[0])
+        rows.append(f"{step}\t{t:.6f}\t{j:.8f}\t{g_norm:.8f}\t{np.linalg.norm(v[0]):.8f}")
+    (tokens,) = models.vae.decode_greedy_batch(z)
     result = toyset.decode(tokens)
     start_props = toyset.oracle_properties(toyset.decode(start))
     end_props = toyset.oracle_properties(result)
-    click.echo("step\tt\tJ\t|g|\t|v|")
-    for step, t in enumerate(traj.t):
-        click.echo(f"{step}\t{t:.6f}\t{traj.objective[step, 0]:.8f}"
-                   f"\t{traj.grad_norm[step, 0]:.8f}\t{traj.velocity_norm[step, 0]:.8f}")
+    click.echo("\n".join(rows))
     click.echo(f"start: {' '.join(start)}  p1={start_props.p1!r} p2={start_props.p2!r}")
     click.echo(f"final: {result.canonical_key}  p1={end_props.p1!r} p2={end_props.p2!r}")
 
@@ -288,10 +289,16 @@ def eval_cmd(config_path, profile, seed, ckpt_dir, data_dir, gen_path, out_dir):
     ds = toyset.read_dataset(data_dir)
     try:
         with open(gen_path) as fh:
-            structures = [toyset.decode(tuple(line.split("\t")[0].split()))
-                          for line in fh.read().splitlines() if line]
+            lines = fh.read().splitlines()
     except OSError as e:
         raise ArtifactIOError(f"cannot read {gen_path}: {e}") from e
+    structures = []
+    for lineno, line in enumerate(lines, 1):
+        if line:
+            try:
+                structures.append(toyset.decode(tuple(line.split("\t")[0].split())))
+            except ContractViolation as e:  # an unknown token
+                raise ArtifactIOError(f"{gen_path}:{lineno}: {e}") from e
     if not structures:
         raise ConfigError(f"{gen_path} contains no structures")
     baseline = np.stack([p.as_array() for _, p in harness.nonempty_split(ds, "test")])

@@ -8,14 +8,15 @@ evaluation's fronts use: raise p1, lower p2.
 Guided integration runs explicit Euler on dz/dt = v(z, t) - gamma * g(z),
 where g is the objective gradient through mean pooling and the surrogate.
 The integrator alone post-processes each gradient row: normalize, or clip
-raw rows to ``CLIP_NORM``; it then scales by gamma. Exploration noise is
-injected once at preparation time, never per step.
+raw rows to ``CLIP_NORM``; it then scales by gamma. ``guided_steps`` yields
+each step's time, state, velocity and gradient, and keeps none of them;
+``guided_integrate`` returns the last state. Exploration noise is injected
+once at preparation time, never per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -116,9 +117,9 @@ def objective_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray) -> tuple:
 def _predict_and_gradient(spec: ObjectiveSpec, surrogate, z: np.ndarray) -> tuple:
     """The surrogate's predictions (B, P) of a (B, K, d) batch and the raw
     gradient (B, K, d) of J, unchecked: ``objective_gradient`` checks both,
-    and the guided integrator and the gradient ascent the state the gradient
+    and ``guided_steps`` and the gradient ascent the state the gradient
     moves, which a non-finite row makes non-finite, clipped, normalized or
-    raw. The integrator takes J from those predictions."""
+    raw."""
     pred, pullback = surrogate.predict_vjp(mean_pool(z), wrt_params=False)
     # J's pullback in the ops of a tape over ``sum(w * diff * diff)`` (the
     # first factor's share, then the second's) or ``-sum(_SIGNS * pred)``.
@@ -152,74 +153,27 @@ class GuidanceConfig:
             raise ContractViolation("t_start must lie in [0, 1)")
 
 
-class Trajectory:
-    """Per-step statistics of a guided integration over a batch of B rows.
+def guided_steps(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig, z: np.ndarray):
+    """Euler integration of the guided dynamics from cfg.t_start to 1, one step
+    at a time.
 
-    ``t`` (steps,) is the time after each step; ``objective`` (J at the new
-    state), ``grad_norm`` and ``velocity_norm`` are (steps, B). Each is
-    computed when first read, from what the integration kept: every step's
-    v and post-processed g, the predictions each gradient pass made and the
-    states it reached. So an integration whose statistics nobody reads pays
-    for no norm and no surrogate pass beyond its steps' own.
-    """
-
-    def __init__(self, times, velocities, grads, objective):
-        self._times, self._velocities, self._grads = times, velocities, grads
-        self._objective = objective  # () -> the (steps, B) array
-
-    @cached_property
-    def t(self) -> np.ndarray:
-        return np.array(self._times)
-
-    @cached_property
-    def objective(self) -> np.ndarray:
-        return self._objective()
-
-    @cached_property
-    def grad_norm(self) -> np.ndarray:
-        if not self._grads:
-            return np.zeros((len(self._times), len(self._velocities[0])))
-        return _stacked_norms(self._grads)
-
-    @cached_property
-    def velocity_norm(self) -> np.ndarray:
-        return _stacked_norms(self._velocities)
-
-
-def _stacked_norms(rows: list) -> np.ndarray:
-    """The (steps, B) row norms of a list of ``steps`` (B, K, d) arrays."""
-    x = np.stack(rows)
-    return _row_norms(x.reshape(len(x) * x.shape[1], -1)).reshape(x.shape[:2])
-
-
-def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
-                     z: np.ndarray) -> tuple:
-    """Euler integration of the guided dynamics from cfg.t_start to 1.
-
-    ``z`` is a (B, K, d) batch. Returns (Trajectory, final (B, K, d)
-    latents). With gamma == 0 the update is bit for bit that of
-    ``flowmatch.integrate`` from cfg.t_start. A guided step runs one
-    surrogate pass, and the integration no other: its gradient pass predicts
-    the state the previous step reached, and the ``Trajectory`` predicts the
-    last state only when its ``objective`` is read. It keeps each step's v
-    and g as ``field.velocity`` and the surrogate's pullback returned them,
-    so neither may hand out an array it writes to again.
+    ``z`` is a (B, K, d) batch. After each step, yields ``(t, z, v, g)``: the
+    time reached, the new state, the velocity the step took and the
+    post-processed gradient (None at gamma == 0). Nothing is kept from one
+    step to the next. With gamma == 0 the update is bit for bit that of
+    ``flowmatch.integrate`` from cfg.t_start; a guided step runs one surrogate
+    pass, at the state it starts from.
     """
     z = np.asarray(z, dtype=np.float64)
     steps, gamma = cfg.steps, cfg.gamma
     dt = (1.0 - cfg.t_start) / steps
-    t = [cfg.t_start] + [cfg.t_start + (step + 1) * dt for step in range(steps)]
-    velocities, grads = [], []
-    preds = []  # the surrogate's predictions at the state before each guided step
-    states = []  # the states of an unguided integration, which no gradient pass saw
     for step in range(steps):
-        v = field.velocity(z, t[step])
-        velocities.append(v)
+        v = field.velocity(z, cfg.t_start + step * dt)
+        g = None
         if gamma == 0.0:
             z = z + dt * v
-            states.append(z)
         else:
-            pred, g = _predict_and_gradient(spec, surrogate, z)
+            _, g = _predict_and_gradient(spec, surrogate, z)
             # Normalize each row, or clip a raw row to CLIP_NORM. Rows left alone
             # are divided or multiplied by exactly 1.0, which keeps their bits.
             norm = _row_norms(g)
@@ -232,8 +186,6 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
             elif (norm > CLIP_NORM).any():
                 g *= np.divide(CLIP_NORM, norm, out=np.ones_like(norm),
                                where=norm > CLIP_NORM)[:, None, None]
-            grads.append(g)
-            preds.append(pred)
             # z + dt * (v - gamma * g), in one temporary.
             step_z = gamma * g
             np.subtract(v, step_z, out=step_z)
@@ -242,19 +194,15 @@ def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
         if not np.isfinite(z).all():
             raise NumericFailure("non-finite state during guided integration",
                                  where=f"step={step}")
+        yield cfg.t_start + (step + 1) * dt, z, v, g
 
-    def objective_after_each_step():
-        out = np.empty((steps, len(z)))
-        for step in range(steps):
-            if step + 1 < len(preds):  # the next gradient pass predicted this state
-                out[step] = objective_value(spec, preds[step + 1])
-            else:
-                state = states[step] if states else z
-                out[step] = objective_value(spec, surrogate.predict(mean_pool(state)))
-        return out
 
-    # The caller gets a copy: the trajectory may still read the last state.
-    return Trajectory(t[1:], velocities, grads, objective_after_each_step), z.copy()
+def guided_integrate(field, surrogate, spec: ObjectiveSpec, cfg: GuidanceConfig,
+                     z: np.ndarray) -> np.ndarray:
+    """The final (B, K, d) latents of ``guided_steps`` from ``z``."""
+    for _, z, _, _ in guided_steps(field, surrogate, spec, cfg, z):
+        pass
+    return z
 
 
 def prepare_optimization(mu: np.ndarray, sigma: float, rngs) -> np.ndarray:

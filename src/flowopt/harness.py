@@ -304,7 +304,7 @@ def _propose(proposer: str, models: Pipeline, cfg: RunConfig,
         final = rng.split("noise").normal((1, cfg.vae.K, cfg.vae.d))
     elif proposer == "guided-flow":
         z0 = guidance.prepare_optimization(mu, cfg.guidance.sigma, [rng.split("noise")])
-        _, final = guidance.guided_integrate(flow, sur, spec, cfg.guidance, z0)
+        final = guidance.guided_integrate(flow, sur, spec, cfg.guidance, z0)
     elif proposer == "gradient-ascent":
         z0 = guidance.prepare_optimization(mu, guidance.GA_SIGMA, [rng.split("noise")])
         final = guidance.gradient_ascent_baseline(sur, spec, z0, guidance.GA_ETA, guidance.GA_STEPS)
@@ -562,8 +562,8 @@ def gamma_sweep(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
             rng = seed_rng.split(("sweep", repr(gamma)))
             z0 = guidance.prepare_optimization(
                 mu, gcfg.sigma, [rng.split(("cand", i)) for i in range(len(candidates))])
-            _, final = guidance.guided_integrate(models.flow, models.surrogate,
-                                                 cfg.objective, gcfg, z0)
+            final = guidance.guided_integrate(models.flow, models.surrogate,
+                                              cfg.objective, gcfg, z0)
             structures = [toyset.decode(t) for t in models.vae.decode_greedy_batch(final)]
             report = _evaluate(models, cfg, structures, moeval.feature_matrix(structures),
                                baseline, ref, seed, dataset)

@@ -321,8 +321,8 @@ def config_from_dict(cls, doc):
 
     Keys ``cls`` no longer has are ignored and lists become tuples. A ``doc``
     that is not a mapping, or a value whose type is not that of its field's
-    default (an int may stand for a float, and None for anything), raises
-    TypeError.
+    default (an int may stand for a float, and None for anything; a bool
+    only for a bool), raises TypeError.
     """
     if not isinstance(doc, dict):
         raise TypeError(f"{cls.__name__} config is not a mapping: {doc!r}")
@@ -335,8 +335,9 @@ def config_from_dict(cls, doc):
             v = tuple(v)
         typed = f.default is not dataclasses.MISSING and f.default is not None
         want = type(f.default)
-        if typed and v is not None and not (
-                isinstance(v, want) or want is float and isinstance(v, int)):
+        if typed and v is not None and (
+                not (isinstance(v, want) or want is float and isinstance(v, int))
+                or isinstance(v, bool) and want is not bool):
             raise TypeError(f"{cls.__name__}.{f.name} must be {want.__name__}, not {v!r}")
         kwargs[f.name] = v
     return cls(**kwargs)

@@ -72,8 +72,10 @@ class VaeConfig:
     def __post_init__(self):
         if min(self.K, self.d, self.embed_dim, self.enc_hidden, self.dec_hidden) < 1:
             raise ContractViolation("all architecture dimensions must be >= 1")
-        if self.beta_max < 0:
-            raise ContractViolation("beta_max must be >= 0")
+        if not (np.isfinite(self.beta_max) and self.beta_max >= 0):
+            raise ContractViolation(f"vae.beta_max must be finite and >= 0, not {self.beta_max!r}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ContractViolation(f"vae.lr must be finite and > 0, not {self.lr!r}")
         for name in ("batch_size", "pretrain_epochs", "finetune_epochs"):
             if getattr(self, name) < 1:
                 raise ContractViolation(f"vae.{name} must be >= 1, not {getattr(self, name)!r}")

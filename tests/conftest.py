@@ -5,7 +5,7 @@ import pytest
 
 from flowopt import toyset
 from flowopt.flowmatch import interpolate
-from flowopt.guidance import (CLIP_NORM, GuidanceConfig, ObjectiveSpec, guided_integrate,
+from flowopt.guidance import (CLIP_NORM, GuidanceConfig, ObjectiveSpec, guided_steps,
                               objective_value)
 from flowopt.nn import Mlp, time_embed
 from flowopt.rng import Rng
@@ -82,14 +82,14 @@ class ZeroField:
 
 
 def guided_rows(rows, normalize):
-    """The post-processed rows ``guided_integrate`` steps along when the
-    objective gradient is the (B, n) ``rows``: one Euler step of length 1 with
-    gamma 1 from z = 0 on a zero field ends at exactly minus them."""
+    """The post-processed rows ``guided_steps`` yields when the objective
+    gradient is the (B, n) ``rows``."""
     cfg = GuidanceConfig(gamma=1.0, sigma=0.0, steps=1, t_start=0.0, normalize_gradient=normalize)
     rows = np.asarray(rows, dtype=np.float64)
-    _, z = guided_integrate(ZeroField(), FixedGradient(rows), ObjectiveSpec(mode="directional"),
-                            cfg, np.zeros((len(rows), 1, rows.shape[1])))
-    return -z[:, 0]
+    ((_, _, _, g),) = guided_steps(ZeroField(), FixedGradient(rows),
+                                   ObjectiveSpec(mode="directional"), cfg,
+                                   np.zeros((len(rows), 1, rows.shape[1])))
+    return g[:, 0]
 
 
 def all_rows_decode_greedy(vae, Z):

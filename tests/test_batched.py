@@ -21,8 +21,8 @@ from flowopt import harness, moeval, toyset
 from flowopt.errors import ContractViolation
 from flowopt.flowmatch import FlowConfig, FlowField, sample_prior
 from flowopt.guidance import (CLIP_NORM, GuidanceConfig, ObjectiveSpec, _row_norms,
-                              gradient_ascent_baseline, guided_integrate, objective_gradient,
-                              objective_value, prepare_optimization)
+                              gradient_ascent_baseline, guided_integrate, guided_steps,
+                              objective_gradient, objective_value, prepare_optimization)
 from flowopt.nn import TIME_EMBED_FREQ_RANGE, time_embed
 from flowopt.rng import Rng
 from flowopt.seqvae import ENCODE_CHUNK, SeqVae, VaeConfig, mean_pool
@@ -63,99 +63,71 @@ def streams(seed, B):
 @settings(max_examples=40, deadline=None)
 @given(batch, tokens_k, dims, seeds, gammas, st.booleans(), specs)
 def test_guided_integrate_rows_match_single(B, K, d, seed, gamma, normalize, spec):
+    """Row b of each yield of ``guided_steps``, and of the final latents, is
+    that of the integration of row b alone."""
     field, sur = models(seed, K, d)
     cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=3, t_start=0.4,
                          normalize_gradient=normalize)
     z0 = Rng(seed).split("z").normal((B, K, d)) * 2.0
-    traj, out = guided_integrate(field, sur, spec, cfg, z0)
-    assert out.shape == (B, K, d) and traj.t.shape == (cfg.steps,)
+    yields = list(guided_steps(field, sur, spec, cfg, z0))
+    out = guided_integrate(field, sur, spec, cfg, z0)
+    assert out.shape == (B, K, d) and len(yields) == cfg.steps
+    assert np.array_equal(out, yields[-1][1])
     for b in range(B):
-        one_traj, one = guided_integrate(field, sur, spec, cfg, z0[b:b + 1])
-        close(out[b], one[0])
-        assert np.array_equal(traj.t, one_traj.t)
-        for name in ("objective", "grad_norm", "velocity_norm"):
-            assert getattr(traj, name).shape == (cfg.steps, B)
-            close(getattr(traj, name)[:, b], getattr(one_traj, name)[:, 0])
+        one = list(guided_steps(field, sur, spec, cfg, z0[b:b + 1]))
+        close(out[b], guided_integrate(field, sur, spec, cfg, z0[b:b + 1])[0])
+        for (t, z, v, g), (one_t, one_z, one_v, one_g) in zip(yields, one, strict=True):
+            assert t == one_t
+            close(z[b], one_z[0])
+            close(v[b], one_v[0])
+            assert (g is None) == (one_g is None) == (gamma == 0.0)
+            if g is not None:
+                close(g[b], one_g[0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(batch, st.integers(1, 5), dims, seeds, st.sampled_from([0.0, 5.0]), st.booleans(),
        specs, st.integers(1, 4))
-def test_trajectory_objective_is_that_of_each_state(B, K, d, seed, gamma, normalize, spec,
-                                                     steps):
-    """Row s of ``Trajectory.objective`` is J of the state step s reached, and
-    rows s of ``grad_norm`` and ``velocity_norm`` the norms of step s's g and
-    v. The guided branch takes J from the next step's gradient pass and the
-    norms in bulk after its loop, so all come from the Euler loop written out
-    here, with the per-row post-processing loop."""
+def test_guided_steps_rederive_from_the_previous_state(B, K, d, seed, gamma, normalize, spec,
+                                                       steps):
+    """Each yield equals ``==`` the step re-derived from the state before it:
+    ``v`` the tape's velocity there, ``g`` the raw objective gradient there
+    through the per-row post-processing loop, and ``z`` the Euler update."""
     field, sur = models(seed, K, d)
     cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=steps, t_start=0.4,
                          normalize_gradient=normalize)
-    z = Rng(seed).split("z").normal((B, K, d)) * 2.0
-    traj, out = guided_integrate(field, sur, spec, cfg, z)
+    prev = Rng(seed).split("z").normal((B, K, d)) * 2.0
     dt = (1.0 - cfg.t_start) / cfg.steps
-    for s in range(steps):
-        t = cfg.t_start + s * dt
-        v = tape_velocity(field, z, t).data.reshape(B, K, d)
-        g = np.zeros_like(z)
+    for s, (t, z, v, g) in enumerate(guided_steps(field, sur, spec, cfg, prev)):
+        assert t == cfg.t_start + (s + 1) * dt
+        assert np.array_equal(v, tape_velocity(field, prev, cfg.t_start + s * dt).data
+                              .reshape(B, K, d))
         if gamma:
-            g = loop_postprocess(objective_gradient(spec, sur, z)[1], normalize)
-        assert np.array_equal(traj.velocity_norm[s], _row_norms(v))
-        assert np.array_equal(traj.grad_norm[s], _row_norms(g))
-        z = z + dt * (v - gamma * g)
-        assert np.array_equal(traj.objective[s],
-                              np.reshape(objective_value(spec, sur.predict(mean_pool(z))), B))
-    assert np.array_equal(z, out)
-
-
-def eager_guided_integrate(field, sur, spec, cfg, z):
-    """The integrator that filled every ``Trajectory`` array as it stepped:
-    it copied each step's v and g into (steps, B, K, d) arrays, took their
-    norms in bulk after the loop, and predicted J of the last state (of every
-    state when gamma == 0) at once."""
-    steps, B = cfg.steps, len(z)
-    dt = (1.0 - cfg.t_start) / steps
-    t = [cfg.t_start] + [cfg.t_start + (step + 1) * dt for step in range(steps)]
-    objective = np.empty((steps, B))
-    v = np.empty((steps,) + z.shape)
-    g = np.empty((steps,) + z.shape) if cfg.gamma != 0.0 else None
-    for step in range(steps):
-        v[step] = field.velocity(z, t[step])
-        if g is None:
-            z = z + dt * v[step]
+            assert np.array_equal(g, loop_postprocess(objective_gradient(spec, sur, prev)[1],
+                                                      normalize))
+            assert np.array_equal(z, prev + dt * (v - gamma * g))
         else:
-            j, gs = objective_gradient(spec, sur, z)
-            g[step] = loop_postprocess(gs, cfg.normalize_gradient)
-            if step:
-                objective[step - 1] = j
-            z = z + dt * (v[step] - cfg.gamma * g[step])
-        if g is None or step == steps - 1:
-            objective[step] = objective_value(spec, sur.predict(mean_pool(z)))
-
-    def norms(x):
-        return _row_norms(x.reshape(steps * B, -1)).reshape(steps, B)
-
-    return (np.array(t[1:]), objective, np.zeros((steps, B)) if g is None else norms(g),
-            norms(v)), z
+            assert g is None and np.array_equal(z, prev + dt * v)
+        prev = z
 
 
 @settings(max_examples=40, deadline=None)
 @given(batch, tokens_k, dims, seeds, gammas, st.booleans(), specs, st.integers(1, 4))
-def test_trajectory_read_afterwards_equals_eager_one(B, K, d, seed, gamma, normalize, spec,
-                                                     steps):
-    """Each ``Trajectory`` array, read after the integration returned and
-    after its caller overwrote the final latents, equals ``==`` the one the
-    eager integrator filled as it stepped, as do the final latents."""
+def test_no_yielded_array_is_written_by_a_later_step(B, K, d, seed, gamma, normalize, spec,
+                                                    steps):
+    """The yields a caller keeps, ``list(guided_steps(...))``, equal ``==``
+    copies taken at each yield; nor is the start state written."""
     field, sur = models(seed, K, d)
     cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=steps, t_start=0.4,
                          normalize_gradient=normalize)
     z = Rng(seed).split("z").normal((B, K, d)) * 2.0
-    want, want_z = eager_guided_integrate(field, sur, spec, cfg, z)
-    traj, out = guided_integrate(field, sur, spec, cfg, z)
-    assert np.array_equal(out, want_z)
-    out[...] = np.nan
-    got = (traj.t, traj.objective, traj.grad_norm, traj.velocity_norm)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    start = z.copy()
+    copies = [[None if x is None else np.copy(x) for x in y]
+              for y in guided_steps(field, sur, spec, cfg, z)]
+    kept = list(guided_steps(field, sur, spec, cfg, z))
+    assert np.array_equal(z, start) and len(kept) == len(copies) == steps
+    for got, want in zip(kept, copies):
+        assert all(x is w is None or np.array_equal(x, w) for x, w in zip(got, want, strict=True))
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,7 +169,7 @@ def test_objective_gradient_rows_match_single(B, K, d, seed, spec):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 64), tokens_k, dims, seeds, st.booleans())
 def test_gradient_postprocessing_equals_row_loop(B, K, d, seed, normalize):
-    """The rows ``guided_integrate`` steps along, drawn around ``CLIP_NORM``:
+    """The rows ``guided_steps`` steps along, drawn around ``CLIP_NORM``:
     at 10**-3 to 10**3 times it, zero, tiny (their squares underflow), or
     exactly on it (one entry of +-CLIP_NORM, which the clip keeps as is) or
     one ulp above it."""

@@ -4,8 +4,8 @@ import pytest
 from flowopt.errors import ContractViolation, NumericFailure
 from flowopt.flowmatch import FlowConfig, FlowField, integrate, sample_prior
 from flowopt.guidance import (CLIP_NORM, GuidanceConfig, ObjectiveSpec,
-                              gradient_ascent_baseline, guided_integrate, objective_gradient,
-                              objective_value, prepare_optimization)
+                              gradient_ascent_baseline, guided_integrate, guided_steps,
+                              objective_gradient, objective_value, prepare_optimization)
 from flowopt.rng import Rng
 from flowopt.seqvae import PosteriorParams, SeqVae, VaeConfig, mean_pool, reparameterize
 from flowopt.surrogate import Surrogate, SurrogateConfig
@@ -192,7 +192,7 @@ def test_gamma_zero_bit_identical_to_unconditional(field, surrogate):
     spec = ObjectiveSpec(mode="directional")
     cfg = GuidanceConfig(gamma=0.0, sigma=0.0, steps=7, t_start=0.3)
     z0 = Rng(11).normal((1, K, D))
-    _, out = guided_integrate(field, surrogate, spec, cfg, z0.copy())
+    out = guided_integrate(field, surrogate, spec, cfg, z0.copy())
     ref = integrate(field, z0.copy(), cfg.t_start, cfg.steps)
     assert np.array_equal(out, ref)
 
@@ -202,17 +202,17 @@ def test_guided_trajectory_records(field, surrogate):
     cfg = GuidanceConfig(gamma=2.0, sigma=0.0, steps=6, t_start=0.4,
                          normalize_gradient=True)
     z0 = Rng(2).normal((3, K, D))
-    traj, out = guided_integrate(field, surrogate, spec, cfg, z0)
-    assert out.shape == z0.shape
-    assert traj.t.shape == (cfg.steps,) and traj.t[-1] == pytest.approx(1.0)
-    assert np.all(np.diff(traj.t) > 0)
-    for stat in (traj.objective, traj.grad_norm, traj.velocity_norm):
-        assert stat.shape == (cfg.steps, 3) and np.isfinite(stat).all()
-    # normalized gradients have unit norm
-    np.testing.assert_allclose(traj.grad_norm, 1.0, rtol=1e-12)
-    # the last row's J is that of the final state
-    np.testing.assert_array_equal(
-        traj.objective[-1], objective_value(spec, surrogate.predict(mean_pool(out))))
+    yields = list(guided_steps(field, surrogate, spec, cfg, z0))
+    t = np.array([y[0] for y in yields])
+    assert t.shape == (cfg.steps,) and t[-1] == pytest.approx(1.0)
+    assert np.all(np.diff(t) > 0)
+    for _, z, v, g in yields:
+        for x in (z, v, g):
+            assert x.shape == z0.shape and np.isfinite(x).all()
+        # normalized gradients have unit norm
+        np.testing.assert_allclose([np.linalg.norm(row) for row in g], 1.0, rtol=1e-12)
+    # guided_integrate returns the last state
+    assert np.array_equal(guided_integrate(field, surrogate, spec, cfg, z0), yields[-1][1])
 
 
 def test_guided_gamma_changes_trajectory(field, surrogate):
@@ -221,7 +221,7 @@ def test_guided_gamma_changes_trajectory(field, surrogate):
     outs = []
     for gamma in (0.0, 5.0):
         cfg = GuidanceConfig(gamma=gamma, sigma=0.0, steps=5, t_start=0.5)
-        _, out = guided_integrate(field, surrogate, spec, cfg, z0.copy())
+        out = guided_integrate(field, surrogate, spec, cfg, z0.copy())
         outs.append(out)
     assert not np.array_equal(outs[0], outs[1])
 
@@ -283,7 +283,7 @@ def test_latent_routines_return_arrays(field, surrogate):
         "sample_prior": sample_prior(field, rngs, steps=2),
         "integrate": integrate(field, mu, 0.5, 2),
         "prepare_optimization": prepare_optimization(mu, 0.3, rngs),
-        "guided_integrate": guided_integrate(field, surrogate, spec, cfg, mu)[1],
+        "guided_integrate": guided_integrate(field, surrogate, spec, cfg, mu),
         "gradient_ascent_baseline": gradient_ascent_baseline(surrogate, spec, mu, 0.3, 2),
     }
     for name, z in outs.items():

@@ -21,7 +21,7 @@ from flowopt.config import RunConfig, DataConfig, BudgetConfig, EvalConfig, Swee
 from flowopt.errors import ConfigError, ContractViolation, NumericFailure
 from flowopt.flowmatch import FlowConfig
 from flowopt.guidance import GuidanceConfig, ObjectiveSpec
-from flowopt.nn import _encode, load_checkpoint
+from flowopt.nn import _encode, config_from_dict, load_checkpoint
 from flowopt.rng import Rng
 from flowopt.seqvae import VaeConfig
 from flowopt.surrogate import SurrogateConfig
@@ -245,10 +245,8 @@ def test_selection_state_equals_law_from_scratch(n, seed, density, coarse):
 
 
 def test_guided_proposal_makes_one_surrogate_pass_per_step(tiny_run, monkeypatch):
-    """A guided proposal at gamma > 0 runs the surrogate once per Euler step,
-    since ``_propose`` never reads the trajectory. Reading its objective adds
-    one pass, for the last state, and only the first time; an unguided
-    integration runs none until then."""
+    """A guided proposal at gamma > 0 runs the surrogate once per Euler step;
+    so does the guided integration, and an unguided one runs none."""
     cfg, models = tiny_config(), tiny_run["models"]
     sur, steps = models.surrogate, cfg.guidance.steps
     passes = []
@@ -258,14 +256,11 @@ def test_guided_proposal_makes_one_surrogate_pass_per_step(tiny_run, monkeypatch
     assert cfg.guidance.gamma > 0
     harness._propose("guided-flow", models, cfg, mu, Rng(3))
     assert len(passes) == steps
-    for gamma, before, after in ((cfg.guidance.gamma, steps, steps + 1), (0.0, 0, steps)):
+    for gamma, want in ((cfg.guidance.gamma, steps), (0.0, 0)):
         passes.clear()
         gcfg = dataclasses.replace(cfg.guidance, gamma=gamma)
-        traj, _ = guidance.guided_integrate(models.flow, sur, cfg.objective, gcfg, mu)
-        traj.t, traj.grad_norm, traj.velocity_norm
-        assert len(passes) == before
-        traj.objective, traj.objective
-        assert len(passes) == after
+        list(guidance.guided_steps(models.flow, sur, cfg.objective, gcfg, mu))
+        assert len(passes) == want
 
 
 # -- budgeted runs --------------------------------------------------------
@@ -597,6 +592,16 @@ def test_run_config_shape_mismatch_rejected():
     for bad in ('{"vae": {"K": "two"}}', '{"flow": [1, 2]}', '[1, 2]'):
         with pytest.raises(ConfigError):
             RunConfig.from_json(bad)
+
+
+def test_config_bool_only_for_bool_fields():
+    """JSON ``true`` is an int to Python; only a field whose default is a bool takes it."""
+    for section, key in (("budget", "budget"), ("vae", "beta_max"), ("guidance", "steps")):
+        with pytest.raises(TypeError, match=f"{key} must be"):
+            config_from_dict(type(getattr(RunConfig(), section)), {key: True})
+        with pytest.raises(ConfigError):
+            RunConfig.from_json(json.dumps({section: {key: True}}))
+    assert RunConfig.from_json('{"budget": {"free_init": true}}').budget.free_init is True
 
 
 def test_profiles_constructible():
@@ -1055,6 +1060,23 @@ def test_cli_train_bad_schedule_exit_2(runner, tiny_run, tmp_path, section, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("beta_max", float("nan")), ("beta_max", float("inf")),
+                                        ("lr", float("nan")), ("lr", 0.0)])
+def test_cli_train_bad_vae_value_exit_2(runner, tiny_run, tmp_path, key, value):
+    """A config's NaN or Infinity (JSON accepts both) or zero learning rate
+    ends with exit 2 when the config loads, before any stage runs."""
+    doc = tiny_run["cfg"].to_dict()
+    doc["vae"][key] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = runner.invoke(cli.main, ["train", "--seed", "0", "--config", str(cfg_path),
+                                   "--data", tiny_run["data_dir"], "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"vae.{key} must be finite" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("objective", [{"mode": "directional", "weights": [1.0]},
                                        {"mode": "target", "weights": [1.0, 0.5, 2.0],
                                         "targets": [0.8, 2.5]}],
@@ -1210,6 +1232,18 @@ def test_cli_eval(runner, tiny_run):
     doc = json.loads(res.output)
     assert doc["validity"] == 1.0
     assert "hvi" in doc and "frechet" in doc
+
+
+def test_cli_eval_unknown_token_exit_4(runner, tiny_run, tmp_path):
+    """A token outside ``VOCAB`` in the generated TSV is a malformed artifact,
+    named by file and line, as ``read_split`` names one in a split."""
+    gen = tmp_path / "gen.tsv"
+    gen.write_text("A B R\t0.5\t2.0\n\nA B Z\t0.5\t2.0\n")
+    res = runner.invoke(cli.main, ["eval", "--seed", "6", "--config", tiny_run["cfg_path"],
+                                   "--ckpt", tiny_run["ckpt_dir"], "--data", tiny_run["data_dir"],
+                                   "--generated", str(gen)])
+    assert res.exit_code == 4, res.output
+    assert f"{gen}:3: unknown token 'Z'" in res.output
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
-"""Source hygiene: no module under ``src/flowopt`` or ``tests/`` imports a name
-it never uses, no public top-level function or class in ``src/flowopt`` is
-dead, and no defaulted parameter there is left at its default by every caller.
+"""Source hygiene: no module under ``src/flowopt``, ``bench/``, ``scripts/`` or
+``tests/`` imports a name it never uses, no public top-level function or class
+in ``src/flowopt`` is dead, and no defaulted parameter there is left at its
+default by every caller.
 No module in ``src/flowopt`` imports ``autodiff`` or reads an attribute ``.data``
 other than ``ctypes.data``.
 
@@ -33,8 +34,8 @@ from flowopt.config import _SECTION_TYPES, RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "flowopt").glob("*.py"))
-MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
 CALLERS = SRC + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+MODULES = CALLERS + sorted((ROOT / "tests").glob("*.py"))
 DEAD_CODE_ALLOWLIST = {
     "toyset.tanimoto": "reference the selection-law test compares selection_probabilities with",
     "harness.selection_probabilities": "the selection law from scratch, which the acceptance "

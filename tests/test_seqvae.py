@@ -468,6 +468,12 @@ def test_config_validation():
         VaeConfig(K=0)
     with pytest.raises(ContractViolation):
         VaeConfig(beta_max=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractViolation, match=f"vae.beta_max .* not {bad}"):
+            VaeConfig(beta_max=bad)
+    for bad in (np.nan, np.inf, 0.0, -1e-3):
+        with pytest.raises(ContractViolation, match=f"vae.lr .* not {bad}"):
+            VaeConfig(lr=bad)
 
 
 def _traced_peak(fn) -> int:
