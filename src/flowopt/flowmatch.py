@@ -33,9 +33,12 @@ class FlowConfig:
     sample_steps: int = 50  # default Euler steps for unconditional sampling
 
     def __post_init__(self):
-        for name in ("batch_size", "steps", "sample_steps"):
+        for name in ("K", "d", "hidden", "layers", "batch_size", "steps", "sample_steps"):
             if getattr(self, name) < 1:
                 raise ContractViolation(f"flow.{name} must be >= 1, not {getattr(self, name)!r}")
+        if self.time_embed_dim < 2 or self.time_embed_dim % 2:
+            raise ContractViolation(f"flow.time_embed_dim must be a positive even integer, "
+                                    f"not {self.time_embed_dim!r}")
 
 
 @functools.lru_cache(maxsize=1024)

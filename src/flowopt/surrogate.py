@@ -27,6 +27,12 @@ class SurrogateConfig:
     layers: int = 3
     epochs: int = 40  # unread; kept while bench/test_smoke.py sets it
 
+    def __post_init__(self):
+        for name in ("latent_dim", "hidden", "layers"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(f"surrogate.{name} must be >= 1, "
+                                        f"not {getattr(self, name)!r}")
+
 
 # The heads' scaling, per property: a sigmoid times _SPAN plus _LO.
 _LO, _HI = np.array([toyset.P1_BOUNDS, toyset.P2_BOUNDS]).T

@@ -187,8 +187,21 @@ def oracle_properties(s: Structure) -> Properties:
     return properties_from_stats(s.stats)
 
 
+# Stats -> Properties. The formula is a pure function of the counts, so one
+# memo serves every caller; the 3,000 toy-default entries take 222 values.
+_PROPERTIES: dict = {}
+
+
 def properties_from_stats(st: Stats) -> Properties:
-    """The oracle's analytic formula on a structure's ``Stats``."""
+    """The oracle's analytic formula on a structure's ``Stats``, computed once
+    per distinct ``Stats``."""
+    props = _PROPERTIES.get(st)
+    if props is None:
+        props = _PROPERTIES[st] = _properties_formula(st)
+    return props
+
+
+def _properties_formula(st: Stats) -> Properties:
     nb, rings, sides = st.backbone, st.rings, st.side_groups
     side_frac = sides / (sides + nb) if (sides + nb) > 0 else 0.0
     p1 = (0.5 * np.exp(-(((nb - 8) / 3.0) ** 2))
@@ -224,16 +237,6 @@ def _features(tokens: tuple) -> np.ndarray:
     bits = np.zeros(FEATURE_BITS, dtype=bool)
     bits[idx] = True
     return bits
-
-
-def tanimoto(a: np.ndarray, b: np.ndarray) -> float:
-    """|A∩B| / |A∪B| over bitsets; 1.0 when both are empty."""
-    if a.shape != b.shape:
-        raise ContractViolation("bitset widths differ")
-    union = np.count_nonzero(a | b)
-    if union == 0:
-        return 1.0
-    return np.count_nonzero(a & b) / union
 
 
 # -- dataset generation ---------------------------------------------------
@@ -288,10 +291,9 @@ def generate_dataset(seed: int, count: int, min_len: int = 4, max_len: int = 40)
     rng = Rng(seed).split("toyset")
     entries = []
     groups: dict = {}
-    for i in range(count):
-        r = rng.split(i)
-        budget = int(r.integers(min_len, max_len + 1))
-        s = decode(_random_chain(r.gen, budget, 0)[:MAX_LEN])
+    for i, gen in enumerate(rng.sibling_gens(range(count))):  # entry i draws from rng.split(i)
+        budget = int(gen.integers(min_len, max_len + 1))
+        s = decode(_random_chain(gen, budget, 0)[:MAX_LEN])
         entries.append((s.canonical_tokens, properties_from_stats(s.stats)))
         groups.setdefault(s.skeleton_key, []).append(i)
     keys = sorted(groups, key=lambda k: hashlib.blake2b(k.encode(), digest_size=8).hexdigest())

@@ -21,6 +21,16 @@ def rng():
     return Rng(1234)
 
 
+def tanimoto(a: np.ndarray, b: np.ndarray) -> float:
+    """|A∩B| / |A∪B| over bitsets; 1.0 when both are empty. The similarity
+    ``harness.selection_probabilities`` computes in bulk."""
+    assert a.shape == b.shape, "bitset widths differ"
+    union = np.count_nonzero(a | b)
+    if union == 0:
+        return 1.0
+    return np.count_nonzero(a & b) / union
+
+
 def finite_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Central finite-difference gradient of a scalar function of x."""
     g = np.zeros_like(x, dtype=np.float64)

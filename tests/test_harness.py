@@ -26,7 +26,7 @@ from flowopt.rng import Rng
 from flowopt.seqvae import VaeConfig
 from flowopt.surrogate import SurrogateConfig
 
-from conftest import tape_objective_gradient
+from conftest import tanimoto, tape_objective_gradient
 
 
 def tiny_config(seed=0) -> RunConfig:
@@ -110,7 +110,7 @@ def test_selection_probabilities_normalized_and_weighted(rng):
     assert (p > 0).all()
     # the closed form is reproduced exactly
     w = np.where(pareto_flags(points), 2.0, 1.0)
-    sims = np.array([max(toyset.tanimoto(b > 0, h > 0) for h in history) for b in bits])
+    sims = np.array([max(tanimoto(b > 0, h > 0) for h in history) for b in bits])
     expected = w * np.exp(-2.0 * sims)
     assert np.allclose(p, expected / expected.sum())
 
@@ -1057,6 +1057,34 @@ def test_cli_train_bad_schedule_exit_2(runner, tiny_run, tmp_path, section, key,
                                    "--data", tiny_run["data_dir"], "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert f"{section}.{key} must be >= 1, not {value}" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("flow", "hidden", 0, "flow.hidden must be >= 1, not 0"),
+    ("flow", "layers", 0, "flow.layers must be >= 1, not 0"),
+    ("flow", "K", -1, "flow.K must be >= 1, not -1"),
+    ("flow", "time_embed_dim", 7, "flow.time_embed_dim must be a positive even integer, not 7"),
+    ("flow", "time_embed_dim", 0, "flow.time_embed_dim must be a positive even integer, not 0"),
+    ("surrogate", "hidden", 0, "surrogate.hidden must be >= 1, not 0"),
+    ("surrogate", "layers", 0, "surrogate.layers must be >= 1, not 0"),
+    ("surrogate", "latent_dim", 0, "surrogate.latent_dim must be >= 1, not 0"),
+])
+def test_cli_train_bad_model_shape_exit_2(runner, tiny_run, tmp_path, section, key, value,
+                                          message):
+    """A zero width or layer count, or an odd time embedding, ends with exit 2
+    naming the field when the config loads, before the data is read (a zero
+    hidden width ended in a ZeroDivisionError traceback, exit 1, when the
+    model was built)."""
+    doc = tiny_run["cfg"].to_dict()
+    doc[section][key] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = runner.invoke(cli.main, ["train", "--seed", "0", "--config", str(cfg_path),
+                                   "--data", str(tmp_path / "no-data"), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: ") and message in res.output
     assert not out.exists()
 
 

@@ -4,6 +4,9 @@ in ``src/flowopt`` is dead, and no defaulted parameter there is left at its
 default by every caller.
 No module in ``src/flowopt`` imports ``autodiff`` or reads an attribute ``.data``
 other than ``ctypes.data``.
+No module in ``src/flowopt`` but ``rng.py`` constructs a NumPy stream
+(``SeedSequence``, ``default_rng``, ``Generator`` or ``PCG64``), so every
+stream comes from the one derivation ``tests/test_rng.py`` pins.
 
 A standard-library ``ast`` scan stands in for a linter. A name counts as used
 when it appears anywhere in the module as a bare name (which includes the root
@@ -37,7 +40,6 @@ SRC = sorted((ROOT / "src" / "flowopt").glob("*.py"))
 CALLERS = SRC + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 MODULES = CALLERS + sorted((ROOT / "tests").glob("*.py"))
 DEAD_CODE_ALLOWLIST = {
-    "toyset.tanimoto": "reference the selection-law test compares selection_probabilities with",
     "harness.selection_probabilities": "the selection law from scratch, which the acceptance "
                                        "line and the tests check a run's SelectionState against",
     "guidance.objective_gradient": "J and the latent gradient, checked finite: what the tape "
@@ -133,6 +135,40 @@ def test_remnant_scan_flags_autodiff_imports_and_data_reads():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_parameter_holder_remnants(path):
     assert holder_remnants(path.read_text()) == []
+
+
+STREAM_CONSTRUCTORS = {"SeedSequence", "default_rng", "Generator", "PCG64"}
+
+
+def stream_constructions(source: str) -> list:
+    """``(line, name)`` of each call, and each ``from`` import, of a NumPy
+    stream constructor, however it is reached (``np.random.PCG64(...)``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in STREAM_CONSTRUCTORS:
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in STREAM_CONSTRUCTORS]
+    return sorted(found)
+
+
+def test_stream_scan_flags_constructors_not_annotations():
+    source = ("import numpy as np\n"
+              "from numpy.random import default_rng\n"
+              "def f(gen: np.random.Generator) -> np.random.Generator:\n"
+              "    return np.random.Generator(np.random.PCG64(0))\n"
+              "g = default_rng(np.random.SeedSequence(1, spawn_key=(2,)))\n"
+              "h = gen.integers(0, 8)\n")
+    assert stream_constructions(source) == [(2, "default_rng"), (4, "Generator"), (4, "PCG64"),
+                                            (5, "SeedSequence"), (5, "default_rng")]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "rng.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_streams_are_built_in_rng_only(path):
+    assert stream_constructions(path.read_text()) == []
 
 
 def _is_click_command(node) -> bool:

@@ -1,19 +1,26 @@
-"""Splittable streams: a Generator is built on the first draw only."""
+"""Splittable streams: a stream costs only its draws, and every draw is NumPy's.
+
+A stream is ``default_rng(SeedSequence(seed, spawn_key=words))`` with one
+blake2b word per split key; the references below build that Generator with
+NumPy alone.
+"""
+
+import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowopt.rng import Rng
+from flowopt.rng import Rng, _sibling_gens, normal_rows
 
 
-def eager_generator(seed, keys):
-    """The Generator of ``Rng(seed).split(k1)...split(kn)``, built eagerly at every level."""
-    rng = Rng(seed)
-    gen = np.random.default_rng(rng._seq)
-    for key in keys:
-        rng = rng.split(key)
-        gen = np.random.default_rng(rng._seq)
-    return gen
+def key_word(key) -> int:
+    return int.from_bytes(hashlib.blake2b(str(key).encode(), digest_size=8).digest(), "little")
+
+
+def numpy_generator(seed, spawn_key):
+    """NumPy's own Generator of a stream: its SeedSequence, built eagerly."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(spawn_key)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -23,7 +30,7 @@ def test_lazy_chain_draws_equal_eager(seed, keys):
     rng = Rng(seed)
     for key in keys:
         rng = rng.split(key)
-    gen = eager_generator(seed, keys)
+    gen = numpy_generator(seed, [key_word(k) for k in keys])
     assert np.array_equal(rng.normal((3, 2)), gen.standard_normal((3, 2)))
     assert np.array_equal(rng.uniform(0.0, 2.0, 4), gen.uniform(0.0, 2.0, 4))
     # Scalar draws take the Generator's scalar path and hold what a 0-d draw holds.
@@ -35,16 +42,115 @@ def test_lazy_chain_draws_equal_eager(seed, keys):
     assert rng.integers(0, 8) == gen.choice(8)
 
 
-def test_split_only_chain_builds_no_generator(monkeypatch):
+def count_builds(monkeypatch) -> list:
+    """Record each SeedSequence and default_rng that NumPy builds from now on."""
     built = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
+    seed_sequence, default_rng = np.random.SeedSequence, np.random.default_rng
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda *a, **k: built.append("seq") or seed_sequence(*a, **k))
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: built.append("gen") or default_rng(*a))
+    return built
+
+
+def test_split_only_chain_builds_no_generator(monkeypatch):
+    built = count_builds(monkeypatch)
     chain = [Rng(5)]
     for step in range(4):
         chain.append(chain[-1].split(("step", step)))
     assert not built and all("gen" not in vars(r) for r in chain)
     chain[-1].normal(2)
-    assert len(built) == 1 and "gen" in vars(chain[-1])
+    assert built == ["seq", "gen"] and "gen" in vars(chain[-1])
     assert all("gen" not in vars(r) for r in chain[:-1])
     chain[-1].normal(2)
-    assert len(built) == 1
+    assert built == ["seq", "gen"]
+
+
+def draws(gen, ops) -> list:
+    """Scalar ``integers`` and ``random`` draws interleaved as the grammar walk
+    draws them (small bounded integers use the 32-bit buffer), and normal rows."""
+    out = []
+    for op in ops:
+        if op == "integers":
+            out.append(gen.integers(0, 8))
+        elif op == "integers-wide":
+            out.append(gen.integers(3, 2 ** 40))
+        elif op == "random":
+            out.append(gen.random())
+        else:
+            out.append(gen.standard_normal((2, 3)).tolist())
+    return out
+
+
+entropies = st.one_of(st.integers(0, 2 ** 32), st.integers(0, 2 ** 130))
+spawn_words = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 64 - 1))
+draw_ops = st.lists(st.sampled_from(["integers", "integers-wide", "random", "normal"]),
+                    min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entropies, st.lists(spawn_words, max_size=3), st.lists(spawn_words, max_size=6),
+       draw_ops)
+def test_bulk_siblings_draw_what_numpy_draws(entropy, parent_key, words, ops):
+    """The explicit-word entry point: words below 2**32 (one uint32 word, as 0
+    is) and up to 2**64, entropy past 2**128 (more than the pool's four words),
+    parents 0 to 3 deep. Each re-stated Generator starts with an empty 32-bit
+    buffer, so scalar integers after the previous sibling's draws match too."""
+    gens = _sibling_gens(entropy, tuple(parent_key), words)
+    for word, gen in zip(words, gens):
+        assert draws(gen, ops) == draws(numpy_generator(entropy, parent_key + [word]), ops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.one_of(st.integers(0, 99), st.text(max_size=4)), max_size=3),
+       st.lists(st.one_of(st.integers(-5, 10 ** 6), st.text(max_size=4)), max_size=6),
+       draw_ops)
+def test_sibling_gens_draw_what_split_draws(seed, path, keys, ops):
+    parent = Rng(seed)
+    for key in path:
+        parent = parent.split(key)
+    prefix = [key_word(k) for k in path]
+    for key, gen in zip(keys, parent.sibling_gens(keys)):
+        assert draws(gen, ops) == draws(numpy_generator(seed, prefix + [key_word(key)]), ops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.sampled_from([(), (3,), (2, 4)]))
+def test_normal_rows_in_bulk_equal_one_call_per_row(seed, n, shape):
+    parent = Rng(seed).split("cells")
+    rows = [parent.split(("cand", i)) for i in range(n)]
+    solo = [parent.split(("cand", i)) for i in range(n)]
+    assert np.array_equal(normal_rows(rows, shape), np.stack([r.normal(shape) for r in solo]))
+    # Each stream moves on as its own normal() call moved it.
+    for r, s in zip(rows, solo):
+        assert r.integers(0, 8) == s.integers(0, 8)
+        assert np.array_equal(r.normal(shape), s.normal(shape))
+
+
+def test_normal_rows_in_bulk_builds_no_seed_sequence(monkeypatch):
+    parent = Rng(3).split("generate")
+    rows = [parent.split(i) for i in range(16)]
+    built = count_builds(monkeypatch)
+    normal_rows(rows, (4, 2))
+    assert built == []
+    normal_rows([parent.split("noise")], (4, 2))  # one row: NumPy's own seeding
+    assert built == ["seq", "gen"]
+
+
+@pytest.mark.parametrize("case", ["drawn", "cousins", "roots"])
+def test_normal_rows_of_non_siblings_draws_each_stream(case):
+    """Streams that are not fresh siblings draw one by one, each from where it stands."""
+    def streams():
+        a, b = Rng(1).split("a"), Rng(1).split("b")
+        if case == "drawn":
+            rows = [a.split(0), a.split(1)]
+            rows[1].normal(2)
+        elif case == "cousins":
+            rows = [a.split(0), b.split(0)]
+        else:
+            rows = [Rng(4), Rng(5)]
+        return rows
+
+    rows, solo = streams(), streams()
+    assert np.array_equal(normal_rows(rows, (2,)), np.stack([r.normal((2,)) for r in solo]))

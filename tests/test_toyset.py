@@ -8,6 +8,8 @@ from flowopt import toyset
 from flowopt.errors import ArtifactIOError
 from flowopt.rng import Rng
 
+from conftest import tanimoto
+
 token_lists = st.lists(st.sampled_from(toyset.VOCAB), max_size=40)
 
 
@@ -83,10 +85,10 @@ def test_oracle_p2_floor_and_monotone_signal():
 def test_tanimoto_bounds_and_symmetry(t1, t2):
     a = toyset.decode(t1).features
     b = toyset.decode(t2).features
-    sab = toyset.tanimoto(a, b)
+    sab = tanimoto(a, b)
     assert 0.0 <= sab <= 1.0
-    assert sab == toyset.tanimoto(b, a)
-    assert toyset.tanimoto(a, a) == 1.0
+    assert sab == tanimoto(b, a)
+    assert tanimoto(a, a) == 1.0
 
 
 def blake2b_features(tokens) -> np.ndarray:
@@ -196,6 +198,20 @@ def test_toy_default_dataset_matches_recorded_bytes(tmp_path):
     assert got == RECORDED_DATASET_SHA256
 
 
+def test_properties_memo_equals_formula_on_toy_default(monkeypatch):
+    """Every ``Stats`` of the toy-default dataset, memoized by a cold start,
+    holds the formula's bits, and each entry's properties are its memo's."""
+    monkeypatch.setattr(toyset, "_PROPERTIES", {})
+    ds = toyset.generate_dataset(7, 3000, 3, 14)
+    memo = toyset._PROPERTIES
+    assert len(memo) == 222
+    for stats, props in memo.items():
+        want = toyset._properties_formula(stats)
+        assert (props.p1.hex(), props.p2.hex()) == (want.p1.hex(), want.p2.hex())
+    for tokens, props in ds.entries:
+        assert props is memo[toyset.decode(tokens).stats]
+
+
 # -- reference copies of the two-pass generator and serializer --------------
 # The walk drew every scalar as a 0-d array and picked tokens with
 # ``Generator.choice``; each structure was decoded once to build it and once
@@ -283,7 +299,7 @@ def reference_generate_dataset(seed, count, min_len, max_len) -> toyset.Dataset:
         r = rng.split(i)
         budget = int(r.gen.integers(min_len, max_len + 1, size=()))
         s = reference_decode(reference_random_chain(r.gen, budget, 0)[:toyset.MAX_LEN])
-        entries.append((s.canonical_tokens, toyset.oracle_properties(s)))
+        entries.append((s.canonical_tokens, toyset._properties_formula(s.stats)))
     groups: dict = {}
     for i, (tokens, _) in enumerate(entries):
         groups.setdefault(reference_decode(tokens).skeleton_key, []).append(i)
