@@ -21,7 +21,7 @@ from . import flowmatch, guidance, moeval, seqvae, surrogate as surrogate_mod, t
 from .config import RunConfig
 from .errors import ArtifactIOError, ConfigError, ContractViolation
 from .nn import load_checkpoint, save_checkpoint
-from .rng import Rng
+from .rng import Rng, normal_rows
 
 VAE_CKPT = "vae_pretrain.ckpt"
 FINETUNE_CKPT = "vae_finetune.ckpt"
@@ -294,24 +294,26 @@ def select_seed(probs: np.ndarray, rng: Rng) -> int:
 PROPOSERS = ("guided-flow", "gradient-ascent", "random")
 
 
-def _propose(proposer: str, models: Pipeline, cfg: RunConfig,
-             mu: np.ndarray, rng: Rng) -> toyset.Structure:
-    """One proposal from the seed whose (1, K, d) posterior mean is ``mu``
-    (unread, and may be None, for ``random``)."""
+def _propose(proposer: str, models: Pipeline, cfg: RunConfig, mu, rngs) -> list:
+    """One proposal per ``propose`` stream of ``rngs``, decoded in one batch.
+
+    Row b starts from the ``noise`` draw of ``rngs[b]``, about the seed whose
+    posterior mean is row b of the (B, K, d) ``mu`` (unread, and may be None,
+    for ``random``)."""
     vae, sur, flow = models.vae, models.surrogate, models.flow
     spec = cfg.objective
+    noise = [rng.split("noise") for rng in rngs]
     if proposer == "random":
-        final = rng.split("noise").normal((1, cfg.vae.K, cfg.vae.d))
+        final = normal_rows(noise, (cfg.vae.K, cfg.vae.d))
     elif proposer == "guided-flow":
-        z0 = guidance.prepare_optimization(mu, cfg.guidance.sigma, [rng.split("noise")])
+        z0 = guidance.prepare_optimization(mu, cfg.guidance.sigma, noise)
         final = guidance.guided_integrate(flow, sur, spec, cfg.guidance, z0)
     elif proposer == "gradient-ascent":
-        z0 = guidance.prepare_optimization(mu, guidance.GA_SIGMA, [rng.split("noise")])
+        z0 = guidance.prepare_optimization(mu, guidance.GA_SIGMA, noise)
         final = guidance.gradient_ascent_baseline(sur, spec, z0, guidance.GA_ETA, guidance.GA_STEPS)
     else:
         raise ConfigError(f"unknown proposer {proposer!r}")
-    (tokens,) = vae.decode_greedy_batch(final)
-    return toyset.decode(tokens)
+    return [toyset.decode(tokens) for tokens in vae.decode_greedy_batch(final)]
 
 
 @dataclass
@@ -338,7 +340,9 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
     ``SelectionState`` over those arrays carries the selection law's flags
     and counts from one oracle call to the next. A row's posterior mean is
     encoded when it is first selected, and kept. ``random`` reads no seed,
-    so it draws none and carries no selection state. The pool's hypervolume is
+    so it draws none and carries no selection state; it proposes all its
+    calls, ``budget`` less the initial pool's, in one ``_propose`` before the
+    first, and spends the oracle on them in order. The pool's hypervolume is
     carried while the front stands: a point outside the reference box or
     weakly dominated by the pool keeps its bits. Each structure is parsed
     once, by the decode that makes it; the oracle and the report read the
@@ -380,16 +384,21 @@ def budgeted_run(models: Pipeline, dataset: toyset.Dataset, cfg: RunConfig,
 
     hv = hv_base = moeval.hypervolume_2d(baseline, ref)
     trace = []
-    while complete and oracle.calls < cfg.budget.budget:
-        n = len(structures)
-        srng = rng.split(("step", n - n_init))
-        mu = None  # random reads no seed, so it draws none
-        if law is not None:
+    steps = cfg.budget.budget - oracle.calls if complete else 0
+    # random reads no seed, so all its calls are proposed before the first.
+    proposals = (_propose(proposer, models, cfg, None,
+                          [rng.split(("step", k)).split("propose") for k in range(steps)])
+                 if law is None and steps else None)
+    for k in range(steps):
+        n = n_init + k
+        if law is None:
+            proposed = proposals[k]
+        else:
+            srng = rng.split(("step", k))
             i = select_seed(law.probabilities(), srng.split("select"))
             if i not in means:
                 means[i] = models.vae.encode_batch([structures[i].canonical_tokens]).mu
-            mu = means[i]
-        proposed = _propose(proposer, models, cfg, mu, srng.split("propose"))
+            (proposed,) = _propose(proposer, models, cfg, means[i], [srng.split("propose")])
         add(proposed, oracle(proposed))
         if law is not None:  # the history is the last HISTORY_WINDOW optimized bitsets
             law.remember(bits[n])

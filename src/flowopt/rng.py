@@ -11,12 +11,14 @@ with one blake2b word per split key, and it costs only its draws:
 - ``split`` keeps the entropy and the spawn key, and the ``SeedSequence`` and
   Generator are built on the first draw, so a stream that is only split costs
   one blake2b.
-- Many siblings of one parent draw through one Generator, re-stated per
-  sibling (``Rng.sibling_gens``, and ``normal_rows`` on fresh siblings). Their
-  PCG64 states are derived in one vectorized pass of the published algorithms
-  NumPy seeds with: ``SeedSequence``'s uint32 hashmix pool,
-  ``generate_state(4, uint64)`` and PCG64's two-step ``srandom``. A re-stated
-  Generator draws exactly what the sibling's own Generator would.
+- Many streams whose keys differ in one word draw through one Generator,
+  re-stated per stream: one parent's siblings (``Rng.sibling_gens``), and
+  ``normal_rows`` on fresh streams such as a sweep cell's candidates or each
+  budgeted step's proposal noise. Their PCG64 states are derived in one
+  vectorized pass of the published algorithms NumPy seeds with:
+  ``SeedSequence``'s uint32 hashmix pool, ``generate_state(4, uint64)`` and
+  PCG64's two-step ``srandom``. A re-stated Generator draws exactly what the
+  stream's own Generator would.
 """
 
 from __future__ import annotations
@@ -98,14 +100,17 @@ def normal_rows(rngs, shape) -> np.ndarray:
 
     Row i is exactly ``rngs[i].normal(shape)``, and each stream moves on as
     that call would move it, so a batch built from per-row streams draws the
-    same noise as one call per row. Two or more fresh siblings (split from one
-    parent, none drawn yet) draw in bulk; one row keeps NumPy's own seeding,
-    which is cheaper for one.
+    same noise as one call per row. Two or more distinct fresh streams (none
+    drawn yet) whose keys differ in one word only, such as one parent's
+    children or each budgeted step's ``propose``/``noise`` stream, draw in
+    bulk; one row keeps NumPy's own seeding, which is cheaper for one.
     """
-    if len(rngs) > 1 and _fresh_siblings(rngs):
+    at = _varying_word(rngs) if len(rngs) > 1 else None
+    if at is not None:
         first, rows = rngs[0], []
-        gens = _sibling_gens(first._entropy, first._spawn_key[:-1],
-                             [r._spawn_key[-1] for r in rngs])
+        key = first._spawn_key
+        gens = _sibling_gens(first._entropy, key[:at], [r._spawn_key[at] for r in rngs],
+                             key[at + 1:])
         for r, gen in zip(rngs, gens):
             rows.append(gen.standard_normal(shape))
             r._state = gen.bit_generator.state
@@ -113,13 +118,20 @@ def normal_rows(rngs, shape) -> np.ndarray:
     return np.stack([r.normal(shape) for r in rngs])
 
 
-def _fresh_siblings(rngs) -> bool:
-    """Whether the streams were split from one parent and none has drawn."""
+def _varying_word(rngs):
+    """The position of the one spawn-key word the streams differ in (the last
+    if none differs), or None unless they are distinct, none has drawn, and
+    they share their entropy and every other key word."""
     first = rngs[0]
-    prefix = first._spawn_key[:-1]
-    return bool(first._spawn_key) and all(
-        r._entropy == first._entropy and r._spawn_key[:-1] == prefix
-        and r._state is None and "gen" not in vars(r) for r in rngs)
+    key = first._spawn_key
+    if not key or len(set(map(id, rngs))) < len(rngs) or any(
+            r._entropy != first._entropy or len(r._spawn_key) != len(key)
+            or r._state is not None or "gen" in vars(r) for r in rngs):
+        return None
+    differ = {i for r in rngs for i, (a, b) in enumerate(zip(r._spawn_key, key)) if a != b}
+    if len(differ) > 1:
+        return None
+    return differ.pop() if differ else len(key) - 1
 
 
 # -- bulk seeding ------------------------------------------------------------
@@ -165,18 +177,20 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _sibling_states(entropy: int, spawn_key: tuple, words) -> list:
+def _sibling_states(entropy: int, prefix: tuple, words, suffix=()) -> list:
     """PCG64 ``(state, inc)`` of ``default_rng(SeedSequence(entropy,
-    spawn_key=spawn_key + (w,)))`` for each word ``w`` below 2**64.
+    spawn_key=prefix + (w,) + suffix))`` for each word ``w`` below 2**64.
 
-    The siblings share their entropy words up to their own key word: the run
+    The streams share their entropy words up to their own key word: the run
     entropy, padded to the pool's four words (a child has a spawn key), fills
-    and mixes the pool, then each parent key word is mixed in. That is done
-    once; each sibling's word is mixed in by uint32 array ops over all of them.
+    and mixes the pool, then each prefix key word is mixed in. That is done
+    once; each stream's word, then the suffix's words, are mixed in by uint32
+    array ops over all of them.
     """
     run = _uint32_words(entropy)
-    shared = run + [0] * (4 - len(run)) + [x for k in spawn_key for x in _uint32_words(k)]
-    consts = _hash_consts(_INIT_A, _MULT_A, 4 * len(shared) + 8)
+    shared = run + [0] * (4 - len(run)) + [x for k in prefix for x in _uint32_words(k)]
+    after = [x for k in suffix for x in _uint32_words(k)]
+    consts = _hash_consts(_INIT_A, _MULT_A, 4 * (len(shared) + len(after)) + 8)
     calls = zip(consts, consts[1:])
 
     def hashmix(value):
@@ -190,11 +204,19 @@ def _sibling_states(entropy: int, spawn_key: tuple, words) -> list:
     for x in shared[4:]:
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(x))
-    # A word's low uint32 limb, then its high limb if the word is 2**32 or more.
+    # A stream's entropy words past the shared ones: its word's low uint32
+    # limb, its high limb if the word is 2**32 or more, then the suffix's. A
+    # one-limb stream has one word fewer, so its last column is not mixed.
     w = np.array(words, dtype=np.uint64)
+    two = w > _M32
+    tail = np.empty((len(w), len(after) + 2), dtype=np.uint32)
+    tail[:, 0] = w & _M32
+    tail[:, 1:-1] = after
+    tail[two, 1] = w[two] >> 32
+    tail[two, 2:] = after
     pool = [np.full(len(w), p, dtype=np.uint32) for p in pool]
-    for limb, rows in (((w & _M32).astype(np.uint32), slice(None)),
-                       ((w >> 32).astype(np.uint32), w > _M32)):
+    for col, limb in enumerate(tail.T):
+        rows = two if col == len(after) + 1 else slice(None)
         limb = limb[rows]
         for dst in range(4):
             pool[dst][rows] = _mix(pool[dst][rows], hashmix(limb))
@@ -212,12 +234,12 @@ def _sibling_states(entropy: int, spawn_key: tuple, words) -> list:
     return states
 
 
-def _sibling_gens(entropy: int, spawn_key: tuple, words):
+def _sibling_gens(entropy: int, prefix: tuple, words, suffix=()):
     """Yield one Generator, re-stated with an empty 32-bit buffer to each
-    sibling's derived state in turn (see ``Rng.sibling_gens``)."""
+    stream's derived state in turn (see ``Rng.sibling_gens``)."""
     gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
-    for state, inc in _sibling_states(entropy, spawn_key, words):
+    for state, inc in _sibling_states(entropy, prefix, words, suffix):
         bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                         "has_uint32": 0, "uinteger": 0}
         yield gen

@@ -329,7 +329,8 @@ class SeqVae:
         g = ((g_attn / s + g_s) * e).reshape(B * L, K)
         grads["queries"] = (h.T @ g).T
         # The feature layer and the embeddings, on the valid positions.
-        g = _tanh_back((g @ p["queries"] + g_h)[a["valid"]], a["hv"])
+        valid = a["valid"]
+        g = _tanh_back(g[valid] @ p["queries"] + g_h[valid], a["hv"])
         grads["enc_b"] = g.sum(axis=0)
         grads["enc_w"] = a["x"].T @ g
         g_x = g @ p["enc_w"].T

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,10 +151,10 @@ def test_select_seed_matches_law_chi_square(rng):
         p = harness.selection_probabilities(
             *_pool_state(rng.split(("cfg", case)), 8, with_history=(case % 2 == 0)))
         draws = 20_000
-        r = rng.split(("draws", case))
         counts = np.zeros(len(p))
-        for i in range(draws):
-            counts[harness.select_seed(p, r.split(i))] += 1
+        # Draw i reads rng.split(("draws", case)).split(i), one re-stated Generator for all.
+        for gen in rng.split(("draws", case)).sibling_gens(range(draws)):
+            counts[harness.select_seed(p, SimpleNamespace(gen=gen))] += 1
         _, pval = sps.chisquare(counts, p * draws)
         assert pval > 0.001
 
@@ -254,7 +255,7 @@ def test_guided_proposal_makes_one_surrogate_pass_per_step(tiny_run, monkeypatch
     monkeypatch.setattr(sur, "predict_vjp", lambda *a, **k: passes.append(1) or predict_vjp(*a, **k))
     mu = models.vae.encode_batch([tokens for tokens, _ in tiny_run["ds"].subset("train")[:1]]).mu
     assert cfg.guidance.gamma > 0
-    harness._propose("guided-flow", models, cfg, mu, Rng(3))
+    harness._propose("guided-flow", models, cfg, mu, [Rng(3)])
     assert len(passes) == steps
     for gamma, want in ((cfg.guidance.gamma, steps), (0.0, 0)):
         passes.clear()
@@ -285,7 +286,7 @@ def test_history_window_slides(tiny_run, monkeypatch):
 
     monkeypatch.setattr(harness.SelectionState, "probabilities", record_law)
     monkeypatch.setattr(harness, "_propose",
-                        lambda *args: proposals.append(propose(*args)) or proposals[-1])
+                        lambda *args: proposals.extend(propose(*args)) or proposals[-1:])
     result = harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg, "gradient-ascent",
                                   seed=6)
     monkeypatch.undo()
@@ -406,6 +407,82 @@ def test_budgeted_run_unknown_proposer(tiny_run):
     with pytest.raises(ConfigError):
         harness.budgeted_run(tiny_run["models"], tiny_run["ds"],
                              tiny_run["cfg"], "annealing", seed=0)
+
+
+@pytest.mark.parametrize("free_init, budget, rows", [(True, 20, 20), (False, 20, 15),
+                                                     (False, 5, 0), (False, 3, 0)])
+def test_random_run_proposes_every_call_at_once(tiny_run, monkeypatch, free_init, budget, rows):
+    """A random run makes one ``_propose`` of one row per oracle call left
+    after the initial pool of 5, before it spends any, then spends the oracle
+    on those proposals in order. A pool that meets the budget leaves no call
+    and no proposal; one that exceeds it stops incomplete, with none."""
+    cfg = tiny_config()
+    cfg.budget = dataclasses.replace(cfg.budget, budget=budget, init_size=5, free_init=free_init)
+    events, propose, oracle = [], harness._propose, toyset.oracle_properties
+    monkeypatch.setattr(harness, "_propose",
+                        lambda *a: events.append(("propose", propose(*a))) or events[-1][1])
+    monkeypatch.setattr(toyset, "oracle_properties",
+                        lambda s: events.append(("oracle", s)) or oracle(s))
+    result = harness.budgeted_run(tiny_run["models"], tiny_run["ds"], cfg, "random", seed=3)
+    monkeypatch.undo()
+    n_init = min(5, budget)
+    assert result.complete is (budget >= 5)
+    assert result.calls == budget
+    assert len(result.pool_keys) == n_init + rows
+    if not rows:
+        assert [kind for kind, _ in events] == ["oracle"] * n_init
+        return
+    assert [kind for kind, _ in events] == ["oracle"] * n_init + ["propose"] + ["oracle"] * rows
+    proposed = events[n_init][1]
+    assert [s for _, s in events[n_init + 1:]] == proposed
+    assert result.pool_keys[n_init:] == [s.canonical_key for s in proposed]
+
+
+def _random_streams(seed, steps):
+    """The ``propose`` streams of a random run's steps, split as ``budgeted_run`` splits them."""
+    rng = Rng(seed).split(("budgeted", "random"))
+    return [rng.split(("step", k)).split("propose") for k in range(steps)]
+
+
+def _decoder_logits(vae, Z, decoded):
+    """The greedy decoder's (B, MAX_LEN, V) logits, teacher-forced on the
+    ``decoded`` token tuples: every row at every step, fed EOS past its end."""
+    c, p = vae.config, vae.p
+    B, E = len(Z), c.embed_dim
+    ids = np.full((B, toyset.MAX_LEN + 1), toyset.TOKEN_ID[toyset.EOS])
+    ids[:, 0] = toyset.TOKEN_ID[toyset.BOS]
+    for b, tokens in enumerate(decoded):
+        ids[b, 1:len(tokens) + 1] = [toyset.TOKEN_ID[t] for t in tokens]
+    zh = Z.reshape(B, c.K * c.d) @ p["dec_w1"][E:] + p["dec_b1"]
+    return np.stack([np.tanh((p["tok_emb"][ids[:, pos]] + p["pos_emb"][pos]) @ p["dec_w1"][:E]
+                             + zh) @ p["dec_w2"] + p["dec_b2"]
+                     for pos in range(toyset.MAX_LEN)], axis=1)
+
+
+@pytest.mark.parametrize("fixture", ["tiny", "bench"])
+def test_random_proposals_in_one_batch_match_one_per_call(tiny_run, fixture):
+    """Over seeds 0-19, a random run's proposals made in one batch are those
+    of one batch-of-one ``_propose`` per call, with the same tokens. The batch
+    computes gemm rows where a one-row decode runs gemv, so a logit may move
+    in its last bits only: every step's logits stay within 1e-12."""
+    if fixture == "tiny":
+        models, cfg = tiny_run["models"], tiny_config()
+    else:
+        models, cfg = harness.Pipeline.load(BENCH_CKPT), config.toy_default(0)
+    vae, steps = models.vae, cfg.budget.budget - cfg.budget.init_size
+    for seed in range(20):
+        batch = harness._propose("random", models, cfg, None, _random_streams(seed, steps))
+        assert batch == [harness._propose("random", models, cfg, None, [r])[0]
+                         for r in _random_streams(seed, steps)], seed
+        z = np.stack([r.split("noise").normal((cfg.vae.K, cfg.vae.d))
+                      for r in _random_streams(seed, steps)])
+        tokens = vae.decode_greedy_batch(z)
+        assert tokens == [vae.decode_greedy_batch(z[b:b + 1])[0] for b in range(steps)], seed
+        logits = _decoder_logits(vae, z, tokens)
+        for b in range(steps):
+            n = min(len(tokens[b]) + 1, toyset.MAX_LEN)  # the steps up to its EOS
+            one = _decoder_logits(vae, z[b:b + 1], tokens[b:b + 1])[0]
+            assert np.abs(logits[b, :n] - one[:n]).max() <= 1e-12, (seed, b)
 
 
 # -- sweep ----------------------------------------------------------------

@@ -9,7 +9,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowopt.rng import Rng, _sibling_gens, normal_rows
 
@@ -101,6 +101,20 @@ def test_bulk_siblings_draw_what_numpy_draws(entropy, parent_key, words, ops):
         assert draws(gen, ops) == draws(numpy_generator(entropy, parent_key + [word]), ops)
 
 
+@settings(max_examples=100, deadline=None)
+@given(entropies, st.lists(spawn_words, max_size=2), st.lists(spawn_words, max_size=6),
+       st.lists(spawn_words, max_size=2), draw_ops)
+@example(2 ** 40, [7], [0, 2 ** 32 - 1, 2 ** 32, 5, 2 ** 64 - 1], [2 ** 63, 3], ["normal"])
+def test_bulk_streams_with_a_key_suffix_draw_what_numpy_draws(entropy, prefix, words, suffix,
+                                                               ops):
+    """Streams whose keys differ in one word and share the 0 to 2 words after
+    it. A varying word below 2**32 is one uint32 limb, so the suffix enters
+    the pool one hash earlier than after a two-limb word."""
+    gens = _sibling_gens(entropy, tuple(prefix), words, tuple(suffix))
+    for word, gen in zip(words, gens):
+        assert draws(gen, ops) == draws(numpy_generator(entropy, prefix + [word] + suffix), ops)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1),
        st.lists(st.one_of(st.integers(0, 99), st.text(max_size=4)), max_size=3),
@@ -116,11 +130,18 @@ def test_sibling_gens_draw_what_split_draws(seed, path, keys, ops):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.sampled_from([(), (3,), (2, 4)]))
-def test_normal_rows_in_bulk_equal_one_call_per_row(seed, n, shape):
-    parent = Rng(seed).split("cells")
-    rows = [parent.split(("cand", i)) for i in range(n)]
-    solo = [parent.split(("cand", i)) for i in range(n)]
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.integers(0, 2),
+       st.sampled_from([(), (3,), (2, 4)]))
+def test_normal_rows_in_bulk_equal_one_call_per_row(seed, n, depth, shape):
+    """Streams whose keys differ in one word followed by ``depth`` shared
+    words (a budgeted step's ``propose``/``noise`` stream has two)."""
+    def stream(i):
+        r = Rng(seed).split("cells").split(("cand", i))
+        for j in range(depth):
+            r = r.split(("below", j))
+        return r
+
+    rows, solo = [stream(i) for i in range(n)], [stream(i) for i in range(n)]
     assert np.array_equal(normal_rows(rows, shape), np.stack([r.normal(shape) for r in solo]))
     # Each stream moves on as its own normal() call moved it.
     for r, s in zip(rows, solo):
@@ -133,14 +154,21 @@ def test_normal_rows_in_bulk_builds_no_seed_sequence(monkeypatch):
     rows = [parent.split(i) for i in range(16)]
     built = count_builds(monkeypatch)
     normal_rows(rows, (4, 2))
+    steps = Rng(3).split(("budgeted", "random"))
+    normal_rows([steps.split(("step", k)).split("propose").split("noise") for k in range(16)],
+                (4, 2))
     assert built == []
     normal_rows([parent.split("noise")], (4, 2))  # one row: NumPy's own seeding
     assert built == ["seq", "gen"]
 
 
-@pytest.mark.parametrize("case", ["drawn", "cousins", "roots"])
+@pytest.mark.parametrize("case", ["drawn", "cousins", "two-words", "roots", "repeated"])
 def test_normal_rows_of_non_siblings_draws_each_stream(case):
-    """Streams that are not fresh siblings draw one by one, each from where it stands."""
+    """Streams that are not fresh siblings draw what one call per stream
+    draws, each from where it stands: cousins, whose keys differ in their
+    first word only, in bulk; the others (one has drawn, their keys differ in
+    two words, they are roots of other seeds, or one stream comes twice) one
+    by one."""
     def streams():
         a, b = Rng(1).split("a"), Rng(1).split("b")
         if case == "drawn":
@@ -148,8 +176,12 @@ def test_normal_rows_of_non_siblings_draws_each_stream(case):
             rows[1].normal(2)
         elif case == "cousins":
             rows = [a.split(0), b.split(0)]
-        else:
+        elif case == "two-words":
+            rows = [a.split(0), b.split(1)]
+        elif case == "roots":
             rows = [Rng(4), Rng(5)]
+        else:
+            rows = [a.split(0)] * 2
         return rows
 
     rows, solo = streams(), streams()
